@@ -365,19 +365,19 @@ impl SnTask {
             && self.cb.iter().all(|c| matches!(c, Cb::Out | Cb::Done))
             && self.needs.iter().all(|n| n.satisfied(st))
         {
-            let specs = gemm_task_specs(st, blocks);
+            let (targets, ancestors) = gemm_task_specs(st, blocks);
             match exec.pool() {
-                Some(pool) if pool.threads() > 1 && specs.len() > 1 => {
-                    let tasks: Vec<Box<dyn FnOnce() -> (usize, Mat) + Send + 'static>> = specs
+                Some(pool) if pool.threads() > 1 && targets.len() > 1 => {
+                    let tasks: Vec<Box<dyn FnOnce() -> (usize, Mat) + Send + 'static>> = targets
                         .into_iter()
-                        .map(|(bj_i, bi_list)| {
+                        .map(|bj_i| {
                             let bj = &blocks[bj_i];
                             let nrows = bj.nrows();
                             // (A⁻¹[RJ,RI], Û_{K,I}) operand pairs in the
                             // fixed ascending ancestor order.
-                            let inputs: Vec<(Mat, Mat)> = bi_list
-                                .into_iter()
-                                .map(|bi_i| {
+                            let inputs: Vec<(Mat, Mat)> = ancestors
+                                .iter()
+                                .map(|&bi_i| {
                                     (st.gather_sub(k, bj, &blocks[bi_i]), self.ucur[&bi_i].clone())
                                 })
                                 .collect();

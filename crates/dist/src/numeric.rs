@@ -250,49 +250,58 @@ impl<'a> RankState<'a> {
     }
 
     /// Extracts `A⁻¹[RJ, RI]` for the GEMM of target block `bj` with
-    /// ancestor block `bi` (both blocks of supernode `k`).
+    /// ancestor block `bi` (both blocks of supernode `k`), written column
+    /// by column straight into the result's storage.
     pub(crate) fn gather_sub(&self, _k: usize, bj: &SnBlock, bi: &SnBlock) -> Mat {
         let sf = self.sf;
         let rj = sf.block_rows(bj);
         let ri = sf.block_rows(bi);
         let (jsn, isn) = (bj.sn, bi.sn);
-        let mut s = Mat::zeros(rj.len(), ri.len());
+        let mut s = Vec::with_capacity(rj.len() * ri.len());
         if jsn > isn {
             // lower storage: block (J, I) of supernode I
             let (bid, blk) = find_block(sf, jsn, isn);
             let src = &self.ainv_lower[&bid];
-            let brows = sf.block_rows(&blk);
+            let pp = positions_in(sf.block_rows(&blk), rj);
             let first_i = sf.first_col(isn);
-            for (p, &r) in rj.iter().enumerate() {
-                let pp = brows.binary_search(&r).expect("row containment");
-                for (q, &c) in ri.iter().enumerate() {
-                    s[(p, q)] = src[(pp, c - first_i)];
-                }
+            for &c in ri {
+                let col = src.col(c - first_i);
+                s.extend(pp.iter().map(|&p| col[p]));
             }
         } else if jsn < isn {
             // upper storage: transpose of block (I, J) of supernode J
             let (bid, blk) = find_block(sf, isn, jsn);
             let src = &self.ainv_upper[&bid];
-            let brows = sf.block_rows(&blk);
+            let qq = positions_in(sf.block_rows(&blk), ri);
             let first_j = sf.first_col(jsn);
-            for (q, &c) in ri.iter().enumerate() {
-                let qq = brows.binary_search(&c).expect("row containment");
-                for (p, &r) in rj.iter().enumerate() {
-                    s[(p, q)] = src[(qq, r - first_j)];
-                }
+            for &q in &qq {
+                s.extend(rj.iter().map(|&r| src.col(r - first_j)[q]));
             }
         } else {
             // within the diagonal block of supernode J == I
             let src = &self.ainv_diag[&jsn];
             let first = sf.first_col(jsn);
-            for (p, &r) in rj.iter().enumerate() {
-                for (q, &c) in ri.iter().enumerate() {
-                    s[(p, q)] = src[(r - first, c - first)];
-                }
+            for &c in ri {
+                let col = src.col(c - first);
+                s.extend(rj.iter().map(|&r| col[r - first]));
             }
         }
-        s
+        Mat::from_vec(rj.len(), ri.len(), s)
     }
+}
+
+/// Position in `rows` of every entry of `wanted`, by one merge walk: both
+/// are ascending row lists and `wanted ⊆ rows` (a block's rows lie inside
+/// the ancestor block that holds its `A⁻¹` piece).
+fn positions_in(rows: &[usize], wanted: &[usize]) -> Vec<usize> {
+    let mut at = 0;
+    wanted
+        .iter()
+        .map(|&r| {
+            at += rows[at..].iter().position(|&x| x == r).expect("row containment");
+            at
+        })
+        .collect()
 }
 
 /// Output of one rank: its owned pieces of the selected inverse.
@@ -407,27 +416,26 @@ pub(crate) fn assemble(
     SelectedInverse { symbolic: sf, panels }
 }
 
-/// The `(target block, participating ancestor blocks)` pairs of supernode
-/// `k`'s local GEMM step on this rank — the single source of truth for
-/// both engines and every executor, so the task set cannot drift between
-/// them. Ancestor lists are ascending: that order is the fixed per-target
-/// accumulation order of the bit-identity contract.
-pub(crate) fn gemm_task_specs(st: &RankState<'_>, blocks: &[SnBlock]) -> Vec<(usize, Vec<usize>)> {
-    let me = st.me;
-    let layout = st.layout;
-    let mut tasks: Vec<(usize, Vec<usize>)> = Vec::new();
-    for (bj_i, bj) in blocks.iter().enumerate() {
-        let prow_j = layout.grid.prow_of_block(bj.sn);
-        let mine: Vec<usize> = (0..blocks.len())
-            .filter(|&bi_i| {
-                layout.grid.rank_of(prow_j, layout.grid.pcol_of_block(blocks[bi_i].sn)) == me
-            })
-            .collect();
-        if !mine.is_empty() {
-            tasks.push((bj_i, mine));
-        }
+/// Supernode `k`'s local GEMM step on this rank, as `(targets, ancestors)`
+/// block indices: the step is every pair of the two — block pair `(J, I)`
+/// is computed at grid position `(prow(J), pcol(I))`, so the pairs on one
+/// rank are a product of the blocks in its process row with the blocks in
+/// its process column. The single source of truth for both engines and
+/// every executor, so the task set cannot drift between them. Both lists
+/// are ascending, and ascending ancestors is the fixed per-target
+/// accumulation order of the bit-identity contract. Either both lists are
+/// non-empty or both are empty.
+pub(crate) fn gemm_task_specs(st: &RankState<'_>, blocks: &[SnBlock]) -> (Vec<usize>, Vec<usize>) {
+    let grid = &st.layout.grid;
+    let (my_prow, my_pcol) = (grid.row_of(st.me), grid.col_of(st.me));
+    let ancestors: Vec<usize> =
+        (0..blocks.len()).filter(|&bi| grid.pcol_of_block(blocks[bi].sn) == my_pcol).collect();
+    if ancestors.is_empty() {
+        return (Vec::new(), ancestors);
     }
-    tasks
+    let targets =
+        (0..blocks.len()).filter(|&bj| grid.prow_of_block(blocks[bj].sn) == my_prow).collect();
+    (targets, ancestors)
 }
 
 /// Runs one closure per item on `exec`, writing results into per-item
@@ -487,16 +495,15 @@ pub(crate) fn local_gemms(
     w: usize,
     exec: &LocalExec,
 ) -> HashMap<usize, Mat> {
-    let tasks = gemm_task_specs(st, blocks);
-    let computed = run_on_exec(exec, &tasks, |task: &(usize, Vec<usize>)| {
-        let (bj_i, bi_list) = task;
-        let bj = &blocks[*bj_i];
+    let (targets, ancestors) = gemm_task_specs(st, blocks);
+    let computed = run_on_exec(exec, &targets, |&bj_i: &usize| {
+        let bj = &blocks[bj_i];
         let mut c = Mat::zeros(bj.nrows(), w);
-        for &bi_i in bi_list {
+        for &bi_i in &ancestors {
             let s = st.gather_sub(k, bj, &blocks[bi_i]);
             gemm(-1.0, &s, Transpose::No, &ucur[&bi_i], Transpose::No, 1.0, &mut c);
         }
-        (*bj_i, c)
+        (bj_i, c)
     });
     computed.into_iter().collect()
 }

@@ -25,6 +25,7 @@ pub mod payload;
 pub mod reliable;
 pub mod requests;
 pub mod runtime;
+mod spin;
 pub mod telemetry;
 
 pub use grid::Grid2D;

@@ -18,12 +18,13 @@
 //!   any crash-free schedule yields bit-identical results.
 
 use crate::payload::{IntoPayload, Payload};
+use crate::spin::{SpinPolicy, SPIN_BUDGET};
 use crate::telemetry::{sampler, Telemetry};
 use pselinv_chaos::FaultPlan;
 use pselinv_trace::{FaultKind, RankTrace, RankTracer, Trace};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -250,8 +251,9 @@ pub struct RunOptions {
     /// outstanding collectives, bytes sent/copied, progress counter) into
     /// the handle's ring buffer while the run executes. The caller keeps a
     /// clone and reads [`Telemetry::samples`] during or after the run.
-    /// `None` (the default) keeps the hot send/recv path entirely free of
-    /// gauge updates — the same single-branch guard as the trace layer.
+    /// `None` (the default) keeps the hot send/recv path free of gauge
+    /// updates (bar the always-on inbox depth) — the same single-branch
+    /// guard as the trace layer.
     pub telemetry: Option<Telemetry>,
     /// Reliable-transport configuration. When set, every sequenced send is
     /// tracked in a per-`(dst, tag)` retransmission buffer until the
@@ -304,8 +306,13 @@ pub(crate) struct RankState {
     pub(crate) blocked: Mutex<Option<BlockedOn>>,
     /// `(src, tag)` of stashed messages, refreshed on stash changes.
     pub(crate) stash: Mutex<Vec<(usize, u64)>>,
-    /// Messages currently queued in this rank's inbox (telemetry gauge;
-    /// maintained only when telemetry is enabled).
+    /// Messages currently queued in this rank's inbox. Always maintained
+    /// (two relaxed bumps per message): the watchdog refuses to call a
+    /// wait-for cycle a deadlock while a rank on it has mail it has not
+    /// been scheduled to read yet, and the telemetry sampler reports it.
+    /// `Relaxed` because the count publishes nothing but itself; senders
+    /// bump it *before* the channel send, so it never under-reads a
+    /// message that is already deliverable.
     pub(crate) inbox_len: AtomicUsize,
     /// Nonblocking collectives currently in flight on this rank
     /// (telemetry gauge, mirrored from [`RankCtx::outstanding`]).
@@ -454,6 +461,9 @@ pub struct RankCtx {
     /// only ever wakes on *new* inbox traffic, so parking on a moved
     /// counter would lose the wakeup for good.
     arrivals: u64,
+    /// Whether [`RankCtx::park`] polls before it parks, learnt from this
+    /// rank's own waits.
+    spin: SpinPolicy,
     /// Hand-off to this rank's courier thread, present on fault runs: data
     /// messages ride it so injected delays are spent in flight (in the
     /// courier) instead of in a sender-side sleep.
@@ -485,12 +495,10 @@ fn courier(rx: &Receiver<Flight>, senders: &[Sender<Message>], shared: &Shared) 
                 }
             }
         }
-        if shared.telemetry {
-            shared.states[dst].inbox_len.fetch_add(1, Ordering::Relaxed);
-        }
+        shared.states[dst].inbox_len.fetch_add(1, Ordering::Relaxed);
         // A receiver that already finished dropped its inbox; the message
         // is dropped like a wire delivery racing completion.
-        if senders[dst].send(msg).is_err() && shared.telemetry {
+        if senders[dst].send(msg).is_err() {
             shared.states[dst].inbox_len.fetch_sub(1, Ordering::Relaxed);
         }
     }
@@ -531,9 +539,25 @@ pub const JOIN_LANE: u64 = 0xCA << 56;
 /// original tree.
 pub const REPAIR_LANE: u64 = 0xDA << 56;
 
-/// Duration slice for "block forever" receives; abort checks run every
-/// `poll` regardless.
-const FOREVER: Duration = Duration::from_secs(3600);
+/// How long a matched receive may wait: when it began (what
+/// [`RecvTimeout::waited`] is measured from) and when it gives up.
+#[derive(Clone, Copy)]
+struct Until {
+    start: Instant,
+    deadline: Option<Instant>,
+}
+
+impl Until {
+    fn forever() -> Self {
+        Self { start: Instant::now(), deadline: None }
+    }
+
+    fn after(dur: Duration) -> Self {
+        let start = Instant::now();
+        // A duration too long to represent is a wait without a deadline.
+        Self { start, deadline: start.checked_add(dur) }
+    }
+}
 
 impl RankCtx {
     /// This rank's id in `0..size`.
@@ -592,11 +616,17 @@ impl RankCtx {
         }
     }
 
-    /// Telemetry gauge: one message was taken off this rank's inbox.
+    /// One message was taken off this rank's inbox.
     fn note_inbox_pop(&self) {
-        if self.shared.telemetry {
-            self.shared.states[self.rank].inbox_len.fetch_sub(1, Ordering::Relaxed);
-        }
+        self.shared.states[self.rank].inbox_len.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Books a message just taken off the inbox (progress, inbox depth,
+    /// `arrivals`) and returns it unless it was control traffic.
+    fn accept(&mut self, m: Message) -> Option<Message> {
+        self.bump_progress();
+        self.note_inbox_pop();
+        self.ingest_control(m)
     }
 
     /// Counts one send/receive operation against the chaos stall/crash
@@ -628,15 +658,11 @@ impl RankCtx {
 
     /// Hands a message to the destination mailbox, no interposition.
     fn push_raw(&mut self, dst: usize, msg: Message) {
-        // Gauge before the channel send: the channel's own synchronization
+        // Count before the channel send: the channel's own synchronization
         // orders this increment before the receiver's matching decrement.
-        if self.shared.telemetry {
-            self.shared.states[dst].inbox_len.fetch_add(1, Ordering::Relaxed);
-        }
+        self.shared.states[dst].inbox_len.fetch_add(1, Ordering::Relaxed);
         if self.senders[dst].send(msg).is_err() {
-            if self.shared.telemetry {
-                self.shared.states[dst].inbox_len.fetch_sub(1, Ordering::Relaxed);
-            }
+            self.shared.states[dst].inbox_len.fetch_sub(1, Ordering::Relaxed);
             // The peer's inbox is gone. A peer that finished cleanly marks
             // itself done *before* dropping its inbox, so this send is a
             // surplus message racing the peer's exit (e.g. an injected
@@ -944,10 +970,8 @@ impl RankCtx {
     /// delivery that silently drops sends to departed receivers (a
     /// retransmission racing the receiver's exit is expected, not fatal).
     fn push_raw_keep(&self, dst: usize, msg: Message) {
-        if self.shared.telemetry {
-            self.shared.states[dst].inbox_len.fetch_add(1, Ordering::Relaxed);
-        }
-        if self.senders[dst].send(msg).is_err() && self.shared.telemetry {
+        self.shared.states[dst].inbox_len.fetch_add(1, Ordering::Relaxed);
+        if self.senders[dst].send(msg).is_err() {
             self.shared.states[dst].inbox_len.fetch_sub(1, Ordering::Relaxed);
         }
     }
@@ -1002,46 +1026,56 @@ impl RankCtx {
         self.send_inner(dst, tag, seq, payload);
     }
 
-    /// Blocking receive with a deadline: the core primitive under every
-    /// matched receive. Returns the matching message or a [`RecvTimeout`]
-    /// once `dur` elapses without one.
-    fn recv_msg_timeout(
-        &mut self,
-        src: usize,
-        tag: u64,
-        dur: Duration,
-    ) -> Result<Message, RecvTimeout> {
-        self.chaos_op();
-        self.flush_held();
-        if let Some(i) = self.stash.iter().position(|m| m.src == src && m.tag == tag) {
-            // `remove` (not `swap_remove_back`) keeps the rest of the stash
-            // in arrival order, preserving per-(src, tag) FIFO delivery.
-            let m = self.stash.remove(i).unwrap();
-            self.tracer.stash_depth(self.stash.len());
-            self.snapshot_stash();
-            return Ok(self.account_recv(m));
-        }
-        let posted_us = self.tracer.now_us();
+    /// The one blocking point of the message path: waits until a data
+    /// message comes off the inbox and returns it, or returns `None` once
+    /// `deadline` (if any) has passed. Every blocking call — matched and
+    /// wildcard receives, `wait_for_arrival[_timeout]` and through them
+    /// `wait_any`, the collectives and the engines' progress loops —
+    /// bottoms out here, so the ready check, the spin, the timed park, the
+    /// deadline arithmetic, the abort check, the reliable-transport tick
+    /// and the progress/`arrivals` bumps exist once.
+    ///
+    /// **Spin-then-park.** The inbox is polled first (a queued message
+    /// never costs a park, and wins over an expired deadline). While the
+    /// rank's [`SpinPolicy`] says spinning pays, it then keeps polling for
+    /// up to [`SPIN_BUDGET`], yielding between polls so that on an
+    /// oversubscribed host the core goes to a runnable rank; only then
+    /// does it park in `recv_timeout`, in slices of `poll`. A wait that
+    /// found the inbox empty is booked with the policy when it completes,
+    /// whether it spun or not.
+    ///
+    /// **What the watchdog sees.** `on` is published before the first
+    /// poll and cleared on return, and progress is bumped per message
+    /// taken, so a spinning rank reads to the monitor exactly as a parked
+    /// one does. Control traffic (acks) is ingested and never returned.
+    fn park(&mut self, on: BlockedOn, deadline: Option<Instant>) -> Option<Message> {
         let start = Instant::now();
-        self.set_blocked(BlockedOn { src: Some(src), tag: Some(tag) });
-        loop {
-            let Some(remaining) = dur.checked_sub(start.elapsed()) else {
-                self.clear_blocked();
-                return Err(RecvTimeout { src, tag, waited: start.elapsed() });
-            };
-            match self.inbox.recv_timeout(remaining.min(self.poll)) {
-                Ok(m) => {
-                    self.bump_progress();
-                    self.note_inbox_pop();
-                    let Some(m) = self.ingest_control(m) else { continue };
-                    if m.src == src && m.tag == tag {
-                        self.clear_blocked();
-                        self.tracer.recv_wait(posted_us, m.sent_us, Some((m.src, m.idx)));
-                        return Ok(self.account_recv(m));
+        let spin_until = self.spin.should_spin().then(|| start + SPIN_BUDGET);
+        let mut waited = false;
+        self.set_blocked(on);
+        let got = loop {
+            let taken = match self.inbox.try_recv() {
+                Ok(m) => Ok(m),
+                Err(TryRecvError::Disconnected) => Err(RecvTimeoutError::Disconnected),
+                Err(TryRecvError::Empty) => {
+                    waited = true;
+                    let now = Instant::now();
+                    let left = deadline.map(|d| d.saturating_duration_since(now));
+                    if left.is_some_and(|l| l.is_zero()) {
+                        break None;
                     }
-                    self.stash.push_back(m);
-                    self.tracer.stash_depth(self.stash.len());
-                    self.snapshot_stash();
+                    if spin_until.is_some_and(|s| now < s) {
+                        std::thread::yield_now();
+                        continue;
+                    }
+                    self.inbox.recv_timeout(left.map_or(self.poll, |l| l.min(self.poll)))
+                }
+            };
+            match taken {
+                Ok(m) => {
+                    if let Some(m) = self.accept(m) {
+                        break Some(m);
+                    }
                 }
                 Err(RecvTimeoutError::Timeout) => {
                     self.check_abort();
@@ -1054,6 +1088,48 @@ impl RankCtx {
                     panic!("all senders hung up while receiving");
                 }
             }
+        };
+        self.clear_blocked();
+        if waited {
+            // Mail that was already queued cost no park either way: only a
+            // wait that found the inbox empty says anything about spinning.
+            self.spin.record(start.elapsed());
+        }
+        got
+    }
+
+    /// Blocking receive with a deadline: the core under every matched
+    /// receive. Returns the matching message or a [`RecvTimeout`] once
+    /// `until` expires without one.
+    fn recv_msg_until(
+        &mut self,
+        src: usize,
+        tag: u64,
+        until: Until,
+    ) -> Result<Message, RecvTimeout> {
+        self.chaos_op();
+        self.flush_held();
+        if let Some(i) = self.stash.iter().position(|m| m.src == src && m.tag == tag) {
+            // `remove` (not `swap_remove_back`) keeps the rest of the stash
+            // in arrival order, preserving per-(src, tag) FIFO delivery.
+            let m = self.stash.remove(i).unwrap();
+            self.tracer.stash_depth(self.stash.len());
+            self.snapshot_stash();
+            return Ok(self.account_recv(m));
+        }
+        let posted_us = self.tracer.now_us();
+        loop {
+            let on = BlockedOn { src: Some(src), tag: Some(tag) };
+            let Some(m) = self.park(on, until.deadline) else {
+                return Err(RecvTimeout { src, tag, waited: until.start.elapsed() });
+            };
+            if m.src == src && m.tag == tag {
+                self.tracer.recv_wait(posted_us, m.sent_us, Some((m.src, m.idx)));
+                return Ok(self.account_recv(m));
+            }
+            self.stash.push_back(m);
+            self.tracer.stash_depth(self.stash.len());
+            self.snapshot_stash();
         }
     }
 
@@ -1068,11 +1144,8 @@ impl RankCtx {
     /// Returns the shared payload: reading it is zero-copy, and forwarding
     /// it into another [`RankCtx::send`] shares the buffer.
     pub fn recv(&mut self, src: usize, tag: u64) -> Payload {
-        loop {
-            if let Ok(m) = self.recv_msg_timeout(src, tag, FOREVER) {
-                return m.data;
-            }
-        }
+        let m = self.recv_msg_until(src, tag, Until::forever());
+        m.expect("an unbounded receive cannot time out").data
     }
 
     /// Like [`RankCtx::recv`], but gives up after `dur` (the watchdog-path
@@ -1083,7 +1156,7 @@ impl RankCtx {
         tag: u64,
         dur: Duration,
     ) -> Result<Payload, RecvTimeout> {
-        self.recv_msg_timeout(src, tag, dur).map(|m| m.data)
+        self.recv_msg_until(src, tag, Until::after(dur)).map(|m| m.data)
     }
 
     /// Sequence-checked blocking receive, the masked counterpart of
@@ -1093,11 +1166,8 @@ impl RankCtx {
     /// persist across collective calls on the same edge, which is what
     /// makes repeated collectives on a reused tag safe under duplication.
     pub fn recv_seq(&mut self, src: usize, tag: u64) -> Payload {
-        loop {
-            if let Ok(p) = self.recv_seq_timeout(src, tag, FOREVER) {
-                return p;
-            }
-        }
+        self.recv_seq_until(src, tag, Until::forever())
+            .expect("an unbounded receive cannot time out")
     }
 
     /// [`RankCtx::recv_seq`] with a deadline: the suspicion primitive of
@@ -1111,7 +1181,15 @@ impl RankCtx {
         tag: u64,
         dur: Duration,
     ) -> Result<Payload, RecvTimeout> {
-        let start = Instant::now();
+        self.recv_seq_until(src, tag, Until::after(dur))
+    }
+
+    fn recv_seq_until(
+        &mut self,
+        src: usize,
+        tag: u64,
+        until: Until,
+    ) -> Result<Payload, RecvTimeout> {
         loop {
             let want = self.seq_rx.get(&(src, tag)).copied().unwrap_or(0);
             let min_epoch = self.min_epoch.get(&(src, tag)).copied().unwrap_or(0);
@@ -1130,10 +1208,7 @@ impl RankCtx {
                 self.send_ack(src, tag, want + 1);
                 return Ok(m.data);
             }
-            let Some(remaining) = dur.checked_sub(start.elapsed()) else {
-                return Err(RecvTimeout { src, tag, waited: start.elapsed() });
-            };
-            let m = self.recv_msg_timeout(src, tag, remaining)?;
+            let m = self.recv_msg_until(src, tag, until)?;
             assert_ne!(
                 m.seq, NO_SEQ,
                 "unsequenced message from {src} tag {tag} on a masked receive"
@@ -1143,7 +1218,7 @@ impl RankCtx {
                 self.send_ack(src, tag, want + 1);
                 if m.epoch < min_epoch {
                     // Stale-epoch delivery consumed in sequence: reverse
-                    // the accounting recv_msg_timeout did and wait for the
+                    // the accounting recv_msg_until did and wait for the
                     // bumped-epoch re-issue.
                     self.unaccount_recv(&m);
                     self.tracer.fault(FaultKind::Dropped, src, tag);
@@ -1151,7 +1226,7 @@ impl RankCtx {
                 }
                 return Ok(m.data);
             }
-            // Not our turn: reverse the accounting recv_msg_timeout did.
+            // Not our turn: reverse the accounting recv_msg_until did.
             self.unaccount_recv(&m);
             if m.seq < want {
                 // Stale duplicate of an already-consumed message.
@@ -1174,29 +1249,11 @@ impl RankCtx {
             return self.account_recv(m);
         }
         let posted_us = self.tracer.now_us();
-        self.set_blocked(BlockedOn { src: None, tag: None });
-        loop {
-            match self.inbox.recv_timeout(self.poll) {
-                Ok(m) => {
-                    self.bump_progress();
-                    self.note_inbox_pop();
-                    let Some(m) = self.ingest_control(m) else { continue };
-                    self.clear_blocked();
-                    self.tracer.recv_wait(posted_us, m.sent_us, Some((m.src, m.idx)));
-                    return self.account_recv(m);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    self.check_abort();
-                    self.reliable_tick();
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    self.check_abort();
-                    std::thread::sleep(self.poll);
-                    self.check_abort();
-                    panic!("all senders hung up while receiving");
-                }
-            }
-        }
+        let m = self
+            .park(BlockedOn { src: None, tag: None }, None)
+            .expect("an unbounded park returns only with a message");
+        self.tracer.recv_wait(posted_us, m.sent_us, Some((m.src, m.idx)));
+        self.account_recv(m)
     }
 
     /// Non-blocking wildcard receive.
@@ -1210,9 +1267,7 @@ impl RankCtx {
             return Some(self.account_recv(m));
         }
         while let Ok(m) = self.inbox.try_recv() {
-            self.bump_progress();
-            self.note_inbox_pop();
-            let Some(m) = self.ingest_control(m) else { continue };
+            let Some(m) = self.accept(m) else { continue };
             return Some(self.account_recv(m));
         }
         None
@@ -1253,9 +1308,7 @@ impl RankCtx {
             }
             let mut drained = false;
             while let Ok(m) = self.inbox.try_recv() {
-                self.bump_progress();
-                self.note_inbox_pop();
-                let Some(m) = self.ingest_control(m) else { continue };
+                let Some(m) = self.accept(m) else { continue };
                 self.stash.push_back(m);
                 self.tracer.stash_depth(self.stash.len());
                 drained = true;
@@ -1311,39 +1364,11 @@ impl RankCtx {
     /// receive accounts it). This is the progress engine's blocking point:
     /// unlike popping the stash, it can never livelock on messages no
     /// posted request matches, and it reports `on` to the watchdog while
-    /// parked, so an all-ranks-blocked progress loop is diagnosed like any
+    /// waiting, so an all-ranks-blocked progress loop is diagnosed like any
     /// other deadlock. Blocked time is classified against the arriving
     /// message's send timestamp.
     pub fn wait_for_arrival_as(&mut self, on: BlockedOn) {
-        self.chaos_op();
-        self.flush_held();
-        let posted_us = self.tracer.now_us();
-        self.set_blocked(on);
-        loop {
-            match self.inbox.recv_timeout(self.poll) {
-                Ok(m) => {
-                    self.bump_progress();
-                    self.note_inbox_pop();
-                    let Some(m) = self.ingest_control(m) else { continue };
-                    self.clear_blocked();
-                    self.tracer.recv_wait(posted_us, m.sent_us, Some((m.src, m.idx)));
-                    self.stash.push_back(m);
-                    self.tracer.stash_depth(self.stash.len());
-                    self.snapshot_stash();
-                    return;
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    self.check_abort();
-                    self.reliable_tick();
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    self.check_abort();
-                    std::thread::sleep(self.poll);
-                    self.check_abort();
-                    panic!("all senders hung up while receiving");
-                }
-            }
-        }
+        self.await_arrival(on, None);
     }
 
     /// [`RankCtx::wait_for_arrival_as`] with a wildcard blocked-on report.
@@ -1351,47 +1376,25 @@ impl RankCtx {
         self.wait_for_arrival_as(BlockedOn { src: None, tag: None });
     }
 
-    /// Bounded [`RankCtx::wait_for_arrival`]: parks until a new message is
+    /// Bounded [`RankCtx::wait_for_arrival`]: waits until a new message is
     /// stashed or `timeout` elapses, whichever comes first; returns whether
     /// a message arrived. The async engine calls this while intra-rank pool
     /// batches are in flight — the rank must wake promptly for *either* a
     /// message or batch completion, so it cannot block on the inbox alone.
     pub fn wait_for_arrival_timeout(&mut self, timeout: Duration) -> bool {
+        self.await_arrival(BlockedOn { src: None, tag: None }, Instant::now().checked_add(timeout))
+    }
+
+    fn await_arrival(&mut self, on: BlockedOn, deadline: Option<Instant>) -> bool {
         self.chaos_op();
         self.flush_held();
         let posted_us = self.tracer.now_us();
-        let deadline = Instant::now() + timeout;
-        self.set_blocked(BlockedOn { src: None, tag: None });
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                self.clear_blocked();
-                return false;
-            }
-            match self.inbox.recv_timeout(left.min(self.poll)) {
-                Ok(m) => {
-                    self.bump_progress();
-                    self.note_inbox_pop();
-                    let Some(m) = self.ingest_control(m) else { continue };
-                    self.clear_blocked();
-                    self.tracer.recv_wait(posted_us, m.sent_us, Some((m.src, m.idx)));
-                    self.stash.push_back(m);
-                    self.tracer.stash_depth(self.stash.len());
-                    self.snapshot_stash();
-                    return true;
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    self.check_abort();
-                    self.reliable_tick();
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    self.check_abort();
-                    std::thread::sleep(self.poll);
-                    self.check_abort();
-                    panic!("all senders hung up while receiving");
-                }
-            }
-        }
+        let Some(m) = self.park(on, deadline) else { return false };
+        self.tracer.recv_wait(posted_us, m.sent_us, Some((m.src, m.idx)));
+        self.stash.push_back(m);
+        self.tracer.stash_depth(self.stash.len());
+        self.snapshot_stash();
+        true
     }
 
     /// Monotonic count of data messages this rank has accepted off its
@@ -1535,9 +1538,7 @@ impl RankCtx {
         self.flush_held();
         self.reliable_tick();
         while let Ok(m) = self.inbox.try_recv() {
-            self.bump_progress();
-            self.note_inbox_pop();
-            let Some(m) = self.ingest_control(m) else { continue };
+            let Some(m) = self.accept(m) else { continue };
             self.stash.push_back(m);
             self.tracer.stash_depth(self.stash.len());
         }
@@ -1635,6 +1636,21 @@ fn find_cycle(blocked: &[Option<BlockedOn>], done: &[bool]) -> Option<Vec<usize>
     None
 }
 
+/// The fast-path verdict: a wait-for cycle among the blocked flags is a
+/// deadlock only if every inbox on it is empty. A rank whose message has
+/// been delivered but whose thread has not been scheduled yet still reads
+/// as blocked — on an oversubscribed host for several polls running — and
+/// mail in its inbox is exactly what tells that apart from a real cycle,
+/// where every member has drained its inbox into the stash and found
+/// nothing it wants.
+fn deadlock_cycle(
+    blocked: &[Option<BlockedOn>],
+    done: &[bool],
+    inbox_len: &[usize],
+) -> Option<Vec<usize>> {
+    find_cycle(blocked, done).filter(|c| c.iter().all(|&r| inbox_len[r] == 0))
+}
+
 /// Assembles the stall verdict from the monitor's observation.
 fn stall_error(
     shared: &Shared,
@@ -1664,7 +1680,8 @@ fn stall_error(
 
 /// The watchdog monitor: observes per-rank progress counters; on zero
 /// progress it inspects the wait-for graph. With `fast_cycle` (no reliable
-/// transport), a wait-for cycle stable across three consecutive
+/// transport), a wait-for cycle with no undelivered mail on it
+/// ([`deadlock_cycle`]) that is stable across three consecutive
 /// no-progress polls aborts immediately (deadlock); any global stall
 /// aborts after the full `stall` duration. A reliable transport disables
 /// the fast path: blocked cycles are routinely broken by retransmission.
@@ -1691,7 +1708,9 @@ fn monitor(shared: &Shared, nranks: usize, stall: Duration, poll: Duration, fast
             shared.states.iter().map(|s| s.done.load(Ordering::Acquire)).collect();
         let blocked: Vec<Option<BlockedOn>> =
             shared.states.iter().map(|s| *s.blocked.lock().unwrap()).collect();
-        if let Some(c) = find_cycle(&blocked, &done).filter(|_| fast_cycle) {
+        let inbox_len: Vec<usize> =
+            shared.states.iter().map(|s| s.inbox_len.load(Ordering::Relaxed)).collect();
+        if let Some(c) = deadlock_cycle(&blocked, &done, &inbox_len).filter(|_| fast_cycle) {
             match &mut stable_cycle {
                 Some((prev, seen)) if *prev == c => {
                     *seen += 1;
@@ -1824,6 +1843,7 @@ where
                     min_epoch: HashMap::new(),
                     channels: None,
                     arrivals: 0,
+                    spin: SpinPolicy::default(),
                     courier: courier_tx,
                 };
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut ctx)));
@@ -2389,6 +2409,116 @@ mod tests {
         assert_eq!(results[0], vec![5.0]);
     }
 
+    /// Drives a rank's spin policy to the floor: its next waits park at once.
+    fn disarm_spin(ctx: &mut RankCtx) {
+        for _ in 0..64 {
+            ctx.spin.record(Duration::from_millis(1));
+        }
+        assert!(!ctx.spin.should_spin());
+    }
+
+    #[test]
+    fn bounded_wait_expires_at_its_deadline_spun_or_not() {
+        // `poll` is far longer than the timeout, so an expiry that waited
+        // out a poll slice (or was rounded up to one) fails the upper bound
+        // by two orders of magnitude, not by scheduler noise.
+        let opts = RunOptions { poll: Duration::from_secs(2), ..RunOptions::default() };
+        try_run(1, &opts, |ctx| {
+            for armed in [true, false] {
+                ctx.spin = SpinPolicy::default();
+                if !armed {
+                    disarm_spin(ctx);
+                }
+                let timeout = Duration::from_millis(5);
+                let t0 = Instant::now();
+                assert!(!ctx.wait_for_arrival_timeout(timeout), "nobody sends");
+                let waited = t0.elapsed();
+                assert!(waited >= timeout, "armed={armed}: returned after {waited:?}");
+                assert!(waited < Duration::from_secs(1), "armed={armed}: took {waited:?}");
+            }
+            // No time at all is a deadline too, not a wait without one.
+            assert!(!ctx.wait_for_arrival_timeout(Duration::ZERO));
+        })
+        .expect("a lone rank timing out is a clean run");
+    }
+
+    #[test]
+    fn abort_brings_down_a_parked_rank() {
+        // Rank 0 spins out its budget and parks on a message that never
+        // comes; rank 1 fails only once rank 0 is registered as blocked.
+        // The watchdog (kept on for the blocked mirror) would need 30 s and
+        // sees no cycle: the abort flag alone must bring rank 0 down.
+        let opts = RunOptions { poll: Duration::from_millis(20), ..RunOptions::default() };
+        let t0 = Instant::now();
+        let err = try_run(2, &opts, |ctx| {
+            if ctx.rank() == 0 {
+                ctx.recv(1, 0);
+            } else {
+                while ctx.shared.states[0].blocked.lock().unwrap().is_none() {
+                    std::thread::yield_now();
+                }
+                panic!("rank 1 gives up");
+            }
+        })
+        .expect_err("rank 1 panics");
+        assert!(matches!(err, RunError::RankPanic { rank: 1, .. }), "{err}");
+        assert!(t0.elapsed() < Duration::from_secs(5), "took {:?}", t0.elapsed());
+    }
+
+    #[test]
+    fn an_arrival_counts_once_and_keeps_its_provenance_however_it_was_taken() {
+        use std::sync::Barrier;
+        // Three ways a waiting rank can come by its message: already queued
+        // (the ready check), delivered while it polls (spin armed), and
+        // delivered while it is parked (spin disarmed). Each must bump
+        // `arrivals` exactly once — the lost-wakeup guard of every progress
+        // loop — stash the message unaccounted, and trace the wait against
+        // the same `(src, idx)` send.
+        let queued = Barrier::new(2);
+        let (results, volumes, trace) = run_traced(2, "unit/park_paths", |ctx| {
+            let peer_blocked =
+                |ctx: &RankCtx| ctx.shared.states[1].blocked.lock().unwrap().is_some();
+            if ctx.rank() == 0 {
+                ctx.send(1, 10, vec![1.0]);
+                queued.wait();
+                for tag in [11, 12] {
+                    queued.wait();
+                    while !peer_blocked(ctx) {
+                        std::thread::yield_now();
+                    }
+                    ctx.send(1, tag, vec![1.0]);
+                }
+                vec![]
+            } else {
+                let mut deltas = Vec::new();
+                for (tag, armed) in [(10, true), (11, true), (12, false)] {
+                    ctx.spin = SpinPolicy::default();
+                    if !armed {
+                        disarm_spin(ctx);
+                    }
+                    queued.wait();
+                    let before = ctx.arrivals();
+                    ctx.wait_for_arrival();
+                    deltas.push(ctx.arrivals() - before);
+                    assert_eq!(ctx.volume().msgs_received, tag - 10, "stashed, not consumed");
+                    let _ = ctx.recv(0, tag);
+                }
+                deltas
+            }
+        });
+        assert_eq!(results[1], vec![1, 1, 1]);
+        assert_eq!(volumes[1].msgs_received, 3);
+        let causes: Vec<_> = trace.ranks[1]
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                pselinv_trace::EventKind::Wait { cause, .. } => Some(cause),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(causes, vec![Some((0, 0)), Some((0, 1)), Some((0, 2))]);
+    }
+
     #[test]
     fn send_seq_recv_seq_roundtrip_without_faults() {
         // The masked pair must behave exactly like send/recv when no fault
@@ -2429,6 +2559,23 @@ mod tests {
         let blocked = vec![Some(BlockedOn { src: None, tag: None }), b(0), None, None];
         let done = vec![false; 4];
         assert!(find_cycle(&blocked, &done).is_none());
+    }
+
+    #[test]
+    fn a_cycle_with_undelivered_mail_is_not_a_deadlock() {
+        let b = |src: usize| Some(BlockedOn { src: Some(src), tag: Some(0) });
+        // The false positive of a stalled host: 1 -> 2 -> 3 -> 1 by the
+        // blocked flags, but rank 2's message sits in its inbox unread.
+        let blocked = vec![None, b(2), b(3), b(1)];
+        let done = vec![false; 4];
+        assert!(find_cycle(&blocked, &done).is_some());
+        assert_eq!(deadlock_cycle(&blocked, &done, &[0, 0, 1, 0]), None);
+        // Mail for a rank off the cycle changes nothing.
+        assert_eq!(deadlock_cycle(&blocked, &done, &[5, 0, 0, 0]), Some(vec![1, 2, 3]));
+        // Every inbox on the cycle empty: a deadlock.
+        assert_eq!(deadlock_cycle(&blocked, &done, &[0; 4]), Some(vec![1, 2, 3]));
+        // No cycle, no verdict, whatever the inboxes hold.
+        assert_eq!(deadlock_cycle(&[None, b(2), b(3), None], &done, &[0; 4]), None);
     }
 
     #[test]

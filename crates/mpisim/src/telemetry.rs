@@ -11,7 +11,8 @@
 //! The cost model mirrors the trace layer: with telemetry off (the
 //! default) the hot send/receive path pays exactly one predictable branch
 //! per potential gauge update and performs no allocation and takes no
-//! lock. With telemetry on, rank threads touch only relaxed atomics on the
+//! lock — the inbox depth excepted, which the watchdog needs too and which
+//! is therefore always kept. With telemetry on, rank threads touch only relaxed atomics on the
 //! hot path (the channel's own synchronization orders inbox-depth updates);
 //! the sampler thread owns all locking and allocation.
 //!
