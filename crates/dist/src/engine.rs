@@ -629,6 +629,12 @@ pub(crate) fn phase2_multi(
                     progressed = true;
                 }
                 run.next -= 1;
+                // Skipping the supernodes this rank takes no part in can
+                // finish a query with no task retiring. That frees an
+                // admission slot, and the next query's first messages may
+                // already sit in the stash, where they wake nobody: take
+                // another pass instead of parking.
+                progressed |= run.is_finished();
             }
         }
         if admitted == runs.len() && runs.iter().all(QueryRun::is_finished) {

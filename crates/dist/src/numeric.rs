@@ -423,8 +423,8 @@ pub(crate) fn assemble(
 /// its process column. The single source of truth for both engines and
 /// every executor, so the task set cannot drift between them. Both lists
 /// are ascending, and ascending ancestors is the fixed per-target
-/// accumulation order of the bit-identity contract. Either both lists are
-/// non-empty or both are empty.
+/// accumulation order of the bit-identity contract. The step is empty if
+/// either list is; `targets` is not computed when `ancestors` is empty.
 pub(crate) fn gemm_task_specs(st: &RankState<'_>, blocks: &[SnBlock]) -> (Vec<usize>, Vec<usize>) {
     let grid = &st.layout.grid;
     let (my_prow, my_pcol) = (grid.row_of(st.me), grid.col_of(st.me));

@@ -5,7 +5,10 @@
 //! same sequenced tree edges as [`RecvRequest`]s and advance on whatever
 //! arrives first, so a progress engine (PSelInv's asynchronous phase-2
 //! loop) can keep many collectives of many supernodes in flight at once
-//! and drain them in arrival order.
+//! and drain them in arrival order. A loop that polls more than one
+//! request and then parks in [`RankCtx::wait_for_arrival`] must use the
+//! [`RankCtx::arrivals`] guard, or a message stashed mid-sweep is a lost
+//! wakeup.
 //!
 //! Determinism: a nonblocking reduction consumes its children's
 //! contributions in *arrival* order but parks each in a per-child slot;
@@ -239,8 +242,16 @@ mod tests {
             };
             let (nbr, nbv) = run(10, move |ctx| {
                 let mut nb = TreeReduceNb::start(ctx, tree, 4, contrib(ctx.rank()));
-                while !nb.poll(ctx, tree) {
-                    ctx.wait_for_arrival();
+                loop {
+                    // Testing one child's request can stash another's
+                    // message: park only if nothing came off the inbox.
+                    let seen = ctx.arrivals();
+                    if nb.poll(ctx, tree) {
+                        break;
+                    }
+                    if ctx.arrivals() == seen {
+                        ctx.wait_for_arrival();
+                    }
                 }
                 nb.into_result()
             });
@@ -283,6 +294,11 @@ mod tests {
                 })
                 .collect();
             loop {
+                // The `arrivals` guard of every multi-request progress loop:
+                // a poll late in the sweep drains the inbox into the stash
+                // behind requests already polled, and the stash never wakes
+                // `wait_for_arrival`.
+                let seen = ctx.arrivals();
                 let mut all = true;
                 for (k, b) in bcasts.iter_mut().enumerate() {
                     all &= b.poll(ctx, &trees[k]);
@@ -293,7 +309,9 @@ mod tests {
                 if all {
                     break;
                 }
-                ctx.wait_for_arrival();
+                if ctx.arrivals() == seen {
+                    ctx.wait_for_arrival();
+                }
             }
             let bsum: f64 = bcasts.iter().map(|b| b.payload().unwrap()[0]).sum();
             let rsum: f64 = reduces

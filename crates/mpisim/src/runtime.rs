@@ -1042,7 +1042,7 @@ impl RankCtx {
     /// oversubscribed host the core goes to a runnable rank; only then
     /// does it park in `recv_timeout`, in slices of `poll`. A wait that
     /// found the inbox empty is booked with the policy when it completes,
-    /// whether it spun or not.
+    /// whether it spun or not — as a win only if a message ended it.
     ///
     /// **What the watchdog sees.** `on` is published before the first
     /// poll and cleared on return, and progress is bumped per message
@@ -1093,7 +1093,7 @@ impl RankCtx {
         if waited {
             // Mail that was already queued cost no park either way: only a
             // wait that found the inbox empty says anything about spinning.
-            self.spin.record(start.elapsed());
+            self.spin.record(start.elapsed(), got.is_some());
         }
         got
     }
@@ -2412,7 +2412,7 @@ mod tests {
     /// Drives a rank's spin policy to the floor: its next waits park at once.
     fn disarm_spin(ctx: &mut RankCtx) {
         for _ in 0..64 {
-            ctx.spin.record(Duration::from_millis(1));
+            ctx.spin.record(Duration::from_millis(1), true);
         }
         assert!(!ctx.spin.should_spin());
     }

@@ -43,12 +43,17 @@ impl SpinPolicy {
     }
 
     /// Books one completed wait of length `waited`: spinning would have
-    /// saved a park had it ended within the budget, and wasted the budget
-    /// otherwise. Recorded for parked waits too — that is what lets the
-    /// balance recover once waits turn short again.
-    pub(crate) fn record(&mut self, waited: Duration) {
+    /// saved a park had a message ended it within the budget, and wasted
+    /// the spin otherwise — the whole budget, or all of a bounded wait that
+    /// expired sooner (`got_message` false). Recorded for parked waits too
+    /// — that is what lets the balance recover once waits turn short again.
+    pub(crate) fn record(&mut self, waited: Duration, got_message: bool) {
         let budget = SPIN_BUDGET.as_nanos() as i64;
-        let delta = if waited <= SPIN_BUDGET { PARK_COST.as_nanos() as i64 } else { -budget };
+        let delta = if got_message && waited <= SPIN_BUDGET {
+            PARK_COST.as_nanos() as i64
+        } else {
+            -(waited.min(SPIN_BUDGET).as_nanos() as i64)
+        };
         self.balance_ns =
             (self.balance_ns + delta).clamp(-CLAMP_BUDGETS * budget, CLAMP_BUDGETS * budget);
     }
@@ -66,7 +71,7 @@ mod tests {
         let mut p = SpinPolicy::default();
         assert!(p.should_spin(), "a fresh rank spins: nothing says it should not");
         for _ in 0..1000 {
-            p.record(SHORT);
+            p.record(SHORT, true);
             assert!(p.should_spin());
         }
         assert!(p.balance_ns > 0);
@@ -84,7 +89,7 @@ mod tests {
                 if round >= 20 && p.should_spin() {
                     spins_after_warmup += 1;
                 }
-                p.record(w);
+                p.record(w, true);
             }
             if round >= 20 {
                 assert_eq!(p.balance_ns, floor, "round {round}");
@@ -97,13 +102,13 @@ mod tests {
     fn recovers_when_waits_turn_short_again() {
         let mut p = SpinPolicy::default();
         for _ in 0..50 {
-            p.record(FLIGHT);
+            p.record(FLIGHT, true);
         }
         assert!(!p.should_spin());
         let mut needed = 0;
         while !p.should_spin() {
             // A parked short wait reads as its length plus the wake-up.
-            p.record(SHORT + PARK_COST);
+            p.record(SHORT + PARK_COST, true);
             needed += 1;
             assert!(needed <= 64, "the clamp bounds how long unlearning takes");
         }
@@ -116,9 +121,23 @@ mod tests {
     #[test]
     fn a_wait_exactly_at_the_budget_counts_as_won() {
         let mut p = SpinPolicy::default();
-        p.record(SPIN_BUDGET);
+        p.record(SPIN_BUDGET, true);
         assert_eq!(p.balance_ns, PARK_COST.as_nanos() as i64);
-        p.record(SPIN_BUDGET + Duration::from_nanos(1));
+        p.record(SPIN_BUDGET + Duration::from_nanos(1), true);
         assert!(!p.should_spin());
+    }
+
+    #[test]
+    fn an_expired_wait_is_never_a_win() {
+        // A bounded wait that ran out found no message, however short it
+        // was: a spin would have burnt all of it (up to the budget).
+        let mut p = SpinPolicy::default();
+        p.record(Duration::ZERO, false);
+        assert_eq!(p.balance_ns, 0, "a zero timeout is a poll, not a wait");
+        p.record(SHORT, false);
+        assert_eq!(p.balance_ns, -(SHORT.as_nanos() as i64));
+        let mut p = SpinPolicy::default();
+        p.record(Duration::from_micros(200), false);
+        assert_eq!(p.balance_ns, -(SPIN_BUDGET.as_nanos() as i64));
     }
 }
