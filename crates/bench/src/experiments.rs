@@ -9,7 +9,7 @@ use pselinv_des::{
     simulate, simulate_profiled, simulate_traced_with_meta, simulate_with_faults, SimResult,
 };
 use pselinv_dist::taskgraph::{
-    factorization_graph, selinv_graph, GraphOptions, TaskGraph, TaskKind,
+    factorization_graph, selinv_graph, GraphOptions, Task, TaskGraph, TaskKind,
 };
 use pselinv_dist::{replay_volumes, Layout, VolumeReport};
 use pselinv_mpisim::Grid2D;
@@ -901,57 +901,25 @@ fn bcast_storm_graph(
     payload: u64,
     flops: f64,
 ) -> TaskGraph {
-    let mut task_rank: Vec<u32> = Vec::new();
-    let mut task_tag: Vec<u32> = Vec::new();
+    let mut tasks: Vec<Task> = Vec::new();
     // task id of (tree k, member rank)
     let mut id: Vec<std::collections::BTreeMap<usize, u32>> = vec![Default::default(); trees.len()];
     for (k, tree) in trees.iter().enumerate() {
         for &m in tree.members() {
-            id[k].insert(m, task_rank.len() as u32);
-            task_rank.push(m as u32);
-            task_tag.push(pack_task_tag(CollKind::ColBcast, k));
+            id[k].insert(m, tasks.len() as u32);
+            let tag = pack_task_tag(CollKind::ColBcast, k);
+            tasks.push(Task::new(m, flops, 0, TaskKind::Compute, tag));
         }
     }
-    let n = task_rank.len();
-    let mut edges: Vec<(u32, u32)> = Vec::new();
+    let mut edges: Vec<(u32, u32, u64)> = Vec::new();
     for (k, tree) in trees.iter().enumerate() {
         for &m in tree.members() {
             if let Some(p) = tree.parent_of(m) {
-                edges.push((id[k][&p], id[k][&m]));
+                edges.push((id[k][&p], id[k][&m], payload));
             }
         }
     }
-    let mut deps = vec![0u32; n];
-    let mut counts = vec![0u32; n];
-    for &(from, to) in &edges {
-        deps[to as usize] += 1;
-        counts[from as usize] += 1;
-    }
-    let mut ptr = vec![0u32; n + 1];
-    for i in 0..n {
-        ptr[i + 1] = ptr[i] + counts[i];
-    }
-    let mut heads = ptr[..n].to_vec();
-    let mut succ = vec![0u32; edges.len()];
-    let mut succ_bytes = vec![0u64; edges.len()];
-    for &(from, to) in &edges {
-        let s = heads[from as usize] as usize;
-        heads[from as usize] += 1;
-        succ[s] = to;
-        succ_bytes[s] = payload;
-    }
-    TaskGraph {
-        nranks,
-        task_rank,
-        task_flops: vec![flops; n],
-        task_prio: vec![0; n],
-        task_kind: vec![TaskKind::Compute; n],
-        task_tag,
-        task_deps: deps,
-        succ_ptr: ptr,
-        succ,
-        succ_bytes,
-    }
+    TaskGraph::from_edge_list(nranks, tasks, &edges)
 }
 
 /// Degraded-tree resilience experiment (`figures -- faults`): a broadcast

@@ -1,10 +1,10 @@
 //! The event-driven execution engine.
 
 use crate::machine::{MachineConfig, Topology};
+use crate::queue::{EventKind, EventQueue};
 use pselinv_chaos::FaultPlan;
 use pselinv_dist::taskgraph::{TaskGraph, TaskId, TaskKind};
 use pselinv_trace::{collect, unpack_task_tag, RankTracer, Trace};
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Result of one simulated run.
@@ -90,74 +90,19 @@ impl SimProfile {
     pub fn rank_end_us(&self, graph: &TaskGraph) -> Vec<u64> {
         let mut end = vec![0u64; graph.nranks];
         for (t, &e) in self.task_end_us.iter().enumerate() {
-            let r = graph.task_rank[t] as usize;
+            let r = graph.tasks()[t].rank as usize;
             end[r] = end[r].max(e);
         }
         end
     }
 }
 
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Event {
-    /// A task's final dependency was satisfied at this time.
-    Ready(TaskId),
-    /// A task finishes executing at this time.
-    TaskDone(TaskId),
-    /// A message reaches the destination rank's receive NIC at this time.
-    Arrive {
-        /// Destination task whose dependency the message satisfies.
-        dst_task: TaskId,
-        /// Task whose completion produced the message (for critical-path
-        /// attribution).
-        src_task: TaskId,
-        /// Source rank (for transfer-time lookup).
-        src_rank: u32,
-        /// Message size.
-        bytes: u64,
-        /// Injection time at the source (for transfer/wait accounting).
-        sent: f64,
-        /// Sender's Lamport clock at the send (0 when untraced).
-        clock: u64,
-        /// Sender's monotonic send index (0 when untraced).
-        idx: u64,
-    },
-}
-
-#[derive(Clone, Copy, Debug)]
-struct Timed {
-    time: f64,
-    seq: u64, // tie-breaker for determinism
-    ev: Event,
-}
-
-impl PartialEq for Timed {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Timed {}
-impl PartialOrd for Timed {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Timed {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // reversed for a min-heap over (time, seq)
-        other
-            .time
-            .partial_cmp(&self.time)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// Per-rank ready queue ordered by (priority, task id).
 #[derive(Default)]
-struct ReadyQueue(BinaryHeap<std::cmp::Reverse<(i64, TaskId)>>);
+struct ReadyQueue(BinaryHeap<std::cmp::Reverse<(i32, TaskId)>>);
 
 impl ReadyQueue {
-    fn push(&mut self, prio: i64, t: TaskId) {
+    fn push(&mut self, prio: i32, t: TaskId) {
         self.0.push(std::cmp::Reverse((prio, t)));
     }
 
@@ -225,9 +170,9 @@ pub fn simulate_with_faults(
 
 /// Like [`simulate`], but also records a [`Trace`] in simulated time: one
 /// span per executed task (labelled by the `(CollKind, supernode)` packed
-/// into [`TaskGraph::task_tag`]) plus send/arrive instants for every
-/// message edge — the same event vocabulary the traced mpisim runtime
-/// emits, so both backends can be viewed with the same tooling. Blocked
+/// into the task's `tag`) plus send/arrive instants for every message edge
+/// — the same event vocabulary the traced mpisim runtime emits, so both
+/// backends can be viewed with the same tooling. Blocked
 /// time is stamped with the shared wait-state vocabulary: core-idle gaps
 /// before a task become late-sender wait spans of that task's kind, and
 /// the simulated in-flight time of every consumed message becomes
@@ -291,6 +236,39 @@ fn us(t: f64) -> u64 {
     (t * 1e6) as u64
 }
 
+/// What a message carried when it was sent — needed only by tracers and
+/// the profile, so it lives in a per-edge side array (an edge carries at
+/// most one message per run) that unobserved runs never allocate.
+#[derive(Clone, Copy, Default)]
+struct Sent {
+    /// Injection time at the source (for transfer/wait accounting).
+    at: f64,
+    /// Sender's Lamport clock at the send.
+    clock: u64,
+    /// Sender's monotonic send index.
+    idx: u64,
+}
+
+/// Hints that `*r` is about to be read. The engine walks a task graph far
+/// larger than the cache in an order only the event queue knows, so most
+/// of its first touches miss; this is how it starts a load early without
+/// waiting for it. A no-op where the target has no stable prefetch.
+#[inline(always)]
+fn prefetch<T>(r: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `_mm_prefetch` is unsafe only for requiring SSE, which every
+    // x86_64 target has; a prefetch changes no architectural state and
+    // cannot fault, and this address is that of a live reference.
+    unsafe {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(r).cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = r;
+}
+
+/// The one event loop of the crate: every `simulate*` entry point is this
+/// function with or without tracers, a profile and a fault plan.
 fn simulate_impl(
     graph: &TaskGraph,
     cfg: MachineConfig,
@@ -298,11 +276,16 @@ fn simulate_impl(
     mut profile: Option<&mut SimProfile>,
     plan: Option<&FaultPlan>,
 ) -> (SimResult, usize) {
-    let n = graph.num_tasks();
+    if let Err(why) = cfg.check() {
+        panic!("invalid MachineConfig: {why}");
+    }
+    let tasks = graph.tasks();
+    let edges = graph.edges();
+    let n = tasks.len();
     let p = graph.nranks;
     let topo = Topology::new(p, cfg);
 
-    let mut deps: Vec<u32> = graph.task_deps.clone();
+    let mut deps: Vec<u32> = graph.deps().to_vec();
     let mut ready: Vec<ReadyQueue> = (0..p).map(|_| ReadyQueue::default()).collect();
     let mut rank_busy_until = vec![0.0f64; p];
     let mut rank_running: Vec<bool> = vec![false; p];
@@ -322,30 +305,29 @@ fn simulate_impl(
     let mut messages = 0u64;
     let mut bytes_total = 0u64;
 
-    let mut heap: BinaryHeap<Timed> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let push = |heap: &mut BinaryHeap<Timed>, time: f64, ev: Event, seq: &mut u64| {
-        heap.push(Timed { time, seq: *seq, ev });
-        *seq += 1;
-    };
-
+    let mut queue = EventQueue::default();
     for t in 0..n as u32 {
         if deps[t as usize] == 0 {
-            push(&mut heap, 0.0, Event::Ready(t), &mut seq);
+            queue.push(0.0, EventKind::Ready, t, 0);
         }
     }
 
     let mut makespan = 0.0f64;
     let mut done = 0usize;
 
+    // Everything below exists for the observers only and is neither
+    // allocated nor written on a plain run.
     let traced = !tracers.is_empty();
-    // Simulated seconds → trace microseconds.
+    let profiled = profile.is_some();
+    let observed = traced || profiled;
+    let when = |on: bool, len: usize| if on { len } else { 0 };
+    let mut sent: Vec<Sent> = vec![Sent::default(); when(observed, edges.len())];
 
     // Critical-path bookkeeping: the time each task became ready (exact
     // simulated seconds, for the binding-predecessor decision) and the
     // last task dispatched on each rank's core.
-    let mut ready_at = vec![0.0f64; n];
-    let mut last_on_rank: Vec<Option<TaskId>> = vec![None; p];
+    let mut ready_at = vec![0.0f64; when(profiled, n)];
+    let mut last_on_rank: Vec<Option<TaskId>> = vec![None; when(profiled, p)];
 
     // Causal stamps, mirroring the mpisim runtime: a per-rank Lamport
     // clock (ticked at send, merged `max + 1` at the consuming receive)
@@ -353,9 +335,9 @@ fn simulate_impl(
     // simulated message. `cause[t]` remembers which message satisfied
     // task `t`'s final dependency — the provenance a later wait span on
     // that task blames.
-    let mut lamport = vec![0u64; p];
-    let mut sendno = vec![0u64; p];
-    let mut cause: Vec<Option<(usize, u64)>> = vec![None; n];
+    let mut lamport = vec![0u64; when(traced, p)];
+    let mut sendno = vec![0u64; when(traced, p)];
+    let mut cause: Vec<Option<(usize, u64)>> = vec![None; when(traced, n)];
 
     // Dispatch the next ready task on `rank` if it is idle.
     macro_rules! dispatch {
@@ -365,12 +347,11 @@ fn simulate_impl(
             // simply freezes (the cone behind it never completes).
             if !rank_running[r] && !plan.is_some_and(|p| p.down_at(r, $now)) {
                 if let Some(t) = ready[r].pop() {
+                    let task = &tasks[t as usize];
                     rank_running[r] = true;
                     // A straggler rank runs everything `slowdown`× slower.
                     let slow = plan.map_or(1.0, |p| p.slowdown(r).max(0.0));
-                    let dur = (graph.task_flops[t as usize] / cfg.flops_per_sec
-                        + cfg.task_overhead)
-                        * slow;
+                    let dur = (task.flops / cfg.flops_per_sec + cfg.task_overhead) * slow;
                     // The core has been idle since `idle_from` (its last
                     // reservation): any gap before `start` is wait time
                     // attributed to this task's kind.
@@ -378,12 +359,12 @@ fn simulate_impl(
                     let start = $now.max(idle_from);
                     let end = start + dur;
                     rank_busy_until[r] = end;
-                    if graph.task_kind[t as usize] == TaskKind::Compute {
+                    if task.kind == TaskKind::Compute {
                         compute_busy[r] += dur;
                     }
                     tasks_run[r] += 1;
                     if traced {
-                        let (coll, sn) = unpack_task_tag(graph.task_tag[t as usize]);
+                        let (coll, sn) = unpack_task_tag(task.tag);
                         if us(start) > us(idle_from) {
                             tracers[r].wait_at(
                                 coll,
@@ -406,9 +387,9 @@ fn simulate_impl(
                                 prof.pred[t as usize] = CritPred::RankPrev(prev);
                             }
                         }
+                        last_on_rank[r] = Some(t);
                     }
-                    last_on_rank[r] = Some(t);
-                    push(&mut heap, end, Event::TaskDone(t), &mut seq);
+                    queue.push(end, EventKind::TaskDone, t, task.edge_range().start as u32);
                 }
             }
         }};
@@ -417,39 +398,56 @@ fn simulate_impl(
     // Forwarding tasks model the MPI progress engine: they relay a message
     // without occupying the compute core (the NIC occupancy of the relayed
     // message is still charged when their out-edges are processed).
-    let is_forward = |t: TaskId| -> bool {
-        !cfg.forward_on_core && graph.task_kind[t as usize] == TaskKind::Forward
-    };
+    let is_forward = |kind: TaskKind| !cfg.forward_on_core && kind == TaskKind::Forward;
 
-    while let Some(Timed { time, ev, .. }) = heap.pop() {
-        match ev {
-            Event::Ready(t) => {
-                if plan.is_some_and(|p| p.down_at(graph.task_rank[t as usize] as usize, time)) {
+    while let Some(ev) = queue.pop() {
+        let time = ev.time;
+        // Whatever fires next, its records are a cache miss away: start
+        // loading them while this event is handled. Every event names a
+        // task in `a` and an edge in `b` (0 where it has none), so this
+        // needs no branch on the kind.
+        if let Some(next) = queue.peek() {
+            prefetch(&tasks[next.a as usize]);
+            if let Some(edge) = edges.get(next.b as usize) {
+                prefetch(edge);
+            }
+        }
+        match ev.kind() {
+            EventKind::Ready => {
+                let t = ev.a;
+                let task = &tasks[t as usize];
+                let r = task.rank as usize;
+                if plan.is_some_and(|p| p.down_at(r, time)) {
                     // The task's rank is down: it never executes.
                     continue;
                 }
-                if is_forward(t) {
+                if is_forward(task.kind) {
                     // executes off-core, immediately
-                    let r = graph.task_rank[t as usize] as usize;
                     tasks_run[r] += 1;
                     if traced {
-                        let (coll, sn) = unpack_task_tag(graph.task_tag[t as usize]);
+                        let (coll, sn) = unpack_task_tag(task.tag);
                         tracers[r].span_at(coll, sn as u64, us(time), us(time + cfg.task_overhead));
                     }
                     if let Some(prof) = profile.as_deref_mut() {
                         prof.task_start_us[t as usize] = us(time);
                         prof.task_end_us[t as usize] = us(time + cfg.task_overhead);
                     }
-                    push(&mut heap, time + cfg.task_overhead, Event::TaskDone(t), &mut seq);
+                    queue.push(
+                        time + cfg.task_overhead,
+                        EventKind::TaskDone,
+                        t,
+                        task.edge_range().start as u32,
+                    );
                 } else {
-                    let r = graph.task_rank[t as usize] as usize;
-                    ready[r].push(graph.task_prio[t as usize], t);
+                    ready[r].push(task.prio, t);
                     dispatch!(r, time);
                 }
             }
-            Event::TaskDone(t) => {
-                let r = graph.task_rank[t as usize] as usize;
-                if !is_forward(t) {
+            EventKind::TaskDone => {
+                let t = ev.a;
+                let task = &tasks[t as usize];
+                let r = task.rank as usize;
+                if !is_forward(task.kind) {
                     rank_running[r] = false;
                 }
                 makespan = makespan.max(time);
@@ -460,50 +458,61 @@ fn simulate_impl(
                     // results never leave the node.
                     continue;
                 }
+                let out = task.edge_range();
                 // CPU cost of issuing this task's sends: stalls the core
                 // (flat-tree roots issue many sends back to back).
                 if cfg.cpu_per_msg > 0.0 {
-                    let nmsgs = graph.out_edges(t).filter(|&(_, b)| b > 0).count();
+                    let nmsgs = edges[out.clone()].iter().filter(|e| e.bytes > 0).count();
                     if nmsgs > 0 {
                         rank_busy_until[r] =
                             rank_busy_until[r].max(time) + cfg.cpu_per_msg * nmsgs as f64;
                     }
                 }
-                for (s, b) in graph.out_edges(t) {
+                for e in out {
+                    let edge = edges[e];
+                    let (s, b) = (edge.succ, edge.bytes);
                     if b == 0 {
                         // pure dependency (possibly cross-rank barrier edge)
                         deps[s as usize] -= 1;
                         if deps[s as usize] == 0 {
-                            ready_at[s as usize] = time;
                             if let Some(prof) = profile.as_deref_mut() {
+                                ready_at[s as usize] = time;
                                 prof.task_ready_us[s as usize] = us(time);
                                 prof.pred[s as usize] = CritPred::Dep(t);
                             }
-                            push(&mut heap, time, Event::Ready(s), &mut seq);
+                            // Fires within this instant, after what is
+                            // already queued for it.
+                            prefetch(&tasks[s as usize]);
+                            queue.push(time, EventKind::Ready, s, 0);
                         }
                     } else {
-                        let dst = graph.task_rank[s as usize] as usize;
+                        let dst = edge.dst_rank as usize;
                         messages += 1;
                         bytes_total += b;
-                        let (mut clock, mut idx) = (0u64, 0u64);
-                        if traced {
-                            // The message is attributed to the phase of the
-                            // task it feeds (the collective that routed it).
-                            let (coll, _) = unpack_task_tag(graph.task_tag[s as usize]);
-                            lamport[r] += 1;
-                            clock = lamport[r];
-                            idx = sendno[r];
-                            sendno[r] += 1;
-                            tracers[r].set_time_us(us(time));
-                            tracers[r].msg_send_as(
-                                coll,
-                                dst,
-                                graph.task_tag[s as usize] as u64,
-                                b,
-                                None,
-                                clock,
-                                idx,
-                            );
+                        if observed {
+                            let mut stamp = Sent { at: time, clock: 0, idx: 0 };
+                            if traced {
+                                // The message is attributed to the phase of
+                                // the task it feeds (the collective that
+                                // routed it).
+                                let tag = tasks[s as usize].tag;
+                                let (coll, _) = unpack_task_tag(tag);
+                                lamport[r] += 1;
+                                stamp.clock = lamport[r];
+                                stamp.idx = sendno[r];
+                                sendno[r] += 1;
+                                tracers[r].set_time_us(us(time));
+                                tracers[r].msg_send_as(
+                                    coll,
+                                    dst,
+                                    tag as u64,
+                                    b,
+                                    None,
+                                    stamp.clock,
+                                    stamp.idx,
+                                );
+                            }
+                            sent[e] = stamp;
                         }
                         let tt = topo.transfer_time(r, dst, b);
                         let arrive = if cfg.nic_contention {
@@ -538,33 +547,22 @@ fn simulate_impl(
                         if plan.is_some_and(|p| p.drops(r, dst, messages)) {
                             continue;
                         }
-                        push(
-                            &mut heap,
-                            arrive,
-                            Event::Arrive {
-                                dst_task: s,
-                                src_task: t,
-                                src_rank: r as u32,
-                                bytes: b,
-                                sent: time,
-                                clock,
-                                idx,
-                            },
-                            &mut seq,
-                        );
+                        queue.push(arrive, EventKind::Arrive, t, e as u32);
                     }
                 }
                 dispatch!(r, time);
             }
-            Event::Arrive { dst_task, src_task, src_rank, bytes, sent, clock, idx } => {
-                let dst = graph.task_rank[dst_task as usize] as usize;
+            EventKind::Arrive => {
+                let (src_task, e) = (ev.a, ev.b as usize);
+                let edge = edges[e];
+                let (dst_task, bytes, dst) = (edge.succ, edge.bytes, edge.dst_rank as usize);
                 if plan.is_some_and(|p| p.down_at(dst, time)) {
                     // Delivery to a dead rank: the message is lost and the
                     // destination task's dependency is never satisfied.
                     continue;
                 }
+                let src = tasks[src_task as usize].rank as usize;
                 let deliver = if cfg.nic_contention {
-                    let src = src_rank as usize;
                     let mut t = time;
                     if cfg.nic_per_node && !topo.same_node(src, dst) {
                         let ntt = bytes as f64 / node_bw * topo.pair_cost_factor(src, dst);
@@ -582,31 +580,37 @@ fn simulate_impl(
                     time
                 };
                 if traced {
-                    let (coll, _) = unpack_task_tag(graph.task_tag[dst_task as usize]);
-                    lamport[dst] = lamport[dst].max(clock) + 1;
+                    let tag = tasks[dst_task as usize].tag;
+                    let (coll, _) = unpack_task_tag(tag);
+                    lamport[dst] = lamport[dst].max(sent[e].clock) + 1;
                     tracers[dst].set_time_us(us(deliver));
                     tracers[dst].msg_recv_as(
                         coll,
-                        src_rank as usize,
-                        graph.task_tag[dst_task as usize] as u64,
+                        src,
+                        tag as u64,
                         bytes,
                         lamport[dst],
-                        idx,
+                        sent[e].idx,
                     );
                     // Simulated in-flight time of the message, attributed
                     // to the kind of the task that consumes it.
-                    tracers[dst].transfer_as(coll, us(deliver).saturating_sub(us(sent)));
+                    tracers[dst].transfer_as(coll, us(deliver).saturating_sub(us(sent[e].at)));
                 }
                 deps[dst_task as usize] -= 1;
                 if deps[dst_task as usize] == 0 {
-                    ready_at[dst_task as usize] = deliver;
-                    cause[dst_task as usize] = Some((src_rank as usize, idx));
-                    if let Some(prof) = profile.as_deref_mut() {
-                        prof.task_ready_us[dst_task as usize] = us(deliver);
-                        prof.pred[dst_task as usize] =
-                            CritPred::Msg { src_task, sent_us: us(sent), deliver_us: us(deliver) };
+                    if traced {
+                        cause[dst_task as usize] = Some((src, sent[e].idx));
                     }
-                    push(&mut heap, deliver, Event::Ready(dst_task), &mut seq);
+                    if let Some(prof) = profile.as_deref_mut() {
+                        ready_at[dst_task as usize] = deliver;
+                        prof.task_ready_us[dst_task as usize] = us(deliver);
+                        prof.pred[dst_task as usize] = CritPred::Msg {
+                            src_task,
+                            sent_us: us(sent[e].at),
+                            deliver_us: us(deliver),
+                        };
+                    }
+                    queue.push(deliver, EventKind::Ready, dst_task, 0);
                 } else {
                     // ensure makespan accounting continues even if this was
                     // not the final dependency
@@ -649,23 +653,24 @@ mod tests {
 
     /// Hand-built graphs for engine unit tests.
     mod toy {
-        use pselinv_dist::taskgraph::{TaskGraph, TaskKind};
+        use pselinv_dist::taskgraph::{Task, TaskGraph, TaskKind};
+        use pselinv_trace::{pack_task_tag, CollKind};
 
+        #[derive(Default)]
         pub struct Builder {
-            pub rank: Vec<u32>,
-            pub flops: Vec<f64>,
-            pub edges: Vec<(u32, u32, u64)>,
+            tasks: Vec<Task>,
+            edges: Vec<(u32, u32, u64)>,
         }
 
         impl Builder {
             pub fn new() -> Self {
-                Self { rank: Vec::new(), flops: Vec::new(), edges: Vec::new() }
+                Self::default()
             }
 
             pub fn task(&mut self, rank: usize, flops: f64) -> u32 {
-                self.rank.push(rank as u32);
-                self.flops.push(flops);
-                (self.rank.len() - 1) as u32
+                let tag = pack_task_tag(CollKind::Compute, 0);
+                self.tasks.push(Task::new(rank, flops, 0, TaskKind::Compute, tag));
+                (self.tasks.len() - 1) as u32
             }
 
             pub fn edge(&mut self, a: u32, b: u32, bytes: u64) {
@@ -673,45 +678,17 @@ mod tests {
             }
 
             pub fn build(self, nranks: usize) -> TaskGraph {
-                let n = self.rank.len();
-                let mut deps = vec![0u32; n];
-                let mut counts = vec![0u32; n];
-                for &(_, to, _) in &self.edges {
-                    deps[to as usize] += 1;
-                }
-                for &(from, _, _) in &self.edges {
-                    counts[from as usize] += 1;
-                }
-                let mut ptr = vec![0u32; n + 1];
-                for i in 0..n {
-                    ptr[i + 1] = ptr[i] + counts[i];
-                }
-                let mut heads = ptr[..n].to_vec();
-                let mut succ = vec![0u32; self.edges.len()];
-                let mut bytes = vec![0u64; self.edges.len()];
-                for &(from, to, b) in &self.edges {
-                    let s = heads[from as usize] as usize;
-                    heads[from as usize] += 1;
-                    succ[s] = to;
-                    bytes[s] = b;
-                }
-                TaskGraph {
-                    nranks,
-                    task_prio: vec![0; n],
-                    task_kind: vec![TaskKind::Compute; n],
-                    task_tag: vec![
-                        pselinv_trace::pack_task_tag(pselinv_trace::CollKind::Compute, 0);
-                        n
-                    ],
-                    task_deps: deps,
-                    task_rank: self.rank,
-                    task_flops: self.flops,
-                    succ_ptr: ptr,
-                    succ,
-                    succ_bytes: bytes,
-                }
+                TaskGraph::from_edge_list(nranks, self.tasks, &self.edges)
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid MachineConfig: flops_per_sec is 0")]
+    fn a_bad_machine_is_rejected_at_entry() {
+        let mut b = toy::Builder::new();
+        b.task(0, 1e9);
+        simulate(&b.build(1), MachineConfig { flops_per_sec: 0.0, ..flat_cfg() });
     }
 
     #[test]

@@ -76,6 +76,43 @@ impl Default for MachineConfig {
     }
 }
 
+impl MachineConfig {
+    /// Checks that the simulator can run on this machine, naming the first
+    /// field it cannot: rates and bandwidths divide, so they must be
+    /// finite and positive; times and the jitter spread add to the clock,
+    /// so they must be finite and non-negative. Anything else puts NaN or
+    /// negative times into the event queue, whose order then means
+    /// nothing.
+    pub fn check(&self) -> Result<(), String> {
+        if self.ranks_per_node == 0 {
+            return Err("ranks_per_node is 0".into());
+        }
+        for (name, v) in [
+            ("flops_per_sec", self.flops_per_sec),
+            ("bw_intra", self.bw_intra),
+            ("bw_inter", self.bw_inter),
+            ("node_bw_factor", self.node_bw_factor),
+        ] {
+            if !(v.is_finite() && v > 0.0) {
+                return Err(format!("{name} is {v}, not a finite positive number"));
+            }
+        }
+        for (name, v) in [
+            ("latency_intra", self.latency_intra),
+            ("latency_inter", self.latency_inter),
+            ("msg_overhead", self.msg_overhead),
+            ("cpu_per_msg", self.cpu_per_msg),
+            ("task_overhead", self.task_overhead),
+            ("jitter", self.jitter),
+        ] {
+            if !(v.is_finite() && v >= 0.0) {
+                return Err(format!("{name} is {v}, not a finite non-negative number"));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Resolved per-run topology: rank→physical-node placement plus link
 /// factor hashing.
 #[derive(Clone, Debug)]
@@ -167,6 +204,36 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn check_names_every_field_it_rejects() {
+        let ok = MachineConfig::default();
+        assert_eq!(ok.check(), Ok(()));
+        let zero_time = MachineConfig { task_overhead: 0.0, jitter: 0.0, ..ok };
+        assert_eq!(zero_time.check(), Ok(()), "zero times are a legal machine");
+        let bad: [(&str, MachineConfig); 16] = [
+            ("ranks_per_node", MachineConfig { ranks_per_node: 0, ..ok }),
+            ("flops_per_sec", MachineConfig { flops_per_sec: 0.0, ..ok }),
+            ("flops_per_sec", MachineConfig { flops_per_sec: f64::INFINITY, ..ok }),
+            ("bw_intra", MachineConfig { bw_intra: f64::NAN, ..ok }),
+            ("bw_inter", MachineConfig { bw_inter: 0.0, ..ok }),
+            ("bw_inter", MachineConfig { bw_inter: -3e9, ..ok }),
+            ("node_bw_factor", MachineConfig { node_bw_factor: 0.0, ..ok }),
+            ("latency_intra", MachineConfig { latency_intra: -1e-6, ..ok }),
+            ("latency_inter", MachineConfig { latency_inter: f64::NAN, ..ok }),
+            ("msg_overhead", MachineConfig { msg_overhead: f64::INFINITY, ..ok }),
+            ("cpu_per_msg", MachineConfig { cpu_per_msg: -1.0, ..ok }),
+            ("task_overhead", MachineConfig { task_overhead: f64::NAN, ..ok }),
+            ("task_overhead", MachineConfig { task_overhead: -0.1, ..ok }),
+            ("jitter", MachineConfig { jitter: -0.35, ..ok }),
+            ("jitter", MachineConfig { jitter: f64::NAN, ..ok }),
+            ("bw_intra", MachineConfig { bw_intra: 0.0, jitter: -1.0, ..ok }),
+        ];
+        for (field, cfg) in bad {
+            let why = cfg.check().expect_err(field);
+            assert!(why.starts_with(field), "{field}: message is {why:?}");
+        }
+    }
 
     #[test]
     fn ranks_pack_onto_nodes() {

@@ -16,15 +16,16 @@
 //!   for the reference curve in Fig. 8.
 
 use crate::layout::Layout;
-use crate::plan::CommPlan;
-use pselinv_order::symbolic::SnBlock;
+use crate::plan::{CommPlan, SupernodePlan};
 use pselinv_order::SymbolicFactor;
 use pselinv_trace::{pack_task_tag, CollKind};
 use pselinv_trees::{CollectiveTree, TreeBuilder, TreeScheme};
-use std::collections::HashMap;
 
 /// Task identifier.
 pub type TaskId = u32;
+
+/// "No task here" in the builder's dense lookup tables.
+const NO_TASK: TaskId = TaskId::MAX;
 
 /// Task classification, used for the computation/communication breakdown
 /// of Fig. 9 (forwarding tasks spend no compute time).
@@ -57,66 +58,158 @@ impl Default for GraphOptions {
     }
 }
 
-/// A static task DAG over `nranks` ranks, in CSR form.
+/// One task: everything the simulator reads when it readies, dispatches
+/// or retires it, in one 32-byte record (two to a cache line).
+#[derive(Clone, Copy, Debug)]
+#[repr(C)]
+pub struct Task {
+    /// Floating-point work.
+    pub flops: f64,
+    /// Scheduling priority (lower runs first among ready tasks).
+    pub prio: i32,
+    /// Executing rank.
+    pub rank: u32,
+    /// Trace tag: `(CollKind, supernode)` packed with
+    /// [`pselinv_trace::pack_task_tag`]. Lets the DES engine label spans
+    /// and messages with the same `(phase, supernode)` vocabulary as the
+    /// traced mpisim runtime.
+    pub tag: u32,
+    /// Out-edges: `edges()[edge_lo..edge_hi]`, in send order.
+    edge_lo: u32,
+    edge_hi: u32,
+    /// Task kind (compute vs forward).
+    pub kind: TaskKind,
+}
+
+impl Task {
+    /// A task without out-edges yet ([`TaskGraph::from_edge_list`]
+    /// attaches them).
+    pub fn new(rank: usize, flops: f64, prio: i64, kind: TaskKind, tag: u32) -> Self {
+        Self {
+            flops,
+            prio: i32::try_from(prio).expect("task priority fits in 32 bits"),
+            rank: u32::try_from(rank).expect("rank fits in 32 bits"),
+            tag,
+            edge_lo: 0,
+            edge_hi: 0,
+            kind,
+        }
+    }
+
+    /// This task's out-edges as a range of [`TaskGraph::edges`], in send
+    /// order.
+    pub fn edge_range(&self) -> std::ops::Range<usize> {
+        self.edge_lo as usize..self.edge_hi as usize
+    }
+}
+
+/// One out-edge of a task, 16 bytes. `bytes == 0` is a pure dependency;
+/// a positive value is a message of that size from the source task's rank
+/// to `dst_rank`.
+#[derive(Clone, Copy, Debug)]
+#[repr(C)]
+pub struct Edge {
+    /// Bytes carried (0 = dependency only).
+    pub bytes: u64,
+    /// Successor task.
+    pub succ: TaskId,
+    /// The successor's rank, stored here so that sending a message never
+    /// touches the successor's record.
+    pub dst_rank: u32,
+}
+
+/// A static task DAG over `nranks` ranks: one packed [`Task`] record per
+/// task, one packed [`Edge`] record per edge, grouped by source task.
 ///
-/// Edges carry `bytes`: `0` means a purely local dependency; a positive
-/// value is a message of that size from the source task's rank to the
-/// destination task's rank.
+/// Task numbering and the order of a task's out-edges are part of what a
+/// simulation computes — the per-rank ready queue breaks priority ties by
+/// task id, and edge order is send order on the NIC — so both are exactly
+/// the order in which the builder created them.
 #[derive(Clone, Debug)]
 pub struct TaskGraph {
     /// Number of ranks.
     pub nranks: usize,
-    /// Executing rank of each task.
-    pub task_rank: Vec<u32>,
-    /// Floating-point work of each task.
-    pub task_flops: Vec<f64>,
-    /// Scheduling priority (lower runs first among ready tasks).
-    pub task_prio: Vec<i64>,
-    /// Task kind (compute vs forward).
-    pub task_kind: Vec<TaskKind>,
-    /// Trace tag of each task: `(CollKind, supernode)` packed with
-    /// [`pselinv_trace::pack_task_tag`]. Lets the DES engine label spans
-    /// and messages with the same `(phase, supernode)` vocabulary as the
-    /// traced mpisim runtime.
-    pub task_tag: Vec<u32>,
-    /// Number of incoming dependencies (local + messages) per task.
-    pub task_deps: Vec<u32>,
-    /// CSR offsets into `succ` / `succ_bytes`.
-    pub succ_ptr: Vec<u32>,
-    /// Successor task ids.
-    pub succ: Vec<TaskId>,
-    /// Bytes carried on each successor edge (0 = local).
-    pub succ_bytes: Vec<u64>,
+    tasks: Vec<Task>,
+    edges: Vec<Edge>,
+    deps: Vec<u32>,
 }
 
 impl TaskGraph {
+    /// Builds the graph from tasks (in id order) and a list of
+    /// `(from, to, bytes)` edges: each task's out-edges keep the relative
+    /// order they have in `edges`.
+    pub fn from_edge_list(
+        nranks: usize,
+        mut tasks: Vec<Task>,
+        edges: &[(TaskId, TaskId, u64)],
+    ) -> Self {
+        assert!(tasks.len() < NO_TASK as usize && edges.len() <= u32::MAX as usize);
+        for t in tasks.iter_mut() {
+            assert!((t.rank as usize) < nranks, "task on rank {} of {nranks}", t.rank);
+            t.edge_hi = 0; // a record copied out of another graph carries its range
+        }
+        let mut deps = vec![0u32; tasks.len()];
+        for &(from, to, _) in edges {
+            tasks[from as usize].edge_hi += 1;
+            deps[to as usize] += 1;
+        }
+        // Counting sort by source task; `edge_hi` is the fill cursor and
+        // ends at the end of the task's range.
+        let mut at = 0u32;
+        for t in tasks.iter_mut() {
+            t.edge_lo = at;
+            at += std::mem::replace(&mut t.edge_hi, at);
+        }
+        let mut packed = vec![Edge { bytes: 0, succ: 0, dst_rank: 0 }; edges.len()];
+        for &(from, to, bytes) in edges {
+            let dst_rank = tasks[to as usize].rank;
+            let slot = &mut tasks[from as usize].edge_hi;
+            packed[*slot as usize] = Edge { bytes, succ: to, dst_rank };
+            *slot += 1;
+        }
+        Self { nranks, tasks, edges: packed, deps }
+    }
+
     /// Number of tasks.
     pub fn num_tasks(&self) -> usize {
-        self.task_rank.len()
+        self.tasks.len()
+    }
+
+    /// The task records, indexed by [`TaskId`].
+    pub fn tasks(&self) -> &[Task] {
+        &self.tasks
+    }
+
+    /// Every edge, grouped by source task (see [`Task::edge_range`]).
+    pub fn edges(&self) -> &[Edge] {
+        &self.edges
+    }
+
+    /// Number of incoming edges (dependencies and messages) of each task.
+    pub fn deps(&self) -> &[u32] {
+        &self.deps
     }
 
     /// Out-edges of `t` as `(successor, bytes)` pairs.
     pub fn out_edges(&self, t: TaskId) -> impl Iterator<Item = (TaskId, u64)> + '_ {
-        let lo = self.succ_ptr[t as usize] as usize;
-        let hi = self.succ_ptr[t as usize + 1] as usize;
-        self.succ[lo..hi].iter().copied().zip(self.succ_bytes[lo..hi].iter().copied())
+        self.edges[self.tasks[t as usize].edge_range()].iter().map(|e| (e.succ, e.bytes))
     }
 
     /// Total flops across all tasks.
     pub fn total_flops(&self) -> f64 {
-        self.task_flops.iter().sum()
+        self.tasks.iter().map(|t| t.flops).sum()
     }
 
     /// Total message bytes across all edges.
     pub fn total_message_bytes(&self) -> u64 {
-        self.succ_bytes.iter().sum()
+        self.edges.iter().map(|e| e.bytes).sum()
     }
 
     /// Validates that every task can execute (the graph is acyclic and
     /// dependency counts are consistent); returns the topological order
     /// length, which must equal `num_tasks()`.
     pub fn validate(&self) -> usize {
-        let mut deps = self.task_deps.clone();
+        let mut deps = self.deps.clone();
         let mut ready: Vec<TaskId> =
             (0..self.num_tasks() as u32).filter(|&t| deps[t as usize] == 0).collect();
         let mut done = 0usize;
@@ -133,27 +226,34 @@ impl TaskGraph {
     }
 }
 
+/// Emits tasks and edges in creation order. Everything a collective needs
+/// to look up by rank goes through reused dense scratch — no per-collective
+/// map is allocated.
 struct GraphBuilder {
-    rank: Vec<u32>,
-    flops: Vec<f64>,
-    prio: Vec<i64>,
-    kind: Vec<TaskKind>,
-    tag: Vec<u32>,
+    tasks: Vec<Task>,
     /// Trace tag stamped on tasks created until the next `set_context`.
     ctx_tag: u32,
-    edges: Vec<(u32, u32, u64)>,
+    edges: Vec<(TaskId, TaskId, u64)>,
+    /// `bcast_tasks`' traversal stack of `(member index, task)`.
+    stack: Vec<(usize, TaskId)>,
+    /// Contributions to the next `reduce_tasks`, as one singly linked list
+    /// per rank in insertion order: `first`/`last` are rank-indexed entry
+    /// points into `contributions`, whose items are `(task, next)`.
+    first: Vec<u32>,
+    last: Vec<u32>,
+    contributions: Vec<(TaskId, u32)>,
 }
 
 impl GraphBuilder {
-    fn new() -> Self {
+    fn new(nranks: usize) -> Self {
         Self {
-            rank: Vec::new(),
-            flops: Vec::new(),
-            prio: Vec::new(),
-            kind: Vec::new(),
-            tag: Vec::new(),
+            tasks: Vec::new(),
             ctx_tag: pack_task_tag(CollKind::Other, 0),
             edges: Vec::new(),
+            stack: Vec::new(),
+            first: vec![NO_TASK; nranks],
+            last: vec![NO_TASK; nranks],
+            contributions: Vec::new(),
         }
     }
 
@@ -164,52 +264,61 @@ impl GraphBuilder {
     }
 
     fn task(&mut self, rank: usize, flops: f64, prio: i64, kind: TaskKind) -> TaskId {
-        let id = self.rank.len() as u32;
-        self.rank.push(rank as u32);
-        self.flops.push(flops);
-        self.prio.push(prio);
-        self.kind.push(kind);
-        self.tag.push(self.ctx_tag);
+        let id = self.tasks.len() as u32;
+        self.tasks.push(Task::new(rank, flops, prio, kind, self.ctx_tag));
         id
     }
 
     fn edge(&mut self, from: TaskId, to: TaskId, bytes: u64) {
+        debug_assert!(from != NO_TASK && to != NO_TASK, "edge to a task that was never created");
         self.edges.push((from, to, bytes));
     }
 
     /// Adds tree-forwarding tasks for a broadcast: `root_task` already
-    /// holds the payload; returns a map rank → task id whose completion
-    /// means "payload available on that rank".
+    /// holds the payload. `on_member(rank, task)` is called once per
+    /// member with the task whose completion means "payload available on
+    /// that rank".
     fn bcast_tasks(
         &mut self,
         tree: &CollectiveTree,
         root_task: TaskId,
         bytes: u64,
         prio: i64,
-    ) -> HashMap<usize, TaskId> {
-        let mut avail = HashMap::new();
-        avail.insert(tree.root(), root_task);
-        // BFS from the root so parents exist before children.
-        let mut stack = vec![tree.root()];
-        while let Some(r) = stack.pop() {
-            let rt = avail[&r];
-            for c in tree.children_of(r) {
-                let ct = self.task(c, 0.0, prio, TaskKind::Forward);
+        mut on_member: impl FnMut(usize, TaskId),
+    ) {
+        let members = tree.members();
+        on_member(tree.root(), root_task);
+        // Depth-first from the root so parents exist before children.
+        debug_assert!(self.stack.is_empty());
+        self.stack.push((0, root_task));
+        while let Some((i, rt)) = self.stack.pop() {
+            for &c in tree.children_at(i) {
+                let ct = self.task(members[c], 0.0, prio, TaskKind::Forward);
                 self.edge(rt, ct, bytes);
-                avail.insert(c, ct);
-                stack.push(c);
+                on_member(members[c], ct);
+                self.stack.push((c, ct));
             }
         }
-        avail
     }
 
-    /// Adds tree tasks for a reduction: `local[rank]` lists tasks whose
-    /// outputs this rank contributes (dependencies of its reduce step).
+    /// Records that `rank` contributes the output of `t` to the next
+    /// [`GraphBuilder::reduce_tasks`] (a dependency of its reduce step).
+    fn contribute(&mut self, rank: usize, t: TaskId) {
+        let item = self.contributions.len() as u32;
+        self.contributions.push((t, NO_TASK));
+        match self.first[rank] {
+            NO_TASK => self.first[rank] = item,
+            _ => self.contributions[self.last[rank] as usize].1 = item,
+        }
+        self.last[rank] = item;
+    }
+
+    /// Adds tree tasks for a reduction over the contributions recorded
+    /// since the last one (every contributing rank must be a member).
     /// Returns the root's reduce task (completion = reduced value ready).
     fn reduce_tasks(
         &mut self,
         tree: &CollectiveTree,
-        local: &HashMap<usize, Vec<TaskId>>,
         bytes: u64,
         add_flops_per_child: f64,
         prio: i64,
@@ -218,77 +327,53 @@ impl GraphBuilder {
         fn build(
             gb: &mut GraphBuilder,
             tree: &CollectiveTree,
-            local: &HashMap<usize, Vec<TaskId>>,
             bytes: u64,
             fpc: f64,
             prio: i64,
-            rank: usize,
+            member: usize,
         ) -> TaskId {
-            let kids = tree.children_of(rank);
+            let rank = tree.members()[member];
+            let kids = tree.children_at(member);
             let t = gb.task(
                 rank,
                 fpc * kids.len() as f64,
                 prio,
                 if kids.is_empty() { TaskKind::Forward } else { TaskKind::Compute },
             );
-            if let Some(deps) = local.get(&rank) {
-                for &d in deps {
-                    gb.edge(d, t, 0);
-                }
+            let mut item = std::mem::replace(&mut gb.first[rank], NO_TASK);
+            while item != NO_TASK {
+                let (d, next) = gb.contributions[item as usize];
+                gb.edge(d, t, 0);
+                item = next;
             }
-            for c in kids {
-                let ct = build(gb, tree, local, bytes, fpc, prio, c);
+            for &c in kids {
+                let ct = build(gb, tree, bytes, fpc, prio, c);
                 gb.edge(ct, t, bytes);
             }
             t
         }
-        build(self, tree, local, bytes, add_flops_per_child, prio, tree.root())
+        let before = self.edges.len();
+        let root = build(self, tree, bytes, add_flops_per_child, prio, 0);
+        debug_assert_eq!(
+            self.edges.len() - before,
+            self.contributions.len() + tree.len() - 1,
+            "a rank outside the reduction tree contributed to it"
+        );
+        self.contributions.clear();
+        root
     }
 
     fn finish(self, nranks: usize) -> TaskGraph {
-        let n = self.rank.len();
-        let mut deps = vec![0u32; n];
-        let mut counts = vec![0u32; n];
-        for &(_, to, _) in &self.edges {
-            deps[to as usize] += 1;
-        }
-        for &(from, _, _) in &self.edges {
-            counts[from as usize] += 1;
-        }
-        let mut ptr = vec![0u32; n + 1];
-        for i in 0..n {
-            ptr[i + 1] = ptr[i] + counts[i];
-        }
-        let mut heads: Vec<u32> = ptr[..n].to_vec();
-        let mut succ = vec![0u32; self.edges.len()];
-        let mut bytes = vec![0u64; self.edges.len()];
-        for &(from, to, b) in &self.edges {
-            let slot = heads[from as usize] as usize;
-            heads[from as usize] += 1;
-            succ[slot] = to;
-            bytes[slot] = b;
-        }
-        TaskGraph {
-            nranks,
-            task_rank: self.rank,
-            task_flops: self.flops,
-            task_prio: self.prio,
-            task_kind: self.kind,
-            task_tag: self.tag,
-            task_deps: deps,
-            succ_ptr: ptr,
-            succ,
-            succ_bytes: bytes,
-        }
+        TaskGraph::from_edge_list(nranks, self.tasks, &self.edges)
     }
 }
 
-fn find_block(sf: &SymbolicFactor, row_sn: usize, col_sn: usize) -> (usize, SnBlock) {
+fn find_block(sf: &SymbolicFactor, row_sn: usize, col_sn: usize) -> usize {
     let blocks = sf.blocks_of(col_sn);
     let i = blocks
         .binary_search_by_key(&row_sn, |b| b.sn)
         .unwrap_or_else(|_| panic!("block ({row_sn},{col_sn}) not in structure"));
-    (sf.blocks_ptr[col_sn] + i, blocks[i])
+    sf.blocks_ptr[col_sn] + i
 }
 
 /// Builds the selected-inversion task graph.
@@ -297,41 +382,56 @@ pub fn selinv_graph(layout: &Layout, opts: &GraphOptions) -> TaskGraph {
     let grid = layout.grid;
     let plan = CommPlan::new(layout.clone(), TreeBuilder::new(opts.scheme, opts.seed));
     let ns = sf.num_supernodes();
-    let mut gb = GraphBuilder::new();
+    let nblocks = sf.blocks_ptr[ns];
+    let mut gb = GraphBuilder::new(grid.size());
 
-    // Cross-supernode availability events.
-    let mut lhat_task: HashMap<usize, TaskId> = HashMap::new(); // block id → L̂ ready
-    let mut rred_root: HashMap<usize, TaskId> = HashMap::new(); // block id → A⁻¹ lower ready
-    let mut atr_recv: HashMap<usize, TaskId> = HashMap::new(); // block id → A⁻¹ upper ready
+    // Cross-supernode availability events, by block id.
+    let mut lhat_task = vec![NO_TASK; nblocks]; // L̂ ready
+    let mut rred_root = vec![NO_TASK; nblocks]; // A⁻¹ lower ready
+    let mut atr_recv = vec![NO_TASK; nblocks]; // A⁻¹ upper ready
     let mut diag_done: Vec<Option<TaskId>> = vec![None; ns];
 
+    // Every collective of a supernode stays within one process row or
+    // column, so "the task that makes the payload available on rank r" is
+    // looked up by r's coordinate along it.
+    let pr = grid.pr;
+    let mut avail: Vec<TaskId> = Vec::new();
+
     // ---- Phase 1 (ascending): diag bcast + panel TRSM. ----
+    // Each supernode's plan is built once, here, and handed to phase 2.
+    let mut plans: Vec<SupernodePlan> = Vec::with_capacity(ns);
     for k in 0..ns {
         let sp = plan.supernode_plan(k);
         let blocks = sf.blocks_of(k);
-        if blocks.is_empty() {
-            continue;
+        if !blocks.is_empty() {
+            let w = sf.width(k) as f64;
+            let prio = (ns - 1 - k) as i64; // processed late in phase 2; phase 1
+                                            // order is driven by dependencies
+            let diag_owner = layout.diag_owner(k);
+            gb.set_context(CollKind::DiagBcast, k);
+            let root_task = gb.task(diag_owner, 0.0, prio, TaskKind::Forward);
+            // Down process column pc(K): indexed by process row.
+            avail.clear();
+            avail.resize(pr, NO_TASK);
+            gb.bcast_tasks(&sp.diag_bcast, root_task, layout.diag_bytes(k), prio, |rank, t| {
+                avail[grid.row_of(rank)] = t;
+            });
+            gb.set_context(CollKind::Compute, k);
+            for (bi, b) in blocks.iter().enumerate() {
+                let owner = layout.lower_owner(b, k);
+                let t = gb.task(owner, b.nrows() as f64 * w * w, prio, TaskKind::Compute);
+                gb.edge(avail[grid.row_of(owner)], t, 0);
+                lhat_task[sf.blocks_ptr[k] + bi] = t;
+            }
         }
-        let w = sf.width(k) as f64;
-        let prio = (ns - 1 - k) as i64; // processed late in phase 2; phase 1
-                                        // order is driven by dependencies
-        let diag_owner = layout.diag_owner(k);
-        gb.set_context(CollKind::DiagBcast, k);
-        let root_task = gb.task(diag_owner, 0.0, prio, TaskKind::Forward);
-        let avail = gb.bcast_tasks(&sp.diag_bcast, root_task, layout.diag_bytes(k), prio);
-        gb.set_context(CollKind::Compute, k);
-        for (bi, b) in blocks.iter().enumerate() {
-            let owner = layout.lower_owner(b, k);
-            let t = gb.task(owner, b.nrows() as f64 * w * w, prio, TaskKind::Compute);
-            gb.edge(avail[&owner], t, 0);
-            lhat_task.insert(sf.blocks_ptr[k] + bi, t);
-        }
+        plans.push(sp);
     }
 
     // ---- Phase 2 (descending): Algorithm 1 steps 3–5. ----
     let mut prev_barrier: Option<TaskId> = None;
-    for k in (0..ns).rev() {
-        let sp = plan.supernode_plan(k);
+    let mut rred_this: Vec<TaskId> = Vec::new();
+    while let Some(sp) = plans.pop() {
+        let k = sp.k;
         let blocks = sf.blocks_of(k);
         let w = sf.width(k) as f64;
         let prio = (ns - 1 - k) as i64;
@@ -352,13 +452,16 @@ pub fn selinv_graph(layout: &Layout, opts: &GraphOptions) -> TaskGraph {
             continue;
         }
 
-        // Transpose send + Col-Bcast per ancestor block.
-        let mut u_avail: Vec<HashMap<usize, TaskId>> = Vec::with_capacity(blocks.len());
+        // Transpose send + Col-Bcast per ancestor block. Block `bi`'s
+        // broadcast runs down process column pc(I): `avail[bi * pr + prow]`
+        // is the task that makes Û_{K,I} available at (prow, pc(I)).
+        avail.clear();
+        avail.resize(blocks.len() * pr, NO_TASK);
         for (bi, b) in blocks.iter().enumerate() {
             let bid = sf.blocks_ptr[k] + bi;
             let bytes = layout.block_bytes(b, k);
             let (src, dst) = sp.transposes[bi];
-            let lhat = lhat_task[&bid];
+            let lhat = lhat_task[bid];
             gb.set_context(CollKind::Transpose, k);
             let root_task = if src == dst {
                 lhat
@@ -376,53 +479,52 @@ pub fn selinv_graph(layout: &Layout, opts: &GraphOptions) -> TaskGraph {
                 root_task
             };
             gb.set_context(CollKind::ColBcast, k);
-            u_avail.push(gb.bcast_tasks(&sp.col_bcasts[bi], root_task, bytes, prio));
+            let u_avail = &mut avail[bi * pr..(bi + 1) * pr];
+            gb.bcast_tasks(&sp.col_bcasts[bi], root_task, bytes, prio, |rank, t| {
+                u_avail[grid.row_of(rank)] = t;
+            });
         }
 
         // GEMMs + Row-Reduce per target block.
-        let mut rred_this: Vec<TaskId> = Vec::with_capacity(blocks.len());
+        rred_this.clear();
         for (bj_i, bj) in blocks.iter().enumerate() {
             let prow_j = grid.prow_of_block(bj.sn);
             let rj = bj.nrows() as f64;
             // local GEMM tasks per participating rank
             gb.set_context(CollKind::Compute, k);
-            let mut local: HashMap<usize, Vec<TaskId>> = HashMap::new();
             for (bi_i, bi) in blocks.iter().enumerate() {
                 let rank = grid.rank_of(prow_j, grid.pcol_of_block(bi.sn));
                 let ri = bi.nrows() as f64;
                 let t = gb.task(rank, 2.0 * rj * ri * w, prio, TaskKind::Compute);
-                gb.edge(u_avail[bi_i][&rank], t, 0);
+                gb.edge(avail[bi_i * pr + prow_j], t, 0);
                 // stored-block availability
                 let (jsn, isn) = (bj.sn, bi.sn);
                 if jsn > isn {
-                    let (bid, _) = find_block(&sf, jsn, isn);
-                    gb.edge(rred_root[&bid], t, 0);
+                    gb.edge(rred_root[find_block(&sf, jsn, isn)], t, 0);
                 } else if jsn < isn {
-                    let (bid, _) = find_block(&sf, isn, jsn);
-                    gb.edge(atr_recv[&bid], t, 0);
+                    gb.edge(atr_recv[find_block(&sf, isn, jsn)], t, 0);
                 } else {
                     gb.edge(diag_done[jsn].expect("ancestor diagonal not built"), t, 0);
                 }
-                local.entry(rank).or_default().push(t);
+                gb.contribute(rank, t);
             }
             let bytes = layout.block_bytes(bj, k);
             gb.set_context(CollKind::RowReduce, k);
-            let root = gb.reduce_tasks(&sp.row_reduces[bj_i], &local, bytes, rj * w, prio);
+            let root = gb.reduce_tasks(&sp.row_reduces[bj_i], bytes, rj * w, prio);
             rred_this.push(root);
-            rred_root.insert(sf.blocks_ptr[k] + bj_i, root);
+            rred_root[sf.blocks_ptr[k] + bj_i] = root;
         }
 
         // Diagonal GEMMs + diagonal reduction.
         gb.set_context(CollKind::Compute, k);
-        let mut dlocal: HashMap<usize, Vec<TaskId>> = HashMap::new();
         for (bi, b) in blocks.iter().enumerate() {
             let owner = layout.lower_owner(b, k);
             let t = gb.task(owner, 2.0 * w * w * b.nrows() as f64, prio, TaskKind::Compute);
             gb.edge(rred_this[bi], t, 0);
-            dlocal.entry(owner).or_default().push(t);
+            gb.contribute(owner, t);
         }
         gb.set_context(CollKind::DiagReduce, k);
-        let dred = gb.reduce_tasks(&sp.diag_reduce, &dlocal, layout.diag_bytes(k), w * w, prio);
+        let dred = gb.reduce_tasks(&sp.diag_reduce, layout.diag_bytes(k), w * w, prio);
         let ddone = gb.task(diag_owner, 0.0, prio, TaskKind::Forward);
         gb.edge(inv0, ddone, 0);
         gb.edge(dred, ddone, 0);
@@ -435,12 +537,12 @@ pub fn selinv_graph(layout: &Layout, opts: &GraphOptions) -> TaskGraph {
             let bid = sf.blocks_ptr[k] + bj_i;
             let (src, dst) = sp.ainv_transposes[bj_i];
             if src == dst {
-                atr_recv.insert(bid, rred_this[bj_i]);
+                atr_recv[bid] = rred_this[bj_i];
                 last_tasks.push(rred_this[bj_i]);
             } else {
                 let t = gb.task(dst, 0.0, prio, TaskKind::Forward);
                 gb.edge(rred_this[bj_i], t, layout.block_bytes(bj, k));
-                atr_recv.insert(bid, t);
+                atr_recv[bid] = t;
                 last_tasks.push(t);
             }
         }
@@ -467,28 +569,30 @@ pub fn factorization_graph(layout: &Layout, opts: &GraphOptions) -> TaskGraph {
     let grid = layout.grid;
     let builder = TreeBuilder::new(opts.scheme, opts.seed);
     let ns = sf.num_supernodes();
-    let mut gb = GraphBuilder::new();
+    let (pr, pc) = (grid.pr, grid.pc);
+    let mut gb = GraphBuilder::new(grid.size());
 
     // Pre-create diagonal-factor and panel tasks so updates from
     // descendants can point at them.
     let mut fdiag: Vec<TaskId> = Vec::with_capacity(ns);
-    let mut fpanel: HashMap<usize, TaskId> = HashMap::new();
+    let mut fpanel: Vec<TaskId> = Vec::with_capacity(sf.blocks_ptr[ns]); // by block id
     for k in 0..ns {
         let w = sf.width(k) as f64;
         let prio = k as i64;
         gb.set_context(CollKind::Compute, k);
         fdiag.push(gb.task(layout.diag_owner(k), w * w * w / 3.0, prio, TaskKind::Compute));
-        for (bi, b) in sf.blocks_of(k).iter().enumerate() {
-            let t = gb.task(
-                layout.lower_owner(b, k),
-                b.nrows() as f64 * w * w,
-                prio,
-                TaskKind::Compute,
-            );
-            fpanel.insert(sf.blocks_ptr[k] + bi, t);
+        for b in sf.blocks_of(k) {
+            let flops = b.nrows() as f64 * w * w;
+            fpanel.push(gb.task(layout.lower_owner(b, k), flops, prio, TaskKind::Compute));
         }
     }
 
+    // Payload-availability lookups, as in `selinv_graph`: the diagonal
+    // and the U-blocks travel down process columns (indexed by process
+    // row), the L-blocks along process rows (indexed by process column).
+    let mut davail: Vec<TaskId> = Vec::new();
+    let mut l_avail: Vec<TaskId> = Vec::new();
+    let mut u_avail: Vec<TaskId> = Vec::new();
     for k in 0..ns {
         let blocks = sf.blocks_of(k);
         if blocks.is_empty() {
@@ -496,6 +600,7 @@ pub fn factorization_graph(layout: &Layout, opts: &GraphOptions) -> TaskGraph {
         }
         let w = sf.width(k) as f64;
         let prio = k as i64;
+        let panel = &fpanel[sf.blocks_ptr[k]..sf.blocks_ptr[k + 1]];
 
         // Diagonal bcast down pc(K) to the panel owners.
         let mut lower_owners: Vec<usize> =
@@ -506,22 +611,27 @@ pub fn factorization_graph(layout: &Layout, opts: &GraphOptions) -> TaskGraph {
         lower_owners.retain(|&r| r != diag_owner);
         let dtree = builder.build(diag_owner, &lower_owners, (k as u64) << 3);
         gb.set_context(CollKind::DiagBcast, k);
-        let davail = gb.bcast_tasks(&dtree, fdiag[k], layout.diag_bytes(k), prio);
+        davail.clear();
+        davail.resize(pr, NO_TASK);
+        gb.bcast_tasks(&dtree, fdiag[k], layout.diag_bytes(k), prio, |rank, t| {
+            davail[grid.row_of(rank)] = t;
+        });
         for (bi, b) in blocks.iter().enumerate() {
-            let owner = layout.lower_owner(b, k);
-            gb.edge(davail[&owner], fpanel[&(sf.blocks_ptr[k] + bi)], 0);
+            gb.edge(davail[grid.row_of(layout.lower_owner(b, k))], panel[bi], 0);
         }
 
         // L-blocks travel along their process row to the update columns;
         // "U"-blocks (transposes) travel down the update rows' columns.
         let pcols: Vec<usize> = blocks.iter().map(|b| grid.pcol_of_block(b.sn)).collect();
         let prows: Vec<usize> = blocks.iter().map(|b| grid.prow_of_block(b.sn)).collect();
-        let mut l_avail: Vec<HashMap<usize, TaskId>> = Vec::with_capacity(blocks.len());
-        let mut u_avail: Vec<HashMap<usize, TaskId>> = Vec::with_capacity(blocks.len());
+        l_avail.clear();
+        l_avail.resize(blocks.len() * pc, NO_TASK);
+        u_avail.clear();
+        u_avail.resize(blocks.len() * pr, NO_TASK);
         for (bi, b) in blocks.iter().enumerate() {
             let owner = layout.lower_owner(b, k);
             let bytes = layout.block_bytes(b, k);
-            let pt = fpanel[&(sf.blocks_ptr[k] + bi)];
+            let pt = panel[bi];
             // row bcast
             let prow = grid.prow_of_block(b.sn);
             let mut rcv: Vec<usize> = pcols.iter().map(|&pc| grid.rank_of(prow, pc)).collect();
@@ -530,7 +640,8 @@ pub fn factorization_graph(layout: &Layout, opts: &GraphOptions) -> TaskGraph {
             rcv.retain(|&r| r != owner);
             let rtree = builder.build(owner, &rcv, ((k as u64) << 20) | (1 << 40) | bi as u64);
             gb.set_context(CollKind::Bcast, k);
-            l_avail.push(gb.bcast_tasks(&rtree, pt, bytes, prio));
+            let l_row = &mut l_avail[bi * pc..(bi + 1) * pc];
+            gb.bcast_tasks(&rtree, pt, bytes, prio, |rank, t| l_row[grid.col_of(rank)] = t);
             // transpose + col bcast
             let udst = layout.upper_owner(b, k);
             gb.set_context(CollKind::Transpose, k);
@@ -548,7 +659,8 @@ pub fn factorization_graph(layout: &Layout, opts: &GraphOptions) -> TaskGraph {
             crcv.retain(|&r| r != udst);
             let ctree = builder.build(udst, &crcv, ((k as u64) << 20) | (2 << 40) | bi as u64);
             gb.set_context(CollKind::ColBcast, k);
-            u_avail.push(gb.bcast_tasks(&ctree, uroot, bytes, prio));
+            let u_col = &mut u_avail[bi * pr..(bi + 1) * pr];
+            gb.bcast_tasks(&ctree, uroot, bytes, prio, |rank, t| u_col[grid.row_of(rank)] = t);
         }
 
         // Updates: for every pair (bi ≥ bj), GEMM at (pr(bi.sn), pc(bj.sn))
@@ -559,21 +671,20 @@ pub fn factorization_graph(layout: &Layout, opts: &GraphOptions) -> TaskGraph {
                 if bi.sn < bj.sn {
                     continue;
                 }
-                let rank = grid.rank_of(grid.prow_of_block(bi.sn), grid.pcol_of_block(bj.sn));
+                let (prow, pcol) = (prows[bi_i], pcols[bj_i]);
                 let t = gb.task(
-                    rank,
+                    grid.rank_of(prow, pcol),
                     2.0 * bi.nrows() as f64 * bj.nrows() as f64 * w,
                     prio,
                     TaskKind::Compute,
                 );
-                gb.edge(l_avail[bi_i][&rank], t, 0);
-                gb.edge(u_avail[bj_i][&rank], t, 0);
+                gb.edge(l_avail[bi_i * pc + pcol], t, 0);
+                gb.edge(u_avail[bj_i * pr + prow], t, 0);
                 // scatter target
                 if bi.sn == bj.sn {
                     gb.edge(t, fdiag[bj.sn], 0);
                 } else {
-                    let (bid, _) = find_block(&sf, bi.sn, bj.sn);
-                    gb.edge(t, fpanel[&bid], 0);
+                    gb.edge(t, fpanel[find_block(&sf, bi.sn, bj.sn)], 0);
                 }
             }
         }
@@ -595,6 +706,25 @@ mod tests {
         let w = gen::grid_laplacian_2d(14, 14);
         let sf = Arc::new(analyze(&w.matrix.pattern(), &AnalyzeOptions::default()));
         Layout::new(sf, Grid2D::new(pr, pc))
+    }
+
+    #[test]
+    fn records_are_packed_and_edges_keep_their_order() {
+        assert_eq!(std::mem::size_of::<Task>(), 32);
+        assert_eq!(std::mem::size_of::<Edge>(), 16);
+        let task = |rank| Task::new(rank, 1.0, 0, TaskKind::Compute, 0);
+        let edges = [(2, 0, 7), (0, 1, 5), (2, 1, 0), (0, 2, 0), (2, 0, 9)];
+        let g = TaskGraph::from_edge_list(4, vec![task(3), task(1), task(2)], &edges);
+        assert_eq!(g.out_edges(0).collect::<Vec<_>>(), [(1, 5), (2, 0)]);
+        assert_eq!(g.out_edges(1).count(), 0);
+        assert_eq!(g.out_edges(2).collect::<Vec<_>>(), [(0, 7), (1, 0), (0, 9)]);
+        assert_eq!(g.deps(), [2, 2, 1]);
+        for e in g.edges() {
+            assert_eq!(e.dst_rank, g.tasks()[e.succ as usize].rank);
+        }
+        // Records copied out of a graph can seed another one.
+        let again = TaskGraph::from_edge_list(4, g.tasks().to_vec(), &edges);
+        assert_eq!(again.out_edges(2).collect::<Vec<_>>(), [(0, 7), (1, 0), (0, 9)]);
     }
 
     #[test]
@@ -630,8 +760,8 @@ mod tests {
     fn tasks_live_on_valid_ranks() {
         let l = layout(2, 2);
         let g = selinv_graph(&l, &GraphOptions::default());
-        for &r in &g.task_rank {
-            assert!((r as usize) < g.nranks);
+        for t in g.tasks() {
+            assert!((t.rank as usize) < g.nranks);
         }
     }
 
@@ -648,12 +778,7 @@ mod tests {
         // Compare compute flops only (reduce interior-node add-flops differ
         // slightly between tree shapes).
         let comp = |g: &TaskGraph| -> f64 {
-            g.task_flops
-                .iter()
-                .zip(&g.task_kind)
-                .filter(|(_, &k)| k == TaskKind::Compute)
-                .map(|(f, _)| f)
-                .sum()
+            g.tasks().iter().filter(|t| t.kind == TaskKind::Compute).map(|t| t.flops).sum()
         };
         let a = comp(&flat);
         let b = comp(&shifted);
@@ -687,13 +812,13 @@ mod tests {
                 if b == 0 {
                     continue;
                 }
-                let (kind, _) = unpack_task_tag(g.task_tag[s as usize]);
+                let (kind, _) = unpack_task_tag(g.tasks()[s as usize].tag);
                 match kind {
                     CollKind::ColBcast => {
-                        col_sent[g.task_rank[t as usize] as usize] += b;
+                        col_sent[g.tasks()[t as usize].rank as usize] += b;
                     }
                     CollKind::RowReduce => {
-                        row_recv[g.task_rank[s as usize] as usize] += b;
+                        row_recv[g.tasks()[s as usize].rank as usize] += b;
                     }
                     _ => {}
                 }

@@ -90,8 +90,8 @@ impl CriticalPath {
         let mut steps = Vec::new();
         loop {
             let ti = t as usize;
-            let rank = graph.task_rank[ti];
-            let (coll, _) = unpack_task_tag(graph.task_tag[ti]);
+            let rank = graph.tasks()[ti].rank;
+            let (coll, _) = unpack_task_tag(graph.tasks()[ti].tag);
             let start = prof.task_start_us[ti];
             steps.push(CritStep {
                 kind: StepKind::Task,
@@ -143,7 +143,7 @@ impl CriticalPath {
                             kind: StepKind::Wait,
                             coll,
                             task: None,
-                            rank: graph.task_rank[src_task as usize],
+                            rank: graph.tasks()[src_task as usize].rank,
                             start_us: pe,
                             end_us: sent_us,
                         });
@@ -271,7 +271,7 @@ impl CriticalPath {
 mod tests {
     use super::*;
     use pselinv_des::{simulate_profiled, MachineConfig};
-    use pselinv_dist::taskgraph::TaskKind;
+    use pselinv_dist::taskgraph::{Task, TaskKind};
     use pselinv_trace::pack_task_tag;
 
     fn flat_cfg() -> MachineConfig {
@@ -295,39 +295,11 @@ mod tests {
         tasks: &[(usize, f64, CollKind)],
         edges: &[(u32, u32, u64)],
     ) -> TaskGraph {
-        let n = tasks.len();
-        let mut deps = vec![0u32; n];
-        let mut ptr = vec![0u32; n + 1];
-        for &(_, to, _) in edges {
-            deps[to as usize] += 1;
-        }
-        for &(from, _, _) in edges {
-            ptr[from as usize + 1] += 1;
-        }
-        for i in 0..n {
-            ptr[i + 1] += ptr[i];
-        }
-        let mut heads = ptr[..n].to_vec();
-        let mut succ = vec![0u32; edges.len()];
-        let mut bytes = vec![0u64; edges.len()];
-        for &(from, to, b) in edges {
-            let s = heads[from as usize] as usize;
-            heads[from as usize] += 1;
-            succ[s] = to;
-            bytes[s] = b;
-        }
-        TaskGraph {
-            nranks,
-            task_prio: vec![0; n],
-            task_kind: vec![TaskKind::Compute; n],
-            task_tag: tasks.iter().map(|&(_, _, c)| pack_task_tag(c, 0)).collect(),
-            task_deps: deps,
-            task_rank: tasks.iter().map(|&(r, _, _)| r as u32).collect(),
-            task_flops: tasks.iter().map(|&(_, f, _)| f).collect(),
-            succ_ptr: ptr,
-            succ,
-            succ_bytes: bytes,
-        }
+        let tasks = tasks
+            .iter()
+            .map(|&(r, f, c)| Task::new(r, f, 0, TaskKind::Compute, pack_task_tag(c, 0)))
+            .collect();
+        TaskGraph::from_edge_list(nranks, tasks, edges)
     }
 
     fn assert_contiguous(cp: &CriticalPath) {

@@ -8,7 +8,7 @@
 
 use pselinv_chaos::{FaultPlan, FaultSpec};
 use pselinv_des::{simulate_profiled, simulate_traced, MachineConfig};
-use pselinv_dist::taskgraph::{selinv_graph, GraphOptions, TaskGraph, TaskKind};
+use pselinv_dist::taskgraph::{selinv_graph, GraphOptions, Task, TaskGraph, TaskKind};
 use pselinv_dist::{distributed_selinv_traced, try_distributed_selinv_traced, DistOptions, Layout};
 use pselinv_factor::LdlFactor;
 use pselinv_mpisim::{Grid2D, RunOptions};
@@ -127,39 +127,11 @@ fn flat_cfg() -> MachineConfig {
 /// Hand-built graph: tasks as `(rank, flops, coll)`, edges as
 /// `(from, to, bytes)`.
 fn graph(nranks: usize, tasks: &[(usize, f64, CollKind)], edges: &[(u32, u32, u64)]) -> TaskGraph {
-    let n = tasks.len();
-    let mut deps = vec![0u32; n];
-    let mut ptr = vec![0u32; n + 1];
-    for &(_, to, _) in edges {
-        deps[to as usize] += 1;
-    }
-    for &(from, _, _) in edges {
-        ptr[from as usize + 1] += 1;
-    }
-    for i in 0..n {
-        ptr[i + 1] += ptr[i];
-    }
-    let mut heads = ptr[..n].to_vec();
-    let mut succ = vec![0u32; edges.len()];
-    let mut bytes = vec![0u64; edges.len()];
-    for &(from, to, b) in edges {
-        let s = heads[from as usize] as usize;
-        heads[from as usize] += 1;
-        succ[s] = to;
-        bytes[s] = b;
-    }
-    TaskGraph {
-        nranks,
-        task_prio: vec![0; n],
-        task_kind: vec![TaskKind::Compute; n],
-        task_tag: tasks.iter().map(|&(_, _, c)| pack_task_tag(c, 0)).collect(),
-        task_deps: deps,
-        task_rank: tasks.iter().map(|&(r, _, _)| r as u32).collect(),
-        task_flops: tasks.iter().map(|&(_, f, _)| f).collect(),
-        succ_ptr: ptr,
-        succ,
-        succ_bytes: bytes,
-    }
+    let tasks = tasks
+        .iter()
+        .map(|&(r, f, c)| Task::new(r, f, 0, TaskKind::Compute, pack_task_tag(c, 0)))
+        .collect();
+    TaskGraph::from_edge_list(nranks, tasks, edges)
 }
 
 /// The telescoping identity on the DES backend: on a serial cross-rank

@@ -49,6 +49,12 @@ impl CollectiveTree {
         &self.members
     }
 
+    /// Children of `members()[i]`, as indices into [`Self::members`] —
+    /// the allocation- and search-free way to walk the tree.
+    pub fn children_at(&self, i: usize) -> &[usize] {
+        &self.children[i]
+    }
+
     /// Position of `rank` among the members, if it participates.
     fn index_of(&self, rank: usize) -> Option<usize> {
         self.members.iter().position(|&m| m == rank)
