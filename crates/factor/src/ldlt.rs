@@ -1,8 +1,10 @@
 //! Right-looking supernodal LDLᵀ factorization.
 
-use crate::panel::{locate_row, Panel, RowPos};
-use pselinv_dense::kernels::{trsm_left_lower, trsm_left_lower_trans, trsm_right_lower_trans};
-use pselinv_dense::{gemm, ldlt_factor, Mat, Transpose};
+use crate::panel::{relative_indices, scatter_lower, zeroed, Panel};
+use pselinv_dense::kernels::{
+    gemm_raw, trsm_left_lower, trsm_left_lower_trans, trsm_right_lower_trans,
+};
+use pselinv_dense::{ldlt_factor, Mat, Transpose};
 use pselinv_order::SymbolicFactor;
 use pselinv_sparse::SparseMatrix;
 use std::sync::Arc;
@@ -83,82 +85,90 @@ pub fn factorize(
         return Err(FactorError::ShapeMismatch { matrix_n: a.nrows(), symbolic_n: sf.n });
     }
     let permuted = a.permute_sym(sf.perm.new_of_old());
-
-    // Scatter the lower triangle of the permuted matrix into panels.
     let ns = sf.num_supernodes();
     let mut panels: Vec<Panel> = (0..ns).map(|s| Panel::zeros(sf, s)).collect();
-    for j in 0..sf.n {
-        let s = sf.part.col_to_sn[j];
-        let jl = j - sf.first_col(s);
-        let (rows, vals) = (permuted.col_rows(j), permuted.col_values(j));
-        for (&i, &v) in rows.iter().zip(vals) {
-            if i < j {
-                continue;
-            }
-            match locate_row(sf, s, i) {
-                RowPos::Diag(il) => panels[s].diag[(il, jl)] = v,
-                RowPos::Below(il) => panels[s].below[(il, jl)] = v,
-            }
-        }
-    }
+    // One workspace for the whole factorization, grown to the largest
+    // block: relative indices, the scaled block B·D and the update U.
+    let (mut idx, mut bd, mut u) = (Vec::new(), Vec::new(), Vec::new());
+    scatter_lower(sf, &permuted, &mut panels, &mut idx);
 
     // Right-looking factorization over supernodes in ascending order.
     for s in 0..ns {
         let w = sf.width(s);
+        // The source panel and its ancestors (every target t > s) at once.
+        let (done, ancestors) = panels.split_at_mut(s + 1);
+        let Panel { diag, below } = &mut done[s];
+
         // 1. Factor the diagonal block.
-        ldlt_factor(&mut panels[s].diag)
-            .map_err(|e| FactorError::Singular { supernode: s, pivot: e.pivot })?;
+        ldlt_factor(diag).map_err(|e| FactorError::Singular { supernode: s, pivot: e.pivot })?;
 
         // 2. Normalize the below panel: L_R = A_R L⁻ᵀ D⁻¹.
-        {
-            let (diag, below) = {
-                let p = &mut panels[s];
-                // split borrow: clone diag (small) to keep the code simple
-                (p.diag.clone(), &mut p.below)
-            };
-            trsm_right_lower_trans(below, &diag, true);
-            for jl in 0..w {
-                let d = diag[(jl, jl)];
-                for v in below.col_mut(jl) {
-                    *v /= d;
-                }
+        trsm_right_lower_trans(below, diag, true);
+        for jl in 0..w {
+            let d = diag[(jl, jl)];
+            for v in below.col_mut(jl) {
+                *v /= d;
             }
         }
 
         // 3. Update ancestors: for each target block, subtract
         //    L_{R',s} · D_s · L_{Rb,s}ᵀ from the ancestor panel.
-        let rows = sf.rows_of(s).to_vec();
-        let nrows = rows.len();
-        let d: Vec<f64> = (0..w).map(|jl| panels[s].diag[(jl, jl)]).collect();
-        let blocks: Vec<_> = sf.blocks_of(s).to_vec();
+        //
+        //    Bit-identical to the per-entry loop it replaced (pinned by
+        //    `tests/golden.rs`): every GEMM keeps its `(m, nb, w)` shape and
+        //    operand values — only A's leading dimension changed, and the
+        //    packing and the scalar path read the same values in the same
+        //    order — and U starts from +0.0 as the fresh zero matrix did.
+        //    Each target entry still receives at most one contribution per
+        //    source supernode (blocks of `s` hit distinct targets), applied
+        //    in ascending `s`, so the order of the subtractions is the same.
+        //    Shapes are kept on purpose: grouping blocks into wider GEMMs
+        //    bought nothing measurable, and one `r×r` GEMM per supernode
+        //    computed the unused upper half at 1.8× the time.
+        let rows = sf.rows_of(s);
+        let r = rows.len();
         let rp = sf.rows_ptr[s];
-        for b in &blocks {
-            let target = b.sn;
+        for b in sf.blocks_of(s) {
             let lb = b.rows_begin - rp;
-            let nb = b.rows_end - b.rows_begin;
-            let m = nrows - lb;
-            // B2D = rows [lb, lb+nb) of `below`, columns scaled by D.
-            let mut b2d = panels[s].below.submatrix(lb, 0, nb, w);
+            let (nb, m) = (b.nrows(), r - lb);
+            // Positions of rows[lb..] in the target: the block's own rows
+            // are the target's columns (the diagonal prefix), the rest lie
+            // in its below panel.
+            let ndiag = relative_indices(sf, b.sn, &rows[lb..], &mut idx);
+            debug_assert_eq!(ndiag, nb);
+            // B·D = rows [lb, lb+nb) of `below`, columns scaled by D.
+            bd.clear();
             for jl in 0..w {
-                for v in b2d.col_mut(jl) {
-                    *v *= d[jl];
-                }
+                let d = diag[(jl, jl)];
+                bd.extend(below.col(jl)[lb..lb + nb].iter().map(|v| v * d));
             }
-            let b1 = panels[s].below.submatrix(lb, 0, m, w);
-            let mut u = Mat::zeros(m, nb);
-            gemm(1.0, &b1, Transpose::No, &b2d, Transpose::Yes, 0.0, &mut u);
-
-            let first_t = sf.first_col(target);
-            for q in 0..nb {
-                let c = rows[lb + q];
-                let cl = c - first_t;
-                for p in q..m {
-                    let i = rows[lb + p];
-                    match locate_row(sf, target, i) {
-                        RowPos::Diag(il) => panels[target].diag[(il, cl)] -= u[(p, q)],
-                        RowPos::Below(il) => panels[target].below[(il, cl)] -= u[(p, q)],
-                    }
-                }
+            // U = L_{R',s} · (B·D)ᵀ, with L_{R',s} read in place as rows
+            // lb..r of `below` (leading dimension r).
+            let u = zeroed(&mut u, m * nb);
+            // SAFETY: `below` holds r×w values, so rows lb..r of its w
+            // columns under leading dimension r end inside it; `bd` is
+            // nb×w; `u` is m×nb and a distinct allocation from both.
+            unsafe {
+                gemm_raw(
+                    m,
+                    nb,
+                    w,
+                    1.0,
+                    below.data()[lb..].as_ptr(),
+                    r,
+                    Transpose::No,
+                    bd.as_ptr(),
+                    nb,
+                    Transpose::Yes,
+                    1.0,
+                    u.as_mut_ptr(),
+                    m,
+                );
+            }
+            // Column q of U updates target column idx[q], rows q..m.
+            let target = &mut ancestors[b.sn - s - 1];
+            for (q, ucol) in u.chunks_exact(m).enumerate() {
+                target.scatter_col(idx[q], &idx[q..], ndiag - q, &ucol[q..], |x, v| *x -= v);
             }
         }
     }
@@ -280,6 +290,7 @@ impl LdlFactor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pselinv_dense::gemm;
     use pselinv_order::{analyze, AnalyzeOptions, OrderingChoice};
     use pselinv_sparse::gen;
 

@@ -7,9 +7,9 @@
 //! does for its symbolic phase), and diagonal blocks are factored without
 //! pivoting (static pivoting — the workload generators keep pivots safe).
 
-use crate::panel::{locate_row, Panel, RowPos};
-use pselinv_dense::kernels::{trsm_left_lower, trsm_right_lower_trans};
-use pselinv_dense::{gemm, Mat, Transpose};
+use crate::panel::{relative_indices, scatter_lower, zeroed, Panel};
+use pselinv_dense::kernels::{gemm_raw, trsm_left_lower, trsm_right_lower_trans};
+use pselinv_dense::{Mat, Transpose};
 use pselinv_order::SymbolicFactor;
 use pselinv_sparse::SparseMatrix;
 use std::sync::Arc;
@@ -49,63 +49,64 @@ pub fn factorize_lu(
     let mut uright: Vec<Mat> =
         (0..ns).map(|s| Mat::zeros(sf.rows_of(s).len(), sf.width(s))).collect();
 
-    // Scatter A: lower entries into l panels, upper into diag/uright.
-    for j in 0..sf.n {
-        let s = sf.part.col_to_sn[j];
-        let jl = j - sf.first_col(s);
-        for (&i, &v) in permuted.col_rows(j).iter().zip(permuted.col_values(j)) {
-            if i >= j {
-                // lower triangle: element of L-side storage of supernode s
-                match locate_row(sf, s, i) {
-                    RowPos::Diag(il) => l[s].diag[(il, jl)] = v,
-                    RowPos::Below(il) => l[s].below[(il, jl)] = v,
-                }
+    // One workspace for the whole factorization: relative indices and the
+    // two updates.
+    let (mut idx, mut ul, mut uu) = (Vec::new(), Vec::new(), Vec::new());
+
+    // Scatter A: lower entries into the l panels; upper entries A_ij, i < j,
+    // walked as column i of Aᵀ (rows sorted), into row i of supernode
+    // t = sn(i): diag's upper part for j < end_col(t), else uright.
+    scatter_lower(sf, &permuted, &mut l, &mut idx);
+    let upper = permuted.transpose();
+    for i in 0..sf.n {
+        let t = sf.part.col_to_sn[i];
+        let il = i - sf.first_col(t);
+        let cols = upper.col_rows(i);
+        let start = cols.partition_point(|&j| j <= i);
+        let ndiag = relative_indices(sf, t, &cols[start..], &mut idx);
+        for (k, (&pos, &v)) in idx.iter().zip(&upper.col_values(i)[start..]).enumerate() {
+            if k < ndiag {
+                l[t].diag[(il, pos)] = v;
             } else {
-                // upper triangle: A_ij with i < j → row supernode t = sn(i)
-                let t = sf.part.col_to_sn[i];
-                let il = i - sf.first_col(t);
-                if j < sf.end_col(t) {
-                    l[t].diag[(il, j - sf.first_col(t))] = v;
-                } else {
-                    match sf.rows_of(t).binary_search(&j) {
-                        Ok(p) => uright[t][(p, il)] = v,
-                        Err(_) => panic!("upper entry ({i},{j}) outside symmetrized structure"),
-                    }
-                }
+                uright[t][(pos, il)] = v;
             }
         }
     }
 
     for s in 0..ns {
         let w = sf.width(s);
+        // The source panels and their ancestors (every target t > s) at once.
+        let (l_done, l_anc) = l.split_at_mut(s + 1);
+        let (u_done, u_anc) = uright.split_at_mut(s + 1);
+        let Panel { diag: dblk, below } = &mut l_done[s];
+        let uhat = &mut u_done[s];
+
         // 1. Unpivoted LU of the diagonal block (in place: unit L + U).
-        {
-            let dblk = &mut l[s].diag;
-            for k in 0..w {
-                let d = dblk[(k, k)];
-                if d.abs() < f64::EPSILON * 16.0 {
-                    return Err(FactorError::Singular { supernode: s, pivot: k });
+        for k in 0..w {
+            let d = dblk[(k, k)];
+            if d.abs() < f64::EPSILON * 16.0 {
+                return Err(FactorError::Singular { supernode: s, pivot: k });
+            }
+            for i in (k + 1)..w {
+                dblk[(i, k)] /= d;
+            }
+            for j in (k + 1)..w {
+                let ukj = dblk[(k, j)];
+                if ukj == 0.0 {
+                    continue;
                 }
                 for i in (k + 1)..w {
-                    dblk[(i, k)] /= d;
-                }
-                for j in (k + 1)..w {
-                    let ukj = dblk[(k, j)];
-                    if ukj == 0.0 {
-                        continue;
-                    }
-                    for i in (k + 1)..w {
-                        let lik = dblk[(i, k)];
-                        dblk[(i, j)] -= lik * ukj;
-                    }
+                    let lik = dblk[(i, k)];
+                    dblk[(i, j)] -= lik * ukj;
                 }
             }
         }
-        let dblk = l[s].diag.clone();
 
         // 2. Panel solves: L_{R,K} = A_{R,K} U_{K,K}⁻¹ and
-        //    U_{K,R}ᵀ = A_{K,R}ᵀ L_{K,K}⁻ᵀ.
-        {
+        //    U_{K,R}ᵀ = A_{K,R}ᵀ L_{K,K}⁻ᵀ. Nothing to solve for a root.
+        let rows = sf.rows_of(s);
+        let r = rows.len();
+        if r > 0 {
             // X·U = B  ⇔  X·(Uᵀ)ᵀ = B with Uᵀ lower (non-unit).
             let mut ut = Mat::zeros(w, w);
             for j in 0..w {
@@ -113,53 +114,74 @@ pub fn factorize_lu(
                     ut[(j, i)] = dblk[(i, j)];
                 }
             }
-            trsm_right_lower_trans(&mut l[s].below, &ut, false);
-            trsm_right_lower_trans(&mut uright[s], &dblk, true);
+            trsm_right_lower_trans(below, &ut, false);
+            trsm_right_lower_trans(uhat, dblk, true);
         }
 
         // 3. Updates to ancestors: A_{i,c} -= L_{i,K} U_{K,c} (lower) and
-        //    A_{c,i} -= L_{c,K} U_{K,i} (upper).
-        let rows = sf.rows_of(s).to_vec();
-        let nrows = rows.len();
+        //    A_{c,i} -= L_{c,K} U_{K,i} (upper). Both GEMM operands are read
+        //    in place at row lb of the source panels (leading dimension r);
+        //    bit-identity holds by the argument in `ldlt::factorize`.
         let rp = sf.rows_ptr[s];
-        let blocks: Vec<_> = sf.blocks_of(s).to_vec();
-        for b in &blocks {
-            let target = b.sn;
+        for b in sf.blocks_of(s) {
             let lb = b.rows_begin - rp;
-            let nb = b.rows_end - b.rows_begin;
-            let m = nrows - lb;
-            let l_all = l[s].below.submatrix(lb, 0, m, w);
-            let u_all = uright[s].submatrix(lb, 0, m, w);
-            let l_blk = l[s].below.submatrix(lb, 0, nb, w);
-            let u_blk = uright[s].submatrix(lb, 0, nb, w);
-            // lower update: L_all · U_blkᵀ  (m × nb)
-            let mut ul = Mat::zeros(m, nb);
-            gemm(1.0, &l_all, Transpose::No, &u_blk, Transpose::Yes, 0.0, &mut ul);
-            // upper update: U_all · L_blkᵀ  (m × nb)
-            let mut uu = Mat::zeros(m, nb);
-            gemm(1.0, &u_all, Transpose::No, &l_blk, Transpose::Yes, 0.0, &mut uu);
+            let (nb, m) = (b.nrows(), r - lb);
+            let ndiag = relative_indices(sf, b.sn, &rows[lb..], &mut idx);
+            debug_assert_eq!(ndiag, nb);
+            let ul = zeroed(&mut ul, m * nb);
+            let uu = zeroed(&mut uu, m * nb);
+            // SAFETY: `below` and `uhat` each hold r×w values, so rows lb..r
+            // (and lb..lb+nb) of their w columns under leading dimension r
+            // end inside them; `ul`/`uu` are m×nb, distinct allocations.
+            unsafe {
+                let (lp, up) = (below.data()[lb..].as_ptr(), uhat.data()[lb..].as_ptr());
+                // lower update: L_all · U_blkᵀ  (m × nb)
+                gemm_raw(
+                    m,
+                    nb,
+                    w,
+                    1.0,
+                    lp,
+                    r,
+                    Transpose::No,
+                    up,
+                    r,
+                    Transpose::Yes,
+                    1.0,
+                    ul.as_mut_ptr(),
+                    m,
+                );
+                // upper update: U_all · L_blkᵀ  (m × nb)
+                gemm_raw(
+                    m,
+                    nb,
+                    w,
+                    1.0,
+                    up,
+                    r,
+                    Transpose::No,
+                    lp,
+                    r,
+                    Transpose::Yes,
+                    1.0,
+                    uu.as_mut_ptr(),
+                    m,
+                );
+            }
 
-            let first_t = sf.first_col(target);
-            let end_t = sf.end_col(target);
-            for q in 0..nb {
-                let c = rows[lb + q];
-                let cl = c - first_t;
-                for p in q..m {
-                    let i = rows[lb + p];
-                    // lower target (i, c), i >= c
-                    match locate_row(sf, target, i) {
-                        RowPos::Diag(il) => l[target].diag[(il, cl)] -= ul[(p, q)],
-                        RowPos::Below(il) => l[target].below[(il, cl)] -= ul[(p, q)],
-                    }
-                    // upper target (c, i), i > c
-                    if p > q {
-                        if i < end_t {
-                            l[target].diag[(cl, i - first_t)] -= uu[(p, q)];
-                        } else {
-                            let pos = sf.rows_of(target).binary_search(&i).expect("structure");
-                            uright[target][(pos, cl)] -= uu[(p, q)];
-                        }
-                    }
+            let (tl, tu) = (&mut l_anc[b.sn - s - 1], &mut u_anc[b.sn - s - 1]);
+            for (q, (lcol, ucol)) in ul.chunks_exact(m).zip(uu.chunks_exact(m)).enumerate() {
+                let cl = idx[q];
+                // lower targets (i, c), i >= c
+                tl.scatter_col(cl, &idx[q..], ndiag - q, &lcol[q..], |x, v| *x -= v);
+                // upper targets (c, i), i > c: row cl of diag, then column
+                // cl of uright
+                for p in (q + 1)..ndiag {
+                    tl.diag[(cl, idx[p])] -= ucol[p];
+                }
+                let tucol = tu.col_mut(cl);
+                for (&pos, &v) in idx[ndiag..].iter().zip(&ucol[ndiag..]) {
+                    tucol[pos] -= v;
                 }
             }
         }
@@ -266,6 +288,7 @@ impl LuFactor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pselinv_dense::gemm;
     use pselinv_order::{analyze, AnalyzeOptions};
     use pselinv_sparse::gen;
     use rand::rngs::StdRng;
