@@ -4,26 +4,21 @@
 //! cargo run --release -p pselinv-bench --bin figures -- all
 //! cargo run --release -p pselinv-bench --bin figures -- table1 fig8a
 //! cargo run --release -p pselinv-bench --bin figures -- --out results/ fig9
-//! cargo run --release -p pselinv-bench --bin figures -- perf
-//! cargo run --release -p pselinv-bench --bin figures -- regress
 //! ```
 //!
-//! Artifacts (text + JSON/CSV) land in `target/figures/` by default. The
-//! measured targets (`perf`, `async`, `pool`, `poles`, `faults`, `trace`) additionally
-//! archive their machine-readable outputs into `results/runs/` so that
-//! `regress` can diff the newest perf run against the committed baseline
-//! (`results/baseline.json`); `regress` exits nonzero on regression.
+//! Artifacts (text + JSON/CSV) land in `target/figures/` by default and
+//! nowhere else. Performance is measured by the repo benchmark
+//! (`benchmark/`), not by this binary.
 
 use pselinv_bench::experiments::{self, OutDir};
-use pselinv_bench::{regress, workloads};
-use std::path::Path;
+use pselinv_bench::workloads;
 use std::time::Instant;
 
 const USAGE: &str = "\
 usage: figures [--out DIR] [--seeds N] [--grid D] TARGET+
 
 paper artifacts:
-  all        every target below (except regress/baseline)
+  all        every target below
   table1     Table I  — Col-Bcast volume per scheme (audikw_1 proxy, 46x46)
   table2     Table II — Row-Reduce volume per scheme
   fig4       volume histograms per scheme
@@ -37,26 +32,13 @@ profiling & runtime:
   critpath   DES critical-path extraction
   bench-smoke smoke-sized kernel/collective benchmark table
 
-measured targets (archived into results/runs/):
-  perf       blocked-kernel throughput, zero-copy accounting, selinv walls
-  async      async-engine overlap sweep
-  pool       intra-rank task runtime: serial vs fork-join vs work-stealing
-             pool wall times across thread counts (PSELINV_POOL_THREADS
-             restricts the sweep), with bit-identity asserted per point
-  poles      pole-batch engine: batched multi-shift selected inversions vs
-             standalone per-pole runs, both under one modeled NIC latency
-             (PSELINV_POLES_THREADS restricts the sweep,
-             PSELINV_POLES_DELAY_US overrides the latency), with per-pole
-             bit-identity + volume equality asserted
+engines, faults & ablations:
+  async      sync vs async engine: wall, late-sender wait and overlap per
+             scheme, with bit-identity + volume equality asserted
   faults     degraded-tree resilience under rank crashes
   recovery   live broadcast storm with online crash recovery (asserts
              100% survivor delivery vs the no-rebuild stranded baseline)
   ablation-nic|ablation-shift|ablation-arity  model ablations
-
-perf-regression sentinel:
-  regress    diff newest archived perf run vs results/baseline.json;
-             exits 1 if any metric leaves its threshold band
-  baseline   (re)write results/baseline.json from the newest perf run
 
 options:
   --out DIR   artifact directory            (default target/figures)
@@ -106,12 +88,9 @@ fn main() {
             "hotspots",
             "critpath",
             "bench-smoke",
-            "perf",
             "faults",
             "recovery",
             "async",
-            "pool",
-            "poles",
             "ablation-nic",
             "ablation-shift",
             "ablation-arity",
@@ -122,8 +101,6 @@ fn main() {
     }
 
     let out = OutDir::new(&out_path).expect("cannot create output directory");
-    let runs_dir = Path::new(regress::RUNS_DIR);
-    let baseline = Path::new(regress::BASELINE);
     for t in &targets {
         let t0 = Instant::now();
         let txt = match t.as_str() {
@@ -140,24 +117,12 @@ fn main() {
             "hotspots" => experiments::hotspots(&out, grid),
             "critpath" => experiments::critpath(&out, grid),
             "bench-smoke" => experiments::bench_smoke(&out),
-            "perf" => experiments::perf(&out),
             "faults" => experiments::faults(&out),
             "recovery" => experiments::recovery(&out),
             "async" => experiments::async_overlap(&out),
-            "pool" => experiments::pool_runtime(&out),
-            "poles" => experiments::poles(&out),
             "ablation-nic" => experiments::ablation_nic(&out),
             "ablation-shift" => experiments::ablation_shift(&out),
             "ablation-arity" => experiments::ablation_arity(&out),
-            "baseline" => regress::write_baseline(runs_dir, baseline),
-            "regress" => match regress::regress(runs_dir, baseline) {
-                Ok((txt, true)) => Ok(txt),
-                Ok((txt, false)) => {
-                    println!("{txt}");
-                    std::process::exit(1);
-                }
-                Err(e) => Err(e),
-            },
             other => {
                 eprintln!("unknown target: {other}\n\n{USAGE}");
                 std::process::exit(2);
@@ -165,27 +130,6 @@ fn main() {
         }
         .unwrap_or_else(|e| panic!("experiment {t} failed: {e}"));
         println!("{txt}");
-
-        // Archive the measured targets so `regress` has a run history.
-        let archived: Option<&[&str]> = match t.as_str() {
-            "perf" => Some(&["BENCH_perf.json", "perf.txt"]),
-            "async" => Some(&["BENCH_async.json", "async_overlap.txt"]),
-            "pool" => Some(&["BENCH_pool.json", "pool.txt"]),
-            "poles" => Some(&["BENCH_poles.json", "poles.txt"]),
-            "faults" => Some(&["BENCH_fault.json", "faults.txt"]),
-            "recovery" => Some(&["BENCH_recovery.json", "recovery.txt"]),
-            "trace" => Some(&[
-                "trace_profile.txt",
-                "trace_flat_tree.trace.json",
-                "trace_shifted_binary_tree.trace.json",
-            ]),
-            _ => None,
-        };
-        if let Some(files) = archived {
-            let dir = regress::archive_run(Path::new(&out_path), runs_dir, t, files)
-                .expect("cannot archive run");
-            eprintln!("[archived into {}]", dir.display());
-        }
         eprintln!("[{t} done in {:.1?}; artifacts in {out_path}]", t0.elapsed());
     }
 }

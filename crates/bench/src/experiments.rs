@@ -462,8 +462,7 @@ pub fn trace_profile(out: &OutDir) -> std::io::Result<String> {
     for (name, scheme) in
         [("Flat-Tree", TreeScheme::Flat), ("Shifted Binary-Tree", TreeScheme::ShiftedBinary)]
     {
-        let opts =
-            DistOptions { scheme, seed: TREE_SEED, threads: 1, lookahead: 1, ..Default::default() };
+        let opts = DistOptions { scheme, seed: TREE_SEED, threads: 1, lookahead: 1 };
         let (_, _, trace) = distributed_selinv_traced(&f, grid, &opts, name);
         // Measured bytes must equal the structural prediction exactly.
         let layout = Layout::new(sf.clone(), grid);
@@ -697,199 +696,6 @@ pub fn bench_smoke(out: &OutDir) -> std::io::Result<String> {
     Ok(txt)
 }
 
-/// Perf benchmark harness (`figures -- perf`): measures the numeric core
-/// rather than a paper artifact —
-///
-/// 1. blocked vs naive GEMM throughput (GFLOP/s) across shapes, including
-///    the 256³ headline comparison;
-/// 2. physical bytes copied by a 64-rank Shifted Binary-Tree broadcast
-///    under zero-copy `Arc` payload forwarding, against the copy-per-hop
-///    cost a buffer-per-send implementation pays (the run aborts if the
-///    broadcast copies more than the root's single packing);
-/// 3. the traced numeric selected inversion per tree scheme: wall time,
-///    physically copied bytes, logical volume and the DES makespan of the
-///    same layout — with the trace/replay byte identity asserted, so CI
-///    fails if the zero-copy paths ever change what is logically sent.
-///
-/// Emits `BENCH_perf.json` (uploaded by the CI `perf-smoke` job) plus
-/// `perf.txt`.
-pub fn perf(out: &OutDir) -> std::io::Result<String> {
-    use pselinv_dense::{gemm, gemm_naive, Mat, Transpose};
-    use pselinv_dist::{distributed_selinv_traced, DistOptions};
-    use pselinv_mpisim::collectives::tree_bcast;
-    use pselinv_order::{analyze, AnalyzeOptions};
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    fn rand_mat(nrows: usize, ncols: usize, seed: u64) -> Mat {
-        let mut state = seed | 1;
-        let mut m = Mat::zeros(nrows, ncols);
-        for j in 0..ncols {
-            for i in 0..nrows {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                m[(i, j)] = (state as f64 / u64::MAX as f64) - 0.5;
-            }
-        }
-        m
-    }
-    fn best_secs(reps: usize, mut f: impl FnMut()) -> f64 {
-        f(); // warmup
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            f();
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best
-    }
-
-    // Deterministic degrade knob for the regression sentinel's CI
-    // self-test: report figures as if the optimisations were lost — the
-    // naive kernel's throughput as the blocked one, the copy-per-hop
-    // model as the measured copies. `figures -- regress` must then fail.
-    let degrade = std::env::var_os("PSELINV_PERF_DEGRADE").is_some_and(|v| v != "0");
-
-    let mut txt = String::from("Perf: blocked kernels and zero-copy payloads\n\n");
-    if degrade {
-        txt.push_str("!! PSELINV_PERF_DEGRADE set: reporting artificially degraded figures\n\n");
-    }
-
-    // 1. Kernel throughput by shape.
-    txt.push_str("GEMM C = A*B (GFLOP/s, best of 3)\n");
-    let shapes = [(64usize, 64usize, 64usize), (128, 128, 128), (256, 256, 256), (192, 96, 384)];
-    let mut gemm_rows = Vec::new();
-    for &(m, n, kk) in &shapes {
-        let a = rand_mat(m, kk, 1);
-        let b = rand_mat(kk, n, 2);
-        let mut c1 = Mat::zeros(m, n);
-        let mut c2 = Mat::zeros(m, n);
-        let flops = 2.0 * m as f64 * n as f64 * kk as f64;
-        let tn =
-            best_secs(3, || gemm_naive(1.0, &a, Transpose::No, &b, Transpose::No, 0.0, &mut c1));
-        let tb = best_secs(3, || gemm(1.0, &a, Transpose::No, &b, Transpose::No, 0.0, &mut c2));
-        let (gn, mut gb) = (flops / tn / 1e9, flops / tb / 1e9);
-        if degrade {
-            gb = gn; // blocked kernel "lost": speedup collapses to 1.0
-        }
-        let _ = writeln!(
-            txt,
-            "  {m:>3}x{n:>3}x{kk:>3}: naive {gn:6.2}, blocked {gb:6.2} ({:.2}x)",
-            gb / gn
-        );
-        gemm_rows.push(Json::obj([
-            ("m", m.into()),
-            ("n", n.into()),
-            ("k", kk.into()),
-            ("naive_gflops", gn.into()),
-            ("blocked_gflops", gb.into()),
-            ("speedup", (gb / gn).into()),
-        ]));
-    }
-
-    // 2. Zero-copy broadcast: one packing copy regardless of fan-out.
-    const NRANKS: usize = 64;
-    const PAYLOAD_F64S: usize = 32 * 1024; // 256 KiB
-    let receivers: Vec<usize> = (1..NRANKS).collect();
-    let tree = TreeBuilder::new(TreeScheme::ShiftedBinary, TREE_SEED).build(0, &receivers, 0);
-    let (_, volumes) = pselinv_mpisim::run(NRANKS, |ctx| {
-        tree_bcast(ctx, &tree, 0, (ctx.rank() == 0).then(|| vec![1.0; PAYLOAD_F64S]));
-    });
-    let payload_bytes = (PAYLOAD_F64S * 8) as u64;
-    let bcast_copied: u64 = volumes.iter().map(|v| v.copied).sum();
-    let bcast_sent: u64 = volumes.iter().map(|v| v.sent).sum();
-    let per_hop_model = payload_bytes * (NRANKS as u64 - 1);
-    assert_eq!(
-        bcast_copied, payload_bytes,
-        "a {NRANKS}-rank broadcast must physically copy exactly the root's one packing"
-    );
-    let bcast_copied = if degrade { per_hop_model } else { bcast_copied };
-    let _ = writeln!(
-        txt,
-        "\nZero-copy broadcast ({NRANKS} ranks, Shifted Binary-Tree, {} KiB payload)\n  \
-         copied {} KiB measured vs {} KiB copy-per-hop model ({}x less); \
-         logical volume {} KiB unchanged",
-        payload_bytes / 1024,
-        bcast_copied / 1024,
-        per_hop_model / 1024,
-        per_hop_model / bcast_copied,
-        bcast_sent / 1024
-    );
-
-    // 3. Numeric selected inversion per scheme, with the replay identity.
-    txt.push_str("\nNumeric selected inversion (FEM 6x6x6 proxy, 3x3 grid)\n");
-    let w = pselinv_sparse::gen::fem_3d(6, 6, 6, 1, 0x7ace);
-    let sf = Arc::new(analyze(&w.matrix.pattern(), &AnalyzeOptions::default()));
-    let f = pselinv_factor::factorize(&w.matrix, sf.clone()).expect("proxy FEM matrix must factor");
-    let grid = Grid2D::new(3, 3);
-    let layout = Layout::new(sf.clone(), grid);
-    let mut selinv_rows = Vec::new();
-    for (name, scheme) in schemes_with_names() {
-        let opts =
-            DistOptions { scheme, seed: TREE_SEED, threads: 1, lookahead: 1, ..Default::default() };
-        let t0 = Instant::now();
-        let (_, vols, trace) = distributed_selinv_traced(&f, grid, &opts, name);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        // The zero-copy refactor must not move a single logical byte:
-        // traced per-rank totals stay exactly equal to the structural
-        // replay. CI runs this target, so a divergence fails the build.
-        let rep = replay_volumes(&layout, TreeBuilder::new(scheme, TREE_SEED));
-        assert_eq!(
-            trace.sent_bytes(CollKind::ColBcast),
-            rep.col_bcast_sent,
-            "{name}: traced Col-Bcast bytes diverge from the volume replay"
-        );
-        assert_eq!(
-            trace.recv_bytes(CollKind::RowReduce),
-            rep.row_reduce_received,
-            "{name}: traced Row-Reduce bytes diverge from the volume replay"
-        );
-        let mut copied: u64 = vols.iter().map(|v| v.copied).sum();
-        let sent: u64 = vols.iter().map(|v| v.sent).sum();
-        if degrade {
-            copied *= 4; // zero-copy path "lost": forwarding hops copy again
-        }
-        let g = selinv_graph(&layout, &GraphOptions { scheme, seed: TREE_SEED, pipelining: true });
-        let makespan = simulate(&g, workloads::des_machine(0)).makespan;
-        let _ = writeln!(
-            txt,
-            "  {name:<22}: wall {wall_ms:7.1} ms, DES makespan {makespan:.4}s, \
-             copied {:>6} KiB, logical {:>6} KiB",
-            copied / 1024,
-            sent / 1024
-        );
-        selinv_rows.push(Json::obj([
-            ("scheme", Json::from(name)),
-            ("wall_ms", wall_ms.into()),
-            ("makespan_s", makespan.into()),
-            ("bytes_copied", copied.into()),
-            ("bytes_sent", sent.into()),
-        ]));
-    }
-
-    let doc = Json::obj([
-        ("bench", "perf".into()),
-        ("tree_seed", TREE_SEED.into()),
-        ("gemm", Json::Arr(gemm_rows)),
-        (
-            "bcast_zero_copy",
-            Json::obj([
-                ("nranks", NRANKS.into()),
-                ("scheme", "ShiftedBinary".into()),
-                ("payload_bytes", payload_bytes.into()),
-                ("copied_bytes_measured", bcast_copied.into()),
-                ("copied_bytes_per_hop_model", per_hop_model.into()),
-                ("logical_sent_bytes", bcast_sent.into()),
-            ]),
-        ),
-        ("selinv", Json::Arr(selinv_rows)),
-    ]);
-    out.write_json("BENCH_perf.json", &doc)?;
-    out.write_text("perf.txt", &txt)?;
-    Ok(txt)
-}
-
 /// Builds the task graph of a broadcast storm: every tree contributes one
 /// task per member (the member's local work on that broadcast) and one
 /// `payload`-byte message per tree edge. The DAG shape *is* the tree
@@ -1049,8 +855,8 @@ pub fn faults(out: &OutDir) -> std::io::Result<String> {
 /// baseline the DES replay assigns each scheme (deep trees lose whole
 /// dependency cones).
 ///
-/// Emits `BENCH_recovery.json` (uploaded by the CI `recovery` job and
-/// archived into `results/runs/`) plus `recovery.txt`.
+/// Emits `BENCH_recovery.json` (uploaded by the CI `recovery` job) plus
+/// `recovery.txt`.
 pub fn recovery(out: &OutDir) -> std::io::Result<String> {
     use pselinv_mpisim::{try_run_recover, Recovery, RecoveryConfig, ReliableConfig, RunOptions};
     use std::time::Duration;
@@ -1239,8 +1045,7 @@ pub fn recovery(out: &OutDir) -> std::io::Result<String> {
 /// identical per-rank volume counters, and measured bytes equal to the
 /// structural replay — so the benchmark doubles as an acceptance check.
 ///
-/// Emits `BENCH_async.json` (uploaded by the CI `async-smoke` job) plus
-/// `async_overlap.txt`.
+/// Emits `BENCH_async.json` plus `async_overlap.txt`.
 pub fn async_overlap(out: &OutDir) -> std::io::Result<String> {
     use pselinv_dist::{distributed_selinv_traced, DistOptions};
     use pselinv_order::{analyze, AnalyzeOptions};
@@ -1266,13 +1071,7 @@ pub fn async_overlap(out: &OutDir) -> std::io::Result<String> {
     );
     let mut rows: Vec<Json> = Vec::new();
     for (name, scheme) in schemes_with_names() {
-        let mk = |lookahead| DistOptions {
-            scheme,
-            seed: TREE_SEED,
-            threads: 1,
-            lookahead,
-            ..Default::default()
-        };
+        let mk = |lookahead| DistOptions { scheme, seed: TREE_SEED, threads: 1, lookahead };
         let t0 = Instant::now();
         let (sync, sync_vol, sync_trace) =
             distributed_selinv_traced(&f, grid, &mk(1), &format!("{name}/sync"));
@@ -1346,401 +1145,6 @@ pub fn async_overlap(out: &OutDir) -> std::io::Result<String> {
     ]);
     out.write_json("BENCH_async.json", &doc)?;
     out.write_text("async_overlap.txt", &txt)?;
-    Ok(txt)
-}
-
-/// Intra-rank task-runtime comparison (`figures -- pool`).
-///
-/// Runs the real numeric selected inversion of the 46×46 grid Laplacian
-/// (n = 2,116) on a 2×2 mpisim grid, per tree scheme, under the three
-/// local executors — serial (`threads = 1`), the historical fork-join
-/// `thread::scope` splitter, and the persistent work-stealing pool — and
-/// sweeps the worker count. Reported per point: wall time, the pool's
-/// speedup over fork-join (the tentpole claim: the persistent pool
-/// amortizes the per-window spawn/join cost that fork-join pays on every
-/// supernode), the pool's executed/stolen task counters and its busy-time
-/// utilization. Along the way it *asserts* the runtime contract — panels
-/// bit-identical to the serial run and per-rank volume counters exactly
-/// equal for every executor, scheme and thread count.
-///
-/// `PSELINV_POOL_THREADS` (comma-separated, e.g. `2,4`) restricts the
-/// sweep — the CI threads matrix sets it so each job measures one point.
-///
-/// Emits `BENCH_pool.json` (archived into `results/runs/` and checked by
-/// `figures -- regress`) plus `pool.txt`.
-pub fn pool_runtime(out: &OutDir) -> std::io::Result<String> {
-    use pselinv_dist::{distributed_selinv_traced, DistOptions, TaskRuntime};
-    use pselinv_order::{analyze, AnalyzeOptions};
-    use pselinv_selinv::SelectedInverse;
-    use pselinv_trace::Trace;
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    let w = pselinv_sparse::gen::grid_laplacian_2d(46, 46);
-    let sf = Arc::new(analyze(&w.matrix.pattern(), &AnalyzeOptions::default()));
-    let f = pselinv_factor::factorize(&w.matrix, sf.clone()).expect("Laplacian must factor");
-    let grid = Grid2D::new(2, 2);
-    let nranks = grid.pr * grid.pc;
-    const LOOKAHEAD: usize = 4;
-    const REPS: usize = 2;
-
-    let threads_sweep: Vec<usize> = std::env::var("PSELINV_POOL_THREADS")
-        .ok()
-        .map(|s| s.split(',').filter_map(|t| t.trim().parse().ok()).collect())
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![2, 4, 8]);
-
-    fn assert_bits(a: &SelectedInverse, b: &SelectedInverse, what: &str) {
-        let sf = &a.symbolic;
-        for s in 0..sf.num_supernodes() {
-            for j in 0..sf.width(s) {
-                for i in 0..sf.width(s) {
-                    assert_eq!(
-                        a.panels[s].diag[(i, j)].to_bits(),
-                        b.panels[s].diag[(i, j)].to_bits(),
-                        "{what}: diag {s} diverged"
-                    );
-                }
-                for i in 0..sf.rows_of(s).len() {
-                    assert_eq!(
-                        a.panels[s].below[(i, j)].to_bits(),
-                        b.panels[s].below[(i, j)].to_bits(),
-                        "{what}: below {s} diverged"
-                    );
-                }
-            }
-        }
-    }
-
-    // Best-of-REPS wall time; keeps the last run's outputs for the
-    // identity checks and counters.
-    let bench = |opts: &DistOptions,
-                 label: &str|
-     -> (f64, SelectedInverse, Vec<pselinv_mpisim::RankVolume>, Trace) {
-        let mut best = f64::INFINITY;
-        let mut last = None;
-        for _ in 0..REPS {
-            let t0 = Instant::now();
-            let r = distributed_selinv_traced(&f, grid, opts, label);
-            best = best.min(t0.elapsed().as_secs_f64());
-            last = Some(r);
-        }
-        let (inv, vols, trace) = last.unwrap();
-        (best * 1e3, inv, vols, trace)
-    };
-
-    let mut txt = format!(
-        "Intra-rank task runtime: {} (n = {}) on a {}x{} grid, lookahead {LOOKAHEAD}\n\n\
-         {:<22} {:>7} {:>11} {:>11} {:>11} {:>8} {:>9} {:>7} {:>6}\n",
-        w.name,
-        w.matrix.nrows(),
-        grid.pr,
-        grid.pc,
-        "scheme",
-        "threads",
-        "serial ms",
-        "forkjoin ms",
-        "pool ms",
-        "speedup",
-        "executed",
-        "stolen",
-        "util"
-    );
-    let mut scheme_rows: Vec<Json> = Vec::new();
-    for (name, scheme) in
-        [("Flat-Tree", TreeScheme::Flat), ("Shifted Binary-Tree", TreeScheme::ShiftedBinary)]
-    {
-        let mk = |threads, runtime| DistOptions {
-            scheme,
-            seed: TREE_SEED,
-            threads,
-            runtime,
-            lookahead: LOOKAHEAD,
-        };
-        let (serial_ms, serial, serial_vol, _) =
-            bench(&mk(1, TaskRuntime::Pool), &format!("{name}/serial"));
-        let mut points: Vec<Json> = Vec::new();
-        for &t in &threads_sweep {
-            let (fj_ms, fj, fj_vol, _) =
-                bench(&mk(t, TaskRuntime::ForkJoin), &format!("{name}/forkjoin{t}"));
-            let (pool_ms, pool, pool_vol, pool_trace) =
-                bench(&mk(t, TaskRuntime::Pool), &format!("{name}/pool{t}"));
-
-            // The runtime contract: scheduling only, never arithmetic or
-            // communication.
-            assert_bits(&serial, &fj, &format!("{name} forkjoin t={t}"));
-            assert_bits(&serial, &pool, &format!("{name} pool t={t}"));
-            assert_eq!(serial_vol, fj_vol, "{name} t={t}: fork-join volumes diverged");
-            assert_eq!(serial_vol, pool_vol, "{name} t={t}: pool volumes diverged");
-
-            let executed: u64 = pool_trace.ranks.iter().map(|r| r.metrics.pool_executed).sum();
-            let stolen: u64 = pool_trace.ranks.iter().map(|r| r.metrics.pool_stolen).sum();
-            let busy_us: u64 = pool_trace.ranks.iter().map(|r| r.metrics.pool_busy_us).sum();
-            assert!(executed > 0, "{name} t={t}: pool executed no tasks");
-            // Fraction of the sweep point's worker-time spent inside tasks
-            // (scheduling-time accounting; the ranks time-share one host).
-            let util = busy_us as f64 / (pool_ms * 1e3 * (nranks * t) as f64);
-            let speedup = fj_ms / pool_ms;
-            let _ = writeln!(
-                txt,
-                "{name:<22} {t:>7} {serial_ms:>11.1} {fj_ms:>11.1} {pool_ms:>11.1} \
-                 {speedup:>7.2}x {executed:>9} {stolen:>7} {util:>6.3}"
-            );
-            points.push(Json::obj([
-                ("threads", t.into()),
-                ("serial_wall_ms", serial_ms.into()),
-                ("forkjoin_wall_ms", fj_ms.into()),
-                ("pool_wall_ms", pool_ms.into()),
-                ("pool_speedup_vs_forkjoin", speedup.into()),
-                ("pool_executed", executed.into()),
-                ("pool_stolen", stolen.into()),
-                ("pool_busy_us", busy_us.into()),
-                ("pool_utilization", util.into()),
-                ("bit_identical", true.into()),
-                ("volumes_identical", true.into()),
-            ]));
-        }
-        scheme_rows.push(Json::obj([
-            ("scheme", Json::from(name)),
-            ("serial_wall_ms", serial_ms.into()),
-            ("points", Json::Arr(points)),
-        ]));
-    }
-    let _ = writeln!(
-        txt,
-        "\n(speedup = fork-join wall / pool wall at equal thread count; util =\n\
-         pool busy-µs / (wall x ranks x threads); panels asserted bit-identical\n\
-         and volumes exactly equal to the serial run at every point)"
-    );
-    let doc = Json::obj([
-        ("bench", "pool".into()),
-        ("matrix", w.name.as_str().into()),
-        ("n", w.matrix.nrows().into()),
-        ("grid", format!("{}x{}", grid.pr, grid.pc).into()),
-        ("lookahead", (LOOKAHEAD as u64).into()),
-        ("tree_seed", TREE_SEED.into()),
-        ("threads_sweep", Json::Arr(threads_sweep.iter().map(|&t| Json::from(t as u64)).collect())),
-        ("schemes", Json::Arr(scheme_rows)),
-    ]);
-    out.write_json("BENCH_pool.json", &doc)?;
-    out.write_text("pool.txt", &txt)?;
-    Ok(txt)
-}
-
-/// Pole-batch engine: selected inverses of `H − σ_k I` at several PEXSI
-/// poles, batched through one shared plan versus the sequential baseline
-/// of standalone per-pole runs (each re-deriving its own communication
-/// plan, the way a pole-at-a-time driver would). The 46×46 Laplacian on a
-/// 2×2 grid; the sweep varies the batch's `max_inflight` admission knob
-/// at each thread count. Along the way it *asserts* the batch contract —
-/// every pole bit-identical to its standalone run and the per-pole
-/// channel-accounted logical volumes exactly equal the standalone
-/// measured volumes — and, once more than one pole may race, that the
-/// outstanding high-water mark actually spans queries.
-///
-/// Both paths run under the same modeled NIC latency (a uniform
-/// in-flight delay on every message, injected through the fault plan):
-/// that is the regime the batch engine exists for. A standalone pole run
-/// serializes its dependency chain against the wire, leaving ranks idle
-/// while messages fly; the batch fills those stalls with other poles'
-/// GEMMs, so the latency-hiding of the shared progress loop shows up as
-/// wall-clock speedup even on a host without real network latency.
-/// Latency is benign (no loss/reorder/duplication), so bit-identity and
-/// exact volume equality still hold and are still asserted.
-///
-/// `PSELINV_POLES_THREADS` (comma-separated) restricts the thread sweep —
-/// the CI smoke job sets it so the job measures only the gated point —
-/// and `PSELINV_POLES_DELAY_US` overrides the modeled per-message latency.
-///
-/// Emits `BENCH_poles.json` (archived into `results/runs/` and checked by
-/// `figures -- regress`) plus `poles.txt`.
-pub fn poles(out: &OutDir) -> std::io::Result<String> {
-    use pselinv_dist::{
-        factor_poles, pole_summary_table, try_batched_selinv_traced, try_distributed_selinv,
-        BatchOptions, DistOptions,
-    };
-    use pselinv_mpisim::{RankVolume, RunOptions};
-    use pselinv_order::{analyze, AnalyzeOptions};
-    use pselinv_selinv::SelectedInverse;
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    // Shifts inside the Laplacian's spectrum (0, 8): every pole is
-    // indefinite, like the real pole expansion.
-    const SHIFTS: [f64; 6] = [0.6, 1.7, 2.8, 3.9, 5.1, 6.2];
-    const LOOKAHEAD: usize = 4;
-    const REPS: usize = 2;
-    // Modeled per-message NIC latency (µs), identical for both paths:
-    // large enough that flight time dominates scheduler noise on a shared
-    // runner, small enough to keep the whole sweep under half a minute.
-    const NIC_DELAY_US: u64 = 250;
-
-    let w = pselinv_sparse::gen::grid_laplacian_2d(46, 46);
-    let sf = Arc::new(analyze(&w.matrix.pattern(), &AnalyzeOptions::default()));
-    let factors = factor_poles(&w.matrix, &SHIFTS, sf).expect("shifted Laplacians must factor");
-    let grid = Grid2D::new(2, 2);
-
-    let delay_us: u64 = std::env::var("PSELINV_POLES_DELAY_US")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(NIC_DELAY_US);
-    let nic =
-        FaultPlan::new(TREE_SEED).with_default(FaultSpec { delay_us, ..FaultSpec::default() });
-    let run_opts = RunOptions { faults: Some(nic), ..RunOptions::default() };
-
-    let threads_sweep: Vec<usize> = std::env::var("PSELINV_POLES_THREADS")
-        .ok()
-        .map(|s| s.split(',').filter_map(|t| t.trim().parse().ok()).collect())
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![2, 4]);
-
-    fn assert_bits(a: &SelectedInverse, b: &SelectedInverse, what: &str) {
-        let sf = &a.symbolic;
-        for s in 0..sf.num_supernodes() {
-            for j in 0..sf.width(s) {
-                for i in 0..sf.width(s) {
-                    assert_eq!(
-                        a.panels[s].diag[(i, j)].to_bits(),
-                        b.panels[s].diag[(i, j)].to_bits(),
-                        "{what}: diag {s} diverged"
-                    );
-                }
-                for i in 0..sf.rows_of(s).len() {
-                    assert_eq!(
-                        a.panels[s].below[(i, j)].to_bits(),
-                        b.panels[s].below[(i, j)].to_bits(),
-                        "{what}: below {s} diverged"
-                    );
-                }
-            }
-        }
-    }
-
-    // Channel accounting splits logical counters only; compare exactly those.
-    fn assert_logical_volumes(pole: &[RankVolume], standalone: &[RankVolume], what: &str) {
-        for (r, (p, s)) in pole.iter().zip(standalone).enumerate() {
-            assert_eq!(p.sent, s.sent, "{what}: rank {r} sent bytes diverged");
-            assert_eq!(p.received, s.received, "{what}: rank {r} received bytes diverged");
-            assert_eq!(p.msgs_sent, s.msgs_sent, "{what}: rank {r} message count diverged");
-            assert_eq!(p.msgs_received, s.msgs_received, "{what}: rank {r} recv count diverged");
-        }
-    }
-
-    let mut txt = format!(
-        "Pole-batch engine: {} poles of {} (n = {}) on a {}x{} grid, lookahead {LOOKAHEAD}, \
-         modeled NIC latency {delay_us} µs/message\n\n\
-         {:>7} {:>11} {:>13} {:>10} {:>8} {:>11}\n",
-        SHIFTS.len(),
-        w.name,
-        w.matrix.nrows(),
-        grid.pr,
-        grid.pc,
-        "threads",
-        "inflight",
-        "sequential ms",
-        "batched ms",
-        "speedup",
-        "overlap hwm"
-    );
-    let mut points: Vec<Json> = Vec::new();
-    let mut pole_table = String::new();
-    for &t in &threads_sweep {
-        let dist = DistOptions {
-            scheme: TreeScheme::ShiftedBinary,
-            seed: TREE_SEED,
-            threads: t,
-            lookahead: LOOKAHEAD,
-            ..Default::default()
-        };
-
-        // Sequential baseline: every pole through its own standalone run,
-        // plan re-derivation included (best total wall over REPS; the last
-        // rep's inverses and volumes anchor the identity checks).
-        let mut seq_ms = f64::INFINITY;
-        let mut standalone: Vec<(SelectedInverse, Vec<RankVolume>)> = Vec::new();
-        for _ in 0..REPS {
-            let t0 = Instant::now();
-            let runs: Vec<_> = factors
-                .iter()
-                .map(|f| {
-                    try_distributed_selinv(f, grid, &dist, &run_opts)
-                        .expect("standalone pole run failed")
-                })
-                .collect();
-            seq_ms = seq_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-            standalone = runs;
-        }
-
-        for max_inflight in [1usize, 2, SHIFTS.len()] {
-            let opts = BatchOptions { dist, max_inflight };
-            let label = format!("poles/t{t}x{max_inflight}");
-            let mut batched_ms = f64::INFINITY;
-            let mut last = None;
-            for _ in 0..REPS {
-                let t0 = Instant::now();
-                let r = try_batched_selinv_traced(&factors, grid, &opts, &run_opts, &label)
-                    .expect("batched pole run failed");
-                batched_ms = batched_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-                last = Some(r);
-            }
-            let (run, trace) = last.unwrap();
-
-            // The batch contract, asserted at every sweep point.
-            for (q, (inv, (solo, solo_vol))) in run.inverses.iter().zip(&standalone).enumerate() {
-                let what = format!("pole {q} (σ={}) t={t} inflight={max_inflight}", SHIFTS[q]);
-                assert_bits(solo, inv, &what);
-                assert_logical_volumes(&run.query_volumes[q], solo_vol, &what);
-            }
-            let hwm = trace.ranks.iter().map(|r| r.metrics.outstanding_hwm).max().unwrap_or(0);
-            if max_inflight > 1 {
-                assert!(hwm > 1, "t={t} inflight={max_inflight}: no cross-query overlap ({hwm})");
-            }
-            if max_inflight == SHIFTS.len() {
-                pole_table = pole_summary_table(&run.query_volumes);
-            }
-
-            let speedup = seq_ms / batched_ms;
-            let _ = writeln!(
-                txt,
-                "{t:>7} {max_inflight:>11} {seq_ms:>13.1} {batched_ms:>10.1} \
-                 {speedup:>7.2}x {hwm:>11}"
-            );
-            points.push(Json::obj([
-                ("threads", t.into()),
-                ("max_inflight", max_inflight.into()),
-                ("sequential_wall_ms", seq_ms.into()),
-                ("batched_wall_ms", batched_ms.into()),
-                ("batched_speedup_vs_sequential", speedup.into()),
-                ("overlap_hwm", hwm.into()),
-                ("bit_identical", true.into()),
-                ("volumes_identical", true.into()),
-            ]));
-        }
-    }
-    let _ = writeln!(
-        txt,
-        "\nper-pole logical traffic (channel accounting, inflight = {}):\n{pole_table}\n\
-         (speedup = standalone-poles wall / batched wall at equal thread count,\n\
-         both under the same modeled per-message NIC latency; every pole\n\
-         asserted bit-identical to its standalone run with exactly equal\n\
-         logical volumes at every point)",
-        SHIFTS.len()
-    );
-    let doc = Json::obj([
-        ("bench", "poles".into()),
-        ("matrix", w.name.as_str().into()),
-        ("n", w.matrix.nrows().into()),
-        ("grid", format!("{}x{}", grid.pr, grid.pc).into()),
-        ("poles", (SHIFTS.len() as u64).into()),
-        ("shifts", Json::Arr(SHIFTS.iter().map(|&s| Json::from(s)).collect())),
-        ("lookahead", (LOOKAHEAD as u64).into()),
-        ("nic_delay_us", delay_us.into()),
-        ("tree_seed", TREE_SEED.into()),
-        ("threads_sweep", Json::Arr(threads_sweep.iter().map(|&t| Json::from(t as u64)).collect())),
-        ("points", Json::Arr(points)),
-    ]);
-    out.write_json("BENCH_poles.json", &doc)?;
-    out.write_text("poles.txt", &txt)?;
     Ok(txt)
 }
 

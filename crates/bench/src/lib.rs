@@ -5,11 +5,10 @@
 //!   46×46, DES strong scaling at 64…12,100 ranks);
 //! * [`experiments`] — one runner per paper artifact (Table I/II,
 //!   Figs. 4–9) plus the ablations called out in `DESIGN.md` §6;
-//! * [`regress`] — the perf-regression sentinel: an append-only run
-//!   registry under `results/runs/` and a baseline differ gating CI;
 //! * the `figures` binary drives everything:
 //!   `cargo run --release -p pselinv-bench --bin figures -- all`.
+//!
+//! Performance is measured by the repo benchmark (`benchmark/`), not here.
 
 pub mod experiments;
-pub mod regress;
 pub mod workloads;

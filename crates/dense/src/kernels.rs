@@ -10,8 +10,7 @@
 //! update is delegated to the GEMM core.
 //!
 //! The seed's scalar kernels are retained verbatim as `*_naive` — they are
-//! the reference every blocked kernel is property-tested against, and the
-//! baseline the `pselinv-bench` perf harness reports speedups over.
+//! the reference every blocked kernel is property-tested against.
 
 // BLAS-style kernels take (dims, scalars, ptr+ld per operand) positionally.
 #![allow(clippy::too_many_arguments)]
@@ -504,7 +503,7 @@ pub fn gemm(alpha: f64, a: &Mat, ta: Transpose, b: &Mat, tb: Transpose, beta: f6
 }
 
 /// The seed's scalar GEMM, retained as the reference implementation for
-/// property tests and as the perf-harness baseline.
+/// property tests.
 pub fn gemm_naive(
     alpha: f64,
     a: &Mat,

@@ -59,8 +59,10 @@ use crate::numeric::{
 use crate::plan::SupernodePlan;
 use pselinv_dense::{gemm, ldlt_invert, Mat, Transpose};
 use pselinv_mpisim::{Payload, RankCtx, RecvRequest, TreeBcastNb, TreeReduceNb};
+use pselinv_order::symbolic::SnBlock;
 use pselinv_pool::Batch;
 use pselinv_trace::CollKind;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -84,6 +86,29 @@ impl Need {
             Need::Diag(sn) => st.ainv_diag.contains_key(&sn),
         }
     }
+}
+
+/// The GEMM stage's dependency set on this rank: the ancestor `A⁻¹` piece
+/// `gather_sub` reads for each `(target, ancestor)` pair of
+/// [`gemm_task_specs`]. No two pairs share a piece — a supernode's blocks
+/// have distinct `sn`, so `(J, I)` names a distinct block of `I` (`Lower`),
+/// of `J` (`Upper`) or the diagonal of `J == I` — so the list needs no
+/// de-duplication.
+fn gemm_needs(st: &RankState<'_>, blocks: &[SnBlock]) -> Vec<Need> {
+    let (targets, ancestors) = gemm_task_specs(st, blocks);
+    let mut needs = Vec::with_capacity(targets.len() * ancestors.len());
+    for &bj_i in &targets {
+        let jsn = blocks[bj_i].sn;
+        for &bi_i in &ancestors {
+            let isn = blocks[bi_i].sn;
+            needs.push(match jsn.cmp(&isn) {
+                Ordering::Greater => Need::Lower(find_block(st.sf, jsn, isn).0),
+                Ordering::Less => Need::Upper(find_block(st.sf, isn, jsn).0),
+                Ordering::Equal => Need::Diag(jsn),
+            });
+        }
+    }
+    needs
 }
 
 /// Per-block `Col-Bcast` progress.
@@ -125,7 +150,7 @@ struct SnTask {
     /// `Û_{K,I}` blocks available on this rank, keyed by block index.
     ucur: HashMap<usize, Mat>,
     cb: Vec<Cb>,
-    /// Ancestor `A⁻¹` data the GEMM stage needs (deduplicated).
+    /// Ancestor `A⁻¹` data the GEMM stage needs ([`gemm_needs`]).
     needs: Vec<Need>,
     gemm_done: bool,
     /// In-flight pool batch of this supernode's GEMM tasks. While it runs
@@ -199,25 +224,7 @@ impl SnTask {
             .collect();
         ctx.tracer().pop_scope();
 
-        // GEMM dependency set: the ancestor A⁻¹ pieces gather_sub will
-        // read, exactly the (target, ancestor) pairs local_gemms runs here.
-        let mut needs: Vec<Need> = Vec::new();
-        for bj in blocks {
-            let prow_j = layout.grid.prow_of_block(bj.sn);
-            for bi in blocks {
-                if layout.grid.rank_of(prow_j, layout.grid.pcol_of_block(bi.sn)) != me {
-                    continue;
-                }
-                let need = match bj.sn.cmp(&bi.sn) {
-                    std::cmp::Ordering::Greater => Need::Lower(find_block(sf, bj.sn, bi.sn).0),
-                    std::cmp::Ordering::Less => Need::Upper(find_block(sf, bi.sn, bj.sn).0),
-                    std::cmp::Ordering::Equal => Need::Diag(bj.sn),
-                };
-                if !needs.contains(&need) {
-                    needs.push(need);
-                }
-            }
-        }
+        let needs = gemm_needs(st, blocks);
 
         let rr: Vec<Rr> = (0..blocks.len())
             .map(
@@ -677,4 +684,80 @@ pub(crate) fn phase2_multi(
         }
     }
     ctx.outstanding(0);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::layout::Layout;
+    use pselinv_mpisim::Grid2D;
+    use pselinv_order::{analyze, AnalyzeOptions};
+    use pselinv_sparse::gen;
+    use std::sync::Arc;
+
+    /// The dependency scan `gemm_needs` replaced: every block pair computed
+    /// on this rank, de-duplicated by a linear search.
+    fn scan_and_dedup(st: &RankState<'_>, blocks: &[SnBlock]) -> Vec<Need> {
+        let grid = &st.layout.grid;
+        let mut needs: Vec<Need> = Vec::new();
+        for bj in blocks {
+            let prow_j = grid.prow_of_block(bj.sn);
+            for bi in blocks {
+                if grid.rank_of(prow_j, grid.pcol_of_block(bi.sn)) != st.me {
+                    continue;
+                }
+                let need = match bj.sn.cmp(&bi.sn) {
+                    Ordering::Greater => Need::Lower(find_block(st.sf, bj.sn, bi.sn).0),
+                    Ordering::Less => Need::Upper(find_block(st.sf, bi.sn, bj.sn).0),
+                    Ordering::Equal => Need::Diag(bj.sn),
+                };
+                if !needs.contains(&need) {
+                    needs.push(need);
+                }
+            }
+        }
+        needs
+    }
+
+    #[test]
+    fn gemm_needs_equal_the_deduplicated_pair_scan() {
+        let workloads = [
+            gen::grid_laplacian_2d(9, 8),
+            gen::fem_3d(4, 4, 3, 1, 7),
+            gen::dg_hamiltonian(6, 6, 1, 6, 0xd6f),
+        ];
+        for w in &workloads {
+            let sf = Arc::new(analyze(&w.matrix.pattern(), &AnalyzeOptions::default()));
+            let factor = pselinv_factor::factorize(&w.matrix, sf.clone()).unwrap();
+            for grid in [Grid2D::new(1, 1), Grid2D::new(2, 2), Grid2D::new(2, 3)] {
+                let layout = Layout::new(sf.clone(), grid);
+                let mut total = 0;
+                for me in 0..grid.size() {
+                    let st = RankState {
+                        sf: &sf,
+                        factor: &factor,
+                        layout: &layout,
+                        me,
+                        qid: 0,
+                        lhat: HashMap::new(),
+                        ainv_lower: HashMap::new(),
+                        ainv_upper: HashMap::new(),
+                        ainv_diag: HashMap::new(),
+                    };
+                    for k in 0..sf.num_supernodes() {
+                        let blocks = sf.blocks_of(k);
+                        let (new, old) = (gemm_needs(&st, blocks), scan_and_dedup(&st, blocks));
+                        let what = format!("{} {}x{} rank {me} sn {k}", w.name, grid.pr, grid.pc);
+                        // Equal lengths, mutual containment and a duplicate-free
+                        // `old` make `new` duplicate-free and set-equal to it.
+                        assert_eq!(new.len(), old.len(), "{what}");
+                        assert!(new.iter().all(|n| old.contains(n)), "{what}");
+                        assert!(old.iter().all(|n| new.contains(n)), "{what}");
+                        total += new.len();
+                    }
+                }
+                assert!(total > 0, "{} {}x{}: no GEMM needs at all", w.name, grid.pr, grid.pc);
+            }
+        }
+    }
 }

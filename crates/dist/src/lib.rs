@@ -40,7 +40,7 @@ pub use batch::{
 pub use layout::Layout;
 pub use numeric::{
     distributed_selinv, distributed_selinv_traced, try_distributed_selinv,
-    try_distributed_selinv_traced, DistOptions, TaskRuntime,
+    try_distributed_selinv_traced, DistOptions,
 };
 pub use plan::{CommPlan, SupernodePlan};
 pub use volume::{replay_volumes, VolumeReport};

@@ -26,23 +26,6 @@ use pselinv_trees::TreeBuilder;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-/// How a rank parallelizes its local compute (window GEMMs and diagonal
-/// contributions) when [`DistOptions::threads`] asks for more than one
-/// thread.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TaskRuntime {
-    /// Persistent per-rank work-stealing pool (`pselinv-pool`): workers
-    /// live for the rank's whole lifetime, idle workers steal queued
-    /// tasks, and the asynchronous engine keeps polling its nonblocking
-    /// collectives on the submitting thread while workers compute.
-    #[default]
-    Pool,
-    /// The historical per-call `std::thread::scope` fork-join, retained as
-    /// the baseline that `figures -- pool` measures the pool against. Pays
-    /// thread spawn plus a full barrier on every GEMM step.
-    ForkJoin,
-}
-
 /// Options for a distributed run.
 #[derive(Clone, Copy, Debug)]
 pub struct DistOptions {
@@ -50,17 +33,14 @@ pub struct DistOptions {
     pub scheme: pselinv_trees::TreeScheme,
     /// Global seed for the shifted/random schemes.
     pub seed: u64,
-    /// Worker threads for each rank's local GEMM step. `0` and `1` both
+    /// Worker threads of each rank's persistent work-stealing pool
+    /// (`pselinv-pool`), which runs the local GEMM step. `0` and `1` both
     /// mean "compute inline, no workers" — every consumer reads the knob
     /// through [`DistOptions::worker_threads`], which owns that
     /// normalization. Target blocks have independent accumulators merged
-    /// in a fixed ascending order, so any thread count and either
-    /// [`TaskRuntime`] produce bit-identical results.
+    /// in a fixed ascending order, so any thread count produces
+    /// bit-identical results.
     pub threads: usize,
-    /// Which intra-rank task runtime executes the local compute when
-    /// `threads > 1`. Defaults to the persistent work-stealing pool;
-    /// [`TaskRuntime::ForkJoin`] is kept for benchmarking against it.
-    pub runtime: TaskRuntime,
     /// How many descending supernodes may be in flight at once in phase 2.
     /// `1` (the default) runs the synchronous engine — supernodes strictly
     /// one at a time with blocking collectives. `>= 2` runs the
@@ -78,7 +58,6 @@ impl Default for DistOptions {
             scheme: pselinv_trees::TreeScheme::ShiftedBinary,
             seed: 0x5e11,
             threads: 1,
-            runtime: TaskRuntime::Pool,
             lookahead: 1,
         }
     }
@@ -99,9 +78,6 @@ impl DistOptions {
 pub(crate) enum LocalExec {
     /// Compute inline on the rank thread.
     Serial,
-    /// Per-call scoped fork-join over `threads` threads (the
-    /// [`TaskRuntime::ForkJoin`] baseline).
-    ForkJoin { threads: usize },
     /// Persistent work-stealing pool, with its busy gauge wired into the
     /// rank's telemetry.
     Pool(Pool),
@@ -113,21 +89,16 @@ impl LocalExec {
         if threads <= 1 {
             return LocalExec::Serial;
         }
-        match opts.runtime {
-            TaskRuntime::ForkJoin => LocalExec::ForkJoin { threads },
-            TaskRuntime::Pool => {
-                let pool = Pool::new(threads);
-                pool.set_busy_gauge(ctx.pool_busy_gauge());
-                LocalExec::Pool(pool)
-            }
-        }
+        let pool = Pool::new(threads);
+        pool.set_busy_gauge(ctx.pool_busy_gauge());
+        LocalExec::Pool(pool)
     }
 
-    /// The pool, when this executor is the pool runtime.
+    /// The pool, when this rank runs with workers.
     pub(crate) fn pool(&self) -> Option<&Pool> {
         match self {
             LocalExec::Pool(p) => Some(p),
-            _ => None,
+            LocalExec::Serial => None,
         }
     }
 }
@@ -440,8 +411,7 @@ pub(crate) fn gemm_task_specs(st: &RankState<'_>, blocks: &[SnBlock]) -> (Vec<us
 
 /// Runs one closure per item on `exec`, writing results into per-item
 /// slots; returns them in item order regardless of which worker ran what.
-/// The fork-join arm keeps the historical contiguous-chunk split; the pool
-/// arm submits one task per item so idle workers steal load dynamically.
+/// The pool gets one task per item, so idle workers steal load dynamically.
 pub(crate) fn run_on_exec<T, I, F>(exec: &LocalExec, items: &[I], f: F) -> Vec<T>
 where
     T: Send,
@@ -451,15 +421,6 @@ where
     match exec {
         _ if items.len() <= 1 => items.iter().map(&f).collect(),
         LocalExec::Serial => items.iter().map(&f).collect(),
-        LocalExec::ForkJoin { threads } => std::thread::scope(|scope| {
-            let f = &f;
-            let per = items.len().div_ceil(*threads);
-            let handles: Vec<_> = items
-                .chunks(per)
-                .map(|chunk| scope.spawn(move || chunk.iter().map(f).collect::<Vec<_>>()))
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
-        }),
         LocalExec::Pool(pool) => {
             let slots: Vec<Mutex<Option<T>>> = items.iter().map(|_| Mutex::new(None)).collect();
             let f = &f;
@@ -789,7 +750,7 @@ mod tests {
         let (dist, _) = distributed_selinv(
             &f,
             grid,
-            &DistOptions { scheme, seed: 7, threads: 1, lookahead: 1, ..Default::default() },
+            &DistOptions { scheme, seed: 7, threads: 1, lookahead: 1 },
         );
         for s in 0..sf.num_supernodes() {
             let d = (&seq.panels[s].diag, &dist.panels[s].diag);
@@ -872,7 +833,6 @@ mod tests {
             seed: 7,
             threads,
             lookahead: 1,
-            ..Default::default()
         };
         let (base, vol1) = distributed_selinv(&f, grid, &mk(1));
         for threads in [2, 4] {
@@ -907,13 +867,8 @@ mod tests {
         let sf = Arc::new(analyze(&w.matrix.pattern(), &AnalyzeOptions::default()));
         let f = pselinv_factor::factorize(&w.matrix, sf.clone()).unwrap();
         let grid = Grid2D::new(3, 3);
-        let opts = DistOptions {
-            scheme: TreeScheme::ShiftedBinary,
-            seed: 7,
-            threads: 1,
-            lookahead: 1,
-            ..Default::default()
-        };
+        let opts =
+            DistOptions { scheme: TreeScheme::ShiftedBinary, seed: 7, threads: 1, lookahead: 1 };
         let (_, volumes) = distributed_selinv(&f, grid, &opts);
         let layout = Layout::new(sf, grid);
         let rep = crate::volume::replay_volumes(&layout, TreeBuilder::new(opts.scheme, opts.seed));
@@ -1027,8 +982,7 @@ mod tests {
         let f = pselinv_factor::factorize(&w.matrix, sf.clone()).unwrap();
         let grid = Grid2D::new(3, 3);
         for scheme in [TreeScheme::Flat, TreeScheme::ShiftedBinary] {
-            let opts =
-                DistOptions { scheme, seed: 7, threads: 1, lookahead: 1, ..Default::default() };
+            let opts = DistOptions { scheme, seed: 7, threads: 1, lookahead: 1 };
             let (_, _, trace) = distributed_selinv_traced(&f, grid, &opts, "unit");
             let layout = Layout::new(sf.clone(), grid);
             let rep =

@@ -62,7 +62,7 @@ fn assert_volumes_equal(a: &[RankVolume], b: &[RankVolume], what: &str) {
 }
 
 fn opts(scheme: TreeScheme, lookahead: usize) -> DistOptions {
-    DistOptions { scheme, seed: 7, threads: 1, lookahead, ..Default::default() }
+    DistOptions { scheme, seed: 7, threads: 1, lookahead }
 }
 
 #[test]
@@ -129,7 +129,6 @@ fn async_engine_multithreaded_gemms_stay_bit_identical() {
         seed: 7,
         threads,
         lookahead,
-        ..Default::default()
     };
     let (sync, sync_vol) = distributed_selinv(f, grid, &mk(1, 1));
     for threads in [2, 4] {

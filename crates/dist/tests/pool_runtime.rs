@@ -1,17 +1,16 @@
-//! Acceptance tests for the persistent intra-rank work-stealing pool
-//! (`TaskRuntime::Pool`, the default).
+//! Acceptance tests for the persistent intra-rank work-stealing pool, the
+//! executor of every run with `threads > 1`.
 //!
 //! The pool reorders *scheduling*, never *arithmetic*: for every grid,
 //! tree scheme, lookahead window, thread count and benign fault schedule,
-//! its result panels must be bit-identical to both the fork-join baseline
-//! and the serial path, and its per-rank communication volumes must be
-//! exactly equal — local compute never touches the logical communication.
+//! its result panels must be bit-identical to the serial path, and its
+//! per-rank communication volumes must be exactly equal — local compute
+//! never touches the logical communication.
 
 use proptest::prelude::*;
 use pselinv_chaos::{FaultPlan, FaultSpec};
 use pselinv_dist::{
     distributed_selinv, distributed_selinv_traced, try_distributed_selinv, DistOptions, Layout,
-    TaskRuntime,
 };
 use pselinv_factor::LdlFactor;
 use pselinv_mpisim::{Grid2D, RankVolume, RunOptions};
@@ -62,43 +61,36 @@ fn assert_volumes_equal(a: &[RankVolume], b: &[RankVolume], what: &str) {
     }
 }
 
-fn opts(threads: usize, runtime: TaskRuntime, lookahead: usize) -> DistOptions {
-    DistOptions { scheme: TreeScheme::ShiftedBinary, seed: 7, threads, runtime, lookahead }
+fn opts(threads: usize, lookahead: usize) -> DistOptions {
+    DistOptions { scheme: TreeScheme::ShiftedBinary, seed: 7, threads, lookahead }
 }
 
 #[test]
 fn threads_zero_is_normalized_to_one() {
     // Regression: `threads: 0` used to skirt `div_ceil(0)` paths only via
     // the `<= 1` inline guard. The normalization now lives in one place.
-    assert_eq!(opts(0, TaskRuntime::Pool, 1).worker_threads(), 1);
-    assert_eq!(opts(1, TaskRuntime::Pool, 1).worker_threads(), 1);
-    assert_eq!(opts(8, TaskRuntime::Pool, 1).worker_threads(), 8);
+    assert_eq!(opts(0, 1).worker_threads(), 1);
+    assert_eq!(opts(1, 1).worker_threads(), 1);
+    assert_eq!(opts(8, 1).worker_threads(), 8);
     let f = small_factor();
     let grid = Grid2D::new(2, 2);
-    let (serial, vol1) = distributed_selinv(f, grid, &opts(1, TaskRuntime::Pool, 1));
-    for runtime in [TaskRuntime::Pool, TaskRuntime::ForkJoin] {
-        let (zero, vol0) = distributed_selinv(f, grid, &opts(0, runtime, 1));
-        assert_bit_identical(&serial, &zero, "threads=0 vs threads=1");
-        assert_volumes_equal(&vol1, &vol0, "threads=0 vs threads=1");
-    }
+    let (serial, vol1) = distributed_selinv(f, grid, &opts(1, 1));
+    let (zero, vol0) = distributed_selinv(f, grid, &opts(0, 1));
+    assert_bit_identical(&serial, &zero, "threads=0 vs threads=1");
+    assert_volumes_equal(&vol1, &vol0, "threads=0 vs threads=1");
 }
 
 #[test]
-fn pool_matches_forkjoin_and_serial_bitwise() {
+fn pool_matches_serial_bitwise() {
     let f = small_factor();
     for grid in [Grid2D::new(2, 2), Grid2D::new(2, 3)] {
-        let (serial, vol1) = distributed_selinv(f, grid, &opts(1, TaskRuntime::Pool, 1));
+        let (serial, vol1) = distributed_selinv(f, grid, &opts(1, 1));
         for lookahead in [1usize, 4] {
             for threads in [2usize, 4, 8] {
                 let what = format!("{}x{} threads={threads} la={lookahead}", grid.pr, grid.pc);
-                let (pool, volp) =
-                    distributed_selinv(f, grid, &opts(threads, TaskRuntime::Pool, lookahead));
-                let (fj, volf) =
-                    distributed_selinv(f, grid, &opts(threads, TaskRuntime::ForkJoin, lookahead));
-                assert_bit_identical(&serial, &pool, &format!("{what} pool"));
-                assert_bit_identical(&serial, &fj, &format!("{what} forkjoin"));
-                assert_volumes_equal(&vol1, &volp, &format!("{what} pool"));
-                assert_volumes_equal(&vol1, &volf, &format!("{what} forkjoin"));
+                let (pool, volp) = distributed_selinv(f, grid, &opts(threads, lookahead));
+                assert_bit_identical(&serial, &pool, &what);
+                assert_volumes_equal(&vol1, &volp, &what);
             }
         }
     }
@@ -111,7 +103,7 @@ fn pool_volumes_match_structural_replay_and_trace_records_pool_stats() {
     // carries the pool's execute counters and per-worker Compute spans.
     let f = small_factor();
     let grid = Grid2D::new(2, 3);
-    let o = opts(4, TaskRuntime::Pool, 4);
+    let o = opts(4, 4);
     let (_, volumes, trace) = distributed_selinv_traced(f, grid, &o, "pool/replay");
     let layout = Layout::new(f.symbolic.clone(), grid);
     let rep = pselinv_dist::replay_volumes(&layout, TreeBuilder::new(o.scheme, o.seed));
@@ -139,8 +131,8 @@ fn chaos_opts(plan: FaultPlan) -> RunOptions {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(18))]
-    /// pool ≡ fork-join ≡ serial, bitwise, under grids × schemes ×
-    /// lookahead × threads × benign chaos.
+    /// pool ≡ serial, bitwise, under grids × schemes × lookahead ×
+    /// threads × benign chaos.
     #[test]
     fn pool_is_bit_identical_under_chaos(
         seed in 0u64..3,
@@ -163,8 +155,8 @@ proptest! {
         let grid = [Grid2D::new(2, 2), Grid2D::new(2, 3)][grid_i];
         let f = small_factor();
 
-        let mk = |threads, runtime| DistOptions { scheme, seed: 7, threads, runtime, lookahead };
-        let (baseline, base_vol) = distributed_selinv(f, grid, &mk(1, TaskRuntime::Pool));
+        let mk = |threads| DistOptions { scheme, seed: 7, threads, lookahead };
+        let (baseline, base_vol) = distributed_selinv(f, grid, &mk(1));
 
         let plan = FaultPlan::new(seed.wrapping_mul(0x9e37_79b9) ^ 0xa5a5_5a5a).with_default(
             FaultSpec {
@@ -175,16 +167,8 @@ proptest! {
                 ..FaultSpec::default()
             },
         );
-        let (pool, pool_vol) = try_distributed_selinv(
-            f,
-            grid,
-            &mk(threads, TaskRuntime::Pool),
-            &chaos_opts(plan.clone()),
-        )
-        .expect("a crash-free fault plan must complete");
-        let (fj, fj_vol) =
-            try_distributed_selinv(f, grid, &mk(threads, TaskRuntime::ForkJoin), &chaos_opts(plan))
-                .expect("a crash-free fault plan must complete");
+        let (pool, pool_vol) = try_distributed_selinv(f, grid, &mk(threads), &chaos_opts(plan))
+            .expect("a crash-free fault plan must complete");
 
         let sf = &baseline.symbolic;
         for s in 0..sf.num_supernodes() {
@@ -195,11 +179,6 @@ proptest! {
                         pool.panels[s].diag[(i, j)].to_bits(),
                         "pool diag {} ({},{})", s, i, j
                     );
-                    prop_assert_eq!(
-                        pool.panels[s].diag[(i, j)].to_bits(),
-                        fj.panels[s].diag[(i, j)].to_bits(),
-                        "forkjoin diag {} ({},{})", s, i, j
-                    );
                 }
                 for i in 0..sf.rows_of(s).len() {
                     prop_assert_eq!(
@@ -207,17 +186,11 @@ proptest! {
                         pool.panels[s].below[(i, j)].to_bits(),
                         "pool below {} ({},{})", s, i, j
                     );
-                    prop_assert_eq!(
-                        pool.panels[s].below[(i, j)].to_bits(),
-                        fj.panels[s].below[(i, j)].to_bits(),
-                        "forkjoin below {} ({},{})", s, i, j
-                    );
                 }
             }
         }
         for r in 0..base_vol.len() {
             prop_assert_eq!(pool_vol[r], base_vol[r], "pool rank {} volume diverged", r);
-            prop_assert_eq!(fj_vol[r], base_vol[r], "forkjoin rank {} volume diverged", r);
         }
     }
 }

@@ -21,13 +21,7 @@ fn telemetry_observes_every_rank_and_preserves_volume_identities() {
     let sf = Arc::new(analyze(&w.matrix.pattern(), &AnalyzeOptions::default()));
     let f = pselinv_factor::factorize(&w.matrix, sf.clone()).unwrap();
     let grid = Grid2D::new(2, 3);
-    let opts = DistOptions {
-        scheme: TreeScheme::ShiftedBinary,
-        seed: 7,
-        threads: 1,
-        lookahead: 2,
-        ..Default::default()
-    };
+    let opts = DistOptions { scheme: TreeScheme::ShiftedBinary, seed: 7, threads: 1, lookahead: 2 };
 
     let (baseline, base_vol) = distributed_selinv(&f, grid, &opts);
 

@@ -27,7 +27,7 @@ fn small_factor() -> LdlFactor {
 }
 
 fn opts(scheme: TreeScheme, lookahead: usize) -> DistOptions {
-    DistOptions { scheme, seed: 7, threads: 1, lookahead, ..Default::default() }
+    DistOptions { scheme, seed: 7, threads: 1, lookahead }
 }
 
 fn assert_valid(trace: &Trace, what: &str) -> CausalChains {

@@ -60,13 +60,7 @@ fn hotspot_bytes_match_replay_on_mpisim_backend() {
     let sf = Arc::new(analyze(&w.matrix.pattern(), &AnalyzeOptions::default()));
     let f = pselinv_factor::factorize(&w.matrix, sf.clone()).unwrap();
     let grid = Grid2D::new(3, 3);
-    let opts = DistOptions {
-        scheme: TreeScheme::ShiftedBinary,
-        seed: 7,
-        threads: 1,
-        lookahead: 1,
-        ..Default::default()
-    };
+    let opts = DistOptions { scheme: TreeScheme::ShiftedBinary, seed: 7, threads: 1, lookahead: 1 };
     let (_, _, trace) = distributed_selinv_traced(&f, grid, &opts, "id/mpisim");
     let hs = HotspotReport::from_trace(&trace, (3, 3));
     let layout = Layout::new(sf, grid);

@@ -604,7 +604,7 @@ impl Trace {
             "retransmits: total {r_total} ({r_bytes} B control traffic), max {r_max} at rank {r_rank}"
         );
         // Intra-rank task pool: how much local compute ran as stolen-or-not
-        // pool tasks (all zeros when the run used the fork-join path).
+        // pool tasks (all zeros when the run computed inline, threads <= 1).
         // Printed unconditionally so pooled and unpooled summaries have the
         // same shape.
         let p_exec: u64 = self.ranks.iter().map(|r| r.metrics.pool_executed).sum();

@@ -63,13 +63,7 @@ fn main() {
     let (dinv, volumes) = distributed_selinv(
         &factor,
         Grid2D::new(2, 3),
-        &DistOptions {
-            scheme: TreeScheme::ShiftedBinary,
-            seed: 42,
-            threads: 1,
-            lookahead: 1,
-            ..Default::default()
-        },
+        &DistOptions { scheme: TreeScheme::ShiftedBinary, seed: 42, threads: 1, lookahead: 1 },
     );
     let dist_time = t0.elapsed();
     println!("trace(A⁻¹) = {:.6} (distributed 2x3, {:?})", dinv.trace(), dist_time);

@@ -62,8 +62,7 @@ fn main() {
         let rep = replay_volumes(&layout, TreeBuilder::new(scheme, TREE_SEED));
 
         // Backend 1: thread-per-rank mpisim, wall-clock trace.
-        let opts =
-            DistOptions { scheme, seed: TREE_SEED, threads: 1, lookahead: 1, ..Default::default() };
+        let opts = DistOptions { scheme, seed: TREE_SEED, threads: 1, lookahead: 1 };
         let (_, _, trace) = distributed_selinv_traced(&f, grid, &opts, &format!("mpisim/{slug}"));
         assert_eq!(
             trace.sent_bytes(CollKind::ColBcast),
@@ -123,7 +122,6 @@ fn main() {
         seed: TREE_SEED,
         threads: 1,
         lookahead: 4,
-        ..Default::default()
     };
     let (_, _, trace) =
         try_distributed_selinv_traced(&f, grid, &opts, &run_opts, "mpisim/async+telemetry")

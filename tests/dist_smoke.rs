@@ -50,7 +50,6 @@ fn every_engine_agrees_bitwise_on_a_2x2_grid() {
         seed: 3,
         threads: 1,
         lookahead,
-        ..Default::default()
     };
 
     let standalone: Vec<(SelectedInverse, Vec<RankVolume>)> = factors

@@ -23,11 +23,8 @@ fn full_pipeline(a: &SparseMatrix, opts: &AnalyzeOptions, grid: Grid2D, scheme: 
     let sf = Arc::new(analyze(&a.pattern(), opts));
     let f = factorize(a, sf.clone()).unwrap();
     let seq = selinv_ldlt(&f);
-    let (dist, volumes) = distributed_selinv(
-        &f,
-        grid,
-        &DistOptions { scheme, seed: 1, threads: 1, lookahead: 1, ..Default::default() },
-    );
+    let (dist, volumes) =
+        distributed_selinv(&f, grid, &DistOptions { scheme, seed: 1, threads: 1, lookahead: 1 });
     let dense = dense_inverse(a);
     let scale = 1.0 + dense.norm_max();
 
