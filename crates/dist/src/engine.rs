@@ -58,7 +58,9 @@ use crate::numeric::{
 };
 use crate::plan::SupernodePlan;
 use pselinv_dense::{gemm, ldlt_invert, Mat, Transpose};
-use pselinv_mpisim::{Payload, RankCtx, RecvRequest, TreeBcastNb, TreeReduceNb};
+use pselinv_mpisim::{
+    BlockedOn, Payload, Progress, RankCtx, RecvRequest, TreeBcastNb, TreeReduceNb,
+};
 use pselinv_order::symbolic::SnBlock;
 use pselinv_pool::Batch;
 use pselinv_trace::CollKind;
@@ -567,8 +569,8 @@ fn participates(st: &RankState<'_>, sp: &SupernodePlan, k: usize) -> bool {
 /// Phase 2 (descending), asynchronous: a sliding window of up to
 /// `lookahead` supernode tasks driven by one progress loop per rank. The
 /// loop polls every active task; when nothing advances and the window
-/// cannot grow, it parks on the inbox (visible to the watchdog) until a
-/// message arrives.
+/// cannot grow, it parks (visible to the watchdog) until a message
+/// arrives.
 pub(crate) fn phase2_async(
     ctx: &mut RankCtx,
     st: &mut RankState<'_>,
@@ -617,9 +619,8 @@ pub(crate) fn phase2_multi(
     let mut runs: Vec<QueryRun> =
         states.iter().map(|_| QueryRun { next: ns, active: Vec::new() }).collect();
     let mut admitted = 0usize; // queries 0..admitted have entered the race
-    loop {
+    ctx.sweep_then_park(BlockedOn::ANY, |ctx| {
         let mut progressed = false;
-        let arrivals = ctx.arrivals();
         // Admission in ascending query order, bounded by unfinished count.
         let mut running = runs[..admitted].iter().filter(|r| !r.is_finished()).count();
         while admitted < runs.len() && running < max_inflight {
@@ -639,13 +640,12 @@ pub(crate) fn phase2_multi(
                 // Skipping the supernodes this rank takes no part in can
                 // finish a query with no task retiring. That frees an
                 // admission slot, and the next query's first messages may
-                // already sit in the stash, where they wake nobody: take
-                // another pass instead of parking.
+                // already sit in the stash, where they wake nobody.
                 progressed |= run.is_finished();
             }
         }
         if admitted == runs.len() && runs.iter().all(QueryRun::is_finished) {
-            break;
+            return Progress::Done(());
         }
         ctx.outstanding(runs.iter().map(|r| r.active.len()).sum());
         for (st, run) in states[..admitted].iter_mut().zip(&mut runs) {
@@ -656,33 +656,24 @@ pub(crate) fn phase2_multi(
             run.active.retain(|t| !t.is_done());
             progressed |= run.active.len() != before;
         }
-        if !progressed {
-            if runs.iter().any(|r| r.active.iter().any(|t| t.gemm_batch.is_some())) {
-                // A GEMM batch is on the workers. Help execute queued
-                // tasks; when the queues are dry (workers own the tail),
-                // take a *bounded* park so the rank wakes promptly for
-                // either a message or batch completion.
-                let helped = exec.pool().is_some_and(pselinv_pool::Pool::help_one);
-                if !helped {
-                    ctx.wait_for_arrival_timeout(Duration::from_micros(200));
-                }
-            } else if ctx.arrivals() != arrivals {
-                // A message was accepted off the inbox mid-pass (a task's
-                // `try_match` drains *all* queued arrivals into the stash
-                // before scanning for its own tag, so the message may
-                // belong to a task polled earlier in this same pass). The
-                // stash never wakes `wait_for_arrival` — parking here
-                // would sleep through locally available work, and if every
-                // rank does so the run deadlocks. Re-poll instead.
+        if progressed {
+            Progress::Moved
+        } else if runs.iter().any(|r| r.active.iter().any(|t| t.gemm_batch.is_some())) {
+            // A GEMM batch is on the workers. Help execute queued tasks;
+            // when the queues are dry (workers own the tail), park only
+            // briefly so the rank wakes promptly for either a message or
+            // batch completion.
+            if exec.pool().is_some_and(pselinv_pool::Pool::help_one) {
+                Progress::Moved
             } else {
-                // Nothing moved, no arrival was stashed mid-pass, and every
-                // window is as full as it can get: every pending stage
-                // awaits a message. Park on the inbox so the watchdog sees
-                // a blocked rank, not a hot spin.
-                ctx.wait_for_arrival();
+                Progress::IdleFor(Duration::from_micros(200))
             }
+        } else {
+            // Every window is as full as it can get and every pending
+            // stage awaits a message.
+            Progress::Idle
         }
-    }
+    });
     ctx.outstanding(0);
 }
 

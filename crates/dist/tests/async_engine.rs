@@ -204,7 +204,7 @@ proptest! {
                 }
             }
         }
-        // Duplicate suppression reverses its accounting, so even the chaos
+        // Suppressed duplicates are never accounted, so even the chaos
         // run's volumes equal the fault-free synchronous ones exactly.
         for r in 0..vol.len() {
             prop_assert_eq!(vol[r], base_vol[r], "rank {} volume diverged", r);

@@ -4,10 +4,13 @@
 //! functions that can be dynamically created with very little overhead":
 //! every participant derives the same [`CollectiveTree`] locally (no
 //! communicator creation, no synchronization) and exchanges point-to-point
-//! messages along its edges.
+//! messages along its edges. The blocking forms here start the
+//! nonblocking state machine of [`crate::nb`] and drive it through
+//! [`RankCtx::sweep_then_park`]: the tree protocol exists once.
 
+use crate::nb::{TreeBcastNb, TreeReduceNb};
 use crate::payload::{IntoPayload, Payload};
-use crate::runtime::RankCtx;
+use crate::runtime::{BlockedOn, Progress, RankCtx};
 use pselinv_trace::CollKind;
 use pselinv_trees::CollectiveTree;
 
@@ -28,11 +31,10 @@ fn trace_enter(ctx: &mut RankCtx, kind: CollKind, tag: u64, tree: &CollectiveTre
 /// The root passes `Some(data)`, everyone else `None`; all participants
 /// return the payload. Non-participants must not call this.
 ///
-/// Zero-copy forwarding: the root packs its buffer into a shared
-/// [`Payload`] once (that one copy is counted), and every hop — root to
-/// children, interior ranks onward — sends `Arc` clones of the same
-/// buffer. The broadcast's physical copy cost is O(1) payloads regardless
-/// of tree shape or rank count.
+/// Zero-copy forwarding ([`TreeBcastNb`]): the root packs its buffer once
+/// (that one copy is counted) and every hop sends `Arc` clones of it, so
+/// the broadcast's physical copy cost is O(1) payloads regardless of tree
+/// shape or rank count.
 pub fn tree_bcast<P: IntoPayload>(
     ctx: &mut RankCtx,
     tree: &CollectiveTree,
@@ -40,33 +42,26 @@ pub fn tree_bcast<P: IntoPayload>(
     data: Option<P>,
 ) -> Payload {
     let me = ctx.rank();
+    let parent = tree.parent_of(me);
+    assert!(
+        parent.is_some() || me == tree.root(),
+        "rank {me} is not a participant of this broadcast"
+    );
     let pushed = trace_enter(ctx, CollKind::Bcast, tag, tree);
-    let payload = if me == tree.root() {
-        let (payload, copied) =
-            data.expect("root must provide the broadcast payload").into_payload();
-        ctx.account_copy(copied);
-        payload
-    } else {
-        let parent = tree
-            .parent_of(me)
-            .unwrap_or_else(|| panic!("rank {me} is not a participant of this broadcast"));
-        // Sequence-checked edges: injected duplicates and reorderings are
-        // masked, so the collective's result is fault-schedule independent.
-        ctx.recv_seq(parent, tag)
-    };
-    for child in tree.children_of(me) {
-        ctx.send_seq(child, tag, payload.clone());
-    }
+    let mut nb = TreeBcastNb::start(ctx, tree, tag, data);
+    ctx.sweep_then_park(BlockedOn { src: parent, tag: Some(tag) }, |ctx| {
+        Progress::done_or_idle(nb.poll(ctx, tree))
+    });
     ctx.tracer().coll_exit(pushed);
-    payload
+    nb.into_payload().expect("a participant ends the broadcast with the payload")
 }
 
 /// Reduces (element-wise sum) every participant's `local` contribution onto
 /// the tree's root. Returns `Some(total)` at the root, `None` elsewhere.
 ///
-/// A reduction genuinely mutates at every interior node (the element-wise
-/// sum), so — unlike [`tree_bcast`] — each hop sends a freshly written
-/// buffer; leaves with no children forward their contribution unmodified.
+/// Children's contributions are summed in the tree's fixed child order
+/// ([`TreeReduceNb`]), whatever order they arrive in, so the result is
+/// bit-reproducible.
 pub fn tree_reduce(
     ctx: &mut RankCtx,
     tree: &CollectiveTree,
@@ -74,26 +69,19 @@ pub fn tree_reduce(
     local: Vec<f64>,
 ) -> Option<Vec<f64>> {
     let me = ctx.rank();
+    assert!(
+        tree.parent_of(me).is_some() || me == tree.root(),
+        "rank {me} is not a participant of this reduction"
+    );
     let pushed = trace_enter(ctx, CollKind::Reduce, tag, tree);
-    let mut acc = local;
-    for child in tree.children_of(me) {
-        let contrib = ctx.recv_seq(child, tag);
-        assert_eq!(contrib.len(), acc.len(), "reduction contributions must have equal length");
-        for (a, c) in acc.iter_mut().zip(contrib.iter()) {
-            *a += c;
-        }
-    }
-    let out = if me == tree.root() {
-        Some(acc)
-    } else {
-        let parent = tree
-            .parent_of(me)
-            .unwrap_or_else(|| panic!("rank {me} is not a participant of this reduction"));
-        ctx.send_seq(parent, tag, acc);
-        None
-    };
+    let mut nb = TreeReduceNb::start(ctx, tree, tag, local);
+    let children = tree.children_of(me);
+    let src = if let [only] = children[..] { Some(only) } else { None };
+    ctx.sweep_then_park(BlockedOn { src, tag: Some(tag) }, |ctx| {
+        Progress::done_or_idle(nb.poll(ctx, tree))
+    });
     ctx.tracer().coll_exit(pushed);
-    out
+    nb.into_result()
 }
 
 #[cfg(test)]

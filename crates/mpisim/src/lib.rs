@@ -7,10 +7,11 @@
 //! * buffered non-blocking sends ([`RankCtx::send`] ≈ `MPI_Isend` with the
 //!   buffer handed off — the call never blocks);
 //! * blocking tagged receives with out-of-order matching
-//!   ([`RankCtx::recv`] ≈ `MPI_Recv` on `(source, tag)`);
-//! * wildcard receives ([`RankCtx::recv_any`] ≈ `MPI_Recv` on
-//!   `MPI_ANY_SOURCE`/`MPI_ANY_TAG`) and non-blocking probes
-//!   ([`RankCtx::try_recv_any`] ≈ `MPI_Iprobe` + receive);
+//!   ([`RankCtx::recv`] ≈ `MPI_Recv` on `(source, tag)`) and non-blocking
+//!   matches ([`RankCtx::try_match`] ≈ `MPI_Iprobe` + receive), both
+//!   masking duplicated and reordered deliveries on sequenced edges;
+//! * one blocking point for progress loops ([`RankCtx::sweep_then_park`]),
+//!   under [`wait_any`] and the tree collectives;
 //! * per-rank send/receive byte counters, the measurement behind the
 //!   paper's communication-volume tables.
 //!
@@ -34,8 +35,8 @@ pub use payload::{IntoPayload, Payload};
 pub use reliable::{Recovery, RecoveryConfig, ReliableConfig};
 pub use requests::{tree_barrier, wait_any, RecvRequest, BARRIER_DOWN_LANE, BARRIER_UP_LANE};
 pub use runtime::{
-    run, run_traced, try_run, try_run_recover, try_run_traced, BlockedOn, Message, RankCtx,
-    RankVolume, RecoverOutcome, RecoveryReport, RecvTimeout, RunError, RunOptions, StallDiagnostic,
-    ACK_LANE, JOIN_LANE, LANE_MASK, NO_SEQ, REPAIR_LANE,
+    run, run_traced, try_run, try_run_recover, try_run_traced, BlockedOn, Message, Progress,
+    RankCtx, RankVolume, RecoverOutcome, RecoveryReport, RecvTimeout, RunError, RunOptions,
+    StallDiagnostic, ACK_LANE, JOIN_LANE, LANE_MASK, NO_SEQ, REPAIR_LANE,
 };
 pub use telemetry::{Telemetry, TelemetrySample};

@@ -1,22 +1,18 @@
-//! Nonblocking tree-collective state machines.
+//! Nonblocking tree-collective state machines: the one implementation of
+//! the tree protocol.
 //!
-//! The blocking collectives in [`crate::collectives`] park the rank inside
-//! one broadcast or reduction at a time. These state machines post the
-//! same sequenced tree edges as [`RecvRequest`]s and advance on whatever
-//! arrives first, so a progress engine (PSelInv's asynchronous phase-2
-//! loop) can keep many collectives of many supernodes in flight at once
-//! and drain them in arrival order. A loop that polls more than one
-//! request and then parks in [`RankCtx::wait_for_arrival`] must use the
-//! [`RankCtx::arrivals`] guard, or a message stashed mid-sweep is a lost
-//! wakeup.
+//! Each machine posts its rank's sequenced tree edges as [`RecvRequest`]s
+//! and advances on whatever arrives first, so a progress engine (PSelInv's
+//! asynchronous phase-2 loop) can keep many collectives of many supernodes
+//! in flight at once and drain them in arrival order. A loop drives them
+//! through [`RankCtx::sweep_then_park`], which owns the lost-wakeup guard;
+//! the blocking collectives in [`crate::collectives`] are such a loop
+//! around a single machine.
 //!
-//! Determinism: a nonblocking reduction consumes its children's
-//! contributions in *arrival* order but parks each in a per-child slot;
-//! the slots are summed in the tree's fixed child order, so the floating-
-//! point result is bit-identical to the blocking [`tree_reduce`]
-//! (which receives and accumulates in exactly that child order).
-//!
-//! [`tree_reduce`]: crate::collectives::tree_reduce
+//! Determinism: a reduction consumes its children's contributions in
+//! *arrival* order but holds each in its child's request; they are summed
+//! in the tree's fixed child order, so the floating-point result does not
+//! depend on timing.
 
 use crate::payload::Payload;
 use crate::requests::RecvRequest;
@@ -41,10 +37,9 @@ pub struct TreeBcastNb {
 
 impl TreeBcastNb {
     /// Starts the broadcast on this rank. The root must pass `Some(data)`
-    /// (packed once, with the copy accounted exactly like the blocking
-    /// broadcast) and is immediately done; other participants post their
-    /// parent receive; non-participants are immediately done with no
-    /// payload.
+    /// (packed once, with the copy accounted) and is immediately done;
+    /// other participants post their parent receive; non-participants are
+    /// immediately done with no payload.
     pub fn start<P: crate::payload::IntoPayload>(
         ctx: &mut RankCtx,
         tree: &CollectiveTree,
@@ -103,23 +98,19 @@ impl TreeBcastNb {
 
 /// A nonblocking tree reduction (element-wise sum) on one rank.
 ///
-/// Contributions are matched in arrival order but parked in per-child
-/// slots; once every slot is filled they are summed in the tree's fixed
-/// child order on top of the local contribution, then forwarded to the
-/// parent (or kept as the result at the root). Bit-identical to the
-/// blocking [`tree_reduce`](crate::collectives::tree_reduce).
+/// Contributions are matched in arrival order, each held by its child's
+/// completed request; once every request is done they are summed in the
+/// tree's fixed child order on top of the local contribution, then
+/// forwarded to the parent (or kept as the result at the root).
 #[derive(Debug)]
 pub struct TreeReduceNb {
     tag: u64,
-    /// Pending receives, parallel to `slots` (fixed child order).
-    reqs: Vec<Option<RecvRequest>>,
-    /// Arrived contributions, parallel to `reqs`.
-    slots: Vec<Option<Payload>>,
+    /// One receive per child, in the tree's fixed child order.
+    reqs: Vec<RecvRequest>,
     /// This rank's own contribution until the final sum consumes it.
     local: Option<Vec<f64>>,
     /// `Some` at the root once complete.
     result: Option<Vec<f64>>,
-    done: bool,
 }
 
 impl TreeReduceNb {
@@ -127,52 +118,44 @@ impl TreeReduceNb {
     /// posting one sequenced receive per child. A leaf that is not the
     /// root forwards immediately and is done.
     pub fn start(ctx: &mut RankCtx, tree: &CollectiveTree, tag: u64, local: Vec<f64>) -> Self {
-        let children = tree.children_of(ctx.rank());
-        let reqs: Vec<Option<RecvRequest>> =
-            children.iter().map(|&c| Some(RecvRequest::post(c, tag))).collect();
-        let slots = vec![None; children.len()];
-        let mut nb = Self { tag, reqs, slots, local: Some(local), result: None, done: false };
+        let reqs = tree.children_of(ctx.rank()).into_iter().map(|c| RecvRequest::post(c, tag));
+        let mut nb = Self { tag, reqs: reqs.collect(), local: Some(local), result: None };
         nb.try_finish(ctx, tree);
         nb
     }
 
     /// `true` once this rank's part of the reduction is finished.
     pub fn is_done(&self) -> bool {
-        self.done
+        self.local.is_none()
     }
 
     /// Non-blocking progress: matches any child contributions that have
-    /// arrived; when the last slot fills, sums and forwards. Returns
+    /// arrived; when the last one lands, sums and forwards. Returns
     /// [`TreeReduceNb::is_done`].
     pub fn poll(&mut self, ctx: &mut RankCtx, tree: &CollectiveTree) -> bool {
-        if self.done {
-            return true;
-        }
-        for (req, slot) in self.reqs.iter_mut().zip(self.slots.iter_mut()) {
-            let Some(r) = req else { continue };
-            if r.test(ctx) {
-                *slot = req.take().and_then(RecvRequest::take);
+        if !self.is_done() {
+            for r in &mut self.reqs {
+                r.test(ctx);
             }
+            self.try_finish(ctx, tree);
         }
-        self.try_finish(ctx, tree);
-        self.done
+        self.is_done()
     }
 
-    /// If every child slot is filled, performs the fixed-order sum and
+    /// If every child's contribution is in, performs the fixed-order sum and
     /// forwards/stores the total.
     fn try_finish(&mut self, ctx: &mut RankCtx, tree: &CollectiveTree) {
-        if self.done || self.slots.iter().any(Option::is_none) {
+        if !self.reqs.iter().all(RecvRequest::is_done) {
             return;
         }
         let mut acc = self.local.take().expect("local contribution consumed once");
-        for slot in &self.slots {
-            let contrib = slot.as_ref().expect("all slots filled");
+        for r in self.reqs.drain(..) {
+            let contrib = r.take().expect("a done request holds its payload");
             assert_eq!(contrib.len(), acc.len(), "reduction contributions must have equal length");
             for (a, c) in acc.iter_mut().zip(contrib.iter()) {
                 *a += c;
             }
         }
-        self.slots.clear();
         if ctx.rank() == tree.root() {
             self.result = Some(acc);
         } else {
@@ -181,7 +164,6 @@ impl TreeReduceNb {
                 .unwrap_or_else(|| panic!("rank {} is not a participant", ctx.rank()));
             ctx.send_seq(parent, self.tag, acc);
         }
-        self.done = true;
     }
 
     /// Consumes the machine, returning the reduced total at the root
@@ -194,8 +176,7 @@ impl TreeReduceNb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collectives::{tree_bcast, tree_reduce};
-    use crate::runtime::run;
+    use crate::runtime::{run, BlockedOn, Progress};
     use pselinv_trees::{TreeBuilder, TreeScheme};
 
     fn schemes() -> Vec<TreeScheme> {
@@ -207,8 +188,25 @@ mod tests {
         ]
     }
 
+    /// `r`'s contribution plus its children's subtree totals, summed in
+    /// `children_of` order: the arithmetic the tree prescribes, computed
+    /// without a single message.
+    fn subtree_sum(
+        tree: &CollectiveTree,
+        r: usize,
+        contrib: &dyn Fn(usize) -> Vec<f64>,
+    ) -> Vec<f64> {
+        let mut acc = contrib(r);
+        for c in tree.children_of(r) {
+            for (a, x) in acc.iter_mut().zip(subtree_sum(tree, c, contrib)) {
+                *a += x;
+            }
+        }
+        acc
+    }
+
     #[test]
-    fn nb_bcast_matches_blocking_bcast() {
+    fn nb_bcast_delivers_with_the_tree_model_volumes() {
         for scheme in schemes() {
             let receivers: Vec<usize> = (1..9).collect();
             let tree = TreeBuilder::new(scheme, 11).build(0, &receivers, 5);
@@ -216,21 +214,24 @@ mod tests {
             let (results, vols) = run(9, move |ctx| {
                 let data = (ctx.rank() == 0).then(|| vec![1.5, -2.0, 7.0]);
                 let mut nb = TreeBcastNb::start(ctx, tree, 3, data);
-                while !nb.poll(ctx, tree) {
-                    ctx.wait_for_arrival();
-                }
+                ctx.sweep_then_park(BlockedOn::ANY, |ctx| {
+                    Progress::done_or_idle(nb.poll(ctx, tree))
+                });
                 nb.into_payload().expect("participant gets the payload").to_vec()
             });
-            let (expect, evols) = run(9, move |ctx| {
-                tree_bcast(ctx, tree, 3, (ctx.rank() == 0).then(|| vec![1.5, -2.0, 7.0])).to_vec()
-            });
-            assert_eq!(results, expect, "{scheme}");
-            assert_eq!(vols, evols, "{scheme} volumes");
+            assert!(results.iter().all(|r| r == &[1.5, -2.0, 7.0]), "{scheme}");
+            let mut sent = vec![0u64; 9];
+            pselinv_trees::bcast_sent_volume(tree, 24, &mut sent);
+            for (r, v) in vols.iter().enumerate() {
+                assert_eq!(v.sent, sent[r], "{scheme} rank {r}");
+                assert_eq!(v.received, if r == 0 { 0 } else { 24 }, "{scheme} rank {r}");
+            }
+            assert_eq!(vols.iter().map(|v| v.copied).sum::<u64>(), 24, "{scheme}: one packing");
         }
     }
 
     #[test]
-    fn nb_reduce_is_bit_identical_to_blocking_reduce() {
+    fn nb_reduce_is_bit_identical_to_the_fixed_order_sum() {
         for scheme in schemes() {
             let receivers: Vec<usize> = (1..10).collect();
             let tree = TreeBuilder::new(scheme, 3).build(0, &receivers, 9);
@@ -242,29 +243,25 @@ mod tests {
             };
             let (nbr, nbv) = run(10, move |ctx| {
                 let mut nb = TreeReduceNb::start(ctx, tree, 4, contrib(ctx.rank()));
-                loop {
-                    // Testing one child's request can stash another's
-                    // message: park only if nothing came off the inbox.
-                    let seen = ctx.arrivals();
-                    if nb.poll(ctx, tree) {
-                        break;
-                    }
-                    if ctx.arrivals() == seen {
-                        ctx.wait_for_arrival();
-                    }
-                }
+                ctx.sweep_then_park(BlockedOn::ANY, |ctx| {
+                    Progress::done_or_idle(nb.poll(ctx, tree))
+                });
                 nb.into_result()
             });
-            let (blr, blv) = run(10, move |ctx| tree_reduce(ctx, tree, 4, contrib(ctx.rank())));
-            let a = nbr[0].as_ref().expect("root result");
-            let b = blr[0].as_ref().expect("root result");
-            let ab: Vec<u64> = a.iter().map(|x| x.to_bits()).collect();
-            let bb: Vec<u64> = b.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(ab, bb, "{scheme}: arrival-order consumption changed the bits");
-            for r in 1..10 {
-                assert!(nbr[r].is_none());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            let root = nbr[0].as_ref().expect("root result");
+            assert_eq!(
+                bits(root),
+                bits(&subtree_sum(tree, 0, &contrib)),
+                "{scheme}: arrival-order consumption changed the bits"
+            );
+            assert!(nbr[1..].iter().all(Option::is_none), "{scheme}");
+            let mut received = vec![0u64; 10];
+            pselinv_trees::reduce_received_volume(tree, 32, &mut received);
+            for (r, v) in nbv.iter().enumerate() {
+                assert_eq!(v.received, received[r], "{scheme} rank {r}");
+                assert_eq!(v.sent, if r == 0 { 0 } else { 32 }, "{scheme} rank {r}");
             }
-            assert_eq!(nbv, blv, "{scheme} volumes");
         }
     }
 
@@ -293,12 +290,7 @@ mod tests {
                     TreeReduceNb::start(ctx, t, 200 + k as u64, vec![(me * (k + 1)) as f64])
                 })
                 .collect();
-            loop {
-                // The `arrivals` guard of every multi-request progress loop:
-                // a poll late in the sweep drains the inbox into the stash
-                // behind requests already polled, and the stash never wakes
-                // `wait_for_arrival`.
-                let seen = ctx.arrivals();
+            ctx.sweep_then_park(BlockedOn::ANY, |ctx| {
                 let mut all = true;
                 for (k, b) in bcasts.iter_mut().enumerate() {
                     all &= b.poll(ctx, &trees[k]);
@@ -306,27 +298,10 @@ mod tests {
                 for (k, r) in reduces.iter_mut().enumerate() {
                     all &= r.poll(ctx, &trees[k]);
                 }
-                if all {
-                    break;
-                }
-                if ctx.arrivals() == seen {
-                    ctx.wait_for_arrival();
-                }
-            }
+                Progress::done_or_idle(all)
+            });
             let bsum: f64 = bcasts.iter().map(|b| b.payload().unwrap()[0]).sum();
-            let rsum: f64 = reduces
-                .iter_mut()
-                .map(|_| 0.0) // placeholder; results taken below at root only
-                .sum::<f64>()
-                + if me == 0 {
-                    let mut s = 0.0;
-                    for r in reduces {
-                        s += r.into_result().unwrap()[0];
-                    }
-                    s
-                } else {
-                    0.0
-                };
+            let rsum: f64 = reduces.into_iter().filter_map(|r| r.into_result()).map(|v| v[0]).sum();
             (bsum, rsum)
         });
         let bcast_expect: f64 = (0..8).map(|k| k as f64).sum();

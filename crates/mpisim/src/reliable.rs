@@ -15,12 +15,12 @@
 //! * **Crash recovery** ([`Recovery`]): an online re-implementation of the
 //!   offline `figures -- faults` rebuild study. Survivors of a confirmed
 //!   rank death (the shared crash board is the failure detector's ground
-//!   truth; a `recv_seq_timeout` suspicion deadline decides *when* to
+//!   truth; a `recv_timeout` suspicion deadline decides *when* to
 //!   consult it) rebuild each affected collective tree with
 //!   `TreeBuilder::rebuild_excluding`, re-home their orphaned edges via
 //!   JOIN requests on a dedicated tag lane, and consume the re-issued
 //!   payload under a bumped epoch — in-flight pre-crash traffic on a
-//!   re-homed edge is discarded with its accounting reversed. Only
+//!   re-homed edge is discarded before it is accounted. Only
 //!   collectives whose payload *source* died are irreparable; they are
 //!   reported as stranded instead of hanging the run.
 
@@ -258,7 +258,7 @@ impl Recovery {
                 self.dead.contains(&src)
             };
             if !parent_confirmed_dead {
-                match ctx.recv_seq_timeout(src, src_tag, self.cfg.slice) {
+                match ctx.recv_timeout(src, src_tag, self.cfg.slice) {
                     Ok(p) => {
                         self.forward(ctx, tree, tag, &p);
                         self.complete(ctx, tag, p.clone());

@@ -3,10 +3,13 @@
 //!
 //! `RankCtx::send` is already non-blocking (buffered). This module adds
 //! the receive side PSelInv-style engines poll on: post a set of expected
-//! receives, then make progress on whichever arrives first.
+//! receives, then make progress on whichever arrives first. A request
+//! matches through [`RankCtx::try_match`], so it masks sequenced edges
+//! exactly like a blocking receive, and every blocking form here waits in
+//! [`RankCtx::sweep_then_park`].
 
 use crate::payload::Payload;
-use crate::runtime::{BlockedOn, RankCtx};
+use crate::runtime::{BlockedOn, Progress, RankCtx};
 
 /// A posted receive: matches one message by `(source, tag)`.
 #[derive(Clone, Debug, PartialEq)]
@@ -49,11 +52,9 @@ impl RecvRequest {
     }
 
     /// Blocks until the message arrives (≈ `MPI_Wait`) and returns it.
-    pub fn wait(self, ctx: &mut RankCtx) -> Payload {
-        match self.state {
-            State::Done(d) => d,
-            State::Pending => ctx.recv(self.src, self.tag),
-        }
+    pub fn wait(mut self, ctx: &mut RankCtx) -> Payload {
+        wait_any(ctx, std::slice::from_mut(&mut self));
+        self.take().expect("wait_any returns once the request is done")
     }
 
     /// Takes the payload if complete.
@@ -68,37 +69,17 @@ impl RecvRequest {
 /// Progresses a set of posted receives until at least one completes;
 /// returns the index of a completed request (≈ `MPI_Waitany`).
 ///
-/// When no request can be satisfied, this *blocks on the inbox* until a
-/// new message arrives (reporting what it awaits to the watchdog) instead
-/// of popping the stash: taking a stashed message the request set rejects
-/// and re-fronting it would spin at 100% CPU without ever registering as
-/// blocked, making an all-ranks-in-`wait_any` deadlock invisible to the
-/// watchdog and flooding the trace with receive/undo event pairs.
+/// While no request can be satisfied the rank parks, reporting the
+/// sharpest wait-for edge the set allows — a single awaited source lets
+/// the watchdog chase deadlock cycles through this rank.
 pub fn wait_any(ctx: &mut RankCtx, reqs: &mut [RecvRequest]) -> usize {
     assert!(!reqs.is_empty(), "wait_any on an empty request set");
-    loop {
-        let arrivals = ctx.arrivals();
-        for (i, r) in reqs.iter_mut().enumerate() {
-            if r.test(ctx) {
-                return i;
-            }
-        }
-        // Testing request j drains the whole inbox into the stash, so a
-        // message for request i < j can land *after* i was tested this
-        // sweep. Parking would lose that wakeup — `wait_for_arrival_as`
-        // only wakes on new inbox traffic, never on the stash — so re-sweep
-        // whenever anything was accepted off the inbox mid-sweep.
-        if ctx.arrivals() != arrivals {
-            continue;
-        }
-        // Nothing matched, so every request is still pending. Report the
-        // sharpest wait-for edge the set allows: a single awaited source
-        // lets the watchdog chase deadlock cycles through this rank.
-        let mut srcs = reqs.iter().map(|r| r.src);
-        let src = srcs.next().filter(|&s| srcs.all(|o| o == s));
-        let tag = if reqs.len() == 1 { Some(reqs[0].tag) } else { None };
-        ctx.wait_for_arrival_as(BlockedOn { src, tag });
-    }
+    let mut srcs = reqs.iter().map(|r| r.src);
+    let src = srcs.next().filter(|&s| srcs.all(|o| o == s));
+    let tag = (reqs.len() == 1).then(|| reqs[0].tag);
+    ctx.sweep_then_park(BlockedOn { src, tag }, |ctx| {
+        reqs.iter_mut().position(|r| r.test(ctx)).map_or(Progress::Idle, Progress::Done)
+    })
 }
 
 /// Tag lanes reserved for [`tree_barrier`]'s two internal collectives.
@@ -131,8 +112,9 @@ pub fn tree_barrier(ctx: &mut RankCtx, tree: &pselinv_trees::CollectiveTree, tag
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::run;
+    use crate::runtime::{run, try_run, RunOptions};
     use pselinv_trees::{TreeBuilder, TreeScheme};
+    use std::time::Duration;
 
     #[test]
     fn irecv_wait_matches() {
@@ -146,6 +128,36 @@ mod tests {
             }
         });
         assert_eq!(results[1], 1.25);
+    }
+
+    #[test]
+    fn every_receive_form_advances_the_edge_sequence() {
+        // Every form must advance the edge's counter: one that received
+        // seq-blind would leave it behind, and the next sequenced match
+        // would hold message 2 early forever, waiting for a message 0 that
+        // was taken long ago.
+        let opts = RunOptions {
+            watchdog: Some(Duration::from_secs(2)),
+            poll: Duration::from_millis(10),
+            ..RunOptions::default()
+        };
+        let (results, _) = try_run(2, &opts, |ctx| {
+            if ctx.rank() == 0 {
+                for v in [1.0, 2.0, 3.0] {
+                    ctx.send_seq(1, 7, vec![v]);
+                }
+                vec![]
+            } else {
+                let a = RecvRequest::post(0, 7).wait(ctx)[0];
+                let b = ctx.recv(0, 7)[0];
+                let mut c = [RecvRequest::post(0, 7)];
+                wait_any(ctx, &mut c);
+                let [c] = c;
+                vec![a, b, c.take().expect("completed")[0]]
+            }
+        })
+        .expect("a sequenced edge must not stall whichever form receives it");
+        assert_eq!(results[1], vec![1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //!   [`StallDiagnostic`] ([`RunError::Stalled`]) instead of hanging.
 //! * **Fault injection.** A [`FaultPlan`](pselinv_chaos::FaultPlan) lets a
 //!   run inject per-message delay/jitter, duplication and reordering plus
-//!   per-rank stall/crash triggers, deterministically from a seed. The
-//!   sequence-numbered collective paths ([`RankCtx::send_seq`] /
-//!   [`RankCtx::recv_seq`]) mask duplicated and reordered deliveries, so
-//!   any crash-free schedule yields bit-identical results.
+//!   per-rank stall/crash triggers, deterministically from a seed. Every
+//!   receive masks duplicated and reordered deliveries on the
+//!   sequence-numbered edges [`RankCtx::send_seq`] writes, so any
+//!   crash-free schedule yields bit-identical results.
 
 use crate::payload::{IntoPayload, Payload};
 use crate::spin::{SpinPolicy, SPIN_BUDGET};
@@ -67,7 +67,7 @@ pub struct Message {
     /// excluded from [`Message::bytes`]. Always 0 outside recovery. A
     /// receiver that re-homed an edge after a rebuild raises the edge's
     /// minimum epoch ([`RankCtx::expect_epoch`]); an in-sequence delivery
-    /// below that minimum is then discarded with its accounting reversed.
+    /// below that minimum is then discarded unaccounted.
     pub epoch: u64,
     /// Payload (shared; cloning the message never copies the buffer).
     pub data: Payload,
@@ -105,13 +105,46 @@ pub struct RankVolume {
 }
 
 /// What a rank is currently blocked on (for the watchdog's wait-for graph).
-/// `None` fields are wildcards (a `recv_any`).
+/// `None` fields are wildcards (a wait on several sources or tags).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BlockedOn {
     /// Awaited source rank, `None` for any-source.
     pub src: Option<usize>,
     /// Awaited tag, `None` for any-tag.
     pub tag: Option<u64>,
+}
+
+impl BlockedOn {
+    /// Waiting on any message at all.
+    pub const ANY: Self = Self { src: None, tag: None };
+}
+
+/// What one sweep of a [`RankCtx::sweep_then_park`] loop achieved.
+#[derive(Debug)]
+pub enum Progress<T> {
+    /// The loop is finished, with this result.
+    Done(T),
+    /// Something advanced — a message matched, or progress that involves
+    /// no message (a freed admission slot, a query finished by skipping):
+    /// sweep again at once.
+    Moved,
+    /// Nothing can advance until a message arrives.
+    Idle,
+    /// Nothing can advance until a message arrives or this long has passed
+    /// (work in flight off the message path, e.g. a pool batch).
+    IdleFor(Duration),
+}
+
+impl Progress<()> {
+    /// `Done` once `finished`, else `Idle`: the sweep of a loop whose only
+    /// way forward is a message.
+    pub fn done_or_idle(finished: bool) -> Self {
+        if finished {
+            Progress::Done(())
+        } else {
+            Progress::Idle
+        }
+    }
 }
 
 impl std::fmt::Display for BlockedOn {
@@ -304,7 +337,8 @@ pub(crate) struct RankState {
     /// confirmed-death board survivors consult to rebuild trees.
     crashed: AtomicBool,
     pub(crate) blocked: Mutex<Option<BlockedOn>>,
-    /// `(src, tag)` of stashed messages, refreshed on stash changes.
+    /// `(src, tag)` of stashed messages, in stash order: the rank's own
+    /// stash helpers update it with every change.
     pub(crate) stash: Mutex<Vec<(usize, u64)>>,
     /// Messages currently queued in this rank's inbox. Always maintained
     /// (two relaxed bumps per message): the watchdog refuses to call a
@@ -404,8 +438,8 @@ impl Shared {
 /// The out-of-order stash preserves MPI's non-overtaking guarantee: two
 /// messages with the same `(source, tag)` are always delivered in the order
 /// they were sent. The stash is therefore a FIFO (`VecDeque`): arrivals
-/// append at the back, wildcard receives take from the front, and tag
-/// matches take the *first* match in arrival order.
+/// append at the back and tag matches take the *first* match in arrival
+/// order.
 pub struct RankCtx {
     rank: usize,
     size: usize,
@@ -428,10 +462,10 @@ pub struct RankCtx {
     held: Vec<Option<Message>>,
     /// Next sequence number per `(dst, tag)` for [`RankCtx::send_seq`].
     seq_tx: HashMap<(usize, u64), u64>,
-    /// Next expected sequence number per `(src, tag)` for
-    /// [`RankCtx::recv_seq`].
+    /// Next expected sequence number per `(src, tag)` edge.
     seq_rx: HashMap<(usize, u64), u64>,
-    /// Sequenced messages that arrived ahead of their turn.
+    /// Sequenced messages that arrived ahead of their turn (no empty
+    /// entries, so a fault-free run never looks anything up here).
     early: HashMap<(usize, u64), BTreeMap<u64, Message>>,
     /// This rank's Lamport clock: ticked on every send, merged (`max + 1`)
     /// on every consumed receive. Two plain `u64` bumps per message, so the
@@ -447,19 +481,15 @@ pub struct RankCtx {
     epoch: u64,
     /// Receiver-side minimum acceptable epoch per `(src, tag)` edge
     /// ([`RankCtx::expect_epoch`]): in-sequence deliveries below it are
-    /// discarded with their accounting reversed.
+    /// discarded unaccounted.
     min_epoch: HashMap<(usize, u64), u64>,
     /// Per-channel logical-volume split, when the rank entry enabled it
     /// ([`RankCtx::enable_channel_accounting`]).
     channels: Option<ChannelAccounting>,
     /// Monotonic count of data messages accepted off the inbox (consumed
-    /// *or* stashed). Progress loops snapshot it before a poll pass and
-    /// compare at their park decision ([`RankCtx::arrivals`]): a message
-    /// drained into the stash mid-pass — e.g. by [`RankCtx::try_match`]
-    /// testing an unrelated `(src, tag)` — bumps the counter but matches no
-    /// request in the rest of that pass, and [`RankCtx::wait_for_arrival`]
-    /// only ever wakes on *new* inbox traffic, so parking on a moved
-    /// counter would lose the wakeup for good.
+    /// *or* stashed): the lost-wakeup guard [`RankCtx::sweep_then_park`]
+    /// snapshots before each sweep and compares before it parks, and
+    /// nothing else reads.
     arrivals: u64,
     /// Whether [`RankCtx::park`] polls before it parks, learnt from this
     /// rank's own waits.
@@ -576,10 +606,9 @@ impl RankCtx {
         &mut self.tracer
     }
 
-    /// Unwinds this rank because the run was aborted elsewhere, leaving a
-    /// stash snapshot and trace tail behind for the diagnostic.
+    /// Unwinds this rank because the run was aborted elsewhere, leaving its
+    /// trace tail behind for the diagnostic.
     fn abort_unwind(&mut self) -> ! {
-        self.snapshot_stash();
         let tail = self.tracer.tail(8);
         if !tail.is_empty() {
             self.shared.trace_tails.lock().unwrap().push((self.rank, tail));
@@ -609,10 +638,34 @@ impl RankCtx {
         }
     }
 
-    fn snapshot_stash(&self) {
+    /// Appends an arrival to the stash. With [`RankCtx::stash_take`] the
+    /// only way the stash changes: the two keep the trace's depth gauge and
+    /// the observers' mirror ([`RankState::stash`]) equal to it.
+    fn stash_push(&mut self, m: Message) {
         if self.shared.observed() {
-            *self.shared.states[self.rank].stash.lock().unwrap() =
-                self.stash.iter().map(|m| (m.src, m.tag)).collect();
+            self.shared.states[self.rank].stash.lock().unwrap().push((m.src, m.tag));
+        }
+        self.stash.push_back(m);
+        self.tracer.stash_depth(self.stash.len());
+    }
+
+    /// Removes stash entry `i`. `remove` (not `swap_remove_back`) keeps the
+    /// rest in arrival order, preserving per-`(src, tag)` FIFO delivery.
+    fn stash_take(&mut self, i: usize) -> Message {
+        let m = self.stash.remove(i).expect("stash index in range");
+        if self.shared.observed() {
+            self.shared.states[self.rank].stash.lock().unwrap().remove(i);
+        }
+        self.tracer.stash_depth(self.stash.len());
+        m
+    }
+
+    /// Moves everything queued in the inbox into the stash.
+    fn drain_inbox(&mut self) {
+        while let Ok(m) = self.inbox.try_recv() {
+            if let Some(m) = self.accept(m) {
+                self.stash_push(m);
+            }
         }
     }
 
@@ -985,14 +1038,9 @@ impl RankCtx {
             return;
         }
         loop {
-            while let Ok(m) = self.inbox.try_recv() {
-                self.note_inbox_pop();
-                if let Some(m) = self.ingest_control(m) {
-                    // Late data (e.g. a surplus duplicate): park it; the
-                    // stash dies with the rank.
-                    self.stash.push_back(m);
-                }
-            }
+            // Acks are what this loop waits for; late data (e.g. a surplus
+            // duplicate) is stashed and dies with the rank.
+            self.drain_inbox();
             self.reliable_tick();
             if self.reliable.as_ref().is_none_or(|r| r.streams.is_empty()) {
                 return;
@@ -1015,8 +1063,8 @@ impl RankCtx {
     }
 
     /// Like [`RankCtx::send`], but stamps a per-`(dst, tag)` sequence
-    /// number so the matching [`RankCtx::recv_seq`] can suppress duplicated
-    /// and reorder-displaced deliveries. The collectives use this pair.
+    /// number so the receiver can suppress duplicated and reorder-displaced
+    /// deliveries. The collectives send this way.
     pub fn send_seq<P: IntoPayload>(&mut self, dst: usize, tag: u64, data: P) {
         let (payload, copied) = data.into_payload();
         self.account_copy(copied);
@@ -1028,8 +1076,8 @@ impl RankCtx {
 
     /// The one blocking point of the message path: waits until a data
     /// message comes off the inbox and returns it, or returns `None` once
-    /// `deadline` (if any) has passed. Every blocking call — matched and
-    /// wildcard receives, `wait_for_arrival[_timeout]` and through them
+    /// `deadline` (if any) has passed. Every blocking call — the matched
+    /// receives and [`RankCtx::sweep_then_park`], and through it
     /// `wait_any`, the collectives and the engines' progress loops —
     /// bottoms out here, so the ready check, the spin, the timed park, the
     /// deadline arithmetic, the abort check, the reliable-transport tick
@@ -1098,43 +1146,114 @@ impl RankCtx {
         got
     }
 
-    /// Blocking receive with a deadline: the core under every matched
-    /// receive. Returns the matching message or a [`RecvTimeout`] once
-    /// `until` expires without one.
-    fn recv_msg_until(
-        &mut self,
-        src: usize,
-        tag: u64,
-        until: Until,
-    ) -> Result<Message, RecvTimeout> {
+    /// Blocking receive with a deadline: the core under [`RankCtx::recv`]
+    /// and [`RankCtx::recv_timeout`], one chaos operation per call. A
+    /// matching message that arrives while the rank is parked is judged on
+    /// the spot and, when it is the edge's turn, taken without passing
+    /// through the stash.
+    fn recv_until(&mut self, src: usize, tag: u64, until: Until) -> Result<Message, RecvTimeout> {
         self.chaos_op();
         self.flush_held();
-        if let Some(i) = self.stash.iter().position(|m| m.src == src && m.tag == tag) {
-            // `remove` (not `swap_remove_back`) keeps the rest of the stash
-            // in arrival order, preserving per-(src, tag) FIFO delivery.
-            let m = self.stash.remove(i).unwrap();
-            self.tracer.stash_depth(self.stash.len());
-            self.snapshot_stash();
+        if let Some(m) = self.match_local(src, tag) {
             return Ok(self.account_recv(m));
         }
         let posted_us = self.tracer.now_us();
+        let on = BlockedOn { src: Some(src), tag: Some(tag) };
         loop {
-            let on = BlockedOn { src: Some(src), tag: Some(tag) };
             let Some(m) = self.park(on, until.deadline) else {
                 return Err(RecvTimeout { src, tag, waited: until.start.elapsed() });
             };
-            if m.src == src && m.tag == tag {
+            if m.src != src || m.tag != tag {
+                self.stash_push(m);
+                continue;
+            }
+            // A discarded stale epoch used up the edge's turn: the next one
+            // may already be held early.
+            if let Some(m) = self.judge(m).or_else(|| self.match_local(src, tag)) {
                 self.tracer.recv_wait(posted_us, m.sent_us, Some((m.src, m.idx)));
                 return Ok(self.account_recv(m));
             }
-            self.stash.push_back(m);
-            self.tracer.stash_depth(self.stash.len());
-            self.snapshot_stash();
         }
     }
 
-    /// Blocking receive matching `(src, tag)`, buffering any other arrivals
-    /// (≈ `MPI_Recv` with out-of-order message stashing).
+    /// The masking rule: what happens to a message on the edge a receive
+    /// wants. Unsequenced mail and the edge's next sequence number are
+    /// taken (`Some`); everything else is consumed here — a stale
+    /// duplicate of a message already taken is dropped, an early arrival
+    /// is held until its turn, and an in-turn delivery below the edge's
+    /// minimum epoch is discarded (its turn is used up: the re-issue
+    /// carries a later number). Nothing judged here was accounted yet, so
+    /// dropping needs no reversal.
+    fn judge(&mut self, m: Message) -> Option<Message> {
+        if m.seq == NO_SEQ {
+            return Some(m);
+        }
+        let (src, tag) = (m.src, m.tag);
+        let want = self.seq_rx.get(&(src, tag)).copied().unwrap_or(0);
+        if m.seq > want {
+            if self.early.entry((src, tag)).or_default().insert(m.seq, m).is_some() {
+                self.tracer.fault(FaultKind::DuplicateSuppressed, src, tag);
+            }
+            return None;
+        }
+        if m.seq < want {
+            self.tracer.fault(FaultKind::DuplicateSuppressed, src, tag);
+            self.send_ack(src, tag, want);
+            return None;
+        }
+        self.seq_rx.insert((src, tag), want + 1);
+        self.send_ack(src, tag, want + 1);
+        if m.epoch < self.min_epoch.get(&(src, tag)).copied().unwrap_or(0) {
+            self.tracer.fault(FaultKind::Dropped, src, tag);
+            return None;
+        }
+        Some(m)
+    }
+
+    /// Takes the next message for `(src, tag)` already on this rank — the
+    /// early arrival whose turn has come, else the oldest stashed match —
+    /// passing every candidate through [`RankCtx::judge`].
+    fn match_local(&mut self, src: usize, tag: u64) -> Option<Message> {
+        let mut i = 0;
+        loop {
+            let m = match self.take_early(src, tag) {
+                Some(m) => m,
+                None => {
+                    i += self.stash.range(i..).position(|m| m.src == src && m.tag == tag)?;
+                    self.stash_take(i)
+                }
+            };
+            if let Some(m) = self.judge(m) {
+                return Some(m);
+            }
+        }
+    }
+
+    /// Removes the held early arrival of edge `(src, tag)` whose turn has
+    /// come, if there is one.
+    fn take_early(&mut self, src: usize, tag: u64) -> Option<Message> {
+        if self.early.is_empty() {
+            return None;
+        }
+        let want = self.seq_rx.get(&(src, tag)).copied().unwrap_or(0);
+        let held = self.early.get_mut(&(src, tag))?;
+        let m = held.remove(&want);
+        if held.is_empty() {
+            self.early.remove(&(src, tag));
+        }
+        m
+    }
+
+    /// Blocking receive of the next message on edge `(src, tag)`, buffering
+    /// any other arrivals (≈ `MPI_Recv` with out-of-order message stashing).
+    ///
+    /// Sequence-aware: on an edge carrying [`RankCtx::send_seq`] traffic,
+    /// messages are taken strictly in sequence order — stale duplicates are
+    /// dropped, early arrivals held until their turn, and in-turn
+    /// deliveries below the edge's minimum epoch ([`RankCtx::expect_epoch`])
+    /// discarded. The sequence counters persist across calls, which is what
+    /// makes repeated collectives on a reused tag safe under duplication.
+    /// [`RankCtx::send`] traffic is taken in arrival order.
     ///
     /// A receive that actually blocks gets its blocked interval classified
     /// into late-sender wait vs transfer time against the matching
@@ -1144,286 +1263,73 @@ impl RankCtx {
     /// Returns the shared payload: reading it is zero-copy, and forwarding
     /// it into another [`RankCtx::send`] shares the buffer.
     pub fn recv(&mut self, src: usize, tag: u64) -> Payload {
-        let m = self.recv_msg_until(src, tag, Until::forever());
+        let m = self.recv_until(src, tag, Until::forever());
         m.expect("an unbounded receive cannot time out").data
     }
 
-    /// Like [`RankCtx::recv`], but gives up after `dur` (the watchdog-path
-    /// receive: a caller that wants to degrade instead of block forever).
+    /// Like [`RankCtx::recv`], but gives up after `dur`: the suspicion
+    /// primitive of the recovery layer. A timeout takes nothing, so the
+    /// call can be retried (or the edge abandoned for a rebuilt parent)
+    /// without corrupting the masking state.
     pub fn recv_timeout(
         &mut self,
         src: usize,
         tag: u64,
         dur: Duration,
     ) -> Result<Payload, RecvTimeout> {
-        self.recv_msg_until(src, tag, Until::after(dur)).map(|m| m.data)
+        self.recv_until(src, tag, Until::after(dur)).map(|m| m.data)
     }
 
-    /// Sequence-checked blocking receive, the masked counterpart of
-    /// [`RankCtx::send_seq`]: consumes messages for `(src, tag)` strictly
-    /// in sequence order, dropping stale duplicates (with their accounting
-    /// reversed) and buffering early arrivals. The sequence counters
-    /// persist across collective calls on the same edge, which is what
-    /// makes repeated collectives on a reused tag safe under duplication.
-    pub fn recv_seq(&mut self, src: usize, tag: u64) -> Payload {
-        self.recv_seq_until(src, tag, Until::forever())
-            .expect("an unbounded receive cannot time out")
-    }
-
-    /// [`RankCtx::recv_seq`] with a deadline: the suspicion primitive of
-    /// the recovery layer. A timeout consumes nothing — the edge's sequence
-    /// counter only advances when a message is actually taken, so the call
-    /// can be retried (or the edge abandoned for a rebuilt parent) without
-    /// corrupting the masking state.
-    pub fn recv_seq_timeout(
-        &mut self,
-        src: usize,
-        tag: u64,
-        dur: Duration,
-    ) -> Result<Payload, RecvTimeout> {
-        self.recv_seq_until(src, tag, Until::after(dur))
-    }
-
-    fn recv_seq_until(
-        &mut self,
-        src: usize,
-        tag: u64,
-        until: Until,
-    ) -> Result<Payload, RecvTimeout> {
-        loop {
-            let want = self.seq_rx.get(&(src, tag)).copied().unwrap_or(0);
-            let min_epoch = self.min_epoch.get(&(src, tag)).copied().unwrap_or(0);
-            if let Some(m) = self.early.get_mut(&(src, tag)).and_then(|b| b.remove(&want)) {
-                self.seq_rx.insert((src, tag), want + 1);
-                if m.epoch < min_epoch {
-                    // Stale-epoch delivery: the slot is consumed (the
-                    // re-issue arrives with a later sequence number), but
-                    // the data is discarded. Early-buffered messages were
-                    // never accounted, so there is nothing to reverse.
-                    self.tracer.fault(FaultKind::Dropped, src, tag);
-                    self.send_ack(src, tag, want + 1);
-                    continue;
-                }
-                let m = self.account_recv(m);
-                self.send_ack(src, tag, want + 1);
-                return Ok(m.data);
-            }
-            let m = self.recv_msg_until(src, tag, until)?;
-            assert_ne!(
-                m.seq, NO_SEQ,
-                "unsequenced message from {src} tag {tag} on a masked receive"
-            );
-            if m.seq == want {
-                self.seq_rx.insert((src, tag), want + 1);
-                self.send_ack(src, tag, want + 1);
-                if m.epoch < min_epoch {
-                    // Stale-epoch delivery consumed in sequence: reverse
-                    // the accounting recv_msg_until did and wait for the
-                    // bumped-epoch re-issue.
-                    self.unaccount_recv(&m);
-                    self.tracer.fault(FaultKind::Dropped, src, tag);
-                    continue;
-                }
-                return Ok(m.data);
-            }
-            // Not our turn: reverse the accounting recv_msg_until did.
-            self.unaccount_recv(&m);
-            if m.seq < want {
-                // Stale duplicate of an already-consumed message.
-                self.tracer.fault(FaultKind::DuplicateSuppressed, src, tag);
-                self.send_ack(src, tag, want);
-            } else if self.early.entry((src, tag)).or_default().insert(m.seq, m).is_some() {
-                // Duplicate of a message already buffered ahead.
-                self.tracer.fault(FaultKind::DuplicateSuppressed, src, tag);
-            }
-        }
-    }
-
-    /// Blocking wildcard receive (stashed messages first, oldest first).
-    pub fn recv_any(&mut self) -> Message {
-        self.chaos_op();
-        self.flush_held();
-        if let Some(m) = self.stash.pop_front() {
-            self.tracer.stash_depth(self.stash.len());
-            self.snapshot_stash();
-            return self.account_recv(m);
-        }
-        let posted_us = self.tracer.now_us();
-        let m = self
-            .park(BlockedOn { src: None, tag: None }, None)
-            .expect("an unbounded park returns only with a message");
-        self.tracer.recv_wait(posted_us, m.sent_us, Some((m.src, m.idx)));
-        self.account_recv(m)
-    }
-
-    /// Non-blocking wildcard receive.
-    pub fn try_recv_any(&mut self) -> Option<Message> {
-        self.check_abort();
-        self.flush_held();
-        self.reliable_tick();
-        if let Some(m) = self.stash.pop_front() {
-            self.tracer.stash_depth(self.stash.len());
-            self.snapshot_stash();
-            return Some(self.account_recv(m));
-        }
-        while let Ok(m) = self.inbox.try_recv() {
-            let Some(m) = self.accept(m) else { continue };
-            return Some(self.account_recv(m));
-        }
-        None
-    }
-
-    /// Non-blocking match of `(src, tag)`: drains any queued arrivals into
-    /// the stash and returns the payload if a matching message is present
-    /// (≈ `MPI_Iprobe` + receive). Used by the request API.
-    ///
-    /// Sequence-aware: on an edge carrying [`RankCtx::send_seq`] traffic,
-    /// messages are consumed strictly in sequence order — stale duplicates
-    /// are suppressed on the spot (they were never accounted, so no
-    /// reversal is needed) and early arrivals are parked in the same
-    /// early-arrival buffer [`RankCtx::recv_seq`] drains. Without this, a
-    /// nonblocking receiver under injected duplication/reordering would
-    /// deliver whichever copy reached the stash first, breaking the
-    /// fault-masking guarantee the blocking path provides.
+    /// Non-blocking match of `(src, tag)` (≈ `MPI_Iprobe` + receive): drains
+    /// the inbox into the stash and takes the edge's next message if it is
+    /// here, masked exactly like [`RankCtx::recv`]. Used by the request
+    /// API. A match counts one chaos operation — a request's count does not
+    /// depend on how often it was polled.
     pub fn try_match(&mut self, src: usize, tag: u64) -> Option<Payload> {
         self.check_abort();
         self.flush_held();
         self.reliable_tick();
+        self.drain_inbox();
+        let m = self.match_local(src, tag)?;
+        self.chaos_op();
+        Some(self.account_recv(m).data)
+    }
+
+    /// Drives a progress loop to completion; the one place a rank parks
+    /// between polls. Each round snapshots the arrival counter, runs
+    /// `sweep`, and parks — reporting `on` to the watchdog — only if the
+    /// sweep found nothing to do ([`Progress::Idle`] or
+    /// [`Progress::IdleFor`], the latter bounding the park) *and* no
+    /// message came off the inbox during it. The second condition is the
+    /// lost-wakeup guard: a poll late in a sweep drains the inbox into the
+    /// stash, possibly behind a request polled earlier, and a parked rank
+    /// wakes only on new inbox traffic. The message that ends a park is
+    /// stashed unaccounted for the next sweep to match, its blocked time
+    /// classified against its send timestamp.
+    pub fn sweep_then_park<T>(
+        &mut self,
+        on: BlockedOn,
+        mut sweep: impl FnMut(&mut Self) -> Progress<T>,
+    ) -> T {
         loop {
-            let want = self.seq_rx.get(&(src, tag)).copied().unwrap_or(0);
-            let min_epoch = self.min_epoch.get(&(src, tag)).copied().unwrap_or(0);
-            // A sequenced message already held for this edge has its turn
-            // now.
-            if let Some(m) = self.early.get_mut(&(src, tag)).and_then(|b| b.remove(&want)) {
-                self.seq_rx.insert((src, tag), want + 1);
-                if m.epoch < min_epoch {
-                    // Stale-epoch delivery: slot consumed, data discarded
-                    // (never accounted — it came from the early buffer).
-                    self.tracer.fault(FaultKind::Dropped, src, tag);
-                    self.send_ack(src, tag, want + 1);
-                    continue;
-                }
-                self.send_ack(src, tag, want + 1);
-                return Some(self.account_recv(m).data);
-            }
-            let mut drained = false;
-            while let Ok(m) = self.inbox.try_recv() {
-                let Some(m) = self.accept(m) else { continue };
-                self.stash.push_back(m);
-                self.tracer.stash_depth(self.stash.len());
-                drained = true;
-            }
-            if drained {
-                self.snapshot_stash();
-            }
-            let mut i = 0;
-            let mut matched = None;
-            while i < self.stash.len() {
-                if self.stash[i].src != src || self.stash[i].tag != tag {
-                    i += 1;
-                    continue;
-                }
-                // `remove` keeps the rest of the stash in arrival order,
-                // preserving per-(src, tag) FIFO delivery.
-                let m = self.stash.remove(i).unwrap();
-                if m.seq == NO_SEQ || m.seq == want {
-                    if m.seq == want {
-                        self.seq_rx.insert((src, tag), want + 1);
-                        self.send_ack(src, tag, want + 1);
-                    }
-                    matched = Some(m);
-                    break;
-                } else if m.seq < want {
-                    // Stale duplicate of an already-consumed message. Stash
-                    // entries carry no receive accounting yet, so dropping
-                    // it here leaves the volume counters exactly as if the
-                    // duplicate had been accounted and then reversed.
-                    self.tracer.fault(FaultKind::DuplicateSuppressed, src, tag);
-                    self.send_ack(src, tag, want);
-                } else if self.early.entry((src, tag)).or_default().insert(m.seq, m).is_some() {
-                    // Duplicate of a message already buffered ahead.
-                    self.tracer.fault(FaultKind::DuplicateSuppressed, src, tag);
-                }
-                // The removal shifted the deque; re-inspect index `i`.
-            }
-            self.tracer.stash_depth(self.stash.len());
-            self.snapshot_stash();
-            let m = matched?;
-            if m.seq != NO_SEQ && m.epoch < min_epoch {
-                // Stale-epoch delivery taken from the stash: never
-                // accounted, so discarding it is already reversal-exact.
-                self.tracer.fault(FaultKind::Dropped, src, tag);
+            let seen = self.arrivals;
+            let patience = match sweep(self) {
+                Progress::Done(t) => return t,
+                Progress::Moved => continue,
+                Progress::Idle => None,
+                Progress::IdleFor(d) => Some(d),
+            };
+            if self.arrivals != seen {
                 continue;
             }
-            return Some(self.account_recv(m).data);
+            self.flush_held();
+            let posted_us = self.tracer.now_us();
+            let deadline = patience.and_then(|d| Instant::now().checked_add(d));
+            if let Some(m) = self.park(on, deadline) {
+                self.tracer.recv_wait(posted_us, m.sent_us, Some((m.src, m.idx)));
+                self.stash_push(m);
+            }
         }
-    }
-
-    /// Blocks until at least one *new* message arrives and stashes it
-    /// without consuming it (no receive accounting — a later matched
-    /// receive accounts it). This is the progress engine's blocking point:
-    /// unlike popping the stash, it can never livelock on messages no
-    /// posted request matches, and it reports `on` to the watchdog while
-    /// waiting, so an all-ranks-blocked progress loop is diagnosed like any
-    /// other deadlock. Blocked time is classified against the arriving
-    /// message's send timestamp.
-    pub fn wait_for_arrival_as(&mut self, on: BlockedOn) {
-        self.await_arrival(on, None);
-    }
-
-    /// [`RankCtx::wait_for_arrival_as`] with a wildcard blocked-on report.
-    pub fn wait_for_arrival(&mut self) {
-        self.wait_for_arrival_as(BlockedOn { src: None, tag: None });
-    }
-
-    /// Bounded [`RankCtx::wait_for_arrival`]: waits until a new message is
-    /// stashed or `timeout` elapses, whichever comes first; returns whether
-    /// a message arrived. The async engine calls this while intra-rank pool
-    /// batches are in flight — the rank must wake promptly for *either* a
-    /// message or batch completion, so it cannot block on the inbox alone.
-    pub fn wait_for_arrival_timeout(&mut self, timeout: Duration) -> bool {
-        self.await_arrival(BlockedOn { src: None, tag: None }, Instant::now().checked_add(timeout))
-    }
-
-    fn await_arrival(&mut self, on: BlockedOn, deadline: Option<Instant>) -> bool {
-        self.chaos_op();
-        self.flush_held();
-        let posted_us = self.tracer.now_us();
-        let Some(m) = self.park(on, deadline) else { return false };
-        self.tracer.recv_wait(posted_us, m.sent_us, Some((m.src, m.idx)));
-        self.stash.push_back(m);
-        self.tracer.stash_depth(self.stash.len());
-        self.snapshot_stash();
-        true
-    }
-
-    /// Monotonic count of data messages this rank has accepted off its
-    /// inbox (whether consumed on the spot or parked in the stash).
-    ///
-    /// This is the park guard for every progress loop built on
-    /// [`RankCtx::try_match`] + [`RankCtx::wait_for_arrival`]: `try_match`
-    /// drains the *entire* inbox into the stash before scanning for its own
-    /// `(src, tag)`, so testing one request can stash a message that an
-    /// earlier-tested request wanted. The pass then ends "without
-    /// progress", and `wait_for_arrival` blocks on *new* inbox traffic
-    /// only — the stashed message can never wake it. Snapshot this counter
-    /// before the test sweep and re-poll instead of parking when it moved.
-    pub fn arrivals(&self) -> u64 {
-        self.arrivals
-    }
-
-    /// Returns a message taken with [`RankCtx::recv_any`] to the stash
-    /// (un-receives it), reversing its accounting. Used by `wait_any` when
-    /// an arrival matches none of the posted requests yet.
-    ///
-    /// The message goes back to the *front* of the stash — it was the
-    /// oldest undelivered message, and must stay ahead of anything that
-    /// arrived after it.
-    pub fn stash_back(&mut self, m: Message) {
-        self.unaccount_recv(&m);
-        self.stash.push_front(m);
-        self.tracer.stash_depth(self.stash.len());
-        self.snapshot_stash();
     }
 
     fn account_recv(&mut self, m: Message) -> Message {
@@ -1433,23 +1339,10 @@ impl RankCtx {
             v.received += m.bytes();
             v.msgs_received += 1;
         }
-        // Lamport merge at the consumption point. An un-received message
-        // (stash_back / sequenced re-stash) leaves the clock elevated,
-        // which is still a valid Lamport history: later receives only ever
-        // record strictly larger clocks.
+        // Lamport merge at the consumption point.
         self.clock = self.clock.max(m.clock) + 1;
         self.tracer.msg_recv(m.src, m.tag, m.bytes(), self.clock, m.idx);
         m
-    }
-
-    fn unaccount_recv(&mut self, m: &Message) {
-        self.volume.received -= m.bytes();
-        self.volume.msgs_received -= 1;
-        if let Some(v) = self.channel_for(m.tag) {
-            v.received -= m.bytes();
-            v.msgs_received -= 1;
-        }
-        self.tracer.msg_recv_undo();
     }
 
     /// Counters so far.
@@ -1460,11 +1353,11 @@ impl RankCtx {
     /// Splits this rank's logical traffic counters across `nchannels`
     /// application channels: every subsequent send and consumed receive
     /// whose tag `classify`s to `Some(i)` is additionally charged to channel
-    /// `i`'s [`RankVolume`]. Un-received messages (stash-backs, sequenced
-    /// re-stashes) reverse their channel charge the same way the aggregate
-    /// counters reverse, so a channel's totals are exact logical volumes,
-    /// not delivery-order artifacts. Only `sent`/`received` and the message
-    /// counts are split; `copied` and `retransmitted` remain aggregate.
+    /// `i`'s [`RankVolume`]. A receive is charged only when it is taken
+    /// (never for a masked duplicate), so a channel's totals are exact
+    /// logical volumes, not delivery-order artifacts. Only
+    /// `sent`/`received` and the message counts are split; `copied` and
+    /// `retransmitted` remain aggregate.
     ///
     /// Calling it again resets the per-channel counters (the aggregate
     /// [`RankCtx::volume`] is untouched).
@@ -1503,8 +1396,8 @@ impl RankCtx {
     }
 
     /// Raises the minimum acceptable epoch of edge `(src, tag)`: an
-    /// in-sequence delivery stamped below it is discarded (with its
-    /// accounting reversed) instead of returned. The recovery layer calls
+    /// in-sequence delivery stamped below it is discarded unaccounted
+    /// instead of returned. The recovery layer calls
     /// this when it re-homes an edge after a rebuild, so in-flight
     /// pre-crash traffic cannot race the re-issued payload.
     pub fn expect_epoch(&mut self, src: usize, tag: u64, epoch: u64) {
@@ -1537,15 +1430,9 @@ impl RankCtx {
         self.check_abort();
         self.flush_held();
         self.reliable_tick();
-        while let Ok(m) = self.inbox.try_recv() {
-            let Some(m) = self.accept(m) else { continue };
-            self.stash.push_back(m);
-            self.tracer.stash_depth(self.stash.len());
-        }
+        self.drain_inbox();
         let i = self.stash.iter().position(|m| m.tag & LANE_MASK == lane)?;
-        let m = self.stash.remove(i).unwrap();
-        self.tracer.stash_depth(self.stash.len());
-        self.snapshot_stash();
+        let m = self.stash_take(i);
         Some(self.account_recv(m))
     }
 
@@ -2087,49 +1974,12 @@ mod tests {
     }
 
     #[test]
-    fn recv_any_drains_everything() {
-        let n = 5;
-        let (results, _) = run(n, move |ctx| {
-            if ctx.rank() == 0 {
-                let mut total = 0.0;
-                for _ in 0..(n - 1) {
-                    let m = ctx.recv_any();
-                    total += m.data[0];
-                }
-                total
-            } else {
-                ctx.send(0, ctx.rank() as u64, vec![ctx.rank() as f64]);
-                0.0
-            }
-        });
-        assert_eq!(results[0], (1..5).sum::<usize>() as f64);
-    }
-
-    #[test]
-    fn try_recv_any_polls() {
-        let (results, _) = run(2, |ctx| {
-            if ctx.rank() == 0 {
-                ctx.send(1, 0, vec![42.0]);
-                0.0
-            } else {
-                loop {
-                    if let Some(m) = ctx.try_recv_any() {
-                        return m.data[0];
-                    }
-                    std::thread::yield_now();
-                }
-            }
-        });
-        assert_eq!(results[1], 42.0);
-    }
-
-    #[test]
     fn many_ranks_all_to_one_volume() {
         let n = 8;
         let (_, volumes) = run(n, move |ctx| {
             if ctx.rank() == 0 {
-                for _ in 0..(n - 1) {
-                    ctx.recv_any();
+                for src in 1..n {
+                    ctx.recv(src, 0);
                 }
             } else {
                 ctx.send(0, 0, vec![0.0; 100]);
@@ -2212,31 +2062,6 @@ mod tests {
     }
 
     #[test]
-    fn recv_any_preserves_per_source_tag_fifo() {
-        // MPI non-overtaking: two messages with the same (src, tag) must be
-        // delivered in send order even when both sat in the stash first.
-        // The seed runtime popped the stash LIFO and returned 2.0 before
-        // 1.0 here.
-        let (results, _) = run(2, |ctx| {
-            if ctx.rank() == 0 {
-                ctx.send(1, 7, vec![1.0]);
-                ctx.send(1, 7, vec![2.0]);
-                ctx.send(1, 9, vec![99.0]); // sentinel with a different tag
-                vec![]
-            } else {
-                // Receiving the sentinel first forces both tag-7 messages
-                // through the stash.
-                let s = ctx.recv(0, 9);
-                assert_eq!(s[0], 99.0);
-                let a = ctx.recv_any();
-                let b = ctx.recv_any();
-                vec![a.data[0], b.data[0]]
-            }
-        });
-        assert_eq!(results[1], vec![1.0, 2.0]);
-    }
-
-    #[test]
     fn recv_takes_oldest_matching_message() {
         // Same-(src, tag) FIFO must also hold for tag-matched receives that
         // hit the stash: recv(0, 7) must return the first tag-7 send.
@@ -2251,28 +2076,6 @@ mod tests {
                 let a = ctx.recv(0, 7);
                 let b = ctx.recv(0, 7);
                 vec![a[0], b[0]]
-            }
-        });
-        assert_eq!(results[1], vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn stash_back_keeps_arrival_order() {
-        let (results, _) = run(2, |ctx| {
-            if ctx.rank() == 0 {
-                ctx.send(1, 1, vec![1.0]);
-                ctx.send(1, 1, vec![2.0]);
-                ctx.send(1, 2, vec![3.0]);
-                vec![]
-            } else {
-                let _ = ctx.recv(0, 2); // stash the two tag-1 messages
-                                        // Un-receive the oldest, then drain: order must survive.
-                let m = ctx.recv_any();
-                assert_eq!(m.data[0], 1.0);
-                ctx.stash_back(m);
-                let a = ctx.recv_any();
-                let b = ctx.recv_any();
-                vec![a.data[0], b.data[0]]
             }
         });
         assert_eq!(results[1], vec![1.0, 2.0]);
@@ -2366,27 +2169,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_stash_undo_matches_volume_counters() {
-        // recv_any + stash_back must leave both the volume counters and the
-        // trace metrics as if the message had never been received.
-        let (_, volumes, trace) = run_traced(2, "unit/stash", |ctx| {
-            if ctx.rank() == 0 {
-                ctx.send(1, 5, vec![1.0]);
-                ctx.send(1, 6, vec![2.0]);
-            } else {
-                let m = ctx.recv_any();
-                ctx.stash_back(m);
-                let _ = ctx.recv(0, 5);
-                let _ = ctx.recv(0, 6);
-            }
-        });
-        use pselinv_trace::CollKind;
-        assert_eq!(volumes[1].msgs_received, 2);
-        assert_eq!(trace.ranks[1].metrics.kind(CollKind::Other).msgs_recv, 2);
-        assert_eq!(trace.ranks[1].metrics.kind(CollKind::Other).bytes_recv, volumes[1].received);
-    }
-
-    #[test]
     fn recv_timeout_hits_and_expires() {
         let (results, _) = run(2, |ctx| {
             if ctx.rank() == 0 {
@@ -2417,6 +2199,16 @@ mod tests {
         assert!(!ctx.spin.should_spin());
     }
 
+    /// One pass through the wait whose sweep is idle once — for at most
+    /// `patience`, when given — and done the second time.
+    fn park_once(ctx: &mut RankCtx, patience: Option<Duration>) {
+        let mut first = true;
+        ctx.sweep_then_park(BlockedOn::ANY, |_| match std::mem::take(&mut first) {
+            true => patience.map_or(Progress::Idle, Progress::IdleFor),
+            false => Progress::Done(()),
+        });
+    }
+
     #[test]
     fn bounded_wait_expires_at_its_deadline_spun_or_not() {
         // `poll` is far longer than the timeout, so an expiry that waited
@@ -2431,13 +2223,14 @@ mod tests {
                 }
                 let timeout = Duration::from_millis(5);
                 let t0 = Instant::now();
-                assert!(!ctx.wait_for_arrival_timeout(timeout), "nobody sends");
+                park_once(ctx, Some(timeout));
                 let waited = t0.elapsed();
                 assert!(waited >= timeout, "armed={armed}: returned after {waited:?}");
                 assert!(waited < Duration::from_secs(1), "armed={armed}: took {waited:?}");
             }
             // No time at all is a deadline too, not a wait without one.
-            assert!(!ctx.wait_for_arrival_timeout(Duration::ZERO));
+            park_once(ctx, Some(Duration::ZERO));
+            assert!(ctx.stash.is_empty(), "nobody sends");
         })
         .expect("a lone rank timing out is a clean run");
     }
@@ -2497,9 +2290,9 @@ mod tests {
                         disarm_spin(ctx);
                     }
                     queued.wait();
-                    let before = ctx.arrivals();
-                    ctx.wait_for_arrival();
-                    deltas.push(ctx.arrivals() - before);
+                    let before = ctx.arrivals;
+                    park_once(ctx, None);
+                    deltas.push(ctx.arrivals - before);
                     assert_eq!(ctx.volume().msgs_received, tag - 10, "stashed, not consumed");
                     let _ = ctx.recv(0, tag);
                 }
@@ -2520,7 +2313,7 @@ mod tests {
     }
 
     #[test]
-    fn send_seq_recv_seq_roundtrip_without_faults() {
+    fn send_seq_recv_roundtrip_without_faults() {
         // The masked pair must behave exactly like send/recv when no fault
         // plan is installed, including across repeated uses of one tag.
         let (results, volumes) = run(2, |ctx| {
@@ -2530,13 +2323,78 @@ mod tests {
                 }
                 vec![]
             } else {
-                (0..5).map(|_| ctx.recv_seq(0, 7)[0]).collect::<Vec<f64>>()
+                (0..5).map(|_| ctx.recv(0, 7)[0]).collect::<Vec<f64>>()
             }
         });
         assert_eq!(results[1], vec![0.0, 1.0, 2.0, 3.0, 4.0]);
         assert_eq!(volumes[0].msgs_sent, 5);
         assert_eq!(volumes[1].msgs_received, 5);
         assert_eq!(volumes[1].received, 5 * 8);
+    }
+
+    /// Options under which a lost wakeup fails the run in under a second
+    /// instead of hanging it.
+    fn guard_opts() -> RunOptions {
+        RunOptions {
+            watchdog: Some(Duration::from_millis(800)),
+            poll: Duration::from_millis(10),
+            ..RunOptions::default()
+        }
+    }
+
+    #[test]
+    fn a_message_stashed_behind_a_polled_request_is_swept_again_not_slept_on() {
+        use crate::requests::RecvRequest;
+        // Rank 1 polls request A; only then does rank 0 send A's message,
+        // and rank 1's poll of request B drains it into the stash, behind
+        // A. The sweep ends idle and nothing else is ever sent: a park now
+        // would never wake, so only the arrivals guard completes A.
+        let (polled_a, sent_a) = (AtomicBool::new(false), AtomicBool::new(false));
+        let (results, _) = try_run(2, &guard_opts(), |ctx| {
+            if ctx.rank() == 0 {
+                while !polled_a.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                ctx.send(1, 1, vec![7.0]);
+                sent_a.store(true, Ordering::Release);
+                return 0.0;
+            }
+            let (mut a, mut b) = (RecvRequest::post(0, 1), RecvRequest::post(0, 2));
+            ctx.sweep_then_park(BlockedOn::ANY, |ctx| {
+                if a.test(ctx) {
+                    return Progress::Done(());
+                }
+                if !polled_a.swap(true, Ordering::AcqRel) {
+                    while !sent_a.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                }
+                assert!(!b.test(ctx), "nobody sends B");
+                Progress::Idle
+            });
+            a.take().expect("A completed")[0]
+        })
+        .expect("a sweep that stashed a message must run again instead of parking");
+        assert_eq!(results[1], 7.0);
+    }
+
+    #[test]
+    fn a_sweep_that_moved_without_a_message_is_not_slept_on() {
+        // Progress off the message path — a freed admission slot, a query
+        // finished by skipping — comes with no message to wake a park.
+        let (results, _) = try_run(1, &guard_opts(), |ctx| {
+            let mut sweeps = 0;
+            ctx.sweep_then_park(BlockedOn::ANY, |_| {
+                sweeps += 1;
+                if sweeps < 3 {
+                    Progress::Moved
+                } else {
+                    Progress::Done(sweeps)
+                }
+            })
+        })
+        .expect("a sweep that moved must run again instead of parking");
+        assert_eq!(results[0], 3);
     }
 
     #[test]

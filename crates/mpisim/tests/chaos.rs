@@ -3,7 +3,7 @@
 //! completely invisible to the masked collectives. Results are
 //! bit-identical to the fault-free run and the per-rank byte counters
 //! still match the structural tree accounting, because duplicate
-//! suppression reverses its accounting exactly.
+//! suppression happens before any accounting.
 
 use proptest::prelude::*;
 use pselinv_chaos::{FaultPlan, FaultSpec};
@@ -69,7 +69,7 @@ proptest! {
             try_run(nranks, &chaos_opts(plan), body).expect("a crash-free plan must complete");
 
         prop_assert_eq!(&chaotic, &baseline, "results diverged under a crash-free schedule");
-        // Suppressed duplicates reverse their accounting, so the fault run's
+        // Suppressed duplicates are never accounted, so the fault run's
         // volume counters equal the fault-free ones — which themselves match
         // the structural tree model.
         for r in 0..nranks {
@@ -123,7 +123,7 @@ proptest! {
                 for tag in (0..N_TAGS).rev() {
                     let expected = (0..n_msgs).filter(|i| *i as u64 % N_TAGS == tag).count();
                     for _ in 0..expected {
-                        let d = ctx.recv_seq(0, tag);
+                        let d = ctx.recv(0, tag);
                         seen.entry(tag).or_default().push(d[0]);
                     }
                 }

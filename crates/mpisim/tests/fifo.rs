@@ -1,7 +1,7 @@
 //! Property test for MPI non-overtaking semantics: messages with the same
 //! `(source, tag)` must be delivered in send order, no matter how the
-//! receiver interleaves wildcard receives, tag probes and un-receives
-//! (`stash_back`).
+//! receiver interleaves blocking receives, non-blocking matches, request
+//! waits and multi-request waits over the tags.
 //!
 //! The seed runtime popped its out-of-order stash LIFO (`Vec::pop`) and
 //! spliced tag matches with `swap_remove`; both break this property. The
@@ -9,7 +9,7 @@
 //! interleaving space.
 
 use proptest::prelude::*;
-use pselinv_mpisim::run;
+use pselinv_mpisim::{run, wait_any, RecvRequest};
 use std::collections::BTreeMap;
 
 proptest! {
@@ -30,38 +30,42 @@ proptest! {
                 }
                 Ok(())
             } else {
+                // Messages still to come, per tag: a blocking form only
+                // ever waits on a tag that has one.
+                let mut left: BTreeMap<u64, usize> = BTreeMap::new();
+                for i in 0..n_msgs {
+                    *left.entry(i as u64 % n_tags).or_default() += 1;
+                }
                 // seq numbers observed so far, per tag
                 let mut seen: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-                let mut got = 0usize;
                 let mut op_i = 0usize;
-                while got < n_msgs {
+                while !left.is_empty() {
                     let op = ops[op_i % ops.len()];
                     op_i += 1;
-                    match op {
-                        0 => {
-                            let m = ctx.recv_any();
-                            seen.entry(m.tag).or_default().push(m.data[0] as u64);
-                            got += 1;
-                        }
-                        1 => {
-                            if let Some(m) = ctx.try_recv_any() {
-                                seen.entry(m.tag).or_default().push(m.data[0] as u64);
-                                got += 1;
-                            }
-                        }
-                        2 => {
-                            // Peek and un-receive: must not reorder anything.
-                            let m = ctx.recv_any();
-                            ctx.stash_back(m);
-                        }
+                    let tags: Vec<u64> = left.keys().copied().collect();
+                    let tag = tags[op_i % tags.len()];
+                    let got = match op {
+                        0 => Some((tag, ctx.recv(0, tag))),
+                        // Tag-targeted probe; pulls a message out of the
+                        // middle of the stash.
+                        1 => ctx.try_match(0, tag).map(|d| (tag, d)),
+                        2 => Some((tag, RecvRequest::post(0, tag).wait(ctx))),
                         _ => {
-                            // Tag-targeted probe; pulls a message out of the
-                            // middle of the stash.
-                            let tag = op_i as u64 % n_tags;
-                            if let Some(d) = ctx.try_match(0, tag) {
-                                seen.entry(tag).or_default().push(d[0] as u64);
-                                got += 1;
-                            }
+                            // One request per open tag; only the completed
+                            // one may consume anything.
+                            let mut reqs: Vec<RecvRequest> =
+                                tags.iter().map(|&t| RecvRequest::post(0, t)).collect();
+                            let i = wait_any(ctx, &mut reqs);
+                            let req = reqs.swap_remove(i);
+                            Some((req.tag, req.take().expect("completed")))
+                        }
+                    };
+                    if let Some((tag, d)) = got {
+                        seen.entry(tag).or_default().push(d[0] as u64);
+                        let n = left.get_mut(&tag).expect("a message nobody sent");
+                        *n -= 1;
+                        if *n == 0 {
+                            left.remove(&tag);
                         }
                     }
                 }

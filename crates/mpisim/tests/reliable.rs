@@ -128,7 +128,7 @@ fn stale_epoch_messages_are_discarded_with_accounting_reversed() {
             Vec::new()
         } else {
             ctx.expect_epoch(0, 7, 1);
-            ctx.recv_seq(0, 7).to_vec()
+            ctx.recv(0, 7).to_vec()
         }
     })
     .unwrap();

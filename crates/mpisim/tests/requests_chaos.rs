@@ -1,6 +1,6 @@
 //! Chaos coverage for the nonblocking receive path: sequenced edges driven
-//! through `RecvRequest::test` / `wait_any` must mask duplication and
-//! reordering exactly like the blocking `recv_seq` path does — and, with
+//! through `RecvRequest::test` / `wait` / `wait_any` must mask duplication
+//! and reordering exactly like the blocking `recv` path does — and, with
 //! the reliable transport underneath, injected loss composed with both —
 //! and the sender-side reorder hold-back slot must be flushed when a rank
 //! returns.
@@ -151,6 +151,53 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    /// Every receive form on one sequenced edge, interleaved under
+    /// duplication and reordering: `RecvRequest::wait`, `recv` and
+    /// `wait_any` share one sequence counter per edge, so the stream stays
+    /// in send order and no duplicate is delivered. A seq-blind form would
+    /// deliver duplicates and leave the counter behind for the others.
+    #[test]
+    fn every_receive_form_masks_one_edge_under_dup_and_reorder(
+        seed in 0u64..1_000_000,
+        n_msgs in 4usize..20,
+        dup in 100u16..700,
+        reorder in 100u16..700,
+    ) {
+        let plan = FaultPlan::new(seed).with_default(FaultSpec {
+            duplicate_permille: dup,
+            reorder_permille: reorder,
+            ..FaultSpec::default()
+        });
+        let (results, volumes) = try_run(2, &chaos_opts(plan), move |ctx| {
+            if ctx.rank() == 0 {
+                for i in 0..n_msgs {
+                    ctx.send_seq(1, 9, vec![i as f64]);
+                }
+                Vec::new()
+            } else {
+                (0..n_msgs)
+                    .map(|i| match i % 3 {
+                        0 => RecvRequest::post(0, 9).wait(ctx)[0],
+                        1 => ctx.recv(0, 9)[0],
+                        _ => {
+                            let mut reqs = [RecvRequest::post(0, 9)];
+                            wait_any(ctx, &mut reqs);
+                            let [req] = reqs;
+                            req.take().expect("completed")[0]
+                        }
+                    })
+                    .collect()
+            }
+        })
+        .expect("benign faults must not wedge any receive form");
+        let sent: Vec<f64> = (0..n_msgs).map(|i| i as f64).collect();
+        prop_assert_eq!(&results[1], &sent);
+        prop_assert_eq!(volumes[1].msgs_received, n_msgs as u64);
+    }
+}
+
 #[test]
 fn rank_epilogue_flushes_the_reorder_holdback_slot() {
     // With reorder_permille=1000 every masked send is parked in the
@@ -176,7 +223,7 @@ fn rank_epilogue_flushes_the_reorder_holdback_slot() {
             // this rank will flush the held message.
             Vec::new()
         } else {
-            (0..3).map(|_| ctx.recv_seq(0, 4)[0]).collect::<Vec<f64>>()
+            (0..3).map(|_| ctx.recv(0, 4)[0]).collect::<Vec<f64>>()
         }
     })
     .expect("the epilogue flush must release the last held message");

@@ -136,8 +136,8 @@ fn injected_crash_surfaces_as_rank_panic() {
         let me = ctx.rank();
         // Everyone chats with rank 1 so its op counter advances.
         if me == 1 {
-            for _ in 0..4 {
-                ctx.recv_any();
+            for src in [0, 2, 0, 2] {
+                ctx.recv(src, 0);
             }
         } else {
             for _ in 0..2 {

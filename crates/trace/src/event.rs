@@ -102,8 +102,8 @@ pub enum FaultKind {
     /// This rank stopped making progress (injected).
     Stalled,
     /// A message was lost in flight (injected loss), or a stale-epoch
-    /// delivery was discarded by the recovery layer with its accounting
-    /// reversed.
+    /// delivery was discarded by the recovery layer before it was
+    /// accounted.
     Dropped,
     /// The reliable transport re-sent an unacknowledged message after its
     /// retransmission deadline expired.

@@ -133,14 +133,6 @@ impl RankMetrics {
         c.bytes_recv += bytes;
     }
 
-    /// Reverses one [`RankMetrics::on_recv`] (the runtime re-stashed the
-    /// message, so it was not actually consumed).
-    pub fn on_recv_undo(&mut self, coll: CollKind, bytes: u64) {
-        let c = &mut self.per_kind[coll.index()];
-        c.msgs_recv = c.msgs_recv.saturating_sub(1);
-        c.bytes_recv = c.bytes_recv.saturating_sub(bytes);
-    }
-
     /// Records a completed span.
     pub fn on_span(&mut self, coll: CollKind, dur_us: u64) {
         let c = &mut self.per_kind[coll.index()];
@@ -252,10 +244,6 @@ mod tests {
         assert_eq!(m.depth_sent_bytes, vec![50, 0, 100]);
         assert_eq!(m.depth_sent_msgs, vec![1, 0, 1]);
         assert_eq!(m.total_sent_bytes(), 150);
-
-        m.on_recv_undo(CollKind::RowReduce, 30);
-        assert_eq!(m.kind(CollKind::RowReduce).bytes_recv, 0);
-        assert_eq!(m.kind(CollKind::RowReduce).msgs_recv, 0);
     }
 
     #[test]

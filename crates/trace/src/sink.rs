@@ -197,20 +197,6 @@ impl RankTracer {
         }
     }
 
-    /// Reverses the most recent [`RankTracer::msg_recv`]: the runtime put
-    /// the message back (stash), so it was not actually consumed.
-    pub fn msg_recv_undo(&mut self) {
-        if let Some(inner) = self.0.as_deref_mut() {
-            if let Some(pos) =
-                inner.events.iter().rposition(|e| matches!(e.kind, EventKind::MsgRecv { .. }))
-            {
-                if let EventKind::MsgRecv { bytes, coll, .. } = inner.events.remove(pos).kind {
-                    inner.metrics.on_recv_undo(coll, bytes);
-                }
-            }
-        }
-    }
-
     /// Classifies a blocked receive that was posted at `posted_us` and
     /// completed *now*, against a message sent at `sent_us` (all three on
     /// the same clock). The blocked interval splits Scalasca-style into
@@ -690,17 +676,6 @@ mod tests {
         assert_eq!(r.metrics.kind(CollKind::ColBcast).bytes_sent, 20);
         // Depth attribution happened in both cases.
         assert_eq!(r.metrics.depth_sent_bytes, vec![20, 10]);
-    }
-
-    #[test]
-    fn recv_undo_reverses_accounting() {
-        let mut t = RankTracer::manual(0);
-        t.msg_recv(2, 5, 64, 1, 0);
-        t.msg_recv_undo();
-        let r = t.finish().unwrap();
-        assert_eq!(r.metrics.kind(CollKind::Other).msgs_recv, 0);
-        assert_eq!(r.metrics.kind(CollKind::Other).bytes_recv, 0);
-        assert!(!r.events.iter().any(|e| matches!(e.kind, EventKind::MsgRecv { .. })));
     }
 
     #[test]
