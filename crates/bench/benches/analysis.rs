@@ -1,7 +1,7 @@
 //! Symbolic analysis costs: elimination tree, counts, supernodal structure.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pselinv_order::{analyze, etree, AnalyzeOptions, OrderingChoice};
+use pselinv_order::{analyze, etree, AnalyzeOptions, OrderingChoice, Permutation};
 use pselinv_sparse::gen;
 use std::hint::black_box;
 
@@ -11,12 +11,16 @@ fn bench_etree_and_counts(c: &mut Criterion) {
     for &nx in &[16usize, 24] {
         let w = gen::grid_laplacian_3d(nx, nx, nx);
         let pat = w.matrix.pattern().symmetrized_with_diagonal();
+        let natural = Permutation::identity(pat.ncols());
         g.bench_with_input(BenchmarkId::new("elimination_tree", nx * nx * nx), &nx, |b, _| {
-            b.iter(|| etree::elimination_tree(black_box(&pat)));
+            b.iter(|| etree::elimination_tree(black_box(&pat), &natural));
         });
-        let parent = etree::elimination_tree(&pat);
-        g.bench_with_input(BenchmarkId::new("factor_counts", nx * nx * nx), &nx, |b, _| {
-            b.iter(|| etree::factor_counts(black_box(&pat), &parent));
+        // Column counts need a postordered tree, as `analyze` produces.
+        let parent = etree::elimination_tree(&pat, &natural);
+        let post = Permutation::from_old_of_new(etree::postorder(&parent));
+        let parent = etree::relabel_parent(&parent, post.new_of_old());
+        g.bench_with_input(BenchmarkId::new("column_counts", nx * nx * nx), &nx, |b, _| {
+            b.iter(|| etree::column_counts(black_box(&pat), &post, &parent));
         });
     }
     g.finish();

@@ -10,12 +10,13 @@
 use crate::perm::Permutation;
 use pselinv_sparse::SparsityPattern;
 
-/// Computes a minimum-degree permutation ("old → new") for a symmetric
-/// pattern (diagonal entries are ignored).
-pub fn minimum_degree(pattern: &SparsityPattern) -> Permutation {
-    let n = pattern.ncols();
-    assert_eq!(pattern.nrows(), n);
-    let sym = pattern.symmetrized_with_diagonal();
+/// Computes a minimum-degree permutation ("old → new") for a structurally
+/// symmetric pattern (diagonal entries are ignored). [`crate::analyze`]
+/// passes the pattern it symmetrized; an unsymmetric pattern must be
+/// symmetrized first.
+pub fn minimum_degree(sym: &SparsityPattern) -> Permutation {
+    let n = sym.ncols();
+    assert_eq!(sym.nrows(), n);
 
     // Quotient graph state.
     // adj[v]: adjacent *variables* (may contain stale entries, cleaned lazily)
@@ -137,7 +138,7 @@ mod tests {
             None => m.clone(),
         };
         let pat = pm.pattern().symmetrized_with_diagonal();
-        let parent = elimination_tree(&pat);
+        let parent = elimination_tree(&pat, &Permutation::identity(pat.ncols()));
         let (cc, _) = factor_counts(&pat, &parent);
         nnz_factor(&cc)
     }

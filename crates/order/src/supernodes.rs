@@ -194,14 +194,19 @@ pub fn supernodal_etree(part: &SupernodePartition, parent: &[usize]) -> Vec<usiz
 mod tests {
     use super::*;
     use crate::etree::{elimination_tree, factor_counts};
-    use pselinv_sparse::gen;
+    use crate::perm::Permutation;
+    use pselinv_sparse::{gen, SparseMatrix};
 
-    fn setup(nx: usize, ny: usize) -> (Vec<usize>, Vec<usize>) {
-        let w = gen::grid_laplacian_2d(nx, ny);
-        let pat = w.matrix.pattern().symmetrized_with_diagonal();
-        let parent = elimination_tree(&pat);
+    /// Natural-order etree and column counts of a matrix.
+    fn tree_and_counts(m: &SparseMatrix) -> (Vec<usize>, Vec<usize>) {
+        let pat = m.pattern().symmetrized_with_diagonal();
+        let parent = elimination_tree(&pat, &Permutation::identity(pat.ncols()));
         let (cc, _) = factor_counts(&pat, &parent);
         (parent, cc)
+    }
+
+    fn setup(nx: usize, ny: usize) -> (Vec<usize>, Vec<usize>) {
+        tree_and_counts(&gen::grid_laplacian_2d(nx, ny).matrix)
     }
 
     #[test]
@@ -232,20 +237,14 @@ mod tests {
 
     #[test]
     fn dense_matrix_is_single_supernode() {
-        let m = gen::random_spd(10, 1.0, 0);
-        let pat = m.pattern().symmetrized_with_diagonal();
-        let parent = elimination_tree(&pat);
-        let (cc, _) = factor_counts(&pat, &parent);
+        let (parent, cc) = tree_and_counts(&gen::random_spd(10, 1.0, 0));
         let p = fundamental_supernodes(&parent, &cc);
         assert_eq!(p.num_supernodes(), 1);
     }
 
     #[test]
     fn width_cap_respected() {
-        let m = gen::random_spd(30, 1.0, 0);
-        let pat = m.pattern().symmetrized_with_diagonal();
-        let parent = elimination_tree(&pat);
-        let (cc, _) = factor_counts(&pat, &parent);
+        let (parent, cc) = tree_and_counts(&gen::random_spd(30, 1.0, 0));
         let p = fundamental_supernodes(&parent, &cc);
         let opts = SupernodeOptions { max_width: 8, ..Default::default() };
         let r = relax_supernodes(&p, &parent, &cc, &opts);

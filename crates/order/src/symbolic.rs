@@ -1,10 +1,10 @@
 //! Supernodal symbolic factorization.
 //!
-//! [`analyze`] runs the full analysis pipeline (ordering → postorder →
-//! column counts → supernode partition → supernodal structure) and returns
-//! a [`SymbolicFactor`], the structure shared by the sequential numeric
-//! factorization, the sequential selected inversion and the distributed
-//! PSelInv algorithm.
+//! [`analyze`] runs the full analysis pipeline (symmetrization → ordering →
+//! postorder → column counts → supernode partition → supernodal structure)
+//! and returns a [`SymbolicFactor`], the structure shared by the sequential
+//! numeric factorization, the sequential selected inversion and the
+//! distributed PSelInv algorithm.
 
 use crate::etree::{self, NONE};
 use crate::mmd;
@@ -13,6 +13,7 @@ use crate::perm::Permutation;
 use crate::supernodes::{self, SupernodeOptions, SupernodePartition};
 use pselinv_sparse::gen::Geometry;
 use pselinv_sparse::SparsityPattern;
+use std::borrow::Cow;
 
 /// Fill-reducing ordering selection.
 #[derive(Clone, Copy, Debug)]
@@ -189,27 +190,17 @@ impl SymbolicFactor {
     }
 }
 
-fn permute_pattern(p: &SparsityPattern, perm: &Permutation) -> SparsityPattern {
-    let n = p.ncols();
-    let mut cols: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for j in 0..n {
-        let nj = perm.new_of(j);
-        for &i in p.col_rows(j) {
-            cols[nj].push(perm.new_of(i));
-        }
-    }
-    let mut col_ptr = vec![0usize; n + 1];
-    let mut rows = Vec::with_capacity(p.nnz());
-    for (j, c) in cols.iter_mut().enumerate() {
-        c.sort_unstable();
-        rows.extend_from_slice(c);
-        col_ptr[j + 1] = rows.len();
-    }
-    SparsityPattern::from_raw_parts(n, n, col_ptr, rows)
-}
-
-/// Runs the full symbolic analysis on the pattern of a structurally
-/// symmetric matrix.
+/// Runs the full symbolic analysis of `A + Aᵀ`, where `pattern` is the
+/// pattern of `A`.
+///
+/// Any of `A`'s lower triangle, upper triangle or full pattern gives the
+/// same result. The pattern is symmetrized (with its diagonal) into `S`
+/// once, in the input order, or used as `S` if it already is one. Every
+/// later stage reads column `j` of the permuted matrix `P S Pᵀ` as
+/// `S.col_rows(P.old_of(j))` mapped through `P.new_of` instead of building
+/// it. Every stage costs O(nnz(S)·α(n)) or less, except the optional
+/// true-structure mask (O(nnz(L))); DESIGN.md §3.9 has the stage-by-stage
+/// table.
 ///
 /// ```
 /// use pselinv_order::{analyze, AnalyzeOptions, OrderingChoice};
@@ -229,35 +220,45 @@ pub fn analyze(pattern: &SparsityPattern, opts: &AnalyzeOptions) -> SymbolicFact
     let n = pattern.ncols();
     assert_eq!(pattern.nrows(), n, "analyze requires a square pattern");
 
-    // 1. Fill-reducing ordering.
+    // 1. The one symmetrization; a permuted symmetric pattern stays
+    //    symmetric, so nothing below symmetrizes again. A pattern that is
+    //    already its own symmetrization is used as it is: checking costs a
+    //    sixth of building the copy.
+    let sym = if pattern.is_symmetric_with_diagonal() {
+        Cow::Borrowed(pattern)
+    } else {
+        Cow::Owned(pattern.symmetrized_with_diagonal())
+    };
+    let sym: &SparsityPattern = &sym;
+
+    // 2. Fill-reducing ordering.
     let fill_perm = match &opts.ordering {
         OrderingChoice::Natural => Permutation::identity(n),
         OrderingChoice::NestedDissection(geom, nd_opts) => {
             assert_eq!(geom.n(), n, "geometry does not match the matrix order");
             nd::nested_dissection(geom, *nd_opts)
         }
-        OrderingChoice::MinimumDegree => mmd::minimum_degree(pattern),
+        OrderingChoice::MinimumDegree => mmd::minimum_degree(sym),
     };
 
-    // 2. Postorder the elimination tree of the fill-permuted pattern.
-    let sym0 = permute_pattern(pattern, &fill_perm).symmetrized_with_diagonal();
-    let parent0 = etree::elimination_tree(&sym0);
-    let post = etree::postorder(&parent0);
-    let post_perm = Permutation::from_old_of_new(post);
-    let perm = fill_perm.then(&post_perm);
+    // 3. Postorder the elimination tree of the fill-ordered matrix. A
+    //    postorder is a topological order of that tree, so the final
+    //    matrix's etree is the same tree relabeled (Liu).
+    let parent0 = etree::elimination_tree(sym, &fill_perm);
+    let post = Permutation::from_old_of_new(etree::postorder(&parent0));
+    let col_parent = etree::relabel_parent(&parent0, post.new_of_old());
+    let perm = fill_perm.then(&post);
 
-    // 3. Final pattern, etree and counts in the combined order.
-    let sym = permute_pattern(pattern, &perm).symmetrized_with_diagonal();
-    let col_parent = etree::elimination_tree(&sym);
-    let (col_counts, _) = etree::factor_counts(&sym, &col_parent);
-
-    // 4. Supernode partition.
+    // 4. Column counts and the supernode partition.
+    let col_counts = etree::column_counts(sym, &perm, &col_parent);
     let fundamental = supernodes::fundamental_supernodes(&col_parent, &col_counts);
     let part =
         supernodes::relax_supernodes(&fundamental, &col_parent, &col_counts, &opts.supernode);
     let sn_parent = supernodes::supernodal_etree(&part, &col_parent);
 
-    // 5. Supernodal row structure, bottom-up merge.
+    // 5. Supernodal row structure, bottom-up merge: a supernode's rows are
+    //    its columns' rows below it plus its children's rows below it.
+    let (new_of, old_of) = (perm.new_of_old(), perm.old_of_new());
     let ns = part.num_supernodes();
     let mut children: Vec<Vec<usize>> = vec![Vec::new(); ns];
     for s in 0..ns {
@@ -267,15 +268,14 @@ pub fn analyze(pattern: &SparsityPattern, opts: &AnalyzeOptions) -> SymbolicFact
     }
     let mut rows_ptr = vec![0usize; ns + 1];
     let mut rows: Vec<usize> = Vec::new();
-    let mut mark = vec![usize::MAX; n];
+    let mut mark = vec![NONE; n];
     let mut scratch: Vec<usize> = Vec::new();
-    // Temporary per-supernode structures kept until the parent consumed them.
-    let mut sn_rows: Vec<Vec<usize>> = vec![Vec::new(); ns];
     for s in 0..ns {
         scratch.clear();
         let last = part.end_col(s) - 1;
         for j in part.first_col(s)..=last {
-            for &i in sym.col_rows(j) {
+            for &i in sym.col_rows(old_of[j]) {
+                let i = new_of[i];
                 if i > last && mark[i] != s {
                     mark[i] = s;
                     scratch.push(i);
@@ -283,18 +283,16 @@ pub fn analyze(pattern: &SparsityPattern, opts: &AnalyzeOptions) -> SymbolicFact
             }
         }
         for &c in &children[s] {
-            for &r in &sn_rows[c] {
+            for &r in &rows[rows_ptr[c]..rows_ptr[c + 1]] {
                 if r > last && mark[r] != s {
                     mark[r] = s;
                     scratch.push(r);
                 }
             }
-            sn_rows[c] = Vec::new(); // parent consumed; free memory
         }
         scratch.sort_unstable();
-        sn_rows[s] = scratch.clone();
-        rows_ptr[s + 1] = rows_ptr[s] + scratch.len();
         rows.extend_from_slice(&scratch);
+        rows_ptr[s + 1] = rows.len();
     }
 
     // 6. Group rows into ancestor-supernode blocks.
@@ -316,16 +314,16 @@ pub fn analyze(pattern: &SparsityPattern, opts: &AnalyzeOptions) -> SymbolicFact
 
     // 7. Optionally mark which stored rows are exact factor structure.
     //    Row `i` appears in the true structure of column `j` iff `j` is in
-    //    the row subtree of `i` — the same traversal as `factor_counts`.
+    //    the row subtree of `i`: walk it from every `S_{ij} ≠ 0`, `j < i`.
     let mut true_mask = Vec::new();
     if opts.track_true_structure {
         true_mask = vec![false; rows.len()];
-        let mut visit = vec![usize::MAX; n];
-        let mut sn_stamp = vec![usize::MAX; ns];
+        let mut visit = vec![NONE; n];
+        let mut sn_stamp = vec![NONE; ns];
         for i in 0..n {
             visit[i] = i;
-            for &j in sym.col_rows(i) {
-                let mut k = j;
+            for &j in sym.col_rows(old_of[i]) {
+                let mut k = new_of[j];
                 if k >= i {
                     continue;
                 }
@@ -368,6 +366,11 @@ mod tests {
     use super::*;
     use pselinv_sparse::gen;
 
+    /// `P (A + Aᵀ) Pᵀ` with its diagonal, materialized.
+    fn permuted(pattern: &SparsityPattern, perm: &Permutation) -> SparsityPattern {
+        etree::permute_pattern(&pattern.symmetrized_with_diagonal(), perm)
+    }
+
     fn dense_factor_pattern(pattern: &SparsityPattern) -> Vec<Vec<bool>> {
         let n = pattern.ncols();
         let mut l = vec![vec![false; n]; n];
@@ -399,8 +402,7 @@ mod tests {
     fn check_structure_superset(sf: &SymbolicFactor, pattern: &SparsityPattern) {
         // The supernodal structure must cover the true factor structure of
         // the permuted matrix.
-        let permuted = permute_pattern(pattern, &sf.perm).symmetrized_with_diagonal();
-        let l = dense_factor_pattern(&permuted);
+        let l = dense_factor_pattern(&permuted(pattern, &sf.perm));
         let n = sf.n;
         let mut stored = vec![vec![false; n]; n];
         for s in 0..sf.num_supernodes() {
@@ -464,10 +466,59 @@ mod tests {
             track_true_structure: true,
         };
         let sf = analyze(&pat, &opts);
-        let sym = permute_pattern(&pat, &sf.perm).symmetrized_with_diagonal();
-        let parent = etree::elimination_tree(&sym);
-        let (cc, _) = etree::factor_counts(&sym, &parent);
+        let p = permuted(&pat, &sf.perm);
+        let parent = etree::elimination_tree(&p, &Permutation::identity(p.ncols()));
+        let (cc, _) = etree::factor_counts(&p, &parent);
         assert_eq!(sf.nnz_factor(), etree::nnz_factor(&cc));
+    }
+
+    /// `pattern` with only the entries `keep(i, j)` and the diagonal.
+    fn filtered(pattern: &SparsityPattern, keep: impl Fn(usize, usize) -> bool) -> SparsityPattern {
+        let n = pattern.ncols();
+        let mut col_ptr = vec![0usize; n + 1];
+        let mut rows = Vec::new();
+        for j in 0..n {
+            rows.extend(pattern.col_rows(j).iter().copied().filter(|&i| i == j || keep(i, j)));
+            col_ptr[j + 1] = rows.len();
+        }
+        SparsityPattern::from_raw_parts(n, n, col_ptr, rows)
+    }
+
+    fn assert_same(a: &SymbolicFactor, b: &SymbolicFactor, what: &str) {
+        assert_eq!(a.perm, b.perm, "{what}: perm");
+        assert_eq!(a.part, b.part, "{what}: partition");
+        assert_eq!(a.sn_parent, b.sn_parent, "{what}: sn_parent");
+        assert_eq!(a.col_parent, b.col_parent, "{what}: col_parent");
+        assert_eq!((&a.rows_ptr, &a.rows), (&b.rows_ptr, &b.rows), "{what}: rows");
+        assert_eq!((&a.blocks_ptr, &a.blocks), (&b.blocks_ptr, &b.blocks), "{what}: blocks");
+        assert_eq!(a.true_mask, b.true_mask, "{what}: true_mask");
+    }
+
+    #[test]
+    fn one_triangle_gives_the_analysis_of_the_full_pattern() {
+        // `analyze` analyses A + Aᵀ: the strict lower triangle plus the
+        // diagonal, the upper triangle, and the full pattern are one input.
+        let w = gen::fem_3d(4, 3, 3, 2, 3);
+        let spd = gen::random_spd(50, 0.08, 7);
+        let cases = [
+            (
+                "fem/nd",
+                w.matrix.pattern(),
+                OrderingChoice::NestedDissection(w.geometry, NdOptions { leaf_size: 4 }),
+            ),
+            ("fem/md", w.matrix.pattern(), OrderingChoice::MinimumDegree),
+            ("spd/md", spd.pattern(), OrderingChoice::MinimumDegree),
+            ("spd/natural", spd.pattern(), OrderingChoice::Natural),
+        ];
+        for (label, full, ordering) in cases {
+            let opts = AnalyzeOptions { ordering, ..Default::default() };
+            let want = analyze(&full, &opts);
+            let lower = filtered(&full, |i, j| i > j);
+            let upper = filtered(&full, |i, j| i < j);
+            assert!(lower.nnz() < full.nnz() && upper.nnz() < full.nnz());
+            assert_same(&analyze(&lower, &opts), &want, &format!("{label} lower"));
+            assert_same(&analyze(&upper, &opts), &want, &format!("{label} upper"));
+        }
     }
 
     #[test]
@@ -534,8 +585,7 @@ mod tests {
             let m = gen::random_spd(30, 0.12, seed);
             let pat = m.pattern();
             let sf = analyze(&pat, &AnalyzeOptions::default());
-            let permuted = permute_pattern(&pat, &sf.perm).symmetrized_with_diagonal();
-            let l = dense_factor_pattern(&permuted);
+            let l = dense_factor_pattern(&permuted(&pat, &sf.perm));
             for s in 0..sf.num_supernodes() {
                 let rows = sf.rows_of(s);
                 let mask = sf.true_rows_of(s).unwrap();

@@ -88,6 +88,34 @@ impl SparsityPattern {
         SparsityPattern { nrows: self.ncols, ncols: self.nrows, col_ptr, row_idx }
     }
 
+    /// `true` if the pattern equals its [`Self::symmetrized_with_diagonal`]:
+    /// square, structurally symmetric, every diagonal entry stored. One
+    /// pass over the entries and one cursor per column, nothing else
+    /// allocated.
+    pub fn is_symmetric_with_diagonal(&self) -> bool {
+        if self.nrows != self.ncols {
+            return false;
+        }
+        // Walking the columns in order meets the entries (i, j) of row i in
+        // increasing j: in a symmetric pattern, the rows of column i in order.
+        let mut next = self.col_ptr[..self.ncols].to_vec();
+        for j in 0..self.ncols {
+            let mut diagonal = false;
+            for &i in self.col_rows(j) {
+                let k = next[i];
+                if k == self.col_ptr[i + 1] || self.row_idx[k] != j {
+                    return false;
+                }
+                next[i] = k + 1;
+                diagonal |= i == j;
+            }
+            if !diagonal {
+                return false;
+            }
+        }
+        true
+    }
+
     /// Pattern of `A + Aᵀ` (square matrices only), with the diagonal forced
     /// present — the canonical input for symmetric orderings.
     pub fn symmetrized_with_diagonal(&self) -> SparsityPattern {
@@ -167,6 +195,38 @@ mod tests {
     fn transpose_involutive() {
         let p = pat();
         assert_eq!(p.transpose().transpose(), p);
+    }
+
+    #[test]
+    fn symmetry_check_agrees_with_symmetrizing() {
+        let from_cols = |n: usize, cols: &[&[usize]]| {
+            let mut col_ptr = vec![0];
+            let mut rows = Vec::new();
+            for c in cols {
+                rows.extend_from_slice(c);
+                col_ptr.push(rows.len());
+            }
+            SparsityPattern::from_raw_parts(n, cols.len(), col_ptr, rows)
+        };
+        let cases = [
+            pat(),
+            pat().symmetrized_with_diagonal(),
+            from_cols(0, &[]),
+            from_cols(1, &[&[0]]),
+            from_cols(1, &[&[]]),
+            // symmetric, one diagonal entry missing
+            from_cols(3, &[&[0, 1], &[0], &[2]]),
+            // full diagonal, one mirror missing
+            from_cols(3, &[&[0, 2], &[1], &[2]]),
+            // as many entries as the mirror needs, in the wrong place
+            from_cols(3, &[&[0, 1], &[1, 2], &[0, 2]]),
+            // not square
+            from_cols(3, &[&[0, 1], &[0, 1]]),
+        ];
+        for (k, p) in cases.iter().enumerate() {
+            let expect = p.nrows() == p.ncols() && *p == p.symmetrized_with_diagonal();
+            assert_eq!(p.is_symmetric_with_diagonal(), expect, "case {k}");
+        }
     }
 
     #[test]
