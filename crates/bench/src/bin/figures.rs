@@ -33,7 +33,7 @@ profiling & runtime:
   bench-smoke smoke-sized kernel/collective benchmark table
 
 engines, faults & ablations:
-  async      sync vs async engine: wall, late-sender wait and overlap per
+  async      engine window 1 vs 4: wall, late-sender wait and overlap per
              scheme, with bit-identity + volume equality asserted
   faults     degraded-tree resilience under rank crashes
   recovery   live broadcast storm with online crash recovery (asserts

@@ -7,11 +7,10 @@
 //! precomputed collective trees. This module exploits that: the
 //! [`crate::plan::CommPlan`] is computed once and shared (`Arc`d symbolic,
 //! one plan vector) across every query, and all queries are driven
-//! concurrently through the asynchronous engine
-//! ([`crate::engine::phase2_multi`]) on one rank thread each, with one
-//! shared work-stealing pool per rank. The communication of pole `k`
-//! overlaps the local GEMMs of pole `k+1`; the [`BatchOptions::max_inflight`]
-//! knob bounds how many poles race at once.
+//! concurrently through the engine ([`crate::engine::phase2_multi`]) on one
+//! rank thread each, with one shared work-stealing pool per rank. The
+//! communication of pole `k` overlaps the local GEMMs of pole `k+1`; the
+//! [`BatchOptions::max_inflight`] knob bounds how many poles race at once.
 //!
 //! Isolation comes from the tag/trace namespacing of
 //! [`crate::numeric::tag_q`]: every message tag and every trace-scope key
@@ -44,13 +43,13 @@ use std::sync::Arc;
 /// Options for a batched multi-pole run.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchOptions {
-    /// The per-query distributed options (scheme, seed, threads, runtime).
-    /// `lookahead` is normalized to at least 2 — the batch always runs the
-    /// asynchronous engine, since overlap across poles is its whole point.
+    /// The per-query distributed options (scheme, seed, threads, window).
+    /// Each pole gets a window of [`DistOptions::window`] supernodes, the
+    /// same as its standalone run; poles overlap each other at any window.
     pub dist: DistOptions,
     /// Admission control: at most this many *unfinished* poles race at
     /// once on each rank (admitted in ascending pole order). `1` degrades
-    /// to poles back-to-back through the async engine; values above the
+    /// to poles back-to-back through the engine; values above the
     /// pole count admit everything immediately. Normalized to at least 1.
     pub max_inflight: usize,
 }
@@ -152,7 +151,7 @@ pub fn try_batched_selinv_traced(
     trace.set_meta("grid", format!("{}x{}", grid.pr, grid.pc));
     trace.set_meta("scheme", opts.dist.scheme.to_string());
     trace.set_meta("seed", opts.dist.seed.to_string());
-    trace.set_meta("lookahead", opts.dist.lookahead.max(2).to_string());
+    trace.set_meta("lookahead", opts.dist.window().to_string());
     trace.set_meta("queries", factors.len().to_string());
     trace.set_meta("max_inflight", opts.max_inflight.max(1).to_string());
     Ok((finish(factors, &layout, rank_results, volumes), trace))
@@ -235,7 +234,7 @@ fn batch_rank_entry(
         &mut states,
         plans,
         &exec,
-        opts.dist.lookahead.max(2),
+        opts.dist.window(),
         opts.max_inflight.max(1),
     );
     if let LocalExec::Pool(pool) = &exec {

@@ -1,17 +1,17 @@
-//! Acceptance tests for the asynchronous pipelined supernode engine
-//! (`lookahead >= 2`).
+//! Acceptance tests for the phase-2 engine's window (`lookahead`).
 //!
-//! The async engine reorders *communication*, never *arithmetic*: for every
-//! grid, tree scheme, lookahead window and benign fault schedule, its result
-//! panels must be bit-identical to the synchronous path and its per-rank
-//! communication volumes (bytes, message counts, copied bytes) must be
-//! exactly equal — the logical communication pattern is unchanged, only the
-//! overlap differs.
+//! A wider window reorders *communication*, never *arithmetic*: for every
+//! grid, tree scheme, window and benign fault schedule, the result panels
+//! must be bit-identical to the window of one (the lock-step schedule, whose
+//! own bits `golden.rs` pins) and the per-rank communication volumes
+//! (bytes, message counts, copied bytes) exactly equal — the logical
+//! communication pattern is unchanged, only the overlap differs.
 
 use proptest::prelude::*;
 use pselinv_chaos::{FaultPlan, FaultSpec};
 use pselinv_dist::{
-    distributed_selinv, distributed_selinv_traced, try_distributed_selinv, DistOptions, Layout,
+    distributed_selinv, distributed_selinv_traced, factor_poles, try_batched_selinv,
+    try_distributed_selinv, BatchOptions, DistOptions, Layout,
 };
 use pselinv_factor::LdlFactor;
 use pselinv_mpisim::{Grid2D, RankVolume, RunOptions};
@@ -75,20 +75,48 @@ fn async_engine_is_bit_identical_across_windows_and_schemes() {
             TreeScheme::ShiftedBinary,
             TreeScheme::RandomPerm,
         ] {
-            let (sync, sync_vol) = distributed_selinv(f, grid, &opts(scheme, 1));
+            let (one, one_vol) = distributed_selinv(f, grid, &opts(scheme, 1));
             for lookahead in [2usize, 4, usize::MAX] {
-                let (asyn, asyn_vol) = distributed_selinv(f, grid, &opts(scheme, lookahead));
+                let (wide, wide_vol) = distributed_selinv(f, grid, &opts(scheme, lookahead));
                 let what = format!("{}x{} {scheme} lookahead={lookahead}", grid.pr, grid.pc);
-                assert_bit_identical(&sync, &asyn, &what);
-                assert_volumes_equal(&sync_vol, &asyn_vol, &what);
+                assert_bit_identical(&one, &wide, &what);
+                assert_volumes_equal(&one_vol, &wide_vol, &what);
             }
         }
     }
 }
 
 #[test]
+fn lookahead_zero_is_a_window_of_one() {
+    // `lookahead: 0` is read through `DistOptions::window`; a window of
+    // zero would never activate a supernode and hang both entry points.
+    assert_eq!(opts(TreeScheme::Flat, 0).window(), 1);
+    assert_eq!(opts(TreeScheme::Flat, 1).window(), 1);
+    assert_eq!(opts(TreeScheme::Flat, 4).window(), 4);
+    let f = small_factor();
+    let grid = Grid2D::new(2, 2);
+    let (one, one_vol) = distributed_selinv(f, grid, &opts(TreeScheme::ShiftedBinary, 1));
+    let (zero, zero_vol) = distributed_selinv(f, grid, &opts(TreeScheme::ShiftedBinary, 0));
+    assert_bit_identical(&one, &zero, "lookahead 0 vs 1");
+    assert_volumes_equal(&one_vol, &zero_vol, "lookahead 0 vs 1");
+
+    let w = gen::grid_laplacian_2d(7, 7);
+    let poles = factor_poles(&w.matrix, &[0.37, 2.8], f.symbolic.clone()).unwrap();
+    let batch = |lookahead| {
+        let o = BatchOptions { dist: opts(TreeScheme::ShiftedBinary, lookahead), max_inflight: 2 };
+        try_batched_selinv(&poles, grid, &o, &RunOptions::default()).expect("a batch completes")
+    };
+    let (one, zero) = (batch(1), batch(0));
+    for q in 0..poles.len() {
+        assert_bit_identical(&one.inverses[q], &zero.inverses[q], &format!("batched pole {q}"));
+        assert_volumes_equal(&one.query_volumes[q], &zero.query_volumes[q], &format!("pole {q}"));
+    }
+    assert_volumes_equal(&one.volumes, &zero.volumes, "batched lookahead 0 vs 1");
+}
+
+#[test]
 fn async_volumes_match_structural_replay() {
-    // The async path must preserve the *logical* communication exactly: its
+    // A wide window must preserve the *logical* communication exactly: its
     // measured byte counters still equal the structure-only replay used for
     // the paper tables.
     let f = small_factor();
@@ -104,19 +132,20 @@ fn async_volumes_match_structural_replay() {
 #[test]
 fn async_engine_overlaps_collectives() {
     // The whole point of the window: with lookahead > 1 at least one rank
-    // must have had more than one collective outstanding at once, and the
-    // sync path never exceeds one.
+    // must have had more than one supernode outstanding at once, and a
+    // window of one never exceeds one.
     let f = small_factor();
     let grid = Grid2D::new(2, 2);
-    let (_, _, sync_trace) =
-        distributed_selinv_traced(f, grid, &opts(TreeScheme::ShiftedBinary, 1), "sync");
-    let (_, _, asyn_trace) =
-        distributed_selinv_traced(f, grid, &opts(TreeScheme::ShiftedBinary, 4), "async");
+    let (_, _, one_trace) =
+        distributed_selinv_traced(f, grid, &opts(TreeScheme::ShiftedBinary, 1), "window-1");
+    let (_, _, wide_trace) =
+        distributed_selinv_traced(f, grid, &opts(TreeScheme::ShiftedBinary, 4), "window-4");
     let hwm = |t: &pselinv_trace::Trace| {
         t.ranks.iter().map(|r| r.metrics.outstanding_hwm).max().unwrap_or(0)
     };
-    assert_eq!(hwm(&sync_trace), 0, "sync path never reports outstanding collectives");
-    let h = hwm(&asyn_trace);
+    let h1 = hwm(&one_trace);
+    assert!(h1 <= 1, "a window of one overlapped supernodes: high-water {h1}");
+    let h = hwm(&wide_trace);
     assert!(h > 1, "lookahead=4 should overlap supernodes, got high-water {h}");
 }
 
@@ -130,12 +159,12 @@ fn async_engine_multithreaded_gemms_stay_bit_identical() {
         threads,
         lookahead,
     };
-    let (sync, sync_vol) = distributed_selinv(f, grid, &mk(1, 1));
+    let (one, one_vol) = distributed_selinv(f, grid, &mk(1, 1));
     for threads in [2, 4] {
-        let (asyn, asyn_vol) = distributed_selinv(f, grid, &mk(threads, 4));
+        let (wide, wide_vol) = distributed_selinv(f, grid, &mk(threads, 4));
         let what = format!("threads={threads} lookahead=4");
-        assert_bit_identical(&sync, &asyn, &what);
-        assert_volumes_equal(&sync_vol, &asyn_vol, &what);
+        assert_bit_identical(&one, &wide, &what);
+        assert_volumes_equal(&one_vol, &wide_vol, &what);
     }
 }
 
@@ -205,7 +234,7 @@ proptest! {
             }
         }
         // Suppressed duplicates are never accounted, so even the chaos
-        // run's volumes equal the fault-free synchronous ones exactly.
+        // run's volumes equal the fault-free window-of-one ones exactly.
         for r in 0..vol.len() {
             prop_assert_eq!(vol[r], base_vol[r], "rank {} volume diverged", r);
         }

@@ -3,11 +3,11 @@
 //! The PEXSI pole expansion evaluates `(H − σI)⁻¹` at complex-plane poles
 //! whose real parts land inside the spectrum: the shifted LDLᵀ has negative
 //! pivots. `tests/pexsi_pole.rs` pins the sequential path; this suite pins
-//! the distributed one — the sync and async engines must agree with the
-//! sequential result and, between themselves, must be *bit-identical* with
-//! exactly equal per-rank volumes (the engines reorder communication, never
-//! arithmetic; sequential-vs-distributed differs only by GEMM summation
-//! order, so that comparison is a tight tolerance).
+//! the distributed one — every window must agree with the sequential
+//! result and, between windows, must be *bit-identical* with exactly equal
+//! per-rank volumes (a window reorders communication, never arithmetic;
+//! sequential-vs-distributed differs only by GEMM summation order, so that
+//! comparison is a tight tolerance).
 
 use pselinv_dist::{distributed_selinv, DistOptions};
 use pselinv_factor::LdlFactor;
@@ -86,17 +86,17 @@ fn shifted_selinv_agrees_across_engines_on_2x2_grid() {
             lookahead,
             ..Default::default()
         };
-        let (sync, sync_vol) = distributed_selinv(&f, grid, &mk(1));
+        let (one, one_vol) = distributed_selinv(&f, grid, &mk(1));
         // The distributed GEMM accumulation order differs from the
         // sequential one, so sequential agreement is a (tight) tolerance…
-        assert_close(&seq, &sync, 1e-9, &format!("σ={sigma} seq vs sync"));
-        // …while the engines must match each other to the bit, with equal
+        assert_close(&seq, &one, 1e-9, &format!("σ={sigma} seq vs window 1"));
+        // …while the windows must match each other to the bit, with equal
         // per-rank volumes, negative pivots or not.
         for lookahead in [2usize, 4, usize::MAX] {
-            let (asyn, asyn_vol) = distributed_selinv(&f, grid, &mk(lookahead));
+            let (wide, wide_vol) = distributed_selinv(&f, grid, &mk(lookahead));
             let what = format!("σ={sigma} lookahead={lookahead}");
-            assert_bit_identical(&sync, &asyn, &what);
-            assert_eq!(sync_vol, asyn_vol, "{what}: volumes");
+            assert_bit_identical(&one, &wide, &what);
+            assert_eq!(one_vol, wide_vol, "{what}: volumes");
         }
     }
 }

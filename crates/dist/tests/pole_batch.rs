@@ -113,7 +113,7 @@ fn per_pole_volumes_tile_the_aggregate() {
 fn batch_overlaps_queries() {
     // The whole point of the batch: with several poles admitted, some rank
     // must hold collectives of more than one supernode-task in flight at a
-    // time — and more than a single-pole async run of the same window,
+    // time — and more than a single-pole run of the same window,
     // since the outstanding count spans queries.
     let factors = pole_factors();
     let grid = Grid2D::new(2, 2);

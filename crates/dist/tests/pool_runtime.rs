@@ -1,5 +1,7 @@
 //! Acceptance tests for the persistent intra-rank work-stealing pool, the
-//! executor of every run with `threads > 1`.
+//! executor of every run with `threads > 1`: the engine's GEMM and
+//! diagonal steps fork-join on it with the rank thread helping, at every
+//! window.
 //!
 //! The pool reorders *scheduling*, never *arithmetic*: for every grid,
 //! tree scheme, lookahead window, thread count and benign fault schedule,

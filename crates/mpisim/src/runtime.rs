@@ -130,9 +130,6 @@ pub enum Progress<T> {
     Moved,
     /// Nothing can advance until a message arrives.
     Idle,
-    /// Nothing can advance until a message arrives or this long has passed
-    /// (work in flight off the message path, e.g. a pool batch).
-    IdleFor(Duration),
 }
 
 impl Progress<()> {
@@ -1298,9 +1295,8 @@ impl RankCtx {
     /// Drives a progress loop to completion; the one place a rank parks
     /// between polls. Each round snapshots the arrival counter, runs
     /// `sweep`, and parks — reporting `on` to the watchdog — only if the
-    /// sweep found nothing to do ([`Progress::Idle`] or
-    /// [`Progress::IdleFor`], the latter bounding the park) *and* no
-    /// message came off the inbox during it. The second condition is the
+    /// sweep found nothing to do ([`Progress::Idle`]) *and* no message came
+    /// off the inbox during it. The second condition is the
     /// lost-wakeup guard: a poll late in a sweep drains the inbox into the
     /// stash, possibly behind a request polled earlier, and a parked rank
     /// wakes only on new inbox traffic. The message that ends a park is
@@ -1313,22 +1309,19 @@ impl RankCtx {
     ) -> T {
         loop {
             let seen = self.arrivals;
-            let patience = match sweep(self) {
+            match sweep(self) {
                 Progress::Done(t) => return t,
                 Progress::Moved => continue,
-                Progress::Idle => None,
-                Progress::IdleFor(d) => Some(d),
-            };
+                Progress::Idle => {}
+            }
             if self.arrivals != seen {
                 continue;
             }
             self.flush_held();
             let posted_us = self.tracer.now_us();
-            let deadline = patience.and_then(|d| Instant::now().checked_add(d));
-            if let Some(m) = self.park(on, deadline) {
-                self.tracer.recv_wait(posted_us, m.sent_us, Some((m.src, m.idx)));
-                self.stash_push(m);
-            }
+            let m = self.park(on, None).expect("a wait without a deadline ends in a message");
+            self.tracer.recv_wait(posted_us, m.sent_us, Some((m.src, m.idx)));
+            self.stash_push(m);
         }
     }
 
@@ -2199,12 +2192,12 @@ mod tests {
         assert!(!ctx.spin.should_spin());
     }
 
-    /// One pass through the wait whose sweep is idle once — for at most
-    /// `patience`, when given — and done the second time.
-    fn park_once(ctx: &mut RankCtx, patience: Option<Duration>) {
+    /// One pass through the wait whose sweep is idle once and done the
+    /// second time.
+    fn park_once(ctx: &mut RankCtx) {
         let mut first = true;
         ctx.sweep_then_park(BlockedOn::ANY, |_| match std::mem::take(&mut first) {
-            true => patience.map_or(Progress::Idle, Progress::IdleFor),
+            true => Progress::Idle,
             false => Progress::Done(()),
         });
     }
@@ -2223,13 +2216,13 @@ mod tests {
                 }
                 let timeout = Duration::from_millis(5);
                 let t0 = Instant::now();
-                park_once(ctx, Some(timeout));
+                let err = ctx.recv_timeout(0, 3, timeout).expect_err("nobody sends");
                 let waited = t0.elapsed();
-                assert!(waited >= timeout, "armed={armed}: returned after {waited:?}");
+                assert!(err.waited >= timeout, "armed={armed}: gave up after {:?}", err.waited);
                 assert!(waited < Duration::from_secs(1), "armed={armed}: took {waited:?}");
             }
             // No time at all is a deadline too, not a wait without one.
-            park_once(ctx, Some(Duration::ZERO));
+            ctx.recv_timeout(0, 3, Duration::ZERO).expect_err("nobody sends");
             assert!(ctx.stash.is_empty(), "nobody sends");
         })
         .expect("a lone rank timing out is a clean run");
@@ -2291,7 +2284,7 @@ mod tests {
                     }
                     queued.wait();
                     let before = ctx.arrivals;
-                    park_once(ctx, None);
+                    park_once(ctx);
                     deltas.push(ctx.arrivals - before);
                     assert_eq!(ctx.volume().msgs_received, tag - 10, "stashed, not consumed");
                     let _ = ctx.recv(0, tag);

@@ -1,5 +1,5 @@
 //! Acceptance tests for the causal-observability layer: every traced run
-//! in the suite — synchronous mpisim, asynchronous pipelined mpisim,
+//! in the suite — mpisim at a window of one and at wider windows,
 //! chaos-seeded mpisim and the DES backend — must reconstruct into a
 //! valid happens-before order (no cycles, strictly monotone Lamport
 //! clocks, unique `(sender, idx)` consumption), and on the DES backend
