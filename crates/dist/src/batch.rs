@@ -76,7 +76,8 @@ pub struct BatchRun {
 
 /// Factorizes `H − σ_k I` for every shift against one shared symbolic
 /// analysis: the numeric factorizations differ per pole, the structure is
-/// computed once. Shifts may make the matrix indefinite — the LDLᵀ
+/// computed once, and one pool ([`pselinv_factor::default_pool`]) runs
+/// them all. Shifts may make the matrix indefinite — the LDLᵀ
 /// factorization handles negative pivots; only an exactly singular shift
 /// errors.
 pub fn factor_poles(
@@ -85,11 +86,12 @@ pub fn factor_poles(
     symbolic: Arc<SymbolicFactor>,
 ) -> Result<Vec<LdlFactor>, FactorError> {
     let eye = SparseMatrix::identity(h.nrows());
+    let pool = pselinv_factor::default_pool();
     shifts
         .iter()
         .map(|&sigma| {
             let shifted = h.add_scaled(&eye, 1.0, -sigma);
-            pselinv_factor::factorize(&shifted, symbolic.clone())
+            pselinv_factor::factorize_on(&shifted, symbolic.clone(), &pool)
         })
         .collect()
 }

@@ -1,11 +1,13 @@
 //! Right-looking supernodal LDLᵀ factorization.
 
+use crate::dag::{self, default_pool, Cells, Supernodal};
 use crate::panel::{relative_indices, scatter_lower, zeroed, Panel};
 use pselinv_dense::kernels::{
     gemm_raw, trsm_left_lower, trsm_left_lower_trans, trsm_right_lower_trans,
 };
 use pselinv_dense::{ldlt_factor, Mat, Transpose};
 use pselinv_order::SymbolicFactor;
+use pselinv_pool::Pool;
 use pselinv_sparse::SparseMatrix;
 use std::sync::Arc;
 
@@ -55,7 +57,8 @@ pub struct LdlFactor {
     pub panels: Vec<Panel>,
 }
 
-/// Factorizes a symmetric matrix with the given symbolic structure.
+/// Factorizes a symmetric matrix with the given symbolic structure, on a
+/// pool with one worker per available CPU ([`default_pool`]).
 ///
 /// Only the lower triangle of `a` (after the symbolic permutation) is
 /// read; the matrix must be numerically symmetric for the result to be
@@ -80,100 +83,126 @@ pub fn factorize(
     a: &SparseMatrix,
     symbolic: Arc<SymbolicFactor>,
 ) -> Result<LdlFactor, FactorError> {
+    factorize_on(a, symbolic, &default_pool())
+}
+
+/// [`factorize`] on a pool the caller owns: the scatter of `A` and the
+/// task DAG over supernode updates run on its workers. The factor is
+/// bit-identical at every worker count, and a zero pivot reports the
+/// lowest failing supernode, as a serial loop over the supernodes would.
+pub fn factorize_on(
+    a: &SparseMatrix,
+    symbolic: Arc<SymbolicFactor>,
+    pool: &Pool,
+) -> Result<LdlFactor, FactorError> {
     let sf = &*symbolic;
     if a.nrows() != sf.n || a.ncols() != sf.n {
         return Err(FactorError::ShapeMismatch { matrix_n: a.nrows(), symbolic_n: sf.n });
     }
-    let permuted = a.permute_sym(sf.perm.new_of_old());
-    let ns = sf.num_supernodes();
-    let mut panels: Vec<Panel> = (0..ns).map(|s| Panel::zeros(sf, s)).collect();
-    // One workspace for the whole factorization, grown to the largest
-    // block: relative indices, the scaled block B·D and the update U.
-    let (mut idx, mut bd, mut u) = (Vec::new(), Vec::new(), Vec::new());
-    scatter_lower(sf, &permuted, &mut panels, &mut idx);
+    let panels = dag::per_supernode(sf, pool, |s, buf| {
+        let mut panel = Panel::zeros(sf, s);
+        scatter_lower(sf, a, s, &mut panel, buf);
+        panel
+    });
+    let work = Ldlt { sf, panels: Cells::new(panels) };
+    dag::run(sf, pool, &work)?;
+    let panels = work.panels.into_inner();
+    Ok(LdlFactor { symbolic, panels })
+}
 
-    // Right-looking factorization over supernodes in ascending order.
-    for s in 0..ns {
-        let w = sf.width(s);
-        // The source panel and its ancestors (every target t > s) at once.
-        let (done, ancestors) = panels.split_at_mut(s + 1);
-        let Panel { diag, below } = &mut done[s];
+/// The LDLᵀ arithmetic of the DAG's tasks.
+struct Ldlt<'a> {
+    sf: &'a SymbolicFactor,
+    panels: Cells<Panel>,
+}
 
+/// One participant's workspace, grown to the largest block it meets:
+/// relative indices, the scaled block B·D and the update U.
+#[derive(Default)]
+struct Scratch {
+    idx: Vec<usize>,
+    bd: Vec<f64>,
+    u: Vec<f64>,
+}
+
+impl Supernodal for Ldlt<'_> {
+    type Scratch = Scratch;
+
+    unsafe fn factor(&self, s: usize, _: &mut Scratch) -> Result<(), usize> {
+        let Panel { diag, below } = self.panels.get_mut(s);
         // 1. Factor the diagonal block.
-        ldlt_factor(diag).map_err(|e| FactorError::Singular { supernode: s, pivot: e.pivot })?;
-
+        ldlt_factor(diag).map_err(|e| e.pivot)?;
         // 2. Normalize the below panel: L_R = A_R L⁻ᵀ D⁻¹.
         trsm_right_lower_trans(below, diag, true);
-        for jl in 0..w {
+        for jl in 0..diag.nrows() {
             let d = diag[(jl, jl)];
             for v in below.col_mut(jl) {
                 *v /= d;
             }
         }
-
-        // 3. Update ancestors: for each target block, subtract
-        //    L_{R',s} · D_s · L_{Rb,s}ᵀ from the ancestor panel.
-        //
-        //    Bit-identical to the per-entry loop it replaced (pinned by
-        //    `tests/golden.rs`): every GEMM keeps its `(m, nb, w)` shape and
-        //    operand values — only A's leading dimension changed, and the
-        //    packing and the scalar path read the same values in the same
-        //    order — and U starts from +0.0 as the fresh zero matrix did.
-        //    Each target entry still receives at most one contribution per
-        //    source supernode (blocks of `s` hit distinct targets), applied
-        //    in ascending `s`, so the order of the subtractions is the same.
-        //    Shapes are kept on purpose: grouping blocks into wider GEMMs
-        //    bought nothing measurable, and one `r×r` GEMM per supernode
-        //    computed the unused upper half at 1.8× the time.
-        let rows = sf.rows_of(s);
-        let r = rows.len();
-        let rp = sf.rows_ptr[s];
-        for b in sf.blocks_of(s) {
-            let lb = b.rows_begin - rp;
-            let (nb, m) = (b.nrows(), r - lb);
-            // Positions of rows[lb..] in the target: the block's own rows
-            // are the target's columns (the diagonal prefix), the rest lie
-            // in its below panel.
-            let ndiag = relative_indices(sf, b.sn, &rows[lb..], &mut idx);
-            debug_assert_eq!(ndiag, nb);
-            // B·D = rows [lb, lb+nb) of `below`, columns scaled by D.
-            bd.clear();
-            for jl in 0..w {
-                let d = diag[(jl, jl)];
-                bd.extend(below.col(jl)[lb..lb + nb].iter().map(|v| v * d));
-            }
-            // U = L_{R',s} · (B·D)ᵀ, with L_{R',s} read in place as rows
-            // lb..r of `below` (leading dimension r).
-            let u = zeroed(&mut u, m * nb);
-            // SAFETY: `below` holds r×w values, so rows lb..r of its w
-            // columns under leading dimension r end inside it; `bd` is
-            // nb×w; `u` is m×nb and a distinct allocation from both.
-            unsafe {
-                gemm_raw(
-                    m,
-                    nb,
-                    w,
-                    1.0,
-                    below.data()[lb..].as_ptr(),
-                    r,
-                    Transpose::No,
-                    bd.as_ptr(),
-                    nb,
-                    Transpose::Yes,
-                    1.0,
-                    u.as_mut_ptr(),
-                    m,
-                );
-            }
-            // Column q of U updates target column idx[q], rows q..m.
-            let target = &mut ancestors[b.sn - s - 1];
-            for (q, ucol) in u.chunks_exact(m).enumerate() {
-                target.scatter_col(idx[q], &idx[q..], ndiag - q, &ucol[q..], |x, v| *x -= v);
-            }
-        }
+        Ok(())
     }
 
-    Ok(LdlFactor { symbolic, panels })
+    /// Subtracts `L_{R',s} · D_s · L_{Rb,s}ᵀ` from the target of block `b`.
+    ///
+    /// Bit-identical to the per-entry loop it replaced (pinned by
+    /// `tests/golden.rs`): every GEMM keeps its `(m, nb, w)` shape and
+    /// operand values — only A's leading dimension changed, and the packing
+    /// and the scalar path read the same values in the same order — and U
+    /// starts from +0.0 as the fresh zero matrix did. Each target entry
+    /// still receives at most one contribution per source supernode (blocks
+    /// of `s` hit distinct targets), applied in ascending `s` (the DAG
+    /// chains each target's updates), so the order of the subtractions is
+    /// the same. Shapes are kept on purpose: grouping blocks into wider
+    /// GEMMs bought nothing measurable, and one `r×r` GEMM per supernode
+    /// computed the unused upper half at 1.8× the time.
+    unsafe fn update(&self, s: usize, b: usize, ws: &mut Scratch) {
+        let sf = self.sf;
+        let b = &sf.blocks[b];
+        let Panel { diag, below } = self.panels.get(s);
+        let rows = sf.rows_of(s);
+        let r = rows.len();
+        let lb = b.rows_begin - sf.rows_ptr[s];
+        let (nb, m) = (b.nrows(), r - lb);
+        // Positions of rows[lb..] in the target: the block's own rows are
+        // the target's columns (the diagonal prefix), the rest lie in its
+        // below panel.
+        let ndiag = relative_indices(sf, b.sn, &rows[lb..], &mut ws.idx);
+        debug_assert_eq!(ndiag, nb);
+        // B·D = rows [lb, lb+nb) of `below`, columns scaled by D.
+        ws.bd.clear();
+        for jl in 0..diag.nrows() {
+            let d = diag[(jl, jl)];
+            ws.bd.extend(below.col(jl)[lb..lb + nb].iter().map(|v| v * d));
+        }
+        // U = L_{R',s} · (B·D)ᵀ, with L_{R',s} read in place as rows lb..r
+        // of `below` (leading dimension r).
+        let u = zeroed(&mut ws.u, m * nb);
+        // SAFETY: `below` holds r×w values, so rows lb..r of its w columns
+        // under leading dimension r end inside it; `bd` is nb×w; `u` is
+        // m×nb and a distinct allocation from both.
+        gemm_raw(
+            m,
+            nb,
+            diag.nrows(),
+            1.0,
+            below.data()[lb..].as_ptr(),
+            r,
+            Transpose::No,
+            ws.bd.as_ptr(),
+            nb,
+            Transpose::Yes,
+            1.0,
+            u.as_mut_ptr(),
+            m,
+        );
+        // Column q of U updates target column idx[q], rows q..m.
+        let target = self.panels.get_mut(b.sn);
+        let idx = &ws.idx;
+        for (q, ucol) in u.chunks_exact(m).enumerate() {
+            target.scatter_col(idx[q], &idx[q..], ndiag - q, &ucol[q..], |x, v| *x -= v);
+        }
+    }
 }
 
 impl LdlFactor {

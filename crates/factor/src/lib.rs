@@ -1,8 +1,13 @@
-//! Sequential supernodal numeric factorization.
+//! Supernodal numeric factorization, as one task DAG over supernode
+//! updates on the work-stealing pool.
 //!
 //! [`ldlt::factorize`] computes a supernodal `L·D·Lᵀ` factorization of a
 //! symmetric matrix using the structure prepared by
-//! [`pselinv_order::analyze`]. The resulting [`ldlt::LdlFactor`] stores one
+//! [`pselinv_order::analyze`], on one worker per available CPU;
+//! [`ldlt::factorize_on`] runs the same code on a caller's
+//! [`pselinv_pool::Pool`]. Both factorizations feed one scheduler (the
+//! private `dag` module), and their factors are bit-identical at every
+//! worker count. The resulting [`ldlt::LdlFactor`] stores one
 //! dense panel per supernode — exactly the representation the selected
 //! inversion (sequential in `pselinv-selinv`, distributed in
 //! `pselinv-dist`) consumes, and the same one SuperLU_DIST hands to
@@ -12,9 +17,11 @@
 //! structurally symmetric pattern), the extension the paper lists as work
 //! in progress.
 
+mod dag;
 pub mod ldlt;
 pub mod lu;
 pub mod panel;
 
-pub use ldlt::{factorize, FactorError, LdlFactor};
+pub use dag::default_pool;
+pub use ldlt::{factorize, factorize_on, FactorError, LdlFactor};
 pub use panel::Panel;

@@ -7,10 +7,12 @@
 //! does for its symbolic phase), and diagonal blocks are factored without
 //! pivoting (static pivoting — the workload generators keep pivots safe).
 
-use crate::panel::{relative_indices, scatter_lower, zeroed, Panel};
+use crate::dag::{self, default_pool, Cells, Supernodal};
+use crate::panel::{relative_indices, scatter_lower, scatter_upper, zeroed, Panel};
 use pselinv_dense::kernels::{gemm_raw, trsm_left_lower, trsm_right_lower_trans};
 use pselinv_dense::{Mat, Transpose};
 use pselinv_order::SymbolicFactor;
+use pselinv_pool::Pool;
 use pselinv_sparse::SparseMatrix;
 use std::sync::Arc;
 
@@ -34,58 +36,74 @@ pub struct LuFactor {
 }
 
 /// Factorizes a (possibly unsymmetric) matrix whose symmetrized pattern
-/// matches `symbolic`.
+/// matches `symbolic`, on a pool with one worker per available CPU
+/// ([`default_pool`]).
 pub fn factorize_lu(
     a: &SparseMatrix,
     symbolic: Arc<SymbolicFactor>,
+) -> Result<LuFactor, FactorError> {
+    factorize_lu_on(a, symbolic, &default_pool())
+}
+
+/// [`factorize_lu`] on a pool the caller owns; bit-identical at every
+/// worker count, as [`crate::factorize_on`].
+pub fn factorize_lu_on(
+    a: &SparseMatrix,
+    symbolic: Arc<SymbolicFactor>,
+    pool: &Pool,
 ) -> Result<LuFactor, FactorError> {
     let sf = &*symbolic;
     if a.nrows() != sf.n || a.ncols() != sf.n {
         return Err(FactorError::ShapeMismatch { matrix_n: a.nrows(), symbolic_n: sf.n });
     }
-    let permuted = a.permute_sym(sf.perm.new_of_old());
-    let ns = sf.num_supernodes();
-    let mut l: Vec<Panel> = (0..ns).map(|s| Panel::zeros(sf, s)).collect();
-    let mut uright: Vec<Mat> =
-        (0..ns).map(|s| Mat::zeros(sf.rows_of(s).len(), sf.width(s))).collect();
+    // Lower entries of `P A Pᵀ` into the l panels; upper entries A_ij,
+    // i < j, walked as column i of Aᵀ, into row i of supernode t = sn(i):
+    // diag's upper part for j < end_col(t), else uright.
+    let at = a.transpose();
+    let (l, uright) = dag::per_supernode(sf, pool, |s, buf| {
+        let mut panel = Panel::zeros(sf, s);
+        let mut uright = Mat::zeros(sf.rows_of(s).len(), sf.width(s));
+        scatter_lower(sf, a, s, &mut panel, buf);
+        scatter_upper(sf, &at, s, &mut panel.diag, &mut uright, buf);
+        (panel, uright)
+    })
+    .into_iter()
+    .unzip();
 
-    // One workspace for the whole factorization: relative indices and the
-    // two updates.
-    let (mut idx, mut ul, mut uu) = (Vec::new(), Vec::new(), Vec::new());
+    let work = Lu { sf, l: Cells::new(l), uright: Cells::new(uright) };
+    dag::run(sf, pool, &work)?;
+    let (l, uright) = (work.l.into_inner(), work.uright.into_inner());
+    Ok(LuFactor { symbolic, l, uright })
+}
 
-    // Scatter A: lower entries into the l panels; upper entries A_ij, i < j,
-    // walked as column i of Aᵀ (rows sorted), into row i of supernode
-    // t = sn(i): diag's upper part for j < end_col(t), else uright.
-    scatter_lower(sf, &permuted, &mut l, &mut idx);
-    let upper = permuted.transpose();
-    for i in 0..sf.n {
-        let t = sf.part.col_to_sn[i];
-        let il = i - sf.first_col(t);
-        let cols = upper.col_rows(i);
-        let start = cols.partition_point(|&j| j <= i);
-        let ndiag = relative_indices(sf, t, &cols[start..], &mut idx);
-        for (k, (&pos, &v)) in idx.iter().zip(&upper.col_values(i)[start..]).enumerate() {
-            if k < ndiag {
-                l[t].diag[(il, pos)] = v;
-            } else {
-                uright[t][(pos, il)] = v;
-            }
-        }
-    }
+/// The LU arithmetic of the DAG's tasks.
+struct Lu<'a> {
+    sf: &'a SymbolicFactor,
+    l: Cells<Panel>,
+    uright: Cells<Mat>,
+}
 
-    for s in 0..ns {
-        let w = sf.width(s);
-        // The source panels and their ancestors (every target t > s) at once.
-        let (l_done, l_anc) = l.split_at_mut(s + 1);
-        let (u_done, u_anc) = uright.split_at_mut(s + 1);
-        let Panel { diag: dblk, below } = &mut l_done[s];
-        let uhat = &mut u_done[s];
+/// One participant's workspace: relative indices and the two updates.
+#[derive(Default)]
+struct Scratch {
+    idx: Vec<usize>,
+    ul: Vec<f64>,
+    uu: Vec<f64>,
+}
+
+impl Supernodal for Lu<'_> {
+    type Scratch = Scratch;
+
+    unsafe fn factor(&self, s: usize, _: &mut Scratch) -> Result<(), usize> {
+        let Panel { diag: dblk, below } = self.l.get_mut(s);
+        let uhat = self.uright.get_mut(s);
+        let w = dblk.nrows();
 
         // 1. Unpivoted LU of the diagonal block (in place: unit L + U).
         for k in 0..w {
             let d = dblk[(k, k)];
             if d.abs() < f64::EPSILON * 16.0 {
-                return Err(FactorError::Singular { supernode: s, pivot: k });
+                return Err(k);
             }
             for i in (k + 1)..w {
                 dblk[(i, k)] /= d;
@@ -104,9 +122,7 @@ pub fn factorize_lu(
 
         // 2. Panel solves: L_{R,K} = A_{R,K} U_{K,K}⁻¹ and
         //    U_{K,R}ᵀ = A_{K,R}ᵀ L_{K,K}⁻ᵀ. Nothing to solve for a root.
-        let rows = sf.rows_of(s);
-        let r = rows.len();
-        if r > 0 {
+        if below.nrows() > 0 {
             // X·U = B  ⇔  X·(Uᵀ)ᵀ = B with Uᵀ lower (non-unit).
             let mut ut = Mat::zeros(w, w);
             for j in 0..w {
@@ -117,77 +133,79 @@ pub fn factorize_lu(
             trsm_right_lower_trans(below, &ut, false);
             trsm_right_lower_trans(uhat, dblk, true);
         }
+        Ok(())
+    }
 
-        // 3. Updates to ancestors: A_{i,c} -= L_{i,K} U_{K,c} (lower) and
-        //    A_{c,i} -= L_{c,K} U_{K,i} (upper). Both GEMM operands are read
-        //    in place at row lb of the source panels (leading dimension r);
-        //    bit-identity holds by the argument in `ldlt::factorize`.
-        let rp = sf.rows_ptr[s];
-        for b in sf.blocks_of(s) {
-            let lb = b.rows_begin - rp;
-            let (nb, m) = (b.nrows(), r - lb);
-            let ndiag = relative_indices(sf, b.sn, &rows[lb..], &mut idx);
-            debug_assert_eq!(ndiag, nb);
-            let ul = zeroed(&mut ul, m * nb);
-            let uu = zeroed(&mut uu, m * nb);
-            // SAFETY: `below` and `uhat` each hold r×w values, so rows lb..r
-            // (and lb..lb+nb) of their w columns under leading dimension r
-            // end inside them; `ul`/`uu` are m×nb, distinct allocations.
-            unsafe {
-                let (lp, up) = (below.data()[lb..].as_ptr(), uhat.data()[lb..].as_ptr());
-                // lower update: L_all · U_blkᵀ  (m × nb)
-                gemm_raw(
-                    m,
-                    nb,
-                    w,
-                    1.0,
-                    lp,
-                    r,
-                    Transpose::No,
-                    up,
-                    r,
-                    Transpose::Yes,
-                    1.0,
-                    ul.as_mut_ptr(),
-                    m,
-                );
-                // upper update: U_all · L_blkᵀ  (m × nb)
-                gemm_raw(
-                    m,
-                    nb,
-                    w,
-                    1.0,
-                    up,
-                    r,
-                    Transpose::No,
-                    lp,
-                    r,
-                    Transpose::Yes,
-                    1.0,
-                    uu.as_mut_ptr(),
-                    m,
-                );
+    /// Block `b`'s updates to its target: A_{i,c} -= L_{i,K} U_{K,c}
+    /// (lower) and A_{c,i} -= L_{c,K} U_{K,i} (upper). Both GEMM operands
+    /// are read in place at row lb of the source panels (leading dimension
+    /// r); bit-identity holds by the argument in `ldlt::factorize_on`.
+    unsafe fn update(&self, s: usize, b: usize, ws: &mut Scratch) {
+        let sf = self.sf;
+        let b = &sf.blocks[b];
+        let (below, uhat) = (&self.l.get(s).below, self.uright.get(s));
+        let (w, rows) = (below.ncols(), sf.rows_of(s));
+        let r = rows.len();
+        let lb = b.rows_begin - sf.rows_ptr[s];
+        let (nb, m) = (b.nrows(), r - lb);
+        let ndiag = relative_indices(sf, b.sn, &rows[lb..], &mut ws.idx);
+        debug_assert_eq!(ndiag, nb);
+        let ul = zeroed(&mut ws.ul, m * nb);
+        let uu = zeroed(&mut ws.uu, m * nb);
+        // SAFETY: `below` and `uhat` each hold r×w values, so rows lb..r
+        // (and lb..lb+nb) of their w columns under leading dimension r end
+        // inside them; `ul`/`uu` are m×nb, distinct allocations.
+        let (lp, up) = (below.data()[lb..].as_ptr(), uhat.data()[lb..].as_ptr());
+        // lower update: L_all · U_blkᵀ  (m × nb)
+        gemm_raw(
+            m,
+            nb,
+            w,
+            1.0,
+            lp,
+            r,
+            Transpose::No,
+            up,
+            r,
+            Transpose::Yes,
+            1.0,
+            ul.as_mut_ptr(),
+            m,
+        );
+        // upper update: U_all · L_blkᵀ  (m × nb)
+        gemm_raw(
+            m,
+            nb,
+            w,
+            1.0,
+            up,
+            r,
+            Transpose::No,
+            lp,
+            r,
+            Transpose::Yes,
+            1.0,
+            uu.as_mut_ptr(),
+            m,
+        );
+
+        let (tl, tu) = (self.l.get_mut(b.sn), self.uright.get_mut(b.sn));
+        let idx = &ws.idx;
+        for (q, (lcol, ucol)) in ul.chunks_exact(m).zip(uu.chunks_exact(m)).enumerate() {
+            let cl = idx[q];
+            // lower targets (i, c), i >= c
+            tl.scatter_col(cl, &idx[q..], ndiag - q, &lcol[q..], |x, v| *x -= v);
+            // upper targets (c, i), i > c: row cl of diag, then column cl
+            // of uright
+            for p in (q + 1)..ndiag {
+                tl.diag[(cl, idx[p])] -= ucol[p];
             }
-
-            let (tl, tu) = (&mut l_anc[b.sn - s - 1], &mut u_anc[b.sn - s - 1]);
-            for (q, (lcol, ucol)) in ul.chunks_exact(m).zip(uu.chunks_exact(m)).enumerate() {
-                let cl = idx[q];
-                // lower targets (i, c), i >= c
-                tl.scatter_col(cl, &idx[q..], ndiag - q, &lcol[q..], |x, v| *x -= v);
-                // upper targets (c, i), i > c: row cl of diag, then column
-                // cl of uright
-                for p in (q + 1)..ndiag {
-                    tl.diag[(cl, idx[p])] -= ucol[p];
-                }
-                let tucol = tu.col_mut(cl);
-                for (&pos, &v) in idx[ndiag..].iter().zip(&ucol[ndiag..]) {
-                    tucol[pos] -= v;
-                }
+            let tucol = tu.col_mut(cl);
+            for (&pos, &v) in idx[ndiag..].iter().zip(&ucol[ndiag..]) {
+                tucol[pos] -= v;
             }
         }
     }
-
-    Ok(LuFactor { symbolic, l, uright })
 }
 
 impl LuFactor {

@@ -114,22 +114,73 @@ fn not_in_structure(row: usize, s: usize) -> ! {
     panic!("row {row} not in structure of supernode {s}")
 }
 
-/// Scatters the lower triangle of `permuted` (the matrix in `sf`'s
-/// ordering; rows sorted within each column, as `permute_sym` leaves them)
-/// into `panels`, one [`relative_indices`] walk per column.
+/// One participant's buffers for reading columns of `P A Pᵀ`.
+#[derive(Default)]
+pub(crate) struct ColumnBuf {
+    pairs: Vec<(usize, f64)>,
+    rows: Vec<usize>,
+    vals: Vec<f64>,
+    idx: Vec<usize>,
+}
+
+impl ColumnBuf {
+    /// Column `j` of `P m Pᵀ` (`P` the symbolic permutation), from row
+    /// `from` down, into `rows`/`vals`: column `old_of(j)` of `m` with its
+    /// rows mapped by `new_of` and sorted — exactly what `permute_sym`
+    /// would hold there.
+    fn permuted_col(&mut self, sf: &SymbolicFactor, m: &SparseMatrix, j: usize, from: usize) {
+        let old = sf.perm.old_of(j);
+        let rows = m.col_rows(old).iter().map(|&i| sf.perm.new_of(i));
+        self.pairs.clear();
+        self.pairs.extend(rows.zip(m.col_values(old).iter().copied()).filter(|&(i, _)| i >= from));
+        self.pairs.sort_unstable_by_key(|&(i, _)| i);
+        self.rows.clear();
+        self.vals.clear();
+        for &(i, v) in &self.pairs {
+            self.rows.push(i);
+            self.vals.push(v);
+        }
+    }
+}
+
+/// Scatters the lower triangle of `P a Pᵀ` into supernode `s`'s panel,
+/// one [`relative_indices`] walk per column.
 pub(crate) fn scatter_lower(
     sf: &SymbolicFactor,
-    permuted: &SparseMatrix,
-    panels: &mut [Panel],
-    idx: &mut Vec<usize>,
+    a: &SparseMatrix,
+    s: usize,
+    panel: &mut Panel,
+    buf: &mut ColumnBuf,
 ) {
-    for j in 0..sf.n {
-        let s = sf.part.col_to_sn[j];
-        let rows = permuted.col_rows(j);
-        let start = rows.partition_point(|&i| i < j);
-        let ndiag = relative_indices(sf, s, &rows[start..], idx);
-        let vals = &permuted.col_values(j)[start..];
-        panels[s].scatter_col(j - sf.first_col(s), idx, ndiag, vals, |x, v| *x = v);
+    for j in sf.first_col(s)..sf.end_col(s) {
+        buf.permuted_col(sf, a, j, j);
+        let ndiag = relative_indices(sf, s, &buf.rows, &mut buf.idx);
+        panel.scatter_col(j - sf.first_col(s), &buf.idx, ndiag, &buf.vals, |x, v| *x = v);
+    }
+}
+
+/// Scatters the strict upper triangle of `P a Pᵀ`, read as columns of
+/// `at = aᵀ`, into supernode `s`: entry `(i, j)`, `i < j`, goes to row `i`
+/// of `diag` for `j < end_col(s)`, else to `uright` (`U_{K,R}ᵀ`).
+pub(crate) fn scatter_upper(
+    sf: &SymbolicFactor,
+    at: &SparseMatrix,
+    s: usize,
+    diag: &mut Mat,
+    uright: &mut Mat,
+    buf: &mut ColumnBuf,
+) {
+    for i in sf.first_col(s)..sf.end_col(s) {
+        let il = i - sf.first_col(s);
+        buf.permuted_col(sf, at, i, i + 1);
+        let ndiag = relative_indices(sf, s, &buf.rows, &mut buf.idx);
+        for (k, (&pos, &v)) in buf.idx.iter().zip(&buf.vals).enumerate() {
+            if k < ndiag {
+                diag[(il, pos)] = v;
+            } else {
+                uright[(pos, il)] = v;
+            }
+        }
     }
 }
 

@@ -9,16 +9,21 @@
 //! bit-for-bit or it is wrong. On a mismatch the test prints the whole
 //! table as it computes it now.
 //!
+//! The factorization is a task DAG on the pool, so every table is computed
+//! through `factorize_on`/`factorize_lu_on` at 1, 2, 3 and 4 workers and
+//! must equal the same digests at each.
+//!
 //! What is hashed (FNV-1a, 64 bit): per supernode, the panel shape, then
 //! the `to_bits()` of every entry of `diag` and of `below` (column-major),
 //! and for LU every entry of `uright` too. A factorization that fails
 //! hashes the `Singular { supernode, pivot }` it returned instead.
 
-use pselinv_factor::lu::factorize_lu;
-use pselinv_factor::{factorize, FactorError, Panel};
+use pselinv_factor::lu::factorize_lu_on;
+use pselinv_factor::{factorize_on, FactorError, Panel};
 use pselinv_order::nd::NdOptions;
 use pselinv_order::supernodes::SupernodeOptions;
 use pselinv_order::{analyze, AnalyzeOptions, OrderingChoice};
+use pselinv_pool::Pool;
 use pselinv_sparse::{gen, SparseMatrix, TripletMatrix};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -145,12 +150,15 @@ fn unsymmetric(a: &SparseMatrix) -> SparseMatrix {
     t.to_csc()
 }
 
-fn ldlt_table() -> Vec<(String, u64)> {
+/// The worker counts every table is computed at.
+const WORKERS: std::ops::RangeInclusive<usize> = 1..=4;
+
+fn ldlt_table(pool: &Pool) -> Vec<(String, u64)> {
     let mut out = Vec::new();
     for (label, a, opts) in cases().into_iter().chain(poles()) {
         let sf = Arc::new(analyze(&a.pattern(), &opts));
         let mut h = Fnv::new();
-        match factorize(&a, sf) {
+        match factorize_on(&a, sf, pool) {
             Ok(f) => f.panels.iter().for_each(|p| h.panel(p)),
             Err(e) => h.error(&e),
         }
@@ -159,13 +167,13 @@ fn ldlt_table() -> Vec<(String, u64)> {
     out
 }
 
-fn lu_table() -> Vec<(String, u64)> {
+fn lu_table(pool: &Pool) -> Vec<(String, u64)> {
     let mut out = Vec::new();
     for (label, a, opts) in cases() {
         let a = unsymmetric(&a);
         let sf = Arc::new(analyze(&a.pattern(), &opts));
         let mut h = Fnv::new();
-        match factorize_lu(&a, sf) {
+        match factorize_lu_on(&a, sf, pool) {
             Ok(f) => {
                 for (p, u) in f.l.iter().zip(&f.uright) {
                     h.panel(p);
@@ -206,29 +214,105 @@ fn check(what: &str, actual: &[(String, u64)], golden: &[(&str, u64)]) {
 
 #[test]
 fn ldlt_digests_match_the_parent_commit() {
-    check("LDLᵀ factors", &ldlt_table(), LDLT_GOLDEN);
+    for workers in WORKERS {
+        check(
+            &format!("LDLᵀ factors, {workers} workers"),
+            &ldlt_table(&Pool::new(workers)),
+            LDLT_GOLDEN,
+        );
+    }
 }
 
 #[test]
 fn lu_digests_match_the_parent_commit() {
-    check("LU factors", &lu_table(), LU_GOLDEN);
+    for workers in WORKERS {
+        check(&format!("LU factors, {workers} workers"), &lu_table(&Pool::new(workers)), LU_GOLDEN);
+    }
 }
 
 #[test]
 fn zero_pivots_are_found_where_the_parent_found_them() {
     // The digests above pin these too; spelled out so that a failure names
     // the supernode. Both analyses put the singular block last.
-    for (label, a, opts) in cases().into_iter().filter(|(l, _, _)| l.starts_with("singular")) {
-        let sf = Arc::new(analyze(&a.pattern(), &opts));
-        let last = sf.num_supernodes() - 1;
-        match factorize(&a, sf.clone()) {
-            Err(FactorError::Singular { supernode, pivot }) => {
-                assert_eq!((supernode, pivot), SINGULAR_AT[label.ends_with("width1") as usize]);
-                assert!(supernode <= last);
+    for workers in WORKERS {
+        let pool = Pool::new(workers);
+        for (label, a, opts) in cases().into_iter().filter(|(l, _, _)| l.starts_with("singular")) {
+            let sf = Arc::new(analyze(&a.pattern(), &opts));
+            let last = sf.num_supernodes() - 1;
+            match factorize_on(&a, sf.clone(), &pool) {
+                Err(FactorError::Singular { supernode, pivot }) => {
+                    let want = SINGULAR_AT[label.ends_with("width1") as usize];
+                    assert_eq!((supernode, pivot), want, "{label}, {workers} workers");
+                    assert!(supernode <= last);
+                }
+                other => panic!("{label}: expected Singular, got {other:?}"),
             }
-            other => panic!("{label}: expected Singular, got {other:?}"),
+            let lu = factorize_lu_on(&a, sf, &pool);
+            assert!(matches!(lu, Err(FactorError::Singular { .. })), "{label}");
         }
-        assert!(matches!(factorize_lu(&a, sf), Err(FactorError::Singular { .. })), "{label}");
+    }
+}
+
+/// Two all-ones blocks (each exactly singular) after an 8×8 Laplacian, in
+/// the natural order: the first is coupled to the Laplacian's last column
+/// by explicit zeros, so it waits for the whole Laplacian (and stays
+/// exactly singular: every update it receives is zero), while the second
+/// is a leaf of its own that a second worker can reach first.
+fn two_singular_blocks() -> (SparseMatrix, [usize; 2]) {
+    let lap = gen::grid_laplacian_2d(8, 8).matrix;
+    let n = lap.nrows();
+    let mut t = TripletMatrix::new(n + 6, n + 6);
+    for (i, j, v) in lap.iter() {
+        t.push(i, j, v);
+    }
+    t.push_sym(n, n - 1, 0.0);
+    for first in [n, n + 3] {
+        for i in 0..3 {
+            for j in 0..3 {
+                t.push(first + i, first + j, 1.0);
+            }
+        }
+    }
+    (t.to_csc(), [n, n + 3])
+}
+
+#[test]
+fn the_lowest_zero_pivot_wins_when_a_higher_one_is_reached_first() {
+    let (a, [first, second]) = two_singular_blocks();
+    let natural = AnalyzeOptions { ordering: OrderingChoice::Natural, ..Default::default() };
+    let width1 = SupernodeOptions { max_width: 1, ..Default::default() };
+    for opts in [natural, AnalyzeOptions { supernode: width1, ..natural }] {
+        let sf = Arc::new(analyze(&a.pattern(), &opts));
+        let sn = |col: usize| sf.part.col_to_sn[col];
+        assert!(sn(first + 2) < sn(second), "the blocks share no supernode");
+        let mut found = Vec::new();
+        for workers in WORKERS {
+            let pool = Pool::new(workers);
+            // Repeated, so that the second block gets its chance to fail first.
+            for _ in 0..8 {
+                match factorize_on(&a, sf.clone(), &pool) {
+                    Err(FactorError::Singular { supernode, pivot }) => {
+                        found.push((supernode, pivot))
+                    }
+                    other => panic!("expected Singular, got {other:?}"),
+                }
+                match factorize_lu_on(&a, sf.clone(), &pool) {
+                    Err(FactorError::Singular { supernode, .. }) => {
+                        assert!(
+                            (sn(first)..=sn(first + 2)).contains(&supernode),
+                            "LU: {supernode}"
+                        );
+                    }
+                    other => panic!("LU: expected Singular, got {other:?}"),
+                }
+            }
+        }
+        let (supernode, _) = found[0];
+        assert!(
+            (sn(first)..=sn(first + 2)).contains(&supernode),
+            "not the first block: {supernode}"
+        );
+        assert!(found.iter().all(|&f| f == found[0]), "{found:?}");
     }
 }
 
