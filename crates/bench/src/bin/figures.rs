@@ -30,7 +30,8 @@ profiling & runtime:
   trace      traced numeric run: summary tables + Chrome trace exports
   hotspots   per-rank load heat maps from a traced run
   critpath   DES critical-path extraction
-  bench-smoke smoke-sized kernel/collective benchmark table
+  bench-smoke DES makespan, critical path and Col-Bcast imbalance per
+             scheme on an 8x8 grid (BENCH_trace.json)
 
 engines, faults & ablations:
   async      engine window 1 vs 4: wall, late-sender wait and overlap per

@@ -35,18 +35,18 @@ pub enum Transpose {
 // in L2; the MR strip of the current iteration lives in L1.
 
 /// Rows of one packed A panel.
-pub(crate) const MC: usize = 128;
+const MC: usize = 128;
 /// Shared (inner) dimension of one packing round.
-pub(crate) const KC: usize = 256;
+const KC: usize = 256;
 /// Columns of one packed B panel.
-pub(crate) const NC: usize = 4096;
+const NC: usize = 4096;
 /// Microkernel tile rows (contiguous in packed A and in column-major C).
-pub(crate) const MR: usize = 8;
+const MR: usize = 8;
 /// Microkernel tile columns.
-pub(crate) const NR: usize = 4;
+const NR: usize = 4;
 /// Below this many multiply-adds the packed path costs more than it saves
 /// (packing + buffer allocation); fall through to the scalar kernels.
-pub(crate) const SMALL_FLOPS: usize = 24 * 24 * 24;
+const SMALL_FLOPS: usize = 24 * 24 * 24;
 /// Column-block width of the blocked triangular solves.
 const TRSM_NB: usize = 48;
 
@@ -254,7 +254,7 @@ fn arena_reserve(buf: &mut Vec<f64>, len: usize) {
 /// # Safety
 /// `a`/`b`/`c` must cover `op(A)` (`m×k`), `op(B)` (`k×n`) and `C` (`m×n`)
 /// under their leading dimensions; `c` must not overlap `a` or `b`.
-pub(crate) unsafe fn gemm_blocked(
+unsafe fn gemm_blocked(
     m: usize,
     n: usize,
     k: usize,
@@ -401,7 +401,7 @@ unsafe fn gemm_scalar(
 ///
 /// # Safety
 /// The region must be inside `c`'s allocation.
-pub(crate) unsafe fn scale_c(m: usize, n: usize, beta: f64, c: *mut f64, ldc: usize) {
+unsafe fn scale_c(m: usize, n: usize, beta: f64, c: *mut f64, ldc: usize) {
     if beta == 1.0 {
         return;
     }

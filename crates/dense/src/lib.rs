@@ -17,7 +17,6 @@ pub mod kernels;
 pub mod ldlt;
 pub mod lu;
 pub mod mat;
-pub mod parallel;
 
 pub use kernels::{
     gemm, gemm_naive, trsm_left_lower, trsm_left_lower_naive, trsm_left_lower_trans,
@@ -27,4 +26,3 @@ pub use kernels::{
 pub use ldlt::{ldlt_factor, ldlt_factor_naive, ldlt_invert, ldlt_solve};
 pub use lu::{lu_factor, lu_factor_naive, lu_invert, lu_solve};
 pub use mat::Mat;
-pub use parallel::gemm_pool;

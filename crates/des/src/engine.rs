@@ -815,7 +815,7 @@ mod tests {
             let sent: u64 = trace.ranks.iter().map(|r| r.metrics.total_sent_msgs()).sum();
             assert_eq!(sent, traced.messages);
             // Per-rank Col-Bcast bytes agree with the structural replay —
-            // the same acceptance criterion the mpisim tracer meets.
+            // the same acceptance check the mpisim tracer meets.
             let rep = replay_volumes(&layout, TreeBuilder::new(opts.scheme, opts.seed));
             assert_eq!(trace.sent_bytes(CollKind::ColBcast), rep.col_bcast_sent, "{scheme:?}");
             assert_eq!(

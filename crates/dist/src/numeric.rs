@@ -9,14 +9,17 @@
 //! reduction, and the step-5 `A⁻¹` transposes, restricted to the
 //! collectives a rank participates in — runs on the one engine of
 //! [`crate::engine`], whose window ([`DistOptions::window`]) is the only
-//! schedule knob. Sends are buffered and never block, so a schedule that
-//! is a restriction of one global order is deadlock-free. The asynchronous
+//! schedule knob. A standalone run is a batch of one query: its entry
+//! points hand the factor to [`crate::batch`], which builds the plan and
+//! runs the rank entry. Sends are buffered and never block, so a schedule
+//! that is a restriction of one global order is deadlock-free. The asynchronous
 //! *timing* behaviour at scale is modeled separately by `pselinv-des`; this
 //! module establishes the numerical correctness of the tree-routed
 //! communication.
 
+use crate::batch::{try_batched_selinv, try_batched_selinv_traced, BatchOptions, BatchRun};
 use crate::layout::Layout;
-use crate::plan::{CommPlan, SupernodePlan};
+use crate::plan::SupernodePlan;
 use pselinv_dense::kernels::trsm_right_lower;
 use pselinv_dense::{gemm, Mat, Transpose};
 use pselinv_factor::{LdlFactor, Panel};
@@ -27,7 +30,6 @@ use pselinv_order::SymbolicFactor;
 use pselinv_pool::Pool;
 use pselinv_selinv::SelectedInverse;
 use pselinv_trace::{CollKind, Trace};
-use pselinv_trees::TreeBuilder;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -78,9 +80,9 @@ impl DistOptions {
     }
 
     /// The effective phase-2 window: [`DistOptions::lookahead`] with `0`
-    /// normalized to `1`, next to [`DistOptions::worker_threads`]. Both the
-    /// standalone and the batched entry read the knob through here: a
-    /// window of zero would never admit a supernode and hang the run.
+    /// normalized to `1`, next to [`DistOptions::worker_threads`]. The rank
+    /// entry of every run reads the knob through here: a window of zero
+    /// would never admit a supernode and hang the run.
     pub fn window(&self) -> usize {
         self.lookahead.max(1)
     }
@@ -307,16 +309,9 @@ pub fn try_distributed_selinv(
     opts: &DistOptions,
     run_opts: &pselinv_mpisim::RunOptions,
 ) -> Result<(SelectedInverse, Vec<RankVolume>), pselinv_mpisim::RunError> {
-    let layout = Layout::new(factor.symbolic.clone(), grid);
-    let builder = TreeBuilder::new(opts.scheme, opts.seed);
-    let plans = CommPlan::new(layout.clone(), builder).precompute_all();
-
-    let (outputs, volumes): (Vec<RankOutput>, Vec<RankVolume>) =
-        pselinv_mpisim::try_run(grid.size(), run_opts, |ctx| {
-            rank_entry(ctx, factor, &layout, &plans, opts)
-        })?;
-
-    Ok((assemble(factor, &layout, outputs), volumes))
+    let run =
+        try_batched_selinv(std::slice::from_ref(factor), grid, &batch_of_one(opts), run_opts)?;
+    Ok(only_query(run))
 }
 
 /// [`distributed_selinv`] with tracing enabled on every rank: the returned
@@ -347,21 +342,27 @@ pub fn try_distributed_selinv_traced(
     run_opts: &pselinv_mpisim::RunOptions,
     label: &str,
 ) -> Result<(SelectedInverse, Vec<RankVolume>, Trace), pselinv_mpisim::RunError> {
-    let layout = Layout::new(factor.symbolic.clone(), grid);
-    let builder = TreeBuilder::new(opts.scheme, opts.seed);
-    let plans = CommPlan::new(layout.clone(), builder).precompute_all();
+    let (run, trace) = try_batched_selinv_traced(
+        std::slice::from_ref(factor),
+        grid,
+        &batch_of_one(opts),
+        run_opts,
+        label,
+    )?;
+    let (inverse, volumes) = only_query(run);
+    Ok((inverse, volumes, trace))
+}
 
-    let (outputs, volumes, mut trace) =
-        pselinv_mpisim::try_run_traced(grid.size(), label, run_opts, |ctx| {
-            rank_entry(ctx, factor, &layout, &plans, opts)
-        })?;
-    trace.set_meta("backend", "mpisim");
-    trace.set_meta("grid", format!("{}x{}", grid.pr, grid.pc));
-    trace.set_meta("scheme", opts.scheme.to_string());
-    trace.set_meta("seed", opts.seed.to_string());
-    trace.set_meta("lookahead", opts.window().to_string());
+/// A standalone run is a batch of one query, admitted alone, so the batch
+/// engine's plan, rank entry and assembly serve every run.
+fn batch_of_one(opts: &DistOptions) -> BatchOptions {
+    BatchOptions { dist: *opts, max_inflight: 1 }
+}
 
-    Ok((assemble(factor, &layout, outputs), volumes, trace))
+/// The inverse and aggregate volumes of a batch of one.
+fn only_query(run: BatchRun) -> (SelectedInverse, Vec<RankVolume>) {
+    let BatchRun { mut inverses, volumes, .. } = run;
+    (inverses.pop().expect("a batch of one has one inverse"), volumes)
 }
 
 /// Assembles the per-rank output pieces into a [`SelectedInverse`].
@@ -497,49 +498,6 @@ pub(crate) fn diag_contrib(
     dcon
 }
 
-/// Entry point of one rank: phase 1 with blocking diagonal broadcasts,
-/// then phase 2 on the engine ([`crate::engine`]) with a window of
-/// [`DistOptions::window`] supernodes.
-pub(crate) fn rank_entry(
-    ctx: &mut RankCtx,
-    factor: &LdlFactor,
-    layout: &Layout,
-    plans: &[SupernodePlan],
-    opts: &DistOptions,
-) -> RankOutput {
-    let mut st = RankState {
-        sf: &factor.symbolic,
-        factor,
-        layout,
-        me: ctx.rank(),
-        qid: 0,
-        lhat: HashMap::new(),
-        ainv_lower: HashMap::new(),
-        ainv_upper: HashMap::new(),
-        ainv_diag: HashMap::new(),
-    };
-    let exec = LocalExec::new(ctx, opts);
-    // Pool spans are stamped relative to pool creation; remember where
-    // that sits on the tracer clock so worker spans align with the
-    // communication spans in the timeline.
-    let pool_epoch_us = ctx.tracer().now_us();
-    phase1(ctx, &mut st, plans);
-    crate::engine::phase2_multi(ctx, std::slice::from_mut(&mut st), plans, &exec, opts.window(), 1);
-    if let LocalExec::Pool(pool) = &exec {
-        let stats = pool.stats();
-        ctx.tracer().pool_stats(stats.executed(), stats.stolen(), stats.busy_us(), pool.threads());
-        for (worker, start_us, end_us) in pool.take_spans() {
-            ctx.tracer().span_at(
-                CollKind::Compute,
-                worker as u64,
-                pool_epoch_us + start_us,
-                pool_epoch_us + end_us,
-            );
-        }
-    }
-    (st.ainv_diag, st.ainv_lower)
-}
-
 /// Phase 1 (ascending): normalize panels, L̂ = L_{R,K} L_{K,K}⁻¹.
 pub(crate) fn phase1(ctx: &mut RankCtx, st: &mut RankState<'_>, plans: &[SupernodePlan]) {
     let sf = st.sf;
@@ -595,10 +553,11 @@ pub(crate) fn phase1(ctx: &mut RankCtx, st: &mut RankState<'_>, plans: &[Superno
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::CommPlan;
     use pselinv_order::{analyze, AnalyzeOptions};
     use pselinv_selinv::selinv_ldlt;
     use pselinv_sparse::gen;
-    use pselinv_trees::TreeScheme;
+    use pselinv_trees::{TreeBuilder, TreeScheme};
     use std::collections::BTreeSet;
     use std::sync::Arc;
 

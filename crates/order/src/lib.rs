@@ -28,7 +28,6 @@ pub mod etree;
 pub mod mmd;
 pub mod nd;
 pub mod perm;
-pub mod skeleton;
 pub mod supernodes;
 pub mod symbolic;
 

@@ -1,8 +1,9 @@
 //! Persistent per-rank work-stealing task runtime.
 //!
 //! A pool is created **once per rank** and runs every fork-join step of
-//! that rank (the `dist` engine's local GEMMs and diagonal contributions,
-//! the `dense` parallel kernels) without spawning a thread per call:
+//! that rank (the `dist` engine's local GEMMs and diagonal contributions)
+//! without spawning a thread per call; the `factor` crate's task DAG over
+//! supernode updates runs on one too:
 //!
 //! * `threads - 1` persistent workers, each owning a [Chase–Lev
 //!   deque](deque); the submitting rank thread owns an injection deque at

@@ -10,7 +10,8 @@
 //! * [`order`] — fill-reducing orderings, elimination trees, supernodal
 //!   symbolic factorization;
 //! * [`dense`] — dense block kernels (GEMM/TRSM/LDLᵀ/LU);
-//! * [`factor`] — sequential supernodal numeric factorization;
+//! * [`factor`] — supernodal numeric factorization, a task DAG over
+//!   supernode updates on the work-stealing pool;
 //! * [`selinv`] — sequential selected inversion (the reference algorithm);
 //! * [`trees`] — the paper's contribution: flat / binary / shifted-binary
 //!   restricted-collective communication trees;
