@@ -33,9 +33,7 @@ profiling & runtime:
   bench-smoke DES makespan, critical path and Col-Bcast imbalance per
              scheme on an 8x8 grid (BENCH_trace.json)
 
-engines, faults & ablations:
-  async      engine window 1 vs 4: wall, late-sender wait and overlap per
-             scheme, with bit-identity + volume equality asserted
+faults & ablations:
   faults     degraded-tree resilience under rank crashes
   recovery   live broadcast storm with online crash recovery (asserts
              100% survivor delivery vs the no-rebuild stranded baseline)
@@ -91,7 +89,6 @@ fn main() {
             "bench-smoke",
             "faults",
             "recovery",
-            "async",
             "ablation-nic",
             "ablation-shift",
             "ablation-arity",
@@ -120,7 +117,6 @@ fn main() {
             "bench-smoke" => experiments::bench_smoke(&out),
             "faults" => experiments::faults(&out),
             "recovery" => experiments::recovery(&out),
-            "async" => experiments::async_overlap(&out),
             "ablation-nic" => experiments::ablation_nic(&out),
             "ablation-shift" => experiments::ablation_shift(&out),
             "ablation-arity" => experiments::ablation_arity(&out),

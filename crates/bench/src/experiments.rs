@@ -1034,121 +1034,6 @@ pub fn recovery(out: &OutDir) -> std::io::Result<String> {
     Ok(txt)
 }
 
-/// Window-1-vs-window-4 engine comparison (`figures -- async`).
-///
-/// Runs the *real* numeric selected inversion on the mpisim backend per
-/// tree scheme, with a window of one supernode (`lookahead = 1`, the
-/// lock-step schedule) and of four (`lookahead = 4`), and reports per
-/// scheme: wall time, total late-sender wait summed across ranks, and the
-/// overlap high-water mark (max supernodes simultaneously outstanding on
-/// any rank). Along the way it *asserts* the window's contract —
-/// bit-identical panels, identical per-rank volume counters, and measured
-/// bytes equal to the structural replay — so the benchmark doubles as an
-/// acceptance check.
-///
-/// Emits `BENCH_async.json` plus `async_overlap.txt`.
-pub fn async_overlap(out: &OutDir) -> std::io::Result<String> {
-    use pselinv_dist::{distributed_selinv_traced, DistOptions};
-    use pselinv_order::{analyze, AnalyzeOptions};
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    let w = pselinv_sparse::gen::fem_3d(6, 6, 6, 1, 0x7ace);
-    let sf = Arc::new(analyze(&w.matrix.pattern(), &AnalyzeOptions::default()));
-    let f = pselinv_factor::factorize(&w.matrix, sf.clone()).expect("proxy FEM matrix must factor");
-    let grid = Grid2D::new(3, 3);
-    const LOOKAHEAD: usize = 4;
-    let mut txt = format!(
-        "Engine window 1 vs {LOOKAHEAD}: {} (n = {}) on a 3x3 grid\n\n\
-         {:<22} {:>12} {:>12} {:>14} {:>14} {:>9}\n",
-        w.name,
-        w.matrix.nrows(),
-        "scheme",
-        "window 1 ms",
-        "window 4 ms",
-        "w1 wait µs",
-        "w4 wait µs",
-        "overlap"
-    );
-    let mut rows: Vec<Json> = Vec::new();
-    for (name, scheme) in schemes_with_names() {
-        let mk = |lookahead| DistOptions { scheme, seed: TREE_SEED, threads: 1, lookahead };
-        let t0 = Instant::now();
-        let (one, one_vol, one_trace) =
-            distributed_selinv_traced(&f, grid, &mk(1), &format!("{name}/window-1"));
-        let one_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let t1 = Instant::now();
-        let (wide, wide_vol, wide_trace) =
-            distributed_selinv_traced(&f, grid, &mk(LOOKAHEAD), &format!("{name}/window-4"));
-        let wide_ms = t1.elapsed().as_secs_f64() * 1e3;
-
-        // Contract: reordered communication, identical arithmetic and
-        // identical logical volumes.
-        for s in 0..sf.num_supernodes() {
-            for j in 0..sf.width(s) {
-                for i in 0..sf.width(s) {
-                    assert_eq!(
-                        one.panels[s].diag[(i, j)].to_bits(),
-                        wide.panels[s].diag[(i, j)].to_bits(),
-                        "{name}: window-4 diag {s} diverged"
-                    );
-                }
-                for i in 0..sf.rows_of(s).len() {
-                    assert_eq!(
-                        one.panels[s].below[(i, j)].to_bits(),
-                        wide.panels[s].below[(i, j)].to_bits(),
-                        "{name}: window-4 below {s} diverged"
-                    );
-                }
-            }
-        }
-        assert_eq!(one_vol, wide_vol, "{name}: window-4 volumes diverged from window 1");
-        let layout = Layout::new(sf.clone(), grid);
-        let rep = replay_volumes(&layout, TreeBuilder::new(scheme, TREE_SEED));
-        let measured: u64 = wide_vol.iter().map(|v| v.sent).sum();
-        assert_eq!(measured, rep.total_bytes(), "{name}: window-4 bytes diverge from replay");
-
-        let wait = |t: &pselinv_trace::Trace| -> u64 {
-            t.ranks.iter().map(|r| r.metrics.total_wait_us()).sum()
-        };
-        let (one_wait, wide_wait) = (wait(&one_trace), wait(&wide_trace));
-        let overlap = wide_trace.ranks.iter().map(|r| r.metrics.outstanding_hwm).max().unwrap_or(0);
-        assert!(overlap > 1, "{name}: lookahead {LOOKAHEAD} never overlapped collectives");
-        let _ = writeln!(
-            txt,
-            "{name:<22} {one_ms:>12.2} {wide_ms:>12.2} {one_wait:>14} {wide_wait:>14} \
-             {overlap:>9}"
-        );
-        rows.push(Json::obj([
-            ("scheme", name.into()),
-            ("window1_wall_ms", one_ms.into()),
-            ("window4_wall_ms", wide_ms.into()),
-            ("window1_wait_us", one_wait.into()),
-            ("window4_wait_us", wide_wait.into()),
-            ("overlap_hwm", overlap.into()),
-            ("bit_identical", true.into()),
-            ("volumes_identical", true.into()),
-        ]));
-    }
-    let _ = writeln!(
-        txt,
-        "\n(wait µs = late-sender blocked time summed over ranks; overlap = max\n\
-         supernodes simultaneously outstanding on any rank; results asserted\n\
-         bit-identical and volume-identical between the two windows)"
-    );
-    let doc = Json::obj([
-        ("bench", "async".into()),
-        ("matrix", w.name.as_str().into()),
-        ("grid", "3x3".into()),
-        ("lookahead", (LOOKAHEAD as u64).into()),
-        ("tree_seed", TREE_SEED.into()),
-        ("schemes", Json::Arr(rows)),
-    ]);
-    out.write_json("BENCH_async.json", &doc)?;
-    out.write_text("async_overlap.txt", &txt)?;
-    Ok(txt)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

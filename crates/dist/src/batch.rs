@@ -27,11 +27,12 @@
 //! to its standalone [`crate::numeric::distributed_selinv`] run.
 
 use crate::layout::Layout;
-use crate::numeric::{assemble, phase1, DistOptions, LocalExec, RankOutput, RankState};
+use crate::numeric::{assemble, phase1, DistOptions, RankOutput, RankState};
 use crate::plan::{CommPlan, SupernodePlan};
 use pselinv_factor::{FactorError, LdlFactor};
 use pselinv_mpisim::{Grid2D, RankCtx, RankVolume};
 use pselinv_order::SymbolicFactor;
+use pselinv_pool::Pool;
 use pselinv_selinv::SelectedInverse;
 use pselinv_sparse::SparseMatrix;
 use pselinv_trace::{CollKind, Trace};
@@ -201,7 +202,7 @@ fn classify_pole_tag(tag: u64) -> Option<usize> {
 /// One rank's batched execution: phase 1 for every pole up front (blocking,
 /// ascending pole order — a restriction of one global order, so
 /// deadlock-free), then all phase-2 windows concurrently through
-/// [`crate::engine::phase2_multi`] on one shared executor.
+/// [`crate::engine::phase2_multi`] on one shared pool.
 fn batch_rank_entry(
     ctx: &mut RankCtx,
     factors: &[LdlFactor],
@@ -226,7 +227,8 @@ fn batch_rank_entry(
             ainv_diag: HashMap::new(),
         })
         .collect();
-    let exec = LocalExec::new(ctx, &opts.dist);
+    let pool = Pool::new(opts.dist.worker_threads());
+    pool.set_busy_gauge(ctx.pool_busy_gauge());
     let pool_epoch_us = ctx.tracer().now_us();
     for st in &mut states {
         phase1(ctx, st, plans);
@@ -235,11 +237,13 @@ fn batch_rank_entry(
         ctx,
         &mut states,
         plans,
-        &exec,
+        &pool,
         opts.dist.window(),
         opts.max_inflight.max(1),
     );
-    if let LocalExec::Pool(pool) = &exec {
+    // On one thread `map` runs inline and records nothing: such a trace
+    // gets no pool lines.
+    if pool.threads() > 1 {
         let stats = pool.stats();
         ctx.tracer().pool_stats(stats.executed(), stats.stolen(), stats.busy_us(), pool.threads());
         for (worker, start_us, end_us) in pool.take_spans() {

@@ -55,7 +55,7 @@
 use crate::layout::Layout;
 use crate::numeric::{
     diag_contrib, find_block, gemm_task_specs, local_gemms, pack, share, span_key, tag_q, unpack,
-    LocalExec, RankState, PHASE_AINV_TRANS, PHASE_COL_BCAST, PHASE_DIAG_REDUCE, PHASE_ROW_REDUCE,
+    RankState, PHASE_AINV_TRANS, PHASE_COL_BCAST, PHASE_DIAG_REDUCE, PHASE_ROW_REDUCE,
     PHASE_TRANSPOSE,
 };
 use crate::plan::SupernodePlan;
@@ -64,6 +64,7 @@ use pselinv_mpisim::{
     BlockedOn, Payload, Progress, RankCtx, RecvRequest, TreeBcastNb, TreeReduceNb,
 };
 use pselinv_order::symbolic::SnBlock;
+use pselinv_pool::Pool;
 use pselinv_trace::CollKind;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -324,7 +325,7 @@ impl SnTask {
         ctx: &mut RankCtx,
         st: &mut RankState<'_>,
         sp: &SupernodePlan,
-        exec: &LocalExec,
+        pool: &Pool,
     ) -> bool {
         let k = self.k;
         let sf = st.sf;
@@ -394,7 +395,7 @@ impl SnTask {
             && self.cb.iter().all(|c| matches!(c, Cb::Out | Cb::Done))
             && self.needs.iter().all(|n| n.satisfied(st))
         {
-            self.contrib = local_gemms(st, &self.ucur, blocks, k, w, exec);
+            self.contrib = local_gemms(st, &self.ucur, blocks, k, w, pool);
             self.gemm_done = true;
             progressed = true;
         }
@@ -443,7 +444,7 @@ impl SnTask {
             && self.owned_bids.iter().all(|bid| st.ainv_lower.contains_key(bid))
         {
             ctx.tracer().push_scope(CollKind::DiagReduce, span_key(st.qid, k));
-            let dcon = diag_contrib(st, &self.owned_bids, w, exec);
+            let dcon = diag_contrib(st, &self.owned_bids, w, pool);
             if sp.diag_reduce.is_empty() {
                 if is_diag_owner {
                     finish_diag(st, k, w, dcon.into_vec());
@@ -583,7 +584,7 @@ pub(crate) fn phase2_multi(
     ctx: &mut RankCtx,
     states: &mut [RankState<'_>],
     plans: &[SupernodePlan],
-    exec: &LocalExec,
+    pool: &Pool,
     window: usize,
     max_inflight: usize,
 ) {
@@ -628,7 +629,7 @@ pub(crate) fn phase2_multi(
         ctx.outstanding(runs.iter().map(|r| r.active.len()).sum());
         for (st, run) in states[..admitted].iter_mut().zip(&mut runs) {
             for t in &mut run.active {
-                progressed |= t.poll(ctx, st, &plans[t.k], exec);
+                progressed |= t.poll(ctx, st, &plans[t.k], pool);
             }
             let before = run.active.len();
             run.active.retain(|t| !t.is_done());

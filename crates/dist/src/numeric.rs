@@ -31,7 +31,6 @@ use pselinv_pool::Pool;
 use pselinv_selinv::SelectedInverse;
 use pselinv_trace::{CollKind, Trace};
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// Options for a distributed run.
 #[derive(Clone, Copy, Debug)]
@@ -40,7 +39,7 @@ pub struct DistOptions {
     pub scheme: pselinv_trees::TreeScheme,
     /// Global seed for the shifted/random schemes.
     pub seed: u64,
-    /// Worker threads of each rank's persistent work-stealing pool
+    /// Worker threads of each rank's persistent pool
     /// (`pselinv-pool`), which runs the local GEMM step. `0` and `1` both
     /// mean "compute inline, no workers" — every consumer reads the knob
     /// through [`DistOptions::worker_threads`], which owns that
@@ -73,7 +72,7 @@ impl Default for DistOptions {
 impl DistOptions {
     /// The effective worker-thread count: [`DistOptions::threads`] with
     /// `0` normalized to `1`. This is the single place that normalization
-    /// happens — the executor constructor calls it, so `threads: 0` can
+    /// happens — the rank entry sizes its pool with it, so `threads: 0` can
     /// never reach a `div_ceil(0)` or a zero-worker pool.
     pub fn worker_threads(&self) -> usize {
         self.threads.max(1)
@@ -85,28 +84,6 @@ impl DistOptions {
     /// would never admit a supernode and hang the run.
     pub fn window(&self) -> usize {
         self.lookahead.max(1)
-    }
-}
-
-/// One rank's local-compute executor, built once per rank and threaded
-/// through the phase-2 engine.
-pub(crate) enum LocalExec {
-    /// Compute inline on the rank thread.
-    Serial,
-    /// Persistent work-stealing pool, with its busy gauge wired into the
-    /// rank's telemetry.
-    Pool(Pool),
-}
-
-impl LocalExec {
-    pub(crate) fn new(ctx: &RankCtx, opts: &DistOptions) -> LocalExec {
-        let threads = opts.worker_threads();
-        if threads <= 1 {
-            return LocalExec::Serial;
-        }
-        let pool = Pool::new(threads);
-        pool.set_busy_gauge(ctx.pool_busy_gauge());
-        LocalExec::Pool(pool)
     }
 }
 
@@ -415,44 +392,11 @@ pub(crate) fn gemm_task_specs(st: &RankState<'_>, blocks: &[SnBlock]) -> (Vec<us
     (targets, ancestors)
 }
 
-/// Runs one closure per item on `exec`, writing results into per-item
-/// slots; returns them in item order regardless of which worker ran what.
-/// The pool gets one task per item, so idle workers steal load dynamically.
-pub(crate) fn run_on_exec<T, I, F>(exec: &LocalExec, items: &[I], f: F) -> Vec<T>
-where
-    T: Send,
-    I: Sync,
-    F: Fn(&I) -> T + Sync,
-{
-    match exec {
-        _ if items.len() <= 1 => items.iter().map(&f).collect(),
-        LocalExec::Serial => items.iter().map(&f).collect(),
-        LocalExec::Pool(pool) => {
-            let slots: Vec<Mutex<Option<T>>> = items.iter().map(|_| Mutex::new(None)).collect();
-            let f = &f;
-            let work: Vec<Box<dyn FnOnce() + Send + '_>> = items
-                .iter()
-                .zip(&slots)
-                .map(|(item, slot)| {
-                    Box::new(move || {
-                        *slot.lock().unwrap() = Some(f(item));
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run(work);
-            slots
-                .into_iter()
-                .map(|s| s.into_inner().unwrap().expect("pool task left its slot empty"))
-                .collect()
-        }
-    }
-}
-
 /// Step 1 of Algorithm 1 on one rank: for every target block `J` of
 /// supernode `k` whose GEMM participants include this rank, accumulate
 /// `−A⁻¹[RJ,RI]·L̂_{I,K}` over the ancestor blocks `I`. Each target block
 /// has its own accumulator and the per-target accumulation order is fixed
-/// (ascending `I`), so targets are farmed out to `exec` with bit-identical
+/// (ascending `I`), so targets are farmed out to `pool` with bit-identical
 /// results to the inline path.
 pub(crate) fn local_gemms(
     st: &RankState<'_>,
@@ -460,10 +404,10 @@ pub(crate) fn local_gemms(
     blocks: &[SnBlock],
     k: usize,
     w: usize,
-    exec: &LocalExec,
+    pool: &Pool,
 ) -> HashMap<usize, Mat> {
     let (targets, ancestors) = gemm_task_specs(st, blocks);
-    let computed = run_on_exec(exec, &targets, |&bj_i: &usize| {
+    let computed = pool.map(&targets, |&bj_i: &usize| {
         let bj = &blocks[bj_i];
         let mut c = Mat::zeros(bj.nrows(), w);
         for &bi_i in &ancestors {
@@ -477,16 +421,11 @@ pub(crate) fn local_gemms(
 
 /// Step 2's diagonal contribution `Σ L̂ᵀ_{I,K}·A⁻¹_{I,K}` over this rank's
 /// owned blocks of supernode `k`. Each block gets its own `w×w`
-/// accumulator (a pool task under the pool executor); the partial results
-/// are merged elementwise in ascending block order, so the sum is
-/// deterministic and identical across executors and windows.
-pub(crate) fn diag_contrib(
-    st: &RankState<'_>,
-    owned_bids: &[usize],
-    w: usize,
-    exec: &LocalExec,
-) -> Mat {
-    let parts = run_on_exec(exec, owned_bids, |&bid: &usize| {
+/// accumulator (a pool task); the partial results are merged elementwise
+/// in ascending block order, so the sum is deterministic and identical
+/// across thread counts and windows.
+pub(crate) fn diag_contrib(st: &RankState<'_>, owned_bids: &[usize], w: usize, pool: &Pool) -> Mat {
+    let parts = pool.map(owned_bids, |&bid: &usize| {
         let mut t = Mat::zeros(w, w);
         gemm(1.0, &st.lhat[&bid], Transpose::Yes, &st.ainv_lower[&bid], Transpose::No, 0.0, &mut t);
         t

@@ -25,11 +25,11 @@
 //! one. The ready list is a min-heap of ids, so a one-worker pool replays
 //! the serial loop task for task.
 //!
-//! The DAG is driven as one [`Pool::run`] whose jobs are the participants'
-//! loops over that ready list: take the lowest ready id, run it outside the
-//! lock, then under the lock count down its successors. A participant
-//! waits on a condvar only while another one is running a task, so the
-//! loops end exactly when nothing is ready and nothing runs.
+//! The DAG is driven as one [`Pool::map`] over the pool's participants,
+//! each a loop over that ready list: take the lowest ready id, run it
+//! outside the lock, then under the lock count down its successors. A
+//! participant waits on a condvar only while another one is running a
+//! task, so the loops end exactly when nothing is ready and nothing runs.
 //!
 //! **Claimed updates.** An update of a small source (panel below
 //! [`CLAIM_BELOW`] entries) that a finishing task makes ready does not go
@@ -93,19 +93,10 @@ pub(crate) fn per_supernode<T: Send, S: Default>(
         }
     }
     cuts.push(ns);
-    let make = &make;
-    let mut out: Vec<Vec<T>> = cuts.windows(2).map(|_| Vec::new()).collect();
-    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = out
-        .iter_mut()
-        .zip(cuts.windows(2))
-        .map(|(o, r)| {
-            Box::new(move || {
-                let mut scratch = S::default();
-                *o = (r[0]..r[1]).map(|s| make(s, &mut scratch)).collect();
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    pool.run(jobs);
+    let out = pool.map(cuts.windows(2), |r| {
+        let mut scratch = S::default();
+        (r[0]..r[1]).map(|s| make(s, &mut scratch)).collect::<Vec<T>>()
+    });
     out.into_iter().flatten().collect()
 }
 
@@ -409,11 +400,7 @@ pub(crate) fn run_with<W: Supernodal>(
         }),
         cv: Condvar::new(),
     };
-    let (dag, shared) = (&dag, &shared);
-    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..pool.threads())
-        .map(|_| Box::new(move || participate(dag, shared, work)) as Box<dyn FnOnce() + Send + '_>)
-        .collect();
-    pool.run(jobs);
+    pool.map(0..pool.threads(), |_| participate(&dag, &shared, work));
     let failed = shared.lock().failed;
     match failed {
         Some((supernode, pivot)) => Err(FactorError::Singular { supernode, pivot }),

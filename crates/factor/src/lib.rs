@@ -1,5 +1,5 @@
 //! Supernodal numeric factorization, as one task DAG over supernode
-//! updates on the work-stealing pool.
+//! updates on a `pselinv-pool` pool.
 //!
 //! [`ldlt::factorize`] computes a supernodal `L·D·Lᵀ` factorization of a
 //! symmetric matrix using the structure prepared by

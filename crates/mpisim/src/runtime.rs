@@ -420,12 +420,25 @@ impl Shared {
         }
         drop(v);
         self.abort.store(true, Ordering::Release);
-        self.cv.notify_all();
+        self.wake_observers();
     }
 
     fn rank_finished(&self, rank: usize) {
         self.states[rank].done.store(true, Ordering::Release);
         self.finished.fetch_add(1, Ordering::AcqRel);
+        self.wake_observers();
+    }
+
+    /// Whether the observers (watchdog, sampler) should exit: the run
+    /// aborted or every rank finished.
+    pub(crate) fn run_over(&self, nranks: usize) -> bool {
+        self.abort.load(Ordering::Acquire) || self.finished.load(Ordering::Acquire) >= nranks
+    }
+
+    /// Wakes the observers, under `cv_lock`: they read [`Shared::run_over`]
+    /// under it before every wait, so the wake-up cannot fall between.
+    fn wake_observers(&self) {
+        let _guard = self.cv_lock.lock().unwrap();
         self.cv.notify_all();
     }
 }
@@ -1569,11 +1582,10 @@ fn monitor(shared: &Shared, nranks: usize, stall: Duration, poll: Duration, fast
     let mut last = vec![u64::MAX; nranks];
     let mut last_change = Instant::now();
     let mut stable_cycle: Option<(Vec<usize>, u32)> = None;
-    let mut guard = shared.cv_lock.lock().unwrap();
     loop {
-        guard = shared.cv.wait_timeout(guard, poll).unwrap().0;
-        if shared.abort.load(Ordering::Acquire) || shared.finished.load(Ordering::Acquire) >= nranks
-        {
+        let guard = shared.cv_lock.lock().unwrap();
+        drop(shared.cv.wait_timeout_while(guard, poll, |_| !shared.run_over(nranks)).unwrap());
+        if shared.run_over(nranks) {
             return;
         }
         let cur: Vec<u64> =
@@ -2388,6 +2400,18 @@ mod tests {
         })
         .expect("a sweep that moved must run again instead of parking");
         assert_eq!(results[0], 3);
+    }
+
+    #[test]
+    fn a_watchdog_over_a_finished_run_exits_without_waiting() {
+        // Every rank finished before the monitor's first wait: it must read
+        // that before waiting, not one `poll` later.
+        let shared = Shared::new(2, true, false, false);
+        shared.rank_finished(0);
+        shared.rank_finished(1);
+        let t0 = Instant::now();
+        monitor(&shared, 2, Duration::from_secs(30), Duration::from_secs(5), true);
+        assert!(t0.elapsed() < Duration::from_secs(1), "took {:?}", t0.elapsed());
     }
 
     #[test]

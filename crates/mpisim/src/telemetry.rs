@@ -186,20 +186,18 @@ pub(crate) fn sampler(shared: &Shared, nranks: usize, tel: &Telemetry, epoch: In
     let every = tel.interval();
     let mut last = Instant::now();
     loop {
-        let done = shared.abort.load(Ordering::Acquire)
-            || shared.finished.load(Ordering::Acquire) >= nranks;
-        if done {
+        // The condvar is notified on finish/abort; the timeout bounds the
+        // sampling latency in between.
+        let guard = shared.cv_lock.lock().unwrap();
+        let wait = every.saturating_sub(last.elapsed()).max(Duration::from_micros(200));
+        drop(shared.cv.wait_timeout_while(guard, wait, |_| !shared.run_over(nranks)).unwrap());
+        if shared.run_over(nranks) {
             break;
         }
         if last.elapsed() >= every {
             tel.push(snapshot(shared, nranks, epoch.elapsed().as_micros() as u64));
             last = Instant::now();
         }
-        // The condvar is notified on finish/abort; the timeout bounds the
-        // sampling latency in between.
-        let guard = shared.cv_lock.lock().unwrap();
-        let wait = every.saturating_sub(last.elapsed()).max(Duration::from_micros(200));
-        let _unused = shared.cv.wait_timeout(guard, wait).unwrap();
     }
     tel.push(snapshot(shared, nranks, epoch.elapsed().as_micros() as u64));
 }

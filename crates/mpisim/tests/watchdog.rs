@@ -3,8 +3,8 @@
 //! and injected crashes/stalls surface as typed errors.
 
 use pselinv_chaos::{FaultPlan, FaultSpec};
-use pselinv_mpisim::collectives::tree_reduce;
-use pselinv_mpisim::{try_run, RunError, RunOptions};
+use pselinv_mpisim::collectives::{tree_bcast, tree_reduce};
+use pselinv_mpisim::{run, try_run, RunError, RunOptions};
 use pselinv_trees::{TreeBuilder, TreeScheme};
 use std::time::{Duration, Instant};
 
@@ -40,6 +40,31 @@ fn ring_deadlock_is_diagnosed_within_five_seconds() {
     // ...and calls out the wait-for cycle explicitly.
     assert!(text.contains("deadlock cycle:"), "no cycle line in:\n{text}");
     assert!(text.contains("no progress for"), "no stall duration in:\n{text}");
+}
+
+#[test]
+fn a_short_run_ends_when_its_ranks_do() {
+    // The ranks of an 8-rank, 32 KiB Flat broadcast can all finish before
+    // the watchdog first waits, or while it checks. The run must end then,
+    // not one `poll` (25 ms by default) later, when the watchdog would
+    // next look.
+    let p = 8;
+    let tree = TreeBuilder::new(TreeScheme::Flat, 1).build(0, &(1..p).collect::<Vec<_>>(), 9);
+    let mut took: Vec<Duration> = (0..40)
+        .map(|_| {
+            let t0 = Instant::now();
+            let (lens, _) = run(p, |ctx| {
+                let data = (ctx.rank() == 0).then(|| vec![1.0f64; 4096]);
+                tree_bcast(ctx, &tree, 0, data).len()
+            });
+            assert_eq!(lens, vec![4096; p]);
+            t0.elapsed()
+        })
+        .collect();
+    took.sort();
+    let poll = RunOptions::default().poll;
+    assert!(took[20] < Duration::from_millis(5), "median {:?} of {took:?}", took[20]);
+    assert!(took[36] < poll, "four runs waited out a poll: {took:?}");
 }
 
 #[test]

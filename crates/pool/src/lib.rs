@@ -1,48 +1,39 @@
-//! Persistent per-rank work-stealing task runtime.
+//! Persistent per-rank fork-join task runtime.
 //!
 //! A pool is created **once per rank** and runs every fork-join step of
 //! that rank (the `dist` engine's local GEMMs and diagonal contributions)
 //! without spawning a thread per call; the `factor` crate's task DAG over
 //! supernode updates runs on one too:
 //!
-//! * `threads - 1` persistent workers, each owning a [Chase–Lev
-//!   deque](deque); the submitting rank thread owns an injection deque at
-//!   slot 0. Idle workers *park* on a condvar keyed by a generation counter,
-//!   so a quiescent pool consumes no CPU between supernodes.
+//! * `threads - 1` persistent workers park on a condvar keyed by a
+//!   generation counter, so a quiescent pool consumes no CPU between
+//!   supernodes.
 //! * [`Pool::run`] is the one entry: a fork-join over borrowed closures,
-//!   sound because it does not return until every task finished. Inside,
-//!   the tasks form one **epoch batch**; each task writes only into state
-//!   it borrows exclusively, so the caller merges the results in its own
-//!   fixed order no matter which worker ran what — deterministic and
-//!   therefore bit-identical to a serial execution of the same tasks (each
-//!   task is internally sequential; floating-point order never depends on
-//!   scheduling).
-//! * The submitting thread is itself participant 0: while it waits for the
-//!   batch it executes pending tasks instead of spinning, so `threads = n`
-//!   means *n* executors, not `n + 1`.
+//!   sound because it does not return until every task finished. It
+//!   publishes the tasks as one **batch** — a vector of task slots and a
+//!   shared claim cursor — and every participant claims the next slot with
+//!   one `fetch_add` until the cursor passes the end. [`Pool::map`] is
+//!   `run` with one task per item and the results in item order. Each task
+//!   writes only into state it borrows exclusively, so the caller merges
+//!   the results in its own fixed order no matter which participant ran
+//!   what — deterministic and therefore bit-identical to a serial
+//!   execution of the same tasks (each task is internally sequential;
+//!   floating-point order never depends on scheduling).
+//! * The submitting thread is itself participant 0: it claims tasks like
+//!   any worker and parks only once the cursor is past the end, so
+//!   `threads = n` means *n* executors, not `n + 1`.
 //!
 //! Per-participant execute/steal counters, coalesced busy intervals and a
 //! live busy-worker gauge (mirrored into an external `AtomicUsize`, e.g. the
 //! mpisim telemetry block) make pool utilization observable from
 //! `trace`/`telemetry`.
 
-mod deque;
-
-use deque::{ChaseLev, Steal};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
-/// A type-erased job, boxed so the raw pointer stored in the deque is thin.
-/// `body` does the work (and catches its panic); `done` signals batch
-/// completion. The executor runs `done` only **after** recording stats and
-/// releasing the busy gauge, so a waiter that observes the batch complete
-/// also observes every counter of the tasks it covers.
-struct Job {
-    body: Box<dyn FnOnce() + Send + 'static>,
-    done: Box<dyn FnOnce() + Send + 'static>,
-}
+type Task = Box<dyn FnOnce() + Send + 'static>;
 
 /// Merge gap for busy-interval coalescing: separate executions closer than
 /// this (in µs) collapse into one recorded span, bounding span volume.
@@ -77,7 +68,8 @@ impl SlotStats {
 pub struct WorkerStats {
     /// Tasks this participant executed.
     pub executed: u64,
-    /// Of those, how many were stolen from another participant's deque.
+    /// Of those, how many were submitted by another thread: every task a
+    /// worker runs, none that the submitting thread runs.
     pub stolen: u64,
     /// Total wall time spent inside task bodies, in µs.
     pub busy_us: u64,
@@ -109,18 +101,34 @@ impl PoolStats {
     }
 }
 
+/// The tasks of one [`Pool::run`].
+struct Batch {
+    /// Slot `i` is taken by the one participant whose claim on `next`
+    /// returned `i`.
+    tasks: Vec<Mutex<Option<Task>>>,
+    /// The claim cursor: the next unclaimed slot, or past the end.
+    next: AtomicUsize,
+    /// Tasks not yet finished. The task that takes it to zero wakes the
+    /// submitter, after it has recorded its stats and any panic.
+    remaining: AtomicUsize,
+    panic: Mutex<Option<String>>,
+}
+
+/// What the generation mutex guards.
+struct Board {
+    /// Bumped on every publish, so a worker wakes for each batch once.
+    generation: u64,
+    /// The latest published batch.
+    batch: Option<Arc<Batch>>,
+    shutdown: bool,
+}
+
 struct Inner {
-    /// `deques[0]` is owned by the submitting thread (the injector);
-    /// `deques[i]` for `i >= 1` is owned by worker `i`. Everyone steals
-    /// from everyone else.
-    deques: Vec<ChaseLev>,
-    /// Generation counter guarded by `lock`; bumped on submit / shutdown /
-    /// batch completion so parked threads observe missed wakeups.
-    lock: Mutex<u64>,
-    cv: Condvar,
-    shutdown: AtomicBool,
-    /// Jobs submitted but not yet finished executing.
-    pending: AtomicUsize,
+    board: Mutex<Board>,
+    /// Workers wait here for a new generation or shutdown.
+    work: Condvar,
+    /// Submitters wait here for their batch's last task.
+    done: Condvar,
     epoch: AtomicU64,
     /// Number of participants currently inside a task body.
     busy: AtomicUsize,
@@ -131,68 +139,38 @@ struct Inner {
 }
 
 impl Inner {
-    fn bump_gen(&self) {
-        let mut g = self.lock.lock().unwrap();
-        *g = g.wrapping_add(1);
-        drop(g);
-        self.cv.notify_all();
-    }
-
-    fn read_gen(&self) -> u64 {
-        *self.lock.lock().unwrap()
-    }
-
-    /// Park until the generation moves past `seen` (or shutdown).
-    fn park(&self, seen: u64) {
-        let mut g = self.lock.lock().unwrap();
-        while *g == seen && !self.shutdown.load(Ordering::Relaxed) {
-            g = self.cv.wait(g).unwrap();
-        }
-    }
-
-    /// Find one runnable job from `slot`'s perspective: own deque first,
-    /// then round-robin steals from every other deque. Returns the job and
-    /// whether it was stolen.
-    fn find_work(&self, slot: usize) -> Option<(usize, bool)> {
-        if let Some(j) = self.deques[slot].pop() {
-            return Some((j, false));
-        }
-        let n = self.deques.len();
-        loop {
-            let mut retry = false;
-            for k in 1..n {
-                let victim = (slot + k) % n;
-                match self.deques[victim].steal() {
-                    Steal::Success(j) => return Some((j, true)),
-                    Steal::Retry => retry = true,
-                    Steal::Empty => {}
-                }
+    /// Claims and runs tasks of `batch` as participant `slot` until the
+    /// cursor is past the end.
+    fn drain(&self, batch: &Batch, slot: usize) {
+        while let Some(cell) = batch.tasks.get(batch.next.fetch_add(1, Ordering::Relaxed)) {
+            let task = cell.lock().unwrap().take().expect("each slot is claimed once");
+            if let Err(e) = self.execute(task, slot) {
+                batch.panic.lock().unwrap().get_or_insert(panic_message(&*e));
             }
-            if !retry {
-                return None;
+            if batch.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                // Under the lock: the submitter reads `remaining` under it
+                // before it waits, so this wake-up cannot fall between.
+                let _board = self.board.lock().unwrap();
+                self.done.notify_all();
             }
-            std::hint::spin_loop();
         }
     }
 
-    /// Execute a type-erased job on behalf of `slot`, maintaining stats,
-    /// the busy gauge and the pending count. Task panics are caught by the
-    /// job wrapper itself (see [`Pool::run`]), so the body only unwinds on
-    /// internal bugs.
-    fn execute(&self, raw: usize, slot: usize, stolen: bool) {
-        let job: Box<Job> = unsafe { Box::from_raw(raw as *mut Job) };
+    /// Runs one task as participant `slot`, maintaining stats and the busy
+    /// gauge; a panic is caught and returned.
+    fn execute(&self, task: Task, slot: usize) -> std::thread::Result<()> {
         self.busy.fetch_add(1, Ordering::Relaxed);
         if let Some(g) = self.gauge.get() {
             g.fetch_add(1, Ordering::Relaxed);
         }
         let start = Instant::now();
         let start_us = start.duration_since(self.t0).as_micros() as u64;
-        (job.body)();
+        let result = catch_unwind(AssertUnwindSafe(task));
         let busy = start.elapsed();
         let end_us = start_us + busy.as_micros() as u64;
         let st = &self.stats[slot];
         st.executed.fetch_add(1, Ordering::Relaxed);
-        if stolen {
+        if slot != 0 {
             st.stolen.fetch_add(1, Ordering::Relaxed);
         }
         st.busy_ns.fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
@@ -216,44 +194,28 @@ impl Inner {
             g.fetch_sub(1, Ordering::Relaxed);
         }
         self.busy.fetch_sub(1, Ordering::Relaxed);
-        self.pending.fetch_sub(1, Ordering::Release);
-        (job.done)();
-    }
-
-    fn try_execute_one(&self, slot: usize) -> bool {
-        match self.find_work(slot) {
-            Some((job, stolen)) => {
-                self.execute(job, slot, stolen);
-                true
-            }
-            None => false,
-        }
+        result
     }
 }
 
 fn worker_loop(inner: Arc<Inner>, slot: usize) {
+    let mut seen = 0;
     loop {
-        let seen = inner.read_gen();
-        let mut did = false;
-        while inner.try_execute_one(slot) {
-            did = true;
-        }
-        if inner.shutdown.load(Ordering::Relaxed) {
+        let board = inner.board.lock().unwrap();
+        let board = inner.work.wait_while(board, |b| b.generation == seen && !b.shutdown).unwrap();
+        if board.shutdown {
             return;
         }
-        if !did {
-            inner.park(seen);
+        seen = board.generation;
+        let batch = board.batch.clone();
+        drop(board);
+        if let Some(batch) = batch {
+            inner.drain(&batch, slot);
         }
     }
 }
 
-/// Completion state of one [`Pool::run`] batch.
-struct BatchState {
-    remaining: AtomicUsize,
-    panic: Mutex<Option<String>>,
-}
-
-/// The persistent work-stealing pool. See the module docs for the design.
+/// The persistent fork-join pool. See the module docs for the design.
 pub struct Pool {
     inner: Arc<Inner>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -261,17 +223,15 @@ pub struct Pool {
 
 impl Pool {
     /// Create a pool with `threads` total executors: the calling thread
-    /// (participant 0, which helps during waits) plus `threads - 1`
-    /// persistent parked workers. `threads <= 1` spawns no workers and
-    /// executes every task inline on the submitting thread.
+    /// (participant 0, which claims tasks of its own batches) plus
+    /// `threads - 1` persistent parked workers. `threads <= 1` spawns no
+    /// workers and executes every task inline on the submitting thread.
     pub fn new(threads: usize) -> Pool {
         let threads = threads.max(1);
         let inner = Arc::new(Inner {
-            deques: (0..threads).map(|_| ChaseLev::new()).collect(),
-            lock: Mutex::new(0),
-            cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            pending: AtomicUsize::new(0),
+            board: Mutex::new(Board { generation: 0, batch: None, shutdown: false }),
+            work: Condvar::new(),
+            done: Condvar::new(),
             epoch: AtomicU64::new(0),
             busy: AtomicUsize::new(0),
             gauge: OnceLock::new(),
@@ -292,7 +252,7 @@ impl Pool {
 
     /// Total executors (submitting thread included).
     pub fn threads(&self) -> usize {
-        self.inner.deques.len()
+        self.inner.stats.len()
     }
 
     /// Mirror the number of currently-busy executors into `gauge`
@@ -306,11 +266,11 @@ impl Pool {
         self.inner.busy.load(Ordering::Relaxed)
     }
 
-    /// Fork-join over borrowed closures: submit every task as one epoch
-    /// batch and do not return until all have executed, helping on the
-    /// calling thread (participant 0, the injector deque's owner). With no
-    /// workers (`threads <= 1`) the tasks execute inline in submission
-    /// order. A task panic is re-raised here once the batch has drained.
+    /// Fork-join over borrowed closures: publish every task as one batch
+    /// and do not return until all have executed, claiming tasks on the
+    /// calling thread too (participant 0). With no workers
+    /// (`threads <= 1`) the tasks execute inline in submission order. A
+    /// task panic is re-raised here once the batch has drained.
     ///
     /// The non-`'static` borrows are sound for exactly the same reason
     /// [`std::thread::scope`] is: this function is a completion barrier, so
@@ -318,52 +278,69 @@ impl Pool {
     pub fn run<'env>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
         // SAFETY: `Vec<Box<dyn FnOnce + 'env>>` and the `'static` version
         // are layout-identical, and every closure is consumed before this
-        // function returns (the loop below is a completion barrier).
-        let tasks: Vec<Box<dyn FnOnce() + Send + 'static>> = unsafe { std::mem::transmute(tasks) };
+        // function returns: it waits until `remaining` is zero, and a
+        // worker that still holds the batch afterwards finds every slot
+        // claimed and touches no closure.
+        let tasks: Vec<Task> = unsafe { std::mem::transmute(tasks) };
         self.inner.epoch.fetch_add(1, Ordering::Relaxed);
-        let batch = Arc::new(BatchState {
+        let batch = Arc::new(Batch {
             remaining: AtomicUsize::new(tasks.len()),
+            tasks: tasks.into_iter().map(|t| Mutex::new(Some(t))).collect(),
+            next: AtomicUsize::new(0),
             panic: Mutex::new(None),
         });
-        self.inner.pending.fetch_add(tasks.len(), Ordering::Relaxed);
-        for task in tasks {
-            let b = Arc::clone(&batch);
-            let body: Box<dyn FnOnce() + Send> = Box::new(move || {
-                if let Err(e) = catch_unwind(AssertUnwindSafe(task)) {
-                    b.panic.lock().unwrap().get_or_insert(panic_message(&*e));
-                }
-            });
-            let b = Arc::clone(&batch);
-            let inner = Arc::clone(&self.inner);
-            let done: Box<dyn FnOnce() + Send> = Box::new(move || {
-                if b.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    // Last task of the batch: wake a possibly-parked waiter.
-                    inner.bump_gen();
-                }
-            });
-            let raw = Box::into_raw(Box::new(Job { body, done })) as usize;
-            if self.handles.is_empty() {
-                self.inner.execute(raw, 0, false);
-            } else {
-                self.inner.deques[0].push(raw);
-            }
-        }
         if !self.handles.is_empty() {
-            self.inner.bump_gen();
+            let mut board = self.inner.board.lock().unwrap();
+            board.generation += 1;
+            board.batch = Some(Arc::clone(&batch));
+            drop(board);
+            self.inner.work.notify_all();
         }
-        let finished = || batch.remaining.load(Ordering::Acquire) == 0;
-        while !finished() {
-            let seen = self.inner.read_gen();
-            if !self.inner.try_execute_one(0) && !finished() {
-                // All remaining tasks are on other threads: park until a
-                // batch-completion or submit bump rather than burning CPU.
-                self.inner.park(seen);
-            }
-        }
+        self.inner.drain(&batch, 0);
+        let board = self.inner.board.lock().unwrap();
+        let board = self
+            .inner
+            .done
+            .wait_while(board, |_| batch.remaining.load(Ordering::Acquire) != 0)
+            .unwrap();
+        drop(board);
         let panic = batch.panic.lock().unwrap().take();
         if let Some(msg) = panic {
             panic!("pool task panicked: {msg}");
         }
+    }
+
+    /// `f` over every item, one task per item, with the results in item
+    /// order whichever participant ran what. A panic in `f` is re-raised
+    /// once the batch has drained, as in [`Pool::run`]. On a one-thread
+    /// pool, or for at most one item, it runs inline without boxing, and a
+    /// panic ends it at that item; the message is the same either way.
+    pub fn map<I, T, F>(&self, items: I, f: F) -> Vec<T>
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+        I::Item: Send,
+        T: Send,
+        F: Fn(I::Item) -> T + Sync,
+    {
+        let items = items.into_iter();
+        if self.threads() == 1 || items.len() <= 1 {
+            return match catch_unwind(AssertUnwindSafe(|| items.map(f).collect())) {
+                Ok(out) => out,
+                Err(e) => panic!("pool task panicked: {}", panic_message(&*e)),
+            };
+        }
+        let mut out: Vec<Option<T>> = (0..items.len()).map(|_| None).collect();
+        let f = &f;
+        let tasks = out
+            .iter_mut()
+            .zip(items)
+            .map(|(slot, item)| {
+                Box::new(move || *slot = Some(f(item))) as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect();
+        self.run(tasks);
+        out.into_iter().map(|r| r.expect("run returns once every task ran")).collect()
     }
 
     /// Snapshot the per-participant counters.
@@ -399,16 +376,13 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        // Workers drain all remaining work before exiting (every batch was
-        // drained by the `run` that submitted it, so in practice the queues
-        // are empty here).
-        self.inner.shutdown.store(true, Ordering::Relaxed);
-        self.inner.bump_gen();
+        // Every batch was drained by the `run` that published it, so the
+        // workers have nothing left to do.
+        self.inner.board.lock().unwrap().shutdown = true;
+        self.inner.work.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
-        while self.inner.try_execute_one(0) {}
-        debug_assert_eq!(self.inner.pending.load(Ordering::Relaxed), 0);
     }
 }
 
@@ -549,5 +523,65 @@ mod tests {
         assert!(!spans.is_empty());
         assert!(spans.iter().all(|&(slot, a, b)| slot < 2 && a <= b));
         assert!(pool.take_spans().is_empty(), "drained");
+    }
+
+    #[test]
+    fn map_returns_results_in_item_order_and_runs_each_item_once() {
+        for threads in [1usize, 2, 4, 8] {
+            let pool = Pool::new(threads);
+            let runs: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
+            let out = pool.map(0..runs.len(), |i| {
+                runs[i].fetch_add(1, Ordering::Relaxed);
+                if i % 7 == 0 {
+                    std::thread::yield_now();
+                }
+                3 * i + 1
+            });
+            assert!(out.iter().enumerate().all(|(i, &v)| v == 3 * i + 1), "{threads}");
+            assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1), "{threads}");
+        }
+    }
+
+    #[test]
+    fn map_panic_is_reraised_once_the_batch_has_drained() {
+        for threads in [1usize, 4] {
+            let pool = Pool::new(threads);
+            let ran = AtomicUsize::new(0);
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                pool.map(0..64, |i| {
+                    if i == 5 {
+                        panic!("boom {i}");
+                    }
+                    std::thread::yield_now();
+                    ran.fetch_add(1, Ordering::Relaxed);
+                })
+            }));
+            let msg = panic_message(&*result.expect_err("the panic is re-raised"));
+            assert_eq!(msg, "pool task panicked: boom 5", "{threads}");
+            if threads > 1 {
+                assert_eq!(ran.load(Ordering::Relaxed), 63, "every other item ran first");
+            }
+            assert_eq!(pool.busy(), 0);
+        }
+    }
+
+    #[test]
+    fn many_two_task_batches_all_complete() {
+        for threads in [2usize, 4, 8] {
+            let pool = Pool::new(threads);
+            let counter = AtomicUsize::new(0);
+            for _ in 0..10_000 {
+                let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..2)
+                    .map(|_| {
+                        Box::new(|| {
+                            counter.fetch_add(1, Ordering::Relaxed);
+                        }) as Box<dyn FnOnce() + Send + '_>
+                    })
+                    .collect();
+                pool.run(tasks);
+            }
+            assert_eq!(counter.load(Ordering::Relaxed), 20_000, "{threads}");
+            assert_eq!(pool.stats().executed(), 20_000, "{threads}");
+        }
     }
 }

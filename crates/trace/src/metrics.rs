@@ -65,8 +65,8 @@ pub struct RankMetrics {
     /// arithmetic, so these counters carry no numerical meaning — they
     /// measure how the local compute was spread over workers.
     pub pool_executed: u64,
-    /// Of [`RankMetrics::pool_executed`], tasks obtained by stealing from
-    /// another worker's deque (the load-balancing traffic of the pool).
+    /// Of [`RankMetrics::pool_executed`], tasks a pool worker ran rather
+    /// than the rank thread (the load-balancing traffic of the pool).
     pub pool_stolen: u64,
     /// Total wall time pool participants spent inside task bodies, in
     /// microseconds (summed across workers, so it can exceed the run's
