@@ -30,8 +30,6 @@ profiling & runtime:
   trace      traced numeric run: summary tables + Chrome trace exports
   hotspots   per-rank load heat maps from a traced run
   critpath   DES critical-path extraction
-  bench-smoke DES makespan, critical path and Col-Bcast imbalance per
-             scheme on an 8x8 grid (BENCH_trace.json)
 
 faults & ablations:
   faults     degraded-tree resilience under rank crashes
@@ -86,7 +84,6 @@ fn main() {
             "trace",
             "hotspots",
             "critpath",
-            "bench-smoke",
             "faults",
             "recovery",
             "ablation-nic",
@@ -114,7 +111,6 @@ fn main() {
             "trace" => experiments::trace_profile(&out),
             "hotspots" => experiments::hotspots(&out, grid),
             "critpath" => experiments::critpath(&out, grid),
-            "bench-smoke" => experiments::bench_smoke(&out),
             "faults" => experiments::faults(&out),
             "recovery" => experiments::recovery(&out),
             "ablation-nic" => experiments::ablation_nic(&out),

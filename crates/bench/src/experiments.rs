@@ -13,7 +13,7 @@ use pselinv_dist::taskgraph::{
 };
 use pselinv_dist::{replay_volumes, Layout, VolumeReport};
 use pselinv_mpisim::Grid2D;
-use pselinv_profile::{CriticalPath, HotspotReport, Imbalance};
+use pselinv_profile::{CriticalPath, HotspotReport};
 use pselinv_trace::{pack_task_tag, CollKind, Json};
 use pselinv_trees::{CollectiveTree, TreeBuilder, TreeScheme, VolumeStats};
 use std::fmt::Write as _;
@@ -649,53 +649,6 @@ pub fn critpath(out: &OutDir, grid_dim: usize) -> std::io::Result<String> {
     Ok(txt)
 }
 
-/// CI smoke benchmark: one cheap DES replay per scheme on an 8×8 grid,
-/// emitting `BENCH_trace.json` with the per-scheme makespan,
-/// critical-path length and Col-Bcast imbalance ratios — the artifact CI
-/// uploads so regressions in balance or schedule length are visible per
-/// commit.
-pub fn bench_smoke(out: &OutDir) -> std::io::Result<String> {
-    const DIM: usize = 8;
-    let a = workloads::audikw_volume();
-    let grid = Grid2D::new(DIM, DIM);
-    let layout = Layout::new(a.symbolic.clone(), grid);
-    let mut txt = format!("Bench smoke: {} on an {DIM}x{DIM} grid\n", a.name);
-    let mut rows = Vec::new();
-    for (name, scheme) in schemes_with_names() {
-        let g = selinv_graph(&layout, &GraphOptions { scheme, seed: TREE_SEED, pipelining: true });
-        let (res, _, prof) = simulate_profiled(&g, workloads::des_machine(0), name, &[]);
-        let cp = CriticalPath::extract(&g, &prof);
-        let rep = replay_volumes(&layout, TreeBuilder::new(scheme, TREE_SEED));
-        let imb = Imbalance::from_volumes(&rep.col_bcast_sent);
-        let _ = writeln!(
-            txt,
-            "  {name:<22}: makespan {:.4}s, critical path {} µs, \
-             col-bcast max/mean {:.2}, sigma/mean {:.2}",
-            res.makespan,
-            cp.length_us(),
-            imb.max_over_mean,
-            imb.sigma_over_mean
-        );
-        rows.push(Json::obj([
-            ("scheme", Json::from(name)),
-            ("makespan_s", res.makespan.into()),
-            ("critical_path_us", cp.length_us().into()),
-            ("col_bcast_max_over_mean", imb.max_over_mean.into()),
-            ("col_bcast_sigma_over_mean", imb.sigma_over_mean.into()),
-        ]));
-    }
-    let doc = Json::obj([
-        ("bench", "smoke".into()),
-        ("workload", a.name.as_str().into()),
-        ("grid", format!("{DIM}x{DIM}").into()),
-        ("tree_seed", TREE_SEED.into()),
-        ("schemes", Json::Arr(rows)),
-    ]);
-    out.write_json("BENCH_trace.json", &doc)?;
-    out.write_text("bench_smoke.txt", &txt)?;
-    Ok(txt)
-}
-
 /// Builds the task graph of a broadcast storm: every tree contributes one
 /// task per member (the member's local work on that broadcast) and one
 /// `payload`-byte message per tree edge. The DAG shape *is* the tree
@@ -903,7 +856,6 @@ pub fn recovery(out: &OutDir) -> std::io::Result<String> {
             rto: Duration::from_millis(5),
             ..ReliableConfig::default()
         }),
-        recovery: true,
         ..RunOptions::default()
     };
     let rec_cfg = RecoveryConfig {
@@ -1037,6 +989,7 @@ pub fn recovery(out: &OutDir) -> std::io::Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pselinv_profile::Imbalance;
 
     fn tmp() -> OutDir {
         OutDir::new(std::env::temp_dir().join("pselinv_fig_test")).unwrap()
@@ -1103,21 +1056,6 @@ mod tests {
             let len = path.get("length_us").unwrap().as_f64().unwrap();
             assert_eq!(Some(len), path.get("makespan_us").unwrap().as_f64());
             assert!(!path.get("steps").unwrap().as_arr().unwrap().is_empty());
-        }
-    }
-
-    #[test]
-    fn bench_smoke_emits_per_scheme_trace_json() {
-        let out = tmp();
-        let _ = bench_smoke(&out).unwrap();
-        let doc = std::fs::read_to_string(out.0.join("BENCH_trace.json")).unwrap();
-        let parsed = Json::parse(&doc).unwrap();
-        let schemes = parsed.get("schemes").unwrap().as_arr().unwrap();
-        assert_eq!(schemes.len(), 3);
-        for s in schemes {
-            assert!(s.get("makespan_s").unwrap().as_f64().unwrap() > 0.0);
-            assert!(s.get("critical_path_us").unwrap().as_f64().unwrap() > 0.0);
-            assert!(s.get("col_bcast_max_over_mean").unwrap().as_f64().unwrap() >= 1.0);
         }
     }
 

@@ -5,9 +5,11 @@
 //! triggers — as a pure function of a seed. Both backends consume the same
 //! plan:
 //!
-//! * the thread-based `pselinv-mpisim` runtime interposes on message
-//!   delivery (delay/duplicate/reorder per message, op-count stall/crash
-//!   triggers per rank);
+//! * the thread-based `pselinv-mpisim` runtime interposes on the delivery
+//!   of every data message (delay/loss/duplicate/reorder, drawn by the
+//!   message's sequence number on its `(src, dst)` channel; control
+//!   traffic is never faulted) and counts op-count stall/crash triggers
+//!   per rank;
 //! * the `pselinv-des` machine simulator perturbs per-task service times
 //!   (slowdown), per-message transfer times (delay/jitter) and removes
 //!   ranks at their simulated stall/crash times.
@@ -22,6 +24,12 @@ use pselinv_trees::rng::hash2;
 use std::collections::BTreeMap;
 
 /// Per-rank fault parameters. The default spec is benign (no faults).
+///
+/// The per-message faults (delay, jitter, reordering, duplication, loss)
+/// reach every data message the rank sends — in mpisim, tree-collective
+/// hops, point-to-point transposes and recovery requests alike. The
+/// receiver's arrival rule repairs reordering and duplication; loss needs
+/// the reliable transport.
 ///
 /// Time-triggered fields (`stall_at_s`, `crash_at_s`) are in *simulated
 /// seconds* and only meaningful to the DES backend, where time is exact.

@@ -267,7 +267,7 @@ impl SnTask {
         let mut at_recvs = Vec::new();
         let mut at_pending = Vec::new();
         for bj_i in 0..blocks.len() {
-            let (src, dst) = sp.ainv_transposes[bj_i];
+            let (src, dst) = sp.transposes[bj_i];
             if me == src {
                 at_pending.push(bj_i);
             } else if me == dst {
@@ -395,7 +395,7 @@ impl SnTask {
             && self.cb.iter().all(|c| matches!(c, Cb::Out | Cb::Done))
             && self.needs.iter().all(|n| n.satisfied(st))
         {
-            self.contrib = local_gemms(st, &self.ucur, blocks, k, w, pool);
+            self.contrib = local_gemms(st, &self.ucur, blocks, w, pool);
             self.gemm_done = true;
             progressed = true;
         }
@@ -483,7 +483,7 @@ impl SnTask {
             ctx.tracer().push_scope(CollKind::AinvTranspose, span_key(st.qid, k));
             let mut still = Vec::with_capacity(self.at_pending.len());
             for bj_i in self.at_pending.drain(..) {
-                let (src, dst) = sp.ainv_transposes[bj_i];
+                let (src, dst) = sp.transposes[bj_i];
                 let bid = sf.blocks_ptr[k] + bj_i;
                 if !st.ainv_lower.contains_key(&bid) {
                     still.push(bj_i);
@@ -541,7 +541,6 @@ pub(crate) fn participates(layout: &Layout, me: usize, sp: &SupernodePlan, k: us
     if layout.diag_owner(k) == me
         || sp.diag_reduce.members().contains(&me)
         || sp.transposes.iter().any(|&(s, d)| s == me || d == me)
-        || sp.ainv_transposes.iter().any(|&(s, d)| s == me || d == me)
     {
         return true;
     }

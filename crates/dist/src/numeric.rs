@@ -192,9 +192,8 @@ impl<'a> RankState<'a> {
     /// Reads the factor's block `(b.sn, k)` as a dense matrix; only legal
     /// on the owning rank (asserted) — the discipline that turns shared
     /// memory into distributed memory.
-    pub(crate) fn factor_block(&self, k: usize, bi: usize, b: &SnBlock) -> Mat {
+    pub(crate) fn factor_block(&self, k: usize, b: &SnBlock) -> Mat {
         assert_eq!(self.layout.lower_owner(b, k), self.me, "reading a non-owned block");
-        let _ = bi;
         let lb = b.rows_begin - self.sf.rows_ptr[k];
         self.factor.panels[k].below.submatrix(lb, 0, b.nrows(), self.sf.width(k))
     }
@@ -207,7 +206,7 @@ impl<'a> RankState<'a> {
     /// Extracts `A⁻¹[RJ, RI]` for the GEMM of target block `bj` with
     /// ancestor block `bi` (both blocks of supernode `k`), written column
     /// by column straight into the result's storage.
-    pub(crate) fn gather_sub(&self, _k: usize, bj: &SnBlock, bi: &SnBlock) -> Mat {
+    pub(crate) fn gather_sub(&self, bj: &SnBlock, bi: &SnBlock) -> Mat {
         let sf = self.sf;
         let rj = sf.block_rows(bj);
         let ri = sf.block_rows(bi);
@@ -392,17 +391,16 @@ pub(crate) fn gemm_task_specs(st: &RankState<'_>, blocks: &[SnBlock]) -> (Vec<us
     (targets, ancestors)
 }
 
-/// Step 1 of Algorithm 1 on one rank: for every target block `J` of
-/// supernode `k` whose GEMM participants include this rank, accumulate
-/// `−A⁻¹[RJ,RI]·L̂_{I,K}` over the ancestor blocks `I`. Each target block
-/// has its own accumulator and the per-target accumulation order is fixed
-/// (ascending `I`), so targets are farmed out to `pool` with bit-identical
-/// results to the inline path.
+/// Step 1 of Algorithm 1 on one rank: for every target block `J` among
+/// `blocks` (one supernode's) whose GEMM participants include this rank,
+/// accumulate `−A⁻¹[RJ,RI]·L̂_{I,K}` over the ancestor blocks `I`. Each
+/// target block has its own accumulator and the per-target accumulation
+/// order is fixed (ascending `I`), so targets are farmed out to `pool` with
+/// bit-identical results to the inline path.
 pub(crate) fn local_gemms(
     st: &RankState<'_>,
     ucur: &HashMap<usize, Mat>,
     blocks: &[SnBlock],
-    k: usize,
     w: usize,
     pool: &Pool,
 ) -> HashMap<usize, Mat> {
@@ -411,7 +409,7 @@ pub(crate) fn local_gemms(
         let bj = &blocks[bj_i];
         let mut c = Mat::zeros(bj.nrows(), w);
         for &bi_i in &ancestors {
-            let s = st.gather_sub(k, bj, &blocks[bi_i]);
+            let s = st.gather_sub(bj, &blocks[bi_i]);
             gemm(-1.0, &s, Transpose::No, &ucur[&bi_i], Transpose::No, 1.0, &mut c);
         }
         (bj_i, c)
@@ -478,7 +476,7 @@ pub(crate) fn phase1(ctx: &mut RankCtx, st: &mut RankState<'_>, plans: &[Superno
         if let Some(d) = diag {
             for bi in my_blocks {
                 let b = blocks[bi];
-                let mut m = st.factor_block(k, bi, &b);
+                let mut m = st.factor_block(k, &b);
                 trsm_right_lower(&mut m, &d, true);
                 // Shared storage: the transpose send, the same-rank Û
                 // handle and the diag-reduce read all reuse this buffer.

@@ -42,8 +42,9 @@ pub struct SupernodePlan {
     pub k: usize,
     /// Loop-1 broadcast of the diagonal block within `pc(K)`.
     pub diag_bcast: CollectiveTree,
-    /// Per ancestor block (same order as `blocks_of(k)`): the `L̂ → Û`
-    /// transpose point-to-point `(src, dst)`.
+    /// Per ancestor block (same order as `blocks_of(k)`): the transpose
+    /// point-to-point `(src, dst)`, from the `L̂` owner to the `Û` owner.
+    /// The step-5 `A⁻¹` transpose travels the same edge.
     pub transposes: Vec<(usize, usize)>,
     /// Per ancestor block: the `Col-Bcast` tree rooted at the `Û` owner.
     pub col_bcasts: Vec<CollectiveTree>,
@@ -52,8 +53,6 @@ pub struct SupernodePlan {
     pub row_reduces: Vec<CollectiveTree>,
     /// Diagonal-contribution reduction within `pc(K)`.
     pub diag_reduce: CollectiveTree,
-    /// Per ancestor block: the step-5 `A⁻¹` transpose `(src, dst)`.
-    pub ainv_transposes: Vec<(usize, usize)>,
 }
 
 /// Builds [`SupernodePlan`]s on demand from a layout and a tree builder.
@@ -113,13 +112,11 @@ impl CommPlan {
         let mut transposes = Vec::with_capacity(blocks.len());
         let mut col_bcasts = Vec::with_capacity(blocks.len());
         let mut row_reduces = Vec::with_capacity(blocks.len());
-        let mut ainv_transposes = Vec::with_capacity(blocks.len());
 
         for (bi, b) in blocks.iter().enumerate() {
             let src = lower_owners[bi];
             let dst = self.layout.upper_owner(b, k);
             transposes.push((src, dst));
-            ainv_transposes.push((src, dst));
 
             // Col-Bcast of Û_{K,I} within process column pc(I): one message
             // per distinct process row hosting a GEMM participant.
@@ -162,15 +159,7 @@ impl CommPlan {
             Self::tree_key(CollectiveKind::DiagReduce, k, 0),
         );
 
-        SupernodePlan {
-            k,
-            diag_bcast,
-            transposes,
-            col_bcasts,
-            row_reduces,
-            diag_reduce,
-            ainv_transposes,
-        }
+        SupernodePlan { k, diag_bcast, transposes, col_bcasts, row_reduces, diag_reduce }
     }
 }
 
@@ -273,7 +262,6 @@ mod tests {
             assert_eq!(sp.row_reduces, fresh.row_reduces);
             assert_eq!(sp.diag_reduce, fresh.diag_reduce);
             assert_eq!(sp.transposes, fresh.transposes);
-            assert_eq!(sp.ainv_transposes, fresh.ainv_transposes);
         }
     }
 

@@ -535,7 +535,7 @@ pub fn selinv_graph(layout: &Layout, opts: &GraphOptions) -> TaskGraph {
         let mut last_tasks: Vec<TaskId> = vec![ddone];
         for (bj_i, bj) in blocks.iter().enumerate() {
             let bid = sf.blocks_ptr[k] + bj_i;
-            let (src, dst) = sp.ainv_transposes[bj_i];
+            let (src, dst) = sp.transposes[bj_i];
             if src == dst {
                 atr_recv[bid] = rred_this[bj_i];
                 last_tasks.push(rred_this[bj_i]);

@@ -122,16 +122,14 @@ pub fn replay_volumes(layout: &Layout, builder: TreeBuilder) -> VolumeReport {
         bcast_sent_volume(&sp.diag_bcast, diag_bytes, &mut diag_sent);
         for (bi, b) in blocks.iter().enumerate() {
             let bytes = layout.block_bytes(b, k);
+            // The L̂ → Û transpose and the step-5 A⁻¹ transpose travel
+            // the same edge.
             let (src, dst) = sp.transposes[bi];
             if src != dst {
-                transpose_sent[src] += bytes;
+                transpose_sent[src] += 2 * bytes;
             }
             bcast_sent_volume(&sp.col_bcasts[bi], bytes, &mut col_bcast_sent);
             reduce_received_volume(&sp.row_reduces[bi], bytes, &mut row_reduce_received);
-            let (asrc, adst) = sp.ainv_transposes[bi];
-            if asrc != adst {
-                transpose_sent[asrc] += bytes;
-            }
         }
         // Diagonal-contribution reduction carries w×w blocks.
         reduce_received_volume(&sp.diag_reduce, diag_bytes, &mut diag_sent);

@@ -173,6 +173,61 @@ fn threads_do_not_move_a_digest() {
     }
 }
 
+/// Loss, duplication and reordering reach every data message — the
+/// engine's plain transposes as much as its tree collectives — and the
+/// reliable transport repairs them: the lossy run hashes to the fault-free
+/// golden digest once the control-plane `retransmitted` counter (the only
+/// volume field loss may move) is set aside.
+#[test]
+fn lap12_2x2_under_loss_equals_its_golden_digest() {
+    use pselinv_chaos::{FaultPlan, FaultSpec};
+    use pselinv_dist::try_distributed_selinv_traced;
+    use pselinv_mpisim::ReliableConfig;
+    use pselinv_trace::{EventKind, FaultKind};
+    use std::time::Duration;
+
+    let scheme = TreeScheme::ShiftedBinary;
+    let label = format!("lap12/2x2/{scheme}/t1");
+    let golden = GOLDEN.iter().find(|(l, _)| *l == label).expect("a recorded case").1;
+    let plan = FaultPlan::new(0x1055).with_default(FaultSpec {
+        drop_permille: 100,
+        duplicate_permille: 200,
+        reorder_permille: 200,
+        ..FaultSpec::default()
+    });
+    let run_opts = RunOptions {
+        poll: Duration::from_millis(2),
+        faults: Some(plan),
+        reliable: Some(ReliableConfig {
+            rto: Duration::from_millis(2),
+            ..ReliableConfig::default()
+        }),
+        ..RunOptions::default()
+    };
+    let f = factor(&matrices().swap_remove(0).1);
+    let opts = DistOptions { scheme, seed: 7, threads: 1, lookahead: 1 };
+    let (inv, mut vols, trace) =
+        try_distributed_selinv_traced(&f, Grid2D::new(2, 2), &opts, &run_opts, "lossy")
+            .expect("a lossy run completes under the reliable transport");
+    // The top tag byte is the engine's phase: 2 and 6 are its two
+    // transposes (`L̂ → Û` and step 5's `A⁻¹`).
+    let lost_transposes = trace
+        .ranks
+        .iter()
+        .flat_map(|r| &r.events)
+        .filter(|e| {
+            matches!(e.kind, EventKind::Fault { what: FaultKind::Dropped, tag, .. }
+                if matches!(tag >> 56, 2 | 6))
+        })
+        .count();
+    assert!(lost_transposes > 0, "the plan must drop some transposes");
+    vols.iter_mut().for_each(|v| v.retransmitted = 0);
+    let mut h = Fnv::new();
+    h.inverse(&inv);
+    h.volumes(&vols);
+    assert_eq!(h.0, golden, "{label} under loss");
+}
+
 #[rustfmt::skip]
 const GOLDEN: &[(&str, u64)] = &[
     ("lap12/1x1/Flat-Tree/t1", 0x57f970b246ccf618),

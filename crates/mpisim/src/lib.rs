@@ -9,7 +9,8 @@
 //! * blocking tagged receives with out-of-order matching
 //!   ([`RankCtx::recv`] ≈ `MPI_Recv` on `(source, tag)`) and non-blocking
 //!   matches ([`RankCtx::try_match`] ≈ `MPI_Iprobe` + receive), both
-//!   masking duplicated and reordered deliveries on sequenced edges;
+//!   reading a stash the arrival rule fills in per-`(src, dst)` channel
+//!   order, without duplicates;
 //! * one blocking point for progress loops ([`RankCtx::sweep_then_park`]),
 //!   under [`wait_any`] and the tree collectives;
 //! * per-rank send/receive byte counters, the measurement behind the
@@ -37,6 +38,6 @@ pub use requests::{tree_barrier, wait_any, RecvRequest, BARRIER_DOWN_LANE, BARRI
 pub use runtime::{
     run, run_traced, try_run, try_run_recover, try_run_traced, BlockedOn, Message, Progress,
     RankCtx, RankVolume, RecoverOutcome, RecoveryReport, RecvTimeout, RunError, RunOptions,
-    StallDiagnostic, ACK_LANE, JOIN_LANE, LANE_MASK, NO_SEQ, REPAIR_LANE,
+    StallDiagnostic, ACK_LANE, JOIN_LANE, LANE_MASK, REPAIR_LANE,
 };
 pub use telemetry::{Telemetry, TelemetrySample};

@@ -1,7 +1,7 @@
 //! Nonblocking tree-collective state machines: the one implementation of
 //! the tree protocol.
 //!
-//! Each machine posts its rank's sequenced tree edges as [`RecvRequest`]s
+//! Each machine posts its rank's tree edges as [`RecvRequest`]s
 //! and advances on whatever arrives first, so a progress engine (PSelInv's
 //! asynchronous phase-2 loop) can keep many collectives of many supernodes
 //! in flight at once and drain them in arrival order. A loop drives them
@@ -23,7 +23,7 @@ use pselinv_trees::CollectiveTree;
 /// `MPI_Ibcast` routed along a [`CollectiveTree`]).
 ///
 /// The root completes (and forwards to its children) at [`TreeBcastNb::start`];
-/// every other participant posts a sequenced receive from its parent and
+/// every other participant posts a receive from its parent and
 /// forwards downstream the moment [`TreeBcastNb::poll`] matches it.
 #[derive(Debug)]
 pub struct TreeBcastNb {
@@ -52,7 +52,7 @@ impl TreeBcastNb {
                 data.expect("root must provide the broadcast payload").into_payload();
             ctx.account_copy(copied);
             for child in tree.children_of(me) {
-                ctx.send_seq(child, tag, payload.clone());
+                ctx.send(child, tag, payload.clone());
             }
             Self { tag, req: None, payload: Some(payload) }
         } else if let Some(parent) = tree.parent_of(me) {
@@ -68,7 +68,7 @@ impl TreeBcastNb {
     }
 
     /// Non-blocking progress. On the arrival of the parent's message the
-    /// payload is forwarded to this rank's children (sequenced, zero-copy
+    /// payload is forwarded to this rank's children (zero-copy
     /// `Arc` clones). Returns [`TreeBcastNb::is_done`].
     pub fn poll(&mut self, ctx: &mut RankCtx, tree: &CollectiveTree) -> bool {
         let Some(req) = &mut self.req else { return true };
@@ -78,7 +78,7 @@ impl TreeBcastNb {
         let payload =
             self.req.take().and_then(RecvRequest::take).expect("completed request has a payload");
         for child in tree.children_of(ctx.rank()) {
-            ctx.send_seq(child, self.tag, payload.clone());
+            ctx.send(child, self.tag, payload.clone());
         }
         self.payload = Some(payload);
         true
@@ -115,7 +115,7 @@ pub struct TreeReduceNb {
 
 impl TreeReduceNb {
     /// Starts the reduction on this rank with its local contribution,
-    /// posting one sequenced receive per child. A leaf that is not the
+    /// posting one receive per child. A leaf that is not the
     /// root forwards immediately and is done.
     pub fn start(ctx: &mut RankCtx, tree: &CollectiveTree, tag: u64, local: Vec<f64>) -> Self {
         let reqs = tree.children_of(ctx.rank()).into_iter().map(|c| RecvRequest::post(c, tag));
@@ -162,7 +162,7 @@ impl TreeReduceNb {
             let parent = tree
                 .parent_of(ctx.rank())
                 .unwrap_or_else(|| panic!("rank {} is not a participant", ctx.rank()));
-            ctx.send_seq(parent, self.tag, acc);
+            ctx.send(parent, self.tag, acc);
         }
     }
 

@@ -2,16 +2,18 @@
 //!
 //! Two cooperating layers live here:
 //!
-//! * **Reliable transport** ([`ReliableConfig`] / [`ReliableState`]): a
-//!   per-`(dst, tag)` cumulative-ack + retransmit state machine layered
-//!   under every sequenced send. The runtime buffers each sequenced
-//!   message until the receiver's cumulative ack covers it and re-sends on
-//!   deadline expiry with exponential backoff (deterministic jitter drawn
-//!   from the fault plan's seed). With it, an injected `drop_permille`
-//!   loss fault is fully masked: collective results are bit-identical to
-//!   the fault-free run and the logical volume counters are untouched —
-//!   all recovery traffic lands in
-//!   [`RankVolume::retransmitted`](crate::RankVolume::retransmitted).
+//! * **Reliable transport** ([`ReliableConfig`] / [`ReliableState`]): one
+//!   out-stream and one cumulative ack per `(src, dst)` channel, under
+//!   every data message. The runtime buffers each message until the
+//!   receiver's cumulative ack covers its channel sequence number and
+//!   re-sends the channel's unacked suffix on deadline expiry with
+//!   exponential backoff (deterministic jitter drawn from the fault plan's
+//!   seed). With it, an injected `drop_permille` loss fault is fully
+//!   masked: results are bit-identical to the fault-free run and the
+//!   logical volume counters are untouched — all recovery traffic lands in
+//!   [`RankVolume::retransmitted`](crate::RankVolume::retransmitted). A
+//!   gap holds back the later messages of its channel until it is
+//!   retransmitted (head-of-line blocking), as on any ordered transport.
 //! * **Crash recovery** ([`Recovery`]): an online re-implementation of the
 //!   offline `figures -- faults` rebuild study. Survivors of a confirmed
 //!   rank death (the shared crash board is the failure detector's ground
@@ -49,9 +51,10 @@ impl Default for ReliableConfig {
     }
 }
 
-/// One retransmission stream: the unacked suffix of a `(dst, tag)` edge.
+/// One retransmission stream: the unacked suffix of a `(src, dst)` channel.
 pub(crate) struct OutStream {
-    /// Sequenced messages sent but not yet covered by a cumulative ack.
+    /// Messages sent but not yet covered by a cumulative ack, by sequence
+    /// number.
     pub(crate) unacked: BTreeMap<u64, Message>,
     /// Retransmission attempts since the last ack progress.
     pub(crate) attempts: u32,
@@ -62,7 +65,8 @@ pub(crate) struct OutStream {
 /// Per-rank reliable-transport state, owned by the runtime's `RankCtx`.
 pub(crate) struct ReliableState {
     pub(crate) cfg: ReliableConfig,
-    pub(crate) streams: HashMap<(usize, u64), OutStream>,
+    /// Out-streams with unacked messages, by destination.
+    pub(crate) streams: HashMap<usize, OutStream>,
 }
 
 impl ReliableState {
@@ -70,12 +74,12 @@ impl ReliableState {
         Self { cfg, streams: HashMap::new() }
     }
 
-    /// Buffers a freshly sent sequenced message until it is acked. Arms the
-    /// stream deadline if the stream was previously empty.
-    pub(crate) fn track(&mut self, dst: usize, tag: u64, msg: Message, jitter: Duration) {
+    /// Buffers a freshly sent message until it is acked. Arms the stream
+    /// deadline if the stream was previously empty.
+    pub(crate) fn track(&mut self, dst: usize, msg: Message, jitter: Duration) {
         let now = Instant::now();
         let rto = self.cfg.rto;
-        let s = self.streams.entry((dst, tag)).or_insert_with(|| OutStream {
+        let s = self.streams.entry(dst).or_insert_with(|| OutStream {
             unacked: BTreeMap::new(),
             attempts: 0,
             deadline: now + rto + jitter,
@@ -87,14 +91,15 @@ impl ReliableState {
         s.unacked.insert(msg.seq, msg);
     }
 
-    /// Applies a cumulative ack: everything below `cum` on `(src, tag)` is
-    /// delivered. Ack progress resets the backoff and re-arms the deadline.
-    pub(crate) fn ack(&mut self, src: usize, tag: u64, cum: u64, jitter: Duration) {
-        let Some(s) = self.streams.get_mut(&(src, tag)) else { return };
+    /// Applies a cumulative ack: everything below `cum` on the channel to
+    /// `src` is delivered. Ack progress resets the backoff and re-arms the
+    /// deadline.
+    pub(crate) fn ack(&mut self, src: usize, cum: u64, jitter: Duration) {
+        let Some(s) = self.streams.get_mut(&src) else { return };
         let before = s.unacked.len();
         s.unacked.retain(|&seq, _| seq >= cum);
         if s.unacked.is_empty() {
-            self.streams.remove(&(src, tag));
+            self.streams.remove(&src);
         } else if s.unacked.len() < before {
             s.attempts = 0;
             s.deadline = Instant::now() + self.cfg.rto + jitter;
@@ -193,7 +198,7 @@ impl Recovery {
                 Some(p) => {
                     let p = p.clone();
                     ctx.note_reissue(p.bytes());
-                    ctx.send_seq(requester, REPAIR_LANE | base, p);
+                    ctx.send(requester, REPAIR_LANE | base, p);
                     self.served.insert((base, requester, req_epoch));
                 }
                 None => still_pending.push((base, requester, req_epoch)),
@@ -309,7 +314,7 @@ impl Recovery {
     ) {
         for child in tree.children_of(ctx.rank()) {
             if !self.dead.contains(&child) {
-                ctx.send_seq(child, tag, payload.clone());
+                ctx.send(child, tag, payload.clone());
             }
         }
     }
@@ -352,20 +357,20 @@ mod tests {
             data: Payload::from(vec![1.0]),
         };
         for seq in 0..4 {
-            rel.track(1, 7, msg(seq), Duration::ZERO);
+            rel.track(1, msg(seq), Duration::ZERO);
         }
-        assert_eq!(rel.streams[&(1, 7)].unacked.len(), 4);
+        assert_eq!(rel.streams[&1].unacked.len(), 4);
         // Cumulative ack below 2: seqs 0 and 1 pruned, 2 and 3 kept.
-        rel.ack(1, 7, 2, Duration::ZERO);
-        assert_eq!(rel.streams[&(1, 7)].unacked.keys().copied().collect::<Vec<_>>(), vec![2, 3]);
+        rel.ack(1, 2, Duration::ZERO);
+        assert_eq!(rel.streams[&1].unacked.keys().copied().collect::<Vec<_>>(), vec![2, 3]);
         // A stale ack changes nothing.
-        rel.ack(1, 7, 1, Duration::ZERO);
-        assert_eq!(rel.streams[&(1, 7)].unacked.len(), 2);
+        rel.ack(1, 1, Duration::ZERO);
+        assert_eq!(rel.streams[&1].unacked.len(), 2);
         // Full coverage drops the stream.
-        rel.ack(1, 7, 4, Duration::ZERO);
-        assert!(!rel.streams.contains_key(&(1, 7)));
+        rel.ack(1, 4, Duration::ZERO);
+        assert!(!rel.streams.contains_key(&1));
         // Acks for unknown streams are ignored.
-        rel.ack(3, 9, 10, Duration::ZERO);
+        rel.ack(3, 10, Duration::ZERO);
     }
 
     #[test]

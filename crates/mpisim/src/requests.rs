@@ -4,8 +4,8 @@
 //! `RankCtx::send` is already non-blocking (buffered). This module adds
 //! the receive side PSelInv-style engines poll on: post a set of expected
 //! receives, then make progress on whichever arrives first. A request
-//! matches through [`RankCtx::try_match`], so it masks sequenced edges
-//! exactly like a blocking receive, and every blocking form here waits in
+//! matches through [`RankCtx::try_match`], the same stash scan as a
+//! blocking receive, and every blocking form here waits in
 //! [`RankCtx::sweep_then_park`].
 
 use crate::payload::Payload;
@@ -132,10 +132,8 @@ mod tests {
 
     #[test]
     fn every_receive_form_advances_the_edge_sequence() {
-        // Every form must advance the edge's counter: one that received
-        // seq-blind would leave it behind, and the next sequenced match
-        // would hold message 2 early forever, waiting for a message 0 that
-        // was taken long ago.
+        // Every form takes the edge's messages in send order: receive
+        // forms share one stash and none of them touches sequencing.
         let opts = RunOptions {
             watchdog: Some(Duration::from_secs(2)),
             poll: Duration::from_millis(10),
@@ -144,7 +142,7 @@ mod tests {
         let (results, _) = try_run(2, &opts, |ctx| {
             if ctx.rank() == 0 {
                 for v in [1.0, 2.0, 3.0] {
-                    ctx.send_seq(1, 7, vec![v]);
+                    ctx.send(1, 7, vec![v]);
                 }
                 vec![]
             } else {
@@ -156,7 +154,7 @@ mod tests {
                 vec![a, b, c.take().expect("completed")[0]]
             }
         })
-        .expect("a sequenced edge must not stall whichever form receives it");
+        .expect("an edge must not stall whichever form receives it");
         assert_eq!(results[1], vec![1.0, 2.0, 3.0]);
     }
 

@@ -13,9 +13,10 @@
 //! * **Fault injection.** A [`FaultPlan`](pselinv_chaos::FaultPlan) lets a
 //!   run inject per-message delay/jitter, duplication and reordering plus
 //!   per-rank stall/crash triggers, deterministically from a seed. Every
-//!   receive masks duplicated and reordered deliveries on the
-//!   sequence-numbered edges [`RankCtx::send_seq`] writes, so any
-//!   crash-free schedule yields bit-identical results.
+//!   data message carries a sequence number on its `(src, dst)` channel
+//!   and is judged once, as it comes off the inbox: duplicates are dropped
+//!   and early arrivals held until their turn, so any crash-free schedule
+//!   yields bit-identical results.
 
 use crate::payload::{IntoPayload, Payload};
 use crate::spin::{SpinPolicy, SPIN_BUDGET};
@@ -27,11 +28,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// Sequence-number sentinel for messages outside the masked collective
-/// paths ([`RankCtx::send`]): carries no delivery guarantee beyond MPI's
-/// per-`(src, tag)` non-overtaking.
-pub const NO_SEQ: u64 = u64::MAX;
 
 /// A tagged message between ranks. Payloads are shared `f64` buffers
 /// ([`Payload`]) because every PSelInv message is a dense block (plus small
@@ -48,10 +44,11 @@ pub struct Message {
     /// epoch); 0 when tracing is disabled. Lets the receiver classify
     /// blocked time into late-sender wait vs transfer.
     pub sent_us: u64,
-    /// Per-`(src, dst, tag)` sequence number stamped by
-    /// [`RankCtx::send_seq`], or [`NO_SEQ`] for plain sends. A header, not
-    /// payload: excluded from [`Message::bytes`], so volume accounting is
-    /// identical with and without masking.
+    /// Sequence number on the `(src, dst)` channel, stamped by
+    /// [`RankCtx::send`] on every data message (0, 1, 2, … per
+    /// destination). The receiver releases a channel's messages in this
+    /// order. A header, not payload: excluded from [`Message::bytes`], so
+    /// volume accounting is identical with and without faults.
     pub seq: u64,
     /// Sender's Lamport clock at the send instant. A header like `seq`:
     /// excluded from [`Message::bytes`], so causal stamping never perturbs
@@ -66,8 +63,8 @@ pub struct Message {
     /// rank deaths the sender had incorporated. A header like `seq`:
     /// excluded from [`Message::bytes`]. Always 0 outside recovery. A
     /// receiver that re-homed an edge after a rebuild raises the edge's
-    /// minimum epoch ([`RankCtx::expect_epoch`]); an in-sequence delivery
-    /// below that minimum is then discarded unaccounted.
+    /// minimum epoch ([`RankCtx::expect_epoch`]); a match below that
+    /// minimum is then discarded unaccounted.
     pub epoch: u64,
     /// Payload (shared; cloning the message never copies the buffer).
     pub data: Payload,
@@ -285,8 +282,8 @@ pub struct RunOptions {
     /// updates (bar the always-on inbox depth) — the same single-branch
     /// guard as the trace layer.
     pub telemetry: Option<Telemetry>,
-    /// Reliable-transport configuration. When set, every sequenced send is
-    /// tracked in a per-`(dst, tag)` retransmission buffer until the
+    /// Reliable-transport configuration. When set, every data message is
+    /// tracked in its `(src, dst)` channel's retransmission buffer until the
     /// receiver's cumulative ack covers it; unacked messages are re-sent
     /// after a deadline with exponential backoff (deterministic jitter from
     /// the fault plan's seed). This is what makes an injected
@@ -294,14 +291,6 @@ pub struct RunOptions {
     /// bit-identical to the fault-free run. `None` (the default) keeps the
     /// hot path free of any tracking.
     pub reliable: Option<crate::reliable::ReliableConfig>,
-    /// Online crash recovery: when `true`, a rank panic no longer aborts
-    /// the run — the rank is marked crashed on a shared board, survivors
-    /// keep running (the recovery collectives in [`crate::reliable`]
-    /// consult the board to rebuild trees around the dead), and
-    /// [`try_run_recover`] returns the survivors' results plus a
-    /// [`RecoveryReport`]. Off by default: a panic then aborts the run
-    /// exactly as before.
-    pub recovery: bool,
 }
 
 impl Default for RunOptions {
@@ -312,7 +301,6 @@ impl Default for RunOptions {
             faults: None,
             telemetry: None,
             reliable: None,
-            recovery: false,
         }
     }
 }
@@ -372,7 +360,8 @@ pub(crate) struct Shared {
     /// Whether telemetry gauges are maintained. Checked with one branch on
     /// the hot paths, exactly like the disabled trace sink.
     telemetry: bool,
-    /// Whether rank panics are absorbed as crashes instead of aborting.
+    /// Whether rank panics are absorbed as crashes instead of aborting:
+    /// set by [`try_run_recover`] and by no other entry point.
     recovery: bool,
     /// Ranks whose user function has returned (recovery epilogue gate: a
     /// finished survivor keeps serving repair requests until every
@@ -447,9 +436,9 @@ impl Shared {
 ///
 /// The out-of-order stash preserves MPI's non-overtaking guarantee: two
 /// messages with the same `(source, tag)` are always delivered in the order
-/// they were sent. The stash is therefore a FIFO (`VecDeque`): arrivals
-/// append at the back and tag matches take the *first* match in arrival
-/// order.
+/// they were sent. Messages enter the stash in channel order (the arrival
+/// rule, [`RankCtx::arrive`]), and the stash is a FIFO (`VecDeque`):
+/// arrivals append at the back and tag matches take the *first* match.
 pub struct RankCtx {
     rank: usize,
     size: usize,
@@ -465,18 +454,17 @@ pub struct RankCtx {
     plan: Option<Arc<FaultPlan>>,
     /// Send/receive operations so far (chaos stall/crash triggers).
     ops: u64,
-    /// Per-destination chaos draw counter (independent of tags).
-    msg_seq: Vec<u64>,
+    /// Next sequence number per destination channel ([`Message::seq`]),
+    /// which is also the index of the message's chaos draws.
+    tx_seq: Vec<u64>,
     /// Per-destination hold-back slot for injected reordering; flushed by
     /// the next send to the destination and at every blocking point.
     held: Vec<Option<Message>>,
-    /// Next sequence number per `(dst, tag)` for [`RankCtx::send_seq`].
-    seq_tx: HashMap<(usize, u64), u64>,
-    /// Next expected sequence number per `(src, tag)` edge.
-    seq_rx: HashMap<(usize, u64), u64>,
-    /// Sequenced messages that arrived ahead of their turn (no empty
-    /// entries, so a fault-free run never looks anything up here).
-    early: HashMap<(usize, u64), BTreeMap<u64, Message>>,
+    /// Next sequence number expected per source channel.
+    rx_next: Vec<u64>,
+    /// Per source, messages that arrived ahead of their turn, by sequence
+    /// number (always empty on a fault-free run).
+    ahead: Vec<BTreeMap<u64, Message>>,
     /// This rank's Lamport clock: ticked on every send, merged (`max + 1`)
     /// on every consumed receive. Two plain `u64` bumps per message, so the
     /// stamps are always on — which is what lets any traced run be
@@ -490,16 +478,15 @@ pub struct RankCtx {
     /// far. Stamped on every outgoing message; 0 outside recovery.
     epoch: u64,
     /// Receiver-side minimum acceptable epoch per `(src, tag)` edge
-    /// ([`RankCtx::expect_epoch`]): in-sequence deliveries below it are
-    /// discarded unaccounted.
+    /// ([`RankCtx::expect_epoch`]; only recovery writes it): matches below
+    /// it are discarded unaccounted.
     min_epoch: HashMap<(usize, u64), u64>,
     /// Per-channel logical-volume split, when the rank entry enabled it
     /// ([`RankCtx::enable_channel_accounting`]).
     channels: Option<ChannelAccounting>,
-    /// Monotonic count of data messages accepted off the inbox (consumed
-    /// *or* stashed): the lost-wakeup guard [`RankCtx::sweep_then_park`]
-    /// snapshots before each sweep and compares before it parks, and
-    /// nothing else reads.
+    /// Monotonic count of messages that entered the stash: the lost-wakeup
+    /// guard [`RankCtx::sweep_then_park`] snapshots before each sweep and
+    /// compares before it parks, and [`RankCtx::park`] watches to end.
     arrivals: u64,
     /// Whether [`RankCtx::park`] polls before it parks, learnt from this
     /// rank's own waits.
@@ -574,9 +561,8 @@ pub const ACK_LANE: u64 = 0xAC << 56;
 pub const JOIN_LANE: u64 = 0xCA << 56;
 
 /// Lane the re-issued payload answering a JOIN travels on
-/// (`REPAIR_LANE | tag`): a fresh sequenced edge, so the repair is masked
-/// like any collective hop and cannot collide with in-flight traffic of the
-/// original tree.
+/// (`REPAIR_LANE | tag`): a fresh edge, so the repair cannot collide with
+/// in-flight traffic of the original tree.
 pub const REPAIR_LANE: u64 = 0xDA << 56;
 
 /// How long a matched receive may wait: when it began (what
@@ -648,14 +634,16 @@ impl RankCtx {
         }
     }
 
-    /// Appends an arrival to the stash. With [`RankCtx::stash_take`] the
-    /// only way the stash changes: the two keep the trace's depth gauge and
-    /// the observers' mirror ([`RankState::stash`]) equal to it.
+    /// Appends an arrival to the stash and bumps `arrivals`. With
+    /// [`RankCtx::stash_take`] the only way the stash changes: the two keep
+    /// the trace's depth gauge and the observers' mirror
+    /// ([`RankState::stash`]) equal to it.
     fn stash_push(&mut self, m: Message) {
         if self.shared.observed() {
             self.shared.states[self.rank].stash.lock().unwrap().push((m.src, m.tag));
         }
         self.stash.push_back(m);
+        self.arrivals += 1;
         self.tracer.stash_depth(self.stash.len());
     }
 
@@ -670,12 +658,10 @@ impl RankCtx {
         m
     }
 
-    /// Moves everything queued in the inbox into the stash.
+    /// Takes everything queued in the inbox.
     fn drain_inbox(&mut self) {
         while let Ok(m) = self.inbox.try_recv() {
-            if let Some(m) = self.accept(m) {
-                self.stash_push(m);
-            }
+            self.accept(m);
         }
     }
 
@@ -684,12 +670,43 @@ impl RankCtx {
         self.shared.states[self.rank].inbox_len.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Books a message just taken off the inbox (progress, inbox depth,
-    /// `arrivals`) and returns it unless it was control traffic.
-    fn accept(&mut self, m: Message) -> Option<Message> {
+    /// Books a message just taken off the inbox (progress, inbox depth)
+    /// and hands it to the ack path or the arrival rule.
+    fn accept(&mut self, m: Message) {
         self.bump_progress();
         self.note_inbox_pop();
-        self.ingest_control(m)
+        if m.tag == ACK_LANE {
+            self.ingest_ack(&m);
+        } else {
+            self.arrive(m);
+        }
+    }
+
+    /// The arrival rule: judges a data message exactly once, as it comes
+    /// off the inbox, against its `(src, me)` channel. The channel's next
+    /// number enters the stash, followed by every successor held early; a
+    /// message ahead of its turn is held; a number already seen is a
+    /// duplicate, dropped and re-acked. Nothing judged here was accounted,
+    /// so dropping needs no reversal. No receive form touches sequencing.
+    fn arrive(&mut self, m: Message) {
+        let src = m.src;
+        let next = self.rx_next[src];
+        if m.seq == next {
+            self.stash_push(m);
+            let mut next = next + 1;
+            while let Some(m) = self.ahead[src].remove(&next) {
+                self.stash_push(m);
+                next += 1;
+            }
+            self.rx_next[src] = next;
+            self.send_ack(src, next);
+            return;
+        }
+        let tag = m.tag;
+        if m.seq < next || self.ahead[src].insert(m.seq, m).is_some() {
+            self.tracer.fault(FaultKind::DuplicateSuppressed, src, tag);
+            self.send_ack(src, next);
+        }
     }
 
     /// Counts one send/receive operation against the chaos stall/crash
@@ -748,10 +765,11 @@ impl RankCtx {
         }
     }
 
-    /// Delivery with fault interposition: injected delay applies to every
-    /// message; duplication and reordering only to sequenced messages,
-    /// which the masked receive path can repair (plain sends keep exactly
-    /// MPI's ordering guarantee, faults or not).
+    /// Delivery with fault interposition: injected delay, loss,
+    /// duplication and reordering reach every data message, drawn from the
+    /// plan by the message's channel sequence number. The arrival rule
+    /// repairs duplication and reordering; loss needs the reliable
+    /// transport.
     ///
     /// An injected delay is *in-flight* time, matching the DES backend's
     /// semantics: the message spends it in this rank's courier queue, not
@@ -767,8 +785,7 @@ impl RankCtx {
         let (delay, slow, dup, reord, drop) = match self.plan.as_deref() {
             None => return self.push_raw(dst, msg),
             Some(plan) => {
-                let cseq = self.msg_seq[dst];
-                self.msg_seq[dst] += 1;
+                let cseq = msg.seq;
                 (
                     plan.delay_us(self.rank, dst, cseq),
                     plan.slowdown(self.rank).max(0.0),
@@ -782,22 +799,16 @@ impl RankCtx {
         if delay > 0 {
             self.tracer.fault(FaultKind::Delayed, dst, msg.tag);
         }
-        let masked = msg.seq != NO_SEQ;
-        if masked && drop {
-            // Lost in flight. Only sequenced messages are droppable (like
-            // dup/reorder): the reliable transport's retransmission buffer
-            // is keyed by sequence number, so only a sequenced loss is
-            // repairable — and an unrepairable loss would silently corrupt
-            // plain-send runs that never opted into any masking. A held-
-            // back reorder victim is still released below: it was delayed,
-            // not lost.
+        if drop {
+            // Lost in flight. A held-back reorder victim is still released:
+            // it was delayed, not lost.
             self.tracer.fault(FaultKind::Dropped, dst, msg.tag);
             if let Some(prev) = self.held[dst].take() {
                 self.push_flight(dst, prev, Duration::ZERO);
             }
             return;
         }
-        if masked && dup {
+        if dup {
             self.tracer.fault(FaultKind::Duplicated, dst, msg.tag);
             // The clone shares the payload buffer: a duplicate costs a
             // header, not a block copy.
@@ -805,7 +816,7 @@ impl RankCtx {
             self.push_flight(dst, msg, fly);
             return;
         }
-        if masked && reord {
+        if reord {
             self.tracer.fault(FaultKind::Reordered, dst, msg.tag);
             if let Some(prev) = self.held[dst].replace(msg) {
                 self.push_flight(dst, prev, Duration::ZERO);
@@ -888,10 +899,22 @@ impl RankCtx {
         self.tracer.outstanding(count);
     }
 
-    fn send_inner(&mut self, dst: usize, tag: u64, seq: u64, data: Payload) {
+    /// Buffered non-blocking send (≈ `MPI_Isend` whose buffer is owned by
+    /// the runtime — the call returns immediately). Accepts anything
+    /// [`IntoPayload`]: a `Vec<f64>` is packed into a shared buffer (one
+    /// counted copy), a [`Payload`] is forwarded as-is (zero copies).
+    ///
+    /// Stamps the message with the next sequence number of the
+    /// `(self, dst)` channel ([`Message::seq`]), so the receiver can drop
+    /// duplicated deliveries and hold reordered ones until their turn.
+    pub fn send<P: IntoPayload>(&mut self, dst: usize, tag: u64, data: P) {
+        let (data, copied) = data.into_payload();
+        self.account_copy(copied);
         self.chaos_op();
         assert!(dst < self.size, "destination {dst} out of range");
         assert_ne!(dst, self.rank, "self-sends are not modeled (use local data)");
+        let seq = self.tx_seq[dst];
+        self.tx_seq[dst] += 1;
         // Lamport tick + provenance stamp, unconditionally: two u64 bumps.
         self.clock += 1;
         let idx = self.sends;
@@ -916,14 +939,14 @@ impl RankCtx {
         if self.shared.telemetry {
             self.shared.states[self.rank].sent_bytes.fetch_add(msg.bytes(), Ordering::Relaxed);
         }
-        if seq != NO_SEQ && self.reliable.is_some() {
+        if self.reliable.is_some() {
             // Buffer a clone (shared payload — a header copy, not a block
             // copy) until the receiver's cumulative ack covers it. Tracking
             // happens before the fault interposer, so a dropped first copy
             // is still retransmittable.
             let jitter = self.backoff_jitter(dst, 0);
             if let Some(rel) = self.reliable.as_mut() {
-                rel.track(dst, tag, msg.clone(), jitter);
+                rel.track(dst, msg.clone(), jitter);
             }
         }
         self.deliver(dst, msg);
@@ -942,43 +965,35 @@ impl RankCtx {
         Duration::from_micros(us)
     }
 
-    /// Consumes a control-plane message (currently: cumulative acks),
-    /// returning `None` if it was one. Called at every inbox read point, so
+    /// Consumes a cumulative ack. Called at every inbox read point, so
     /// control traffic is never stashed, matched or accounted.
-    fn ingest_control(&mut self, m: Message) -> Option<Message> {
-        if m.tag != ACK_LANE {
-            self.arrivals += 1;
-            return Some(m);
-        }
-        let tag = m.data.first().map_or(0, |v| v.to_bits());
-        let cum = m.data.get(1).map_or(0, |v| v.to_bits());
-        let peer_epoch = m.data.get(2).map_or(0, |v| v.to_bits());
+    fn ingest_ack(&mut self, m: &Message) {
+        let cum = m.data.first().map_or(0, |v| v.to_bits());
+        let peer_epoch = m.data.get(1).map_or(0, |v| v.to_bits());
         let jitter = self.backoff_jitter(m.src, 0);
         if let Some(rel) = self.reliable.as_mut() {
-            rel.ack(m.src, tag, cum, jitter);
+            rel.ack(m.src, cum, jitter);
         }
         // Epoch piggyback: an ack from a rank that already incorporated
         // more deaths tells us to consult the crash board.
         if peer_epoch > self.epoch && self.shared.recovery {
             self.epoch = self.epoch.max(self.crashed_ranks().len() as u64);
         }
-        None
     }
 
-    /// Sends the cumulative ack for edge `(src → me, tag)`: everything
-    /// below `cum` is received. Pure control traffic — bypasses the fault
-    /// interposer and the logical volume counters.
-    fn send_ack(&mut self, src: usize, tag: u64, cum: u64) {
-        if self.reliable.is_none() || src == self.rank {
+    /// Sends the cumulative ack for channel `src → me`: everything below
+    /// `cum` is received. Pure control traffic — bypasses the fault
+    /// interposer, the channel's sequence and the logical volume counters.
+    fn send_ack(&mut self, src: usize, cum: u64) {
+        if self.reliable.is_none() {
             return;
         }
-        let (data, _) = vec![f64::from_bits(tag), f64::from_bits(cum), f64::from_bits(self.epoch)]
-            .into_payload();
+        let (data, _) = vec![f64::from_bits(cum), f64::from_bits(self.epoch)].into_payload();
         let msg = Message {
             src: self.rank,
             tag: ACK_LANE,
             sent_us: self.tracer.now_us(),
-            seq: NO_SEQ,
+            seq: 0,
             clock: self.clock,
             idx: u64::MAX,
             epoch: self.epoch,
@@ -998,7 +1013,7 @@ impl RankCtx {
         let Some(mut rel) = self.reliable.take() else { return };
         let cfg = rel.cfg;
         let now = Instant::now();
-        rel.streams.retain(|&(dst, _), s| {
+        rel.streams.retain(|&dst, s| {
             // A finished receiver consumed everything it wanted: further
             // retransmission could never be acked. Drop the stream, like a
             // wire flush to a closed endpoint.
@@ -1062,36 +1077,14 @@ impl RankCtx {
         }
     }
 
-    /// Buffered non-blocking send (≈ `MPI_Isend` whose buffer is owned by
-    /// the runtime — the call returns immediately). Accepts anything
-    /// [`IntoPayload`]: a `Vec<f64>` is packed into a shared buffer (one
-    /// counted copy), a [`Payload`] is forwarded as-is (zero copies).
-    pub fn send<P: IntoPayload>(&mut self, dst: usize, tag: u64, data: P) {
-        let (payload, copied) = data.into_payload();
-        self.account_copy(copied);
-        self.send_inner(dst, tag, NO_SEQ, payload);
-    }
-
-    /// Like [`RankCtx::send`], but stamps a per-`(dst, tag)` sequence
-    /// number so the receiver can suppress duplicated and reorder-displaced
-    /// deliveries. The collectives send this way.
-    pub fn send_seq<P: IntoPayload>(&mut self, dst: usize, tag: u64, data: P) {
-        let (payload, copied) = data.into_payload();
-        self.account_copy(copied);
-        let c = self.seq_tx.entry((dst, tag)).or_insert(0);
-        let seq = *c;
-        *c += 1;
-        self.send_inner(dst, tag, seq, payload);
-    }
-
-    /// The one blocking point of the message path: waits until a data
-    /// message comes off the inbox and returns it, or returns `None` once
-    /// `deadline` (if any) has passed. Every blocking call — the matched
-    /// receives and [`RankCtx::sweep_then_park`], and through it
-    /// `wait_any`, the collectives and the engines' progress loops —
+    /// The one blocking point of the message path: takes messages off the
+    /// inbox until one enters the stash and returns `true`, or returns
+    /// `false` once `deadline` (if any) has passed. Every blocking call —
+    /// the matched receives and [`RankCtx::sweep_then_park`], and through
+    /// it `wait_any`, the collectives and the engines' progress loops —
     /// bottoms out here, so the ready check, the spin, the timed park, the
-    /// deadline arithmetic, the abort check, the reliable-transport tick
-    /// and the progress/`arrivals` bumps exist once.
+    /// deadline arithmetic, the abort check and the reliable-transport
+    /// tick exist once.
     ///
     /// **Spin-then-park.** The inbox is polled first (a queued message
     /// never costs a park, and wins over an expired deadline). While the
@@ -1105,11 +1098,13 @@ impl RankCtx {
     /// **What the watchdog sees.** `on` is published before the first
     /// poll and cleared on return, and progress is bumped per message
     /// taken, so a spinning rank reads to the monitor exactly as a parked
-    /// one does. Control traffic (acks) is ingested and never returned.
-    fn park(&mut self, on: BlockedOn, deadline: Option<Instant>) -> Option<Message> {
+    /// one does. Acks, duplicates and early arrivals are taken without
+    /// ending the wait.
+    fn park(&mut self, on: BlockedOn, deadline: Option<Instant>) -> bool {
         let start = Instant::now();
         let spin_until = self.spin.should_spin().then(|| start + SPIN_BUDGET);
         let mut waited = false;
+        let seen = self.arrivals;
         self.set_blocked(on);
         let got = loop {
             let taken = match self.inbox.try_recv() {
@@ -1120,7 +1115,7 @@ impl RankCtx {
                     let now = Instant::now();
                     let left = deadline.map(|d| d.saturating_duration_since(now));
                     if left.is_some_and(|l| l.is_zero()) {
-                        break None;
+                        break false;
                     }
                     if spin_until.is_some_and(|s| now < s) {
                         std::thread::yield_now();
@@ -1131,8 +1126,9 @@ impl RankCtx {
             };
             match taken {
                 Ok(m) => {
-                    if let Some(m) = self.accept(m) {
-                        break Some(m);
+                    self.accept(m);
+                    if self.arrivals != seen {
+                        break true;
                     }
                 }
                 Err(RecvTimeoutError::Timeout) => {
@@ -1151,119 +1147,58 @@ impl RankCtx {
         if waited {
             // Mail that was already queued cost no park either way: only a
             // wait that found the inbox empty says anything about spinning.
-            self.spin.record(start.elapsed(), got.is_some());
+            self.spin.record(start.elapsed(), got);
         }
         got
     }
 
     /// Blocking receive with a deadline: the core under [`RankCtx::recv`]
-    /// and [`RankCtx::recv_timeout`], one chaos operation per call. A
-    /// matching message that arrives while the rank is parked is judged on
-    /// the spot and, when it is the edge's turn, taken without passing
-    /// through the stash.
+    /// and [`RankCtx::recv_timeout`], one chaos operation per call. After
+    /// each park only the stash entries that park added are scanned: the
+    /// older ones were scanned already.
     fn recv_until(&mut self, src: usize, tag: u64, until: Until) -> Result<Message, RecvTimeout> {
         self.chaos_op();
         self.flush_held();
-        if let Some(m) = self.match_local(src, tag) {
+        let wants = |m: &Message| m.src == src && m.tag == tag;
+        if let Some(m) = self.take_match(0, wants) {
             return Ok(self.account_recv(m));
         }
         let posted_us = self.tracer.now_us();
         let on = BlockedOn { src: Some(src), tag: Some(tag) };
         loop {
-            let Some(m) = self.park(on, until.deadline) else {
+            let from = self.stash.len();
+            if !self.park(on, until.deadline) {
                 return Err(RecvTimeout { src, tag, waited: until.start.elapsed() });
-            };
-            if m.src != src || m.tag != tag {
-                self.stash_push(m);
-                continue;
             }
-            // A discarded stale epoch used up the edge's turn: the next one
-            // may already be held early.
-            if let Some(m) = self.judge(m).or_else(|| self.match_local(src, tag)) {
+            if let Some(m) = self.take_match(from, wants) {
                 self.tracer.recv_wait(posted_us, m.sent_us, Some((m.src, m.idx)));
                 return Ok(self.account_recv(m));
             }
         }
     }
 
-    /// The masking rule: what happens to a message on the edge a receive
-    /// wants. Unsequenced mail and the edge's next sequence number are
-    /// taken (`Some`); everything else is consumed here — a stale
-    /// duplicate of a message already taken is dropped, an early arrival
-    /// is held until its turn, and an in-turn delivery below the edge's
-    /// minimum epoch is discarded (its turn is used up: the re-issue
-    /// carries a later number). Nothing judged here was accounted yet, so
-    /// dropping needs no reversal.
-    fn judge(&mut self, m: Message) -> Option<Message> {
-        if m.seq == NO_SEQ {
-            return Some(m);
-        }
-        let (src, tag) = (m.src, m.tag);
-        let want = self.seq_rx.get(&(src, tag)).copied().unwrap_or(0);
-        if m.seq > want {
-            if self.early.entry((src, tag)).or_default().insert(m.seq, m).is_some() {
-                self.tracer.fault(FaultKind::DuplicateSuppressed, src, tag);
-            }
-            return None;
-        }
-        if m.seq < want {
-            self.tracer.fault(FaultKind::DuplicateSuppressed, src, tag);
-            self.send_ack(src, tag, want);
-            return None;
-        }
-        self.seq_rx.insert((src, tag), want + 1);
-        self.send_ack(src, tag, want + 1);
-        if m.epoch < self.min_epoch.get(&(src, tag)).copied().unwrap_or(0) {
-            self.tracer.fault(FaultKind::Dropped, src, tag);
-            return None;
-        }
-        Some(m)
-    }
-
-    /// Takes the next message for `(src, tag)` already on this rank — the
-    /// early arrival whose turn has come, else the oldest stashed match —
-    /// passing every candidate through [`RankCtx::judge`].
-    fn match_local(&mut self, src: usize, tag: u64) -> Option<Message> {
-        let mut i = 0;
+    /// Takes the oldest stash entry at or after index `from` that `wants`
+    /// accepts. A match stamped below its edge's epoch floor
+    /// ([`RankCtx::expect_epoch`]) is discarded unaccounted and the scan
+    /// goes on.
+    fn take_match(&mut self, mut from: usize, wants: impl Fn(&Message) -> bool) -> Option<Message> {
         loop {
-            let m = match self.take_early(src, tag) {
-                Some(m) => m,
-                None => {
-                    i += self.stash.range(i..).position(|m| m.src == src && m.tag == tag)?;
-                    self.stash_take(i)
-                }
-            };
-            if let Some(m) = self.judge(m) {
+            from += self.stash.range(from..).position(&wants)?;
+            let m = self.stash_take(from);
+            if self.min_epoch.get(&(m.src, m.tag)).is_none_or(|&floor| m.epoch >= floor) {
                 return Some(m);
             }
+            self.tracer.fault(FaultKind::Dropped, m.src, m.tag);
         }
-    }
-
-    /// Removes the held early arrival of edge `(src, tag)` whose turn has
-    /// come, if there is one.
-    fn take_early(&mut self, src: usize, tag: u64) -> Option<Message> {
-        if self.early.is_empty() {
-            return None;
-        }
-        let want = self.seq_rx.get(&(src, tag)).copied().unwrap_or(0);
-        let held = self.early.get_mut(&(src, tag))?;
-        let m = held.remove(&want);
-        if held.is_empty() {
-            self.early.remove(&(src, tag));
-        }
-        m
     }
 
     /// Blocking receive of the next message on edge `(src, tag)`, buffering
     /// any other arrivals (≈ `MPI_Recv` with out-of-order message stashing).
     ///
-    /// Sequence-aware: on an edge carrying [`RankCtx::send_seq`] traffic,
-    /// messages are taken strictly in sequence order — stale duplicates are
-    /// dropped, early arrivals held until their turn, and in-turn
-    /// deliveries below the edge's minimum epoch ([`RankCtx::expect_epoch`])
-    /// discarded. The sequence counters persist across calls, which is what
-    /// makes repeated collectives on a reused tag safe under duplication.
-    /// [`RankCtx::send`] traffic is taken in arrival order.
+    /// Messages reach the stash already judged by the arrival rule, in
+    /// channel order and without duplicates, so the receive takes the
+    /// oldest stashed match. A match below the edge's minimum epoch
+    /// ([`RankCtx::expect_epoch`]) is discarded.
     ///
     /// A receive that actually blocks gets its blocked interval classified
     /// into late-sender wait vs transfer time against the matching
@@ -1279,8 +1214,7 @@ impl RankCtx {
 
     /// Like [`RankCtx::recv`], but gives up after `dur`: the suspicion
     /// primitive of the recovery layer. A timeout takes nothing, so the
-    /// call can be retried (or the edge abandoned for a rebuilt parent)
-    /// without corrupting the masking state.
+    /// call can be retried (or the edge abandoned for a rebuilt parent).
     pub fn recv_timeout(
         &mut self,
         src: usize,
@@ -1291,16 +1225,16 @@ impl RankCtx {
     }
 
     /// Non-blocking match of `(src, tag)` (≈ `MPI_Iprobe` + receive): drains
-    /// the inbox into the stash and takes the edge's next message if it is
-    /// here, masked exactly like [`RankCtx::recv`]. Used by the request
-    /// API. A match counts one chaos operation — a request's count does not
-    /// depend on how often it was polled.
+    /// the inbox and takes the edge's oldest stashed message, exactly like
+    /// [`RankCtx::recv`]. Used by the request API. A match counts one chaos
+    /// operation — a request's count does not depend on how often it was
+    /// polled.
     pub fn try_match(&mut self, src: usize, tag: u64) -> Option<Payload> {
         self.check_abort();
         self.flush_held();
         self.reliable_tick();
         self.drain_inbox();
-        let m = self.match_local(src, tag)?;
+        let m = self.take_match(0, |m| m.src == src && m.tag == tag)?;
         self.chaos_op();
         Some(self.account_recv(m).data)
     }
@@ -1308,13 +1242,13 @@ impl RankCtx {
     /// Drives a progress loop to completion; the one place a rank parks
     /// between polls. Each round snapshots the arrival counter, runs
     /// `sweep`, and parks — reporting `on` to the watchdog — only if the
-    /// sweep found nothing to do ([`Progress::Idle`]) *and* no message came
-    /// off the inbox during it. The second condition is the
-    /// lost-wakeup guard: a poll late in a sweep drains the inbox into the
-    /// stash, possibly behind a request polled earlier, and a parked rank
-    /// wakes only on new inbox traffic. The message that ends a park is
-    /// stashed unaccounted for the next sweep to match, its blocked time
-    /// classified against its send timestamp.
+    /// sweep found nothing to do ([`Progress::Idle`]) *and* nothing entered
+    /// the stash during it. The second condition is the lost-wakeup guard:
+    /// a poll late in a sweep drains the inbox into the stash, possibly
+    /// behind a request polled earlier, and a parked rank wakes only on new
+    /// inbox traffic. A park ends with the message that ended it stashed
+    /// unaccounted for the next sweep to match, its blocked time classified
+    /// against its send timestamp.
     pub fn sweep_then_park<T>(
         &mut self,
         on: BlockedOn,
@@ -1332,9 +1266,11 @@ impl RankCtx {
             }
             self.flush_held();
             let posted_us = self.tracer.now_us();
-            let m = self.park(on, None).expect("a wait without a deadline ends in a message");
+            let from = self.stash.len();
+            let arrived = self.park(on, None);
+            assert!(arrived, "a wait without a deadline ends in an arrival");
+            let m = &self.stash[from];
             self.tracer.recv_wait(posted_us, m.sent_us, Some((m.src, m.idx)));
-            self.stash_push(m);
         }
     }
 
@@ -1401,9 +1337,9 @@ impl RankCtx {
         self.epoch = self.epoch.max(epoch);
     }
 
-    /// Raises the minimum acceptable epoch of edge `(src, tag)`: an
-    /// in-sequence delivery stamped below it is discarded unaccounted
-    /// instead of returned. The recovery layer calls
+    /// Raises the minimum acceptable epoch of edge `(src, tag)`: a match
+    /// stamped below it is discarded unaccounted instead of returned. The
+    /// recovery layer calls
     /// this when it re-homes an edge after a rebuild, so in-flight
     /// pre-crash traffic cannot race the re-issued payload.
     pub fn expect_epoch(&mut self, src: usize, tag: u64, epoch: u64) {
@@ -1437,8 +1373,7 @@ impl RankCtx {
         self.flush_held();
         self.reliable_tick();
         self.drain_inbox();
-        let i = self.stash.iter().position(|m| m.tag & LANE_MASK == lane)?;
-        let m = self.stash_take(i);
+        let m = self.take_match(0, |m| m.tag & LANE_MASK == lane)?;
         Some(self.account_recv(m))
     }
 
@@ -1648,11 +1583,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 type RankOutput<R> = (R, RankVolume, Option<RankTrace>);
 
+/// Runs `f` on `nranks` rank threads over `shared`, whose `recovery` flag
+/// the entry point set.
 fn run_impl<R, F, M>(
     nranks: usize,
     opts: &RunOptions,
     f: &F,
     mk: &M,
+    shared: &Arc<Shared>,
 ) -> Result<Vec<Option<RankOutput<R>>>, RunError>
 where
     R: Send,
@@ -1661,28 +1599,6 @@ where
 {
     assert!(nranks > 0);
     let plan = opts.faults.as_ref().map(|p| Arc::new(p.clone()));
-    let shared = Arc::new(Shared::new(
-        nranks,
-        opts.watchdog.is_some(),
-        opts.telemetry.is_some(),
-        opts.recovery,
-    ));
-    run_impl_shared(nranks, opts, f, mk, plan, &shared)
-}
-
-fn run_impl_shared<R, F, M>(
-    nranks: usize,
-    opts: &RunOptions,
-    f: &F,
-    mk: &M,
-    plan: Option<Arc<FaultPlan>>,
-    shared: &Arc<Shared>,
-) -> Result<Vec<Option<RankOutput<R>>>, RunError>
-where
-    R: Send,
-    F: Fn(&mut RankCtx) -> R + Sync,
-    M: Fn(usize) -> RankTracer + Sync,
-{
     let shared = shared.clone();
     let epoch = Instant::now();
     let mut senders = Vec::with_capacity(nranks);
@@ -1723,11 +1639,10 @@ where
                     poll,
                     plan,
                     ops: 0,
-                    msg_seq: vec![0; nranks],
+                    tx_seq: vec![0; nranks],
                     held: (0..nranks).map(|_| None).collect(),
-                    seq_tx: HashMap::new(),
-                    seq_rx: HashMap::new(),
-                    early: HashMap::new(),
+                    rx_next: vec![0; nranks],
+                    ahead: (0..nranks).map(|_| BTreeMap::new()).collect(),
                     clock: 0,
                     sends: 0,
                     reliable: reliable.map(crate::reliable::ReliableState::new),
@@ -1806,7 +1721,9 @@ where
     R: Send,
     F: Fn(&mut RankCtx) -> R + Sync,
 {
-    let handles = run_impl(nranks, opts, &f, &|_| RankTracer::disabled())?;
+    let shared =
+        Arc::new(Shared::new(nranks, opts.watchdog.is_some(), opts.telemetry.is_some(), false));
+    let handles = run_impl(nranks, opts, &f, &|_| RankTracer::disabled(), &shared)?;
     let mut results = Vec::with_capacity(nranks);
     let mut volumes = Vec::with_capacity(nranks);
     for h in handles {
@@ -1830,7 +1747,9 @@ where
     F: Fn(&mut RankCtx) -> R + Sync,
 {
     let epoch = Instant::now();
-    let handles = run_impl(nranks, opts, &f, &move |rank| RankTracer::wall(rank, epoch))?;
+    let shared =
+        Arc::new(Shared::new(nranks, opts.watchdog.is_some(), opts.telemetry.is_some(), false));
+    let handles = run_impl(nranks, opts, &f, &move |rank| RankTracer::wall(rank, epoch), &shared)?;
     let mut results = Vec::with_capacity(nranks);
     let mut volumes = Vec::with_capacity(nranks);
     let mut traces = Vec::with_capacity(nranks);
@@ -1865,10 +1784,14 @@ pub struct RecoveryReport {
 /// [`RecoveryReport`].
 pub type RecoverOutcome<R> = (Vec<Option<R>>, Vec<RankVolume>, RecoveryReport);
 
-/// Recovery-mode run: executes `f` on `nranks` rank threads with
-/// [`RunOptions::recovery`] forced on, absorbing rank deaths instead of
-/// aborting — an `Err` now only means an unrecoverable failure (a global
-/// stall the watchdog caught).
+/// Recovery-mode run: executes `f` on `nranks` rank threads, absorbing
+/// rank deaths instead of aborting. A panicking rank is marked crashed on
+/// a shared board, survivors keep running (the recovery collectives in
+/// [`crate::reliable`] consult the board to rebuild trees around the
+/// dead), and the survivors' results come back with a [`RecoveryReport`].
+/// An `Err` only means an unrecoverable failure (a global stall the
+/// watchdog caught). Only this entry point absorbs panics: under
+/// [`try_run`] the first panic aborts the run.
 pub fn try_run_recover<R, F>(
     nranks: usize,
     opts: &RunOptions,
@@ -1878,13 +1801,9 @@ where
     R: Send,
     F: Fn(&mut RankCtx) -> R + Sync,
 {
-    let mut opts = opts.clone();
-    opts.recovery = true;
-    assert!(nranks > 0);
-    let plan = opts.faults.as_ref().map(|p| Arc::new(p.clone()));
     let shared =
         Arc::new(Shared::new(nranks, opts.watchdog.is_some(), opts.telemetry.is_some(), true));
-    let handles = run_impl_shared(nranks, &opts, &f, &|_| RankTracer::disabled(), plan, &shared)?;
+    let handles = run_impl(nranks, opts, &f, &|_| RankTracer::disabled(), &shared)?;
     let mut results = Vec::with_capacity(nranks);
     let mut volumes = Vec::with_capacity(nranks);
     for h in handles {
@@ -2318,13 +2237,13 @@ mod tests {
     }
 
     #[test]
-    fn send_seq_recv_roundtrip_without_faults() {
-        // The masked pair must behave exactly like send/recv when no fault
-        // plan is installed, including across repeated uses of one tag.
+    fn repeated_sends_on_one_tag_roundtrip_without_faults() {
+        // Repeated uses of one tag arrive in send order, counted once each,
+        // when no fault plan is installed.
         let (results, volumes) = run(2, |ctx| {
             if ctx.rank() == 0 {
                 for k in 0..5 {
-                    ctx.send_seq(1, 7, vec![k as f64]);
+                    ctx.send(1, 7, vec![k as f64]);
                 }
                 vec![]
             } else {
@@ -2335,6 +2254,91 @@ mod tests {
         assert_eq!(volumes[0].msgs_sent, 5);
         assert_eq!(volumes[1].msgs_received, 5);
         assert_eq!(volumes[1].received, 5 * 8);
+    }
+
+    /// What rank 0 holds after its arrival rule judged `feed` — `(seq,
+    /// tag)` messages from rank 1, handed over in that order under the
+    /// reliable transport: the stash as `(seq, tag)`, the held sequence
+    /// numbers, the channel's next number and the acks sent.
+    fn judge_arrivals(feed: &[(u64, u64)]) -> (Vec<(u64, u64)>, Vec<u64>, u64, u64) {
+        let opts = RunOptions {
+            reliable: Some(crate::reliable::ReliableConfig::default()),
+            ..RunOptions::default()
+        };
+        let judged = std::sync::Barrier::new(2);
+        let (results, _) = try_run(2, &opts, |ctx| {
+            if ctx.rank() == 1 {
+                judged.wait();
+                return Default::default();
+            }
+            for &(seq, tag) in feed {
+                let data = Payload::from(vec![seq as f64]);
+                ctx.arrive(Message {
+                    src: 1,
+                    tag,
+                    sent_us: 0,
+                    seq,
+                    clock: 0,
+                    idx: 0,
+                    epoch: 0,
+                    data,
+                });
+            }
+            let stash = ctx.stash.iter().map(|m| (m.seq, m.tag)).collect();
+            let held = ctx.ahead[1].keys().copied().collect();
+            // An ack is two words: the cumulative number and the epoch.
+            let acks = ctx.volume().retransmitted / 16;
+            judged.wait();
+            (stash, held, ctx.rx_next[1], acks)
+        })
+        .expect("a clean run");
+        results.into_iter().next().expect("rank 0")
+    }
+
+    #[test]
+    fn the_arrival_rule_judges_each_message_once_in_channel_order() {
+        type Row =
+            (&'static str, &'static [(u64, u64)], &'static [(u64, u64)], &'static [u64], u64, u64);
+        #[rustfmt::skip]
+        let table: [Row; 6] = [
+            // (case, fed (seq, tag), stash (seq, tag), held, next, acks)
+            ("in turn", &[(0, 7)], &[(0, 7)], &[], 1, 1),
+            ("early arrivals are held", &[(2, 7), (1, 7)], &[], &[1, 2], 0, 0),
+            ("an in-turn arrival releases its held successors",
+                &[(2, 7), (1, 7), (0, 7)], &[(0, 7), (1, 7), (2, 7)], &[], 3, 1),
+            ("a duplicate of a held message is suppressed and re-acked",
+                &[(1, 7), (1, 7)], &[], &[1], 0, 1),
+            ("a duplicate of a taken message is suppressed and re-acked",
+                &[(0, 7), (1, 7), (0, 7)], &[(0, 7), (1, 7)], &[], 2, 3),
+            ("tags interleaved on one channel stay FIFO per tag",
+                &[(1, 8), (0, 7), (3, 7), (2, 8)], &[(0, 7), (1, 8), (2, 8), (3, 7)], &[], 4, 2),
+        ];
+        for (case, feed, stash, held, next, acks) in table {
+            let got = judge_arrivals(feed);
+            assert_eq!(got, (stash.to_vec(), held.to_vec(), next, acks), "{case}");
+        }
+    }
+
+    #[test]
+    fn the_epoch_floor_is_checked_at_match_time() {
+        // Both messages enter the stash: arrival knows nothing of epochs.
+        // The floor raised afterwards still discards the stale one when a
+        // receive matches, and the receive takes the re-issue.
+        let (results, volumes) = run(2, |ctx| {
+            if ctx.rank() == 0 {
+                ctx.send(1, 7, vec![1.0]);
+                ctx.set_epoch(1);
+                ctx.send(1, 7, vec![2.0]);
+                return 0.0;
+            }
+            while ctx.stash.len() < 2 {
+                ctx.drain_inbox();
+            }
+            ctx.expect_epoch(0, 7, 1);
+            ctx.try_match(0, 7).expect("the re-issue is stashed")[0]
+        });
+        assert_eq!(results[1], 2.0);
+        assert_eq!(volumes[1].msgs_received, 1, "the stale message is never accounted");
     }
 
     /// Options under which a lost wakeup fails the run in under a second

@@ -112,7 +112,7 @@ proptest! {
             const N_TAGS: u64 = 3;
             if ctx.rank() == 0 {
                 for i in 0..n_msgs {
-                    ctx.send_seq(1, i as u64 % N_TAGS, vec![i as f64]);
+                    ctx.send(1, i as u64 % N_TAGS, vec![i as f64]);
                 }
                 Ok(())
             } else {

@@ -122,9 +122,9 @@ fn stale_epoch_messages_are_discarded_with_accounting_reversed() {
         if ctx.rank() == 0 {
             // Pre-crash traffic (epoch 0), then the post-rebuild re-issue
             // under a bumped epoch on the same edge.
-            ctx.send_seq(1, 7, vec![1.0; 8]);
+            ctx.send(1, 7, vec![1.0; 8]);
             ctx.set_epoch(1);
-            ctx.send_seq(1, 7, vec![2.0; 8]);
+            ctx.send(1, 7, vec![2.0; 8]);
             Vec::new()
         } else {
             ctx.expect_epoch(0, 7, 1);
@@ -150,7 +150,6 @@ fn recovery_opts(plan: FaultPlan) -> RunOptions {
             rto: Duration::from_millis(5),
             ..ReliableConfig::default()
         }),
-        recovery: true,
         ..RunOptions::default()
     }
 }

@@ -43,7 +43,7 @@ proptest! {
         let (results, _) = try_run(2, &chaos_opts(plan), move |ctx| {
             if ctx.rank() == 0 {
                 for i in 0..n_msgs {
-                    ctx.send_seq(1, i as u64 % N_TAGS, vec![i as f64]);
+                    ctx.send(1, i as u64 % N_TAGS, vec![i as f64]);
                 }
                 Ok(())
             } else {
@@ -111,7 +111,7 @@ proptest! {
         let (results, volumes) = try_run(2, &opts, move |ctx| {
             if ctx.rank() == 0 {
                 for i in 0..n_msgs {
-                    ctx.send_seq(1, i as u64 % N_TAGS, vec![i as f64]);
+                    ctx.send(1, i as u64 % N_TAGS, vec![i as f64]);
                 }
                 Ok(())
             } else {
@@ -173,7 +173,7 @@ proptest! {
         let (results, volumes) = try_run(2, &chaos_opts(plan), move |ctx| {
             if ctx.rank() == 0 {
                 for i in 0..n_msgs {
-                    ctx.send_seq(1, 9, vec![i as f64]);
+                    ctx.send(1, 9, vec![i as f64]);
                 }
                 Vec::new()
             } else {
@@ -217,7 +217,7 @@ fn rank_epilogue_flushes_the_reorder_holdback_slot() {
     let (results, _) = try_run(2, &opts, |ctx| {
         if ctx.rank() == 0 {
             for i in 0..3 {
-                ctx.send_seq(1, 4, vec![10.0 + i as f64]);
+                ctx.send(1, 4, vec![10.0 + i as f64]);
             }
             // Return immediately: no further send or blocking point on
             // this rank will flush the held message.
