@@ -23,7 +23,9 @@ use pselinv_dist::{
 };
 use pselinv_factor::{LdlFactor, Panel};
 use pselinv_mpisim::{Grid2D, RankVolume, RunOptions};
-use pselinv_order::{analyze, AnalyzeOptions};
+use pselinv_order::nd::NdOptions;
+use pselinv_order::supernodes::SupernodeOptions;
+use pselinv_order::{analyze, AnalyzeOptions, OrderingChoice};
 use pselinv_selinv::SelectedInverse;
 use pselinv_sparse::{gen, SparseMatrix};
 use pselinv_trees::TreeScheme;
@@ -135,38 +137,83 @@ fn batch_digest() -> u64 {
     h.0
 }
 
-#[test]
-fn digests_match_the_parent_commit() {
-    let actual = table();
-    let same = actual.len() == GOLDEN.len()
-        && actual.iter().zip(GOLDEN).all(|((la, da), (lg, dg))| la == lg && da == dg);
+/// Structures whose GEMM step mixes the dense kernel's two paths, and
+/// one with `lap2d-msgs`' narrow supernodes. The three [`matrices`] have two
+/// blocked-path `(target, ancestor)` products between them (both in
+/// `dg6x6`); `fem8x8x8` has 560 of its 1 658 on a 1×1 grid. Recorded at
+/// commit `9e66343`, before the GEMM step gathered one strip per rank and
+/// supernode, so the strip's merged products are pinned to the per-pair
+/// calls bit for bit.
+fn strip_table() -> Vec<(String, u64)> {
+    let fem = gen::fem_3d(8, 8, 8, 3, 7);
+    let lap = gen::grid_laplacian_2d(24, 24);
+    let narrow = AnalyzeOptions {
+        ordering: OrderingChoice::NestedDissection(lap.geometry, NdOptions::default()),
+        supernode: SupernodeOptions { max_width: 8, relax_small: 2, relax_zero_fraction: 0.3 },
+        ..AnalyzeOptions::default()
+    };
+    let cases =
+        [("fem8x8x8", fem.matrix, AnalyzeOptions::default()), ("lap24w8", lap.matrix, narrow)];
+    let mut out = Vec::new();
+    for (name, a, analyze_opts) in cases {
+        let sf = Arc::new(analyze(&a.pattern(), &analyze_opts));
+        let f = pselinv_factor::factorize(&a, sf).expect("the test matrices are nonsingular");
+        for (pr, pc) in [(1, 1), (2, 2), (2, 3)] {
+            for threads in [1, 2] {
+                let scheme = TreeScheme::ShiftedBinary;
+                let opts = DistOptions { scheme, seed: 7, threads, lookahead: 1 };
+                let (inv, vols) = distributed_selinv(&f, Grid2D::new(pr, pc), &opts);
+                let mut h = Fnv::new();
+                h.inverse(&inv);
+                h.volumes(&vols);
+                out.push((format!("{name}/{pr}x{pc}/{scheme}/t{threads}"), h.0));
+            }
+        }
+    }
+    out
+}
+
+/// Panics with the table as computed now unless `actual` equals `golden`.
+fn assert_table(actual: &[(String, u64)], golden: &[(&str, u64)]) {
+    let same = actual.len() == golden.len()
+        && actual.iter().zip(golden).all(|((la, da), (lg, dg))| la == lg && da == dg);
     if same {
         return;
     }
     let mut table = String::new();
-    for (label, digest) in &actual {
+    for (label, digest) in actual {
         writeln!(table, "    (\"{label}\", 0x{digest:016x}),").unwrap();
     }
     let moved: Vec<&str> = actual
         .iter()
-        .zip(GOLDEN)
+        .zip(golden)
         .filter(|((la, da), (lg, dg))| la != lg || da != dg)
         .map(|((la, _), _)| la.as_str())
         .collect();
     panic!(
         "{} of {} digests differ from the ones recorded at the parent commit (first: {:?}). \
          Computed now:\n{table}",
-        moved.len().max(actual.len().abs_diff(GOLDEN.len())),
-        GOLDEN.len(),
+        moved.len().max(actual.len().abs_diff(golden.len())),
+        golden.len(),
         moved.first()
     );
+}
+
+#[test]
+fn digests_match_the_parent_commit() {
+    assert_table(&table(), GOLDEN);
+}
+
+#[test]
+fn strip_digests_match_the_parent_commit() {
+    assert_table(&strip_table(), STRIP_GOLDEN);
 }
 
 #[test]
 fn threads_do_not_move_a_digest() {
     // Pool ≡ serial is a contract of its own: the t1 and t2 lines of one
     // case must agree, so the table is not just a record of itself.
-    for pair in GOLDEN[..GOLDEN.len() - 1].chunks(2) {
+    for pair in GOLDEN[..GOLDEN.len() - 1].chunks(2).chain(STRIP_GOLDEN.chunks(2)) {
         let [(l1, d1), (l2, d2)] = pair else { panic!("odd table") };
         assert!(l1.ends_with("/t1") && l2.ends_with("/t2"), "{l1} {l2}");
         assert_eq!(d1, d2, "{l1} vs {l2}");
@@ -351,4 +398,20 @@ const GOLDEN: &[(&str, u64)] = &[
     ("dg6x6/3x1/Hybrid(3)/t1", 0xc056e784331c9808),
     ("dg6x6/3x1/Hybrid(3)/t2", 0xc056e784331c9808),
     ("batch/lap12/2x2/two-poles", 0x04f29f84d8b88200),
+];
+
+#[rustfmt::skip]
+const STRIP_GOLDEN: &[(&str, u64)] = &[
+    ("fem8x8x8/1x1/Shifted Binary-Tree/t1", 0x0e5798706fb83c0c),
+    ("fem8x8x8/1x1/Shifted Binary-Tree/t2", 0x0e5798706fb83c0c),
+    ("fem8x8x8/2x2/Shifted Binary-Tree/t1", 0xc8e5a2195f1f0c8f),
+    ("fem8x8x8/2x2/Shifted Binary-Tree/t2", 0xc8e5a2195f1f0c8f),
+    ("fem8x8x8/2x3/Shifted Binary-Tree/t1", 0x78574fb199c51cff),
+    ("fem8x8x8/2x3/Shifted Binary-Tree/t2", 0x78574fb199c51cff),
+    ("lap24w8/1x1/Shifted Binary-Tree/t1", 0x3439ffd13827095e),
+    ("lap24w8/1x1/Shifted Binary-Tree/t2", 0x3439ffd13827095e),
+    ("lap24w8/2x2/Shifted Binary-Tree/t1", 0xeac34df6b07d729c),
+    ("lap24w8/2x2/Shifted Binary-Tree/t2", 0xeac34df6b07d729c),
+    ("lap24w8/2x3/Shifted Binary-Tree/t1", 0xf149da7f260d8b9c),
+    ("lap24w8/2x3/Shifted Binary-Tree/t2", 0xf149da7f260d8b9c),
 ];
