@@ -365,22 +365,13 @@ unsafe fn gemm_scalar(
     ldc: usize,
 ) {
     match ta {
-        Transpose::No => {
-            // jki order: stream down columns of op(A) and C.
-            for j in 0..n {
-                for p in 0..k {
-                    let bpj = alpha * ld_get(b, ldb, p, j, tb);
-                    if bpj == 0.0 {
-                        continue;
-                    }
-                    let acol = a.add(p * lda);
-                    let ccol = c.add(j * ldc);
-                    for i in 0..m {
-                        *ccol.add(i) += *acol.add(i) * bpj;
-                    }
-                }
-            }
+        // `is_x86_feature_detected!` caches its probe; the check guards the
+        // AVX2 clone's safety condition.
+        #[cfg(target_arch = "x86_64")]
+        Transpose::No if std::arch::is_x86_feature_detected!("avx2") => {
+            scalar_jki_avx2(m, n, k, alpha, a, lda, b, ldb, tb, c, ldc)
         }
+        Transpose::No => scalar_jki(m, n, k, alpha, a, lda, b, ldb, tb, c, ldc),
         Transpose::Yes => {
             // Columns of the stored A are rows of op(A): dot products.
             for j in 0..n {
@@ -395,6 +386,66 @@ unsafe fn gemm_scalar(
             }
         }
     }
+}
+
+/// The `ta = No` scalar loop nest, in jki order: stream down columns of
+/// `A` and `C`. Each `C[i,j]` gets `A[i,p]·(alpha·op(B)[p,j])` added in
+/// ascending `p`, one rounded multiply and one rounded add each (Rust never
+/// contracts them into a fused multiply-add), and a zero `alpha·op(B)[p,j]`
+/// is skipped — the per-entry order [`gemm_partitioned`] relies on.
+///
+/// # Safety
+/// As [`gemm_scalar`].
+#[inline(always)]
+unsafe fn scalar_jki(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: *const f64,
+    lda: usize,
+    b: *const f64,
+    ldb: usize,
+    tb: Transpose,
+    c: *mut f64,
+    ldc: usize,
+) {
+    for j in 0..n {
+        for p in 0..k {
+            let bpj = alpha * ld_get(b, ldb, p, j, tb);
+            if bpj == 0.0 {
+                continue;
+            }
+            let acol = a.add(p * lda);
+            let ccol = c.add(j * ldc);
+            for i in 0..m {
+                *ccol.add(i) += *acol.add(i) * bpj;
+            }
+        }
+    }
+}
+
+/// [`scalar_jki`] compiled with AVX2 codegen: the row loop runs four lanes
+/// wide with the same multiply and add per entry, so the bits do not move.
+///
+/// # Safety
+/// As [`gemm_scalar`], plus: the CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn scalar_jki_avx2(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: *const f64,
+    lda: usize,
+    b: *const f64,
+    ldb: usize,
+    tb: Transpose,
+    c: *mut f64,
+    ldc: usize,
+) {
+    scalar_jki(m, n, k, alpha, a, lda, b, ldb, tb, c, ldc)
 }
 
 /// Scales the `m×n` region of `c` (leading dimension `ldc`) by `beta`.
@@ -499,6 +550,99 @@ pub fn gemm(alpha: f64, a: &Mat, ta: Transpose, b: &Mat, tb: Transpose, beta: f6
             c.data_mut().as_mut_ptr(),
             ldc,
         );
+    }
+}
+
+/// `C[r, :] += alpha · Σₜ A[r, t] · B[t, :]` over a partition of `A`'s rows
+/// into row blocks and of its columns (`B`'s rows) into terms, bit-identical
+/// to the per-block loop
+///
+/// ```text
+/// for r in row blocks { for t in terms { gemm(alpha, A[r,t], No, B[t,:], No, 1.0, C[r,:]) } }
+/// ```
+///
+/// `row_ptr` and `term_ptr` are the block boundaries (`0`, …, `A.nrows()`
+/// and `0`, …, `A.ncols()`, non-decreasing). Only each entry's order of
+/// operations fixes its bits, not the number of calls: the scalar path adds
+/// `A[i,p]·(alpha·B[p,j])` to `C[i,j]` in ascending `p` and skips a zero
+/// `alpha·B[p,j]`, so the terms of a row block that would take it merge into
+/// one pass along `p`, and row blocks whose every term would take it stack
+/// into one pass along `i`. A term on the blocked path sums each packed
+/// panel in registers before it adds to `C`, so it stays a call of its own,
+/// reading its operands as views of `A` and `B`.
+pub fn gemm_partitioned(
+    alpha: f64,
+    a: &Mat,
+    row_ptr: &[usize],
+    term_ptr: &[usize],
+    b: &Mat,
+    c: &mut Mat,
+) {
+    let (m, n, k) = gemm_shapes(a, Transpose::No, b, Transpose::No, c);
+    for (ptr, end) in [(row_ptr, m), (term_ptr, k)] {
+        assert!(
+            ptr.first() == Some(&0) && ptr.last() == Some(&end),
+            "partition must span 0..{end}"
+        );
+        assert!(ptr.windows(2).all(|w| w[0] <= w[1]), "partition must be non-decreasing");
+    }
+    if alpha == 0.0 || n == 0 {
+        return;
+    }
+    let (lda, ldb, ldc) = (a.nrows(), b.nrows(), c.nrows());
+    let (a, b, c) = (a.data().as_ptr(), b.data().as_ptr(), c.data_mut().as_mut_ptr());
+    let widest = term_ptr.windows(2).map(|t| t[1] - t[0]).max().unwrap_or(0);
+    let scalar = |rows: usize, k: usize| rows * n * k <= SMALL_FLOPS;
+    // `C[i0.., :] += alpha · A[i0.., p0..p0+kk] · B[p0..p0+kk, :]` over `rows`
+    // rows, on views of the three operands.
+    let product = |i0: usize, rows: usize, p0: usize, kk: usize, blocked: bool| {
+        let (ta, tb) = (Transpose::No, Transpose::No);
+        // SAFETY: callers pass rows inside one run of row blocks and `k`
+        // indices inside one run of terms, and both partitions span `A`'s
+        // checked shape (`m×k`), `B`'s (`k×n`) and `C`'s (`m×n`), so every
+        // view is in bounds. `C` is a distinct, exclusively borrowed
+        // allocation.
+        unsafe {
+            let (at, bt, ct) = (a.add(p0 * lda + i0), b.add(p0), c.add(i0));
+            if blocked {
+                gemm_blocked(rows, n, kk, alpha, at, lda, ta, bt, ldb, tb, ct, ldc)
+            } else {
+                gemm_scalar(rows, n, kk, alpha, at, lda, ta, bt, ldb, tb, ct, ldc)
+            }
+        }
+    };
+    let rows = |r: usize| row_ptr[r + 1] - row_ptr[r];
+    let (nblocks, nterms) = (row_ptr.len() - 1, term_ptr.len() - 1);
+    let mut r = 0;
+    while r < nblocks {
+        let i0 = row_ptr[r];
+        if scalar(rows(r), widest) {
+            // Every term of this row block and of the next ones like it
+            // takes the scalar path: one pass over their rows and all of `k`.
+            let mut end = r + 1;
+            while end < nblocks && scalar(rows(end), widest) {
+                end += 1;
+            }
+            product(i0, row_ptr[end] - i0, 0, k, false);
+            r = end;
+            continue;
+        }
+        let mut t = 0;
+        while t < nterms {
+            let p0 = term_ptr[t];
+            if scalar(rows(r), term_ptr[t + 1] - p0) {
+                let mut end = t + 1;
+                while end < nterms && scalar(rows(r), term_ptr[end + 1] - term_ptr[end]) {
+                    end += 1;
+                }
+                product(i0, rows(r), p0, term_ptr[end] - p0, false);
+                t = end;
+            } else {
+                product(i0, rows(r), p0, term_ptr[t + 1] - p0, true);
+                t += 1;
+            }
+        }
+        r += 1;
     }
 }
 

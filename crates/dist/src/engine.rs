@@ -11,16 +11,17 @@
 //! window lets the collectives of several supernodes overlap, the
 //! asynchrony the paper's tree-based communication is designed for.
 //!
-//! The local GEMM step is [`local_gemms`], a fork-join over the rank's
-//! pool with the rank thread helping: the loop does not poll while it
-//! runs.
+//! The local GEMM step is [`local_gemms`]: per supernode, the rank gathers
+//! the `A⁻¹` pieces of its `(target, ancestor)` block pairs into strips of
+//! targets and runs one product per strip, a fork-join over the rank's pool
+//! with the rank thread helping. The loop does not poll while it runs.
 //!
 //! # Determinism
 //!
 //! The window reorders *communication*, never *arithmetic*:
 //!
-//! * every GEMM target block keeps its fixed ascending-ancestor
-//!   accumulation order ([`local_gemms`]);
+//! * every entry of a GEMM target block keeps its fixed sequence of
+//!   operations, ancestors ascending ([`local_gemms`]);
 //! * nonblocking reductions consume child contributions in arrival order
 //!   but park them in per-child slots summed in the tree's fixed child
 //!   order ([`TreeReduceNb`]);
@@ -92,7 +93,7 @@ impl Need {
 }
 
 /// The GEMM stage's dependency set on this rank: the ancestor `A⁻¹` piece
-/// `gather_sub` reads for each `(target, ancestor)` pair of
+/// [`RankState::gather_strip`] reads for each `(target, ancestor)` pair of
 /// [`gemm_task_specs`] whose producer is still `live`. The piece of pair
 /// `(J, I)` is produced by supernode `min(J, I)` — the `Row-Reduce` of `I`
 /// (`Lower`), the step-5 transpose of `J` (`Upper`) or the diagonal
