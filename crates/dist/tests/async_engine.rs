@@ -150,6 +150,63 @@ fn async_engine_overlaps_collectives() {
 }
 
 #[test]
+fn a_window_of_one_sends_the_next_supernodes_u_hat_ahead() {
+    // The Û horizon: a window of one still computes one supernode at a time
+    // (`async_engine_overlaps_collectives`), but the next supernode's
+    // transposes and Col-Bcasts start while the current one computes. On
+    // every rank that takes part in both `k` and `k - 1`, the first
+    // Transpose or ColBcast span of `k - 1` is recorded before the last
+    // event of `k` — where `k` computes on the rank: a rank whose task ends
+    // with its Û has nothing of `k` left to overlap — and every reduction
+    // of `k - 1`, the stages a task reaches only after its GEMM, after it.
+    use pselinv_trace::{CollKind, EventKind};
+    let f = small_factor();
+    let grid = Grid2D::new(2, 2);
+    let (_, _, trace) =
+        distributed_selinv_traced(f, grid, &opts(TreeScheme::ShiftedBinary, 1), "window-1");
+    let mut pairs = 0;
+    for (r, rank) in trace.ranks.iter().enumerate() {
+        let keyed: Vec<(usize, CollKind, u64)> = rank
+            .events
+            .iter()
+            .enumerate()
+            .filter_map(|(i, e)| match e.kind {
+                EventKind::Span { coll, key, .. } | EventKind::Wait { coll, key, .. } => {
+                    Some((i, coll, key))
+                }
+                _ => None,
+            })
+            .collect();
+        for k in 1..f.symbolic.num_supernodes() as u64 {
+            const REDUCES: [CollKind; 2] = [CollKind::RowReduce, CollKind::DiagReduce];
+            let first = |key: u64, kinds: &[CollKind]| {
+                keyed.iter().filter(|e| e.2 == key && kinds.contains(&e.1)).map(|e| e.0).min()
+            };
+            let Some(last_k) = keyed.iter().filter(|e| e.2 == k).map(|e| e.0).max() else {
+                continue;
+            };
+            let u_hat = first(k - 1, &[CollKind::Transpose, CollKind::ColBcast]);
+            if let (Some(first_u_hat), Some(_)) = (u_hat, first(k, &REDUCES)) {
+                assert!(
+                    first_u_hat < last_k,
+                    "rank {r}: supernode {}'s Û started only after supernode {k} finished",
+                    k - 1
+                );
+                pairs += 1;
+            }
+            if let Some(first_reduce) = first(k - 1, &REDUCES) {
+                assert!(
+                    first_reduce > last_k,
+                    "rank {r}: supernode {} computed before supernode {k} finished",
+                    k - 1
+                );
+            }
+        }
+    }
+    assert!(pairs > 0, "no rank takes part in two consecutive supernodes");
+}
+
+#[test]
 fn async_engine_multithreaded_gemms_stay_bit_identical() {
     let f = small_factor();
     let grid = Grid2D::new(2, 2);
@@ -184,7 +241,7 @@ proptest! {
     fn async_engine_survives_chaos_bit_identically(
         seed in 0u64..1_000_000,
         scheme_i in 0usize..4,
-        la_i in 0usize..3,
+        la_i in 0usize..4,
         grid_i in 0usize..2,
         delay in 0u64..40,
         jitter in 0u64..40,
@@ -197,7 +254,7 @@ proptest! {
             TreeScheme::ShiftedBinary,
             TreeScheme::RandomPerm,
         ][scheme_i];
-        let lookahead = [2usize, 4, usize::MAX][la_i];
+        let lookahead = [1usize, 2, 4, usize::MAX][la_i];
         let grid = [Grid2D::new(2, 2), Grid2D::new(2, 3)][grid_i];
         let f = small_factor();
 
