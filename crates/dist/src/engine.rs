@@ -12,19 +12,32 @@
 //! supernodes overlap, the asynchrony the paper's tree-based communication
 //! is designed for.
 //!
+//! # The descent order
+//!
+//! A supernode's phase-2 inputs come only from its etree ancestors, so
+//! supernodes in disjoint subtrees are independent. Every rank activates a
+//! query's supernodes in one [`descent_order`]: descending index for a
+//! window of one, and above it by etree depth (root first), descending
+//! index within a depth. A window then holds supernodes of one depth, which
+//! never wait on each other, where descending index — a preorder of the
+//! postordered etree — fills it with a parent→child chain. At a window of
+//! one the order cannot add concurrency but decides locality, and
+//! descending index keeps consecutive supernodes on overlapping ancestors.
+//!
 //! # The Û horizon
 //!
 //! The transposes and `Col-Bcast`s of `Û_{K,I}` read only phase 1's `L̂`.
-//! So behind each window runs a *horizon* of as many supernodes again
-//! (saturating for an unbounded window): a horizon task has fired its
-//! transpose sends and posted its receives, and forwards its `Col-Bcast`s,
-//! but its GEMM stage — and with it every later stage — waits until the
-//! task enters the window. One window of `Û` is in flight while one window
-//! computes. Horizon and window tasks are the same machine, told apart by
-//! their position in the query's active list, and the loop sweeps both.
-//! A task's GEMM needs ([`gemm_needs`]) are recorded when it enters the
-//! window, against the window's live tasks at that moment: their producers
-//! have higher indices, so they are in the window or already retired.
+//! So behind each window runs a *horizon* of as many supernodes again, the
+//! next ones in the descent order (saturating for an unbounded window): a
+//! horizon task has fired its transpose sends and posted its receives, and
+//! forwards its `Col-Bcast`s, but its GEMM stage — and with it every later
+//! stage — waits until the task enters the window. One window of `Û` is in
+//! flight while one window computes. Horizon and window tasks are the same
+//! machine, told apart by their position in the query's active list, and
+//! the loop sweeps both. A task's GEMM needs ([`gemm_needs`]) are recorded
+//! when it enters the window, against the query's live tasks at that
+//! moment: their producers are ancestors, activated before it, so they are
+//! in the window or already retired.
 //!
 //! The local GEMM step is [`local_gemms`]: per supernode, the rank gathers
 //! the `A⁻¹` pieces of its `(target, ancestor)` block pairs into strips of
@@ -33,7 +46,8 @@
 //!
 //! # Determinism
 //!
-//! The window and the horizon reorder *communication*, never *arithmetic*:
+//! The window, the horizon and the descent order reorder *communication*,
+//! never *arithmetic*:
 //!
 //! * every entry of a GEMM target block keeps its fixed sequence of
 //!   operations, ancestors ascending ([`local_gemms`]);
@@ -49,17 +63,20 @@
 //!
 //! # Deadlock freedom
 //!
-//! Each rank activates the supernodes it participates in, in descending
-//! order, and a task stays active until done. The window holds at least
-//! one task, so a rank never stops activating. Consider the globally
-//! highest-indexed unfinished supernode `k*`: on every participating rank
-//! all supernodes above `k*` are finished, so `k*` is first in the active
-//! list there, hence inside the window (a full window would imply an
-//! unfinished task above `k*`). Its stage dependencies reach only finished
-//! supernodes and `k*` itself, so some rank can always advance it;
-//! induction drains the schedule. The horizon does not weaken this: a
-//! horizon task only holds posted receives and has made non-blocking
-//! sends, so it never stands between `k*` and its inputs.
+//! Each rank activates the supernodes it participates in, in the descent
+//! order, and a task stays active until done. The order is the same on
+//! every rank (it depends only on the structure and the window) and puts
+//! every etree ancestor before its descendants. The window holds at least
+//! one task, so a rank never stops activating. Consider the first
+//! unfinished supernode `k*` of the descent order: on every participating
+//! rank all supernodes before `k*` are finished, so `k*` is first in the
+//! active list there, hence inside the window (a full window would imply
+//! an unfinished task before `k*`). Its stage dependencies reach only its
+//! ancestors, which come before it and are finished, and `k*` itself, so
+//! some rank can always advance it; induction drains the schedule. The
+//! horizon does not weaken this: a horizon task only holds posted receives
+//! and has made non-blocking sends, so it never stands between `k*` and its
+//! inputs.
 //!
 //! The multi-query driver ([`phase2_multi`]) extends the argument across
 //! the pole batch: every rank admits queries in ascending query order,
@@ -82,14 +99,16 @@ use pselinv_dense::{ldlt_invert, Mat};
 use pselinv_mpisim::{
     BlockedOn, Payload, Progress, RankCtx, RecvRequest, TreeBcastNb, TreeReduceNb,
 };
+use pselinv_order::etree::NONE;
 use pselinv_order::symbolic::SnBlock;
+use pselinv_order::SymbolicFactor;
 use pselinv_pool::Pool;
 use pselinv_trace::CollKind;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// Ancestor data a supernode's GEMM stage reads from [`RankState`], i.e.
-/// an output of an earlier (higher-indexed) supernode's task on this rank.
+/// an output of an ancestor supernode's task on this rank.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Need {
     /// `ainv_lower[bid]` — produced by a `Row-Reduce` root.
@@ -115,8 +134,8 @@ impl Need {
 /// [`gemm_task_specs`] whose producer is still `live`. The piece of pair
 /// `(J, I)` is produced by supernode `min(J, I)` — the `Row-Reduce` of `I`
 /// (`Lower`), the step-5 transpose of `J` (`Upper`) or the diagonal
-/// reduction of `J == I` (`Diag`) — and a producer that is no longer in the
-/// query's window has finished, so its piece is already on this rank. A
+/// reduction of `J == I` (`Diag`) — and a producer that is no longer active
+/// in the query has finished, so its piece is already on this rank. A
 /// window of one therefore records no need at all. No two pairs share a
 /// piece — a supernode's blocks have distinct `sn`, so `(J, I)` names a
 /// distinct block of `I`, of `J` or the diagonal of `J == I` — so the list
@@ -307,12 +326,12 @@ impl SnTask {
     }
 
     /// Records the GEMM stage's needs as the task enters the window, once:
-    /// `ahead` is the query's tasks in front of it — the window's live
-    /// tasks, among which are the producers still unfinished.
-    fn promote(&mut self, st: &RankState<'_>, ahead: &[SnTask]) {
+    /// `live[sn]` says whether supernode `sn` is active in the query. The
+    /// producers are ancestors, activated before this task, so a live one
+    /// is ahead of it in the window and an inactive one has retired.
+    fn promote(&mut self, st: &RankState<'_>, live: &[bool]) {
         if self.needs.is_none() {
-            let live = |sn: usize| ahead.binary_search_by(|t| sn.cmp(&t.k)).is_ok();
-            self.needs = Some(gemm_needs(st, st.sf.blocks_of(self.k), live));
+            self.needs = Some(gemm_needs(st, st.sf.blocks_of(self.k), |sn| live[sn]));
         }
     }
 
@@ -572,30 +591,59 @@ pub(crate) fn participates(layout: &Layout, me: usize, sp: &SupernodePlan, k: us
         || sp.row_reduces.iter().any(|t| t.members().contains(&me))
 }
 
-/// One query's descending-supernode window inside [`phase2_multi`].
-struct QueryRun {
-    /// Supernodes `next..ns` are activated or skipped for this query.
-    next: usize,
-    /// The activated, unfinished tasks in descending supernode order: the
-    /// first `window` are the window, the rest the Û horizon.
-    active: Vec<SnTask>,
+/// The order in which every rank activates a query's supernodes in phase 2
+/// under a window of `window` (see the module's *descent order*): a
+/// permutation of the supernodes that puts every etree ancestor before its
+/// descendants. At a window of one it is descending index; above it, etree
+/// depth ascending (roots first), then descending index. Depth takes one
+/// descending pass over `sn_parent`: the etree is postordered, so a parent
+/// has the higher index and its depth is known before its children's.
+pub(crate) fn descent_order(sf: &SymbolicFactor, window: usize) -> Vec<usize> {
+    let ns = sf.num_supernodes();
+    let mut order: Vec<usize> = (0..ns).rev().collect();
+    if window > 1 {
+        let mut depth = vec![0usize; ns];
+        for s in (0..ns).rev() {
+            let p = sf.sn_parent[s];
+            if p != NONE {
+                depth[s] = depth[p] + 1;
+            }
+        }
+        // Stable: within one depth the index stays descending.
+        order.sort_by_key(|&s| depth[s]);
+    }
+    order
 }
 
-impl QueryRun {
+/// One query's window over the descent order inside [`phase2_multi`].
+struct QueryRun<'o> {
+    /// The supernodes of the descent order not yet activated or skipped
+    /// for this query.
+    rest: &'o [usize],
+    /// The activated, unfinished tasks in descent order: the first
+    /// `window` are the window, the rest the Û horizon.
+    active: Vec<SnTask>,
+    /// `live[k]`: supernode `k` is in `active` — set at activation, cleared
+    /// at retirement.
+    live: Vec<bool>,
+}
+
+impl QueryRun<'_> {
     fn is_finished(&self) -> bool {
-        self.next == 0 && self.active.is_empty()
+        self.rest.is_empty() && self.active.is_empty()
     }
 }
 
 /// Phase 2 (descending) for one query or a batch of queries sharing one
 /// symbolic analysis and one communication plan: each query runs a sliding
 /// window of up to `window` supernode tasks (at least one,
-/// [`crate::DistOptions::window`]) over its own [`RankState`] (whose `qid`
-/// namespaces every tag and span), and one progress loop per rank drives
-/// them all — the collectives of one pole overlap the local GEMMs of
-/// another. Directly behind each window runs its Û horizon of up to
-/// `window` more tasks, activated but not yet computing: their transposes
-/// and `Col-Bcast`s travel while the window computes. The loop polls every
+/// [`crate::DistOptions::window`]) over the [`descent_order`] and its own
+/// [`RankState`] (whose `qid` namespaces every tag and span), and one
+/// progress loop per rank drives them all — the collectives of one pole
+/// overlap the local GEMMs of another. Directly behind each window runs its
+/// Û horizon of up to `window` more tasks, the next ones in the order,
+/// activated but not yet computing: their transposes and `Col-Bcast`s
+/// travel while the window computes. The loop polls every
 /// active task; when nothing advances and no window can grow, it parks
 /// (visible to the watchdog) until a message arrives. The park is filed
 /// under the oldest task's waiting stage ([`SnTask::waiting_on`]), so a
@@ -620,9 +668,11 @@ pub(crate) fn phase2_multi(
     // The window plus its horizon of as many tasks again, saturating for an
     // unbounded window.
     let span = window.saturating_mul(2);
-    let ns = states.first().map_or(0, |st| st.sf.num_supernodes());
-    let mut runs: Vec<QueryRun> =
-        states.iter().map(|_| QueryRun { next: ns, active: Vec::new() }).collect();
+    let order = states.first().map_or(Vec::new(), |st| descent_order(st.sf, window));
+    let mut runs: Vec<QueryRun> = states
+        .iter()
+        .map(|_| QueryRun { rest: &order, active: Vec::new(), live: vec![false; order.len()] })
+        .collect();
     let mut admitted = 0usize; // queries 0..admitted have entered the race
     let mut park_scope = false; // the last sweep left a scope open over the park
     ctx.sweep_then_park(BlockedOn::ANY, |ctx| {
@@ -637,16 +687,16 @@ pub(crate) fn phase2_multi(
             running += 1;
             progressed = true;
         }
-        // Grow every admitted query's window and horizon in descending
-        // supernode order.
+        // Grow every admitted query's window and horizon in descent order.
         for (st, run) in states[..admitted].iter_mut().zip(&mut runs) {
-            while run.active.len() < span && run.next > 0 {
-                let k = run.next - 1;
+            while run.active.len() < span {
+                let Some((&k, rest)) = run.rest.split_first() else { break };
                 if participates(st.layout, st.me, &plans[k], k) {
                     run.active.push(SnTask::activate(ctx, st, &plans[k], k));
+                    run.live[k] = true;
                     progressed = true;
                 }
-                run.next -= 1;
+                run.rest = rest;
                 // Skipping the supernodes this rank takes no part in can
                 // finish a query with no task retiring. That frees an
                 // admission slot, and the next query's first messages may
@@ -659,16 +709,21 @@ pub(crate) fn phase2_multi(
         }
         ctx.outstanding(runs.iter().map(|r| r.active.len().min(window)).sum());
         for (st, run) in states[..admitted].iter_mut().zip(&mut runs) {
-            for i in 0..run.active.len() {
-                let (ahead, rest) = run.active.split_at_mut(i);
-                let t = &mut rest[0];
+            for (i, t) in run.active.iter_mut().enumerate() {
                 if i < window {
-                    t.promote(st, ahead);
+                    t.promote(st, &run.live);
                 }
                 progressed |= t.poll(ctx, st, &plans[t.k], pool);
             }
             let before = run.active.len();
-            run.active.retain(|t| !t.is_done());
+            let live = &mut run.live;
+            run.active.retain(|t| {
+                let done = t.is_done();
+                if done {
+                    live[t.k] = false;
+                }
+                !done
+            });
             progressed |= run.active.len() != before;
         }
         if progressed {
@@ -780,6 +835,57 @@ mod tests {
                     }
                 }
                 assert!(total > 0, "{} {}x{}: no GEMM needs at all", w.name, grid.pr, grid.pc);
+            }
+        }
+    }
+
+    #[test]
+    fn descent_order_puts_ancestors_first_and_fills_a_window_by_depth() {
+        let workloads = [
+            gen::grid_laplacian_2d(9, 8),
+            gen::fem_3d(4, 4, 3, 1, 7),
+            gen::dg_hamiltonian(6, 6, 1, 6, 0xd6f),
+        ];
+        for w in &workloads {
+            let sf = analyze(&w.matrix.pattern(), &AnalyzeOptions::default());
+            let ns = sf.num_supernodes();
+            let depth = |mut s: usize| {
+                let mut d = 0;
+                while sf.sn_parent[s] != NONE {
+                    s = sf.sn_parent[s];
+                    d += 1;
+                }
+                d
+            };
+            assert!((0..ns).any(|s| depth(s) > 1), "{}: a flat etree tests nothing", w.name);
+            for window in [1, 2, 4, usize::MAX] {
+                let what = format!("{} window {window}", w.name);
+                let order = descent_order(&sf, window);
+                let mut pos = vec![usize::MAX; ns];
+                for (i, &s) in order.iter().enumerate() {
+                    assert_eq!(pos[s], usize::MAX, "{what}: supernode {s} twice");
+                    pos[s] = i;
+                }
+                assert_eq!(order.len(), ns, "{what}: not a permutation");
+                for s in 0..ns {
+                    let p = sf.sn_parent[s];
+                    assert!(p == NONE || pos[p] < pos[s], "{what}: {s} before its parent {p}");
+                    for a in sf.ancestor_sns(s) {
+                        assert!(pos[a] < pos[s], "{what}: {s} before its ancestor {a}");
+                    }
+                }
+                if window == 1 {
+                    assert!(order.iter().copied().eq((0..ns).rev()), "{what}: not descending");
+                    continue;
+                }
+                for pair in order.windows(2) {
+                    let (a, b) = (pair[0], pair[1]);
+                    let (da, db) = (depth(a), depth(b));
+                    assert!(
+                        da < db || (da == db && a > b),
+                        "{what}: {a} (depth {da}) then {b} (depth {db})"
+                    );
+                }
             }
         }
     }

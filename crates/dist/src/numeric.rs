@@ -5,8 +5,9 @@
 //! blocks of a run: tags, packing, the GEMM step (one `A⁻¹` strip gather
 //! and one [`gemm_partitioned`] per rank, supernode and strip of target
 //! blocks), the diagonal step, phase 1 (ascending, blocking diagonal
-//! broadcasts) and the assembly of the result. Phase 2 — supernodes in descending order; within a supernode:
-//! transpose sends, `Col-Bcast`s, local GEMMs, `Row-Reduce`s, the diagonal
+//! broadcasts) and the assembly of the result. Phase 2 — supernodes from
+//! the etree root down ([`crate::engine::descent_order`]); within a
+//! supernode: transpose sends, `Col-Bcast`s, local GEMMs, `Row-Reduce`s, the diagonal
 //! reduction, and the step-5 `A⁻¹` transposes, restricted to the
 //! collectives a rank participates in — runs on the one engine of
 //! [`crate::engine`], whose window ([`DistOptions::window`]) is the only
@@ -49,13 +50,15 @@ pub struct DistOptions {
     /// each entry's operations keep one fixed order, so any thread count
     /// produces bit-identical results.
     pub threads: usize,
-    /// How many descending supernodes may compute at once in phase 2: the
-    /// window of the engine ([`crate::engine`]), whose nonblocking tree
-    /// collectives are driven by a per-rank progress loop. `1` (the
-    /// default) is the lock-step schedule of the arithmetic, one
-    /// supernode's GEMM and reductions at a time; `>= 2` lets up to
+    /// How many supernodes may compute at once in phase 2: the window of
+    /// the engine ([`crate::engine`]), whose nonblocking tree collectives
+    /// are driven by a per-rank progress loop. `1` (the default) is the
+    /// lock-step schedule of the arithmetic, one supernode's GEMM and
+    /// reductions at a time, in descending index; `>= 2` lets up to
     /// `lookahead` supernodes overlap (use `usize::MAX` for an unbounded
-    /// window); `0` means `1` — read it through [`DistOptions::window`].
+    /// window), taken from the etree top down, depth by depth, so a window
+    /// holds supernodes that do not depend on each other; `0` means `1` —
+    /// read it through [`DistOptions::window`].
     /// Behind the window, as many supernodes again already exchange their
     /// `Û` (transposes and `Col-Bcast`s), at any window size. Results stay
     /// bit-identical and logical communication volumes unchanged.

@@ -15,10 +15,13 @@ use pselinv_dist::{
 };
 use pselinv_factor::LdlFactor;
 use pselinv_mpisim::{Grid2D, RankVolume, RunOptions};
-use pselinv_order::{analyze, AnalyzeOptions};
+use pselinv_order::etree::NONE;
+use pselinv_order::nd::NdOptions;
+use pselinv_order::{analyze, AnalyzeOptions, OrderingChoice};
 use pselinv_selinv::SelectedInverse;
 use pselinv_sparse::gen;
 use pselinv_trees::{TreeBuilder, TreeScheme};
+use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -204,6 +207,62 @@ fn a_window_of_one_sends_the_next_supernodes_u_hat_ahead() {
         }
     }
     assert!(pairs > 0, "no rank takes part in two consecutive supernodes");
+}
+
+#[test]
+fn a_wide_window_activates_supernodes_by_etree_depth() {
+    // A supernode waits only on its etree ancestors, so above a window of
+    // one every rank activates supernodes by etree depth, roots first: a
+    // window then holds supernodes of one depth, which never wait on each
+    // other, instead of a parent→child chain. Activation fires a
+    // supernode's transpose sends inside a Transpose span keyed to it, the
+    // first span of that kind and key on the rank.
+    use pselinv_trace::{CollKind, EventKind};
+    let w = gen::grid_laplacian_2d(15, 15);
+    let nd = AnalyzeOptions {
+        ordering: OrderingChoice::NestedDissection(w.geometry, NdOptions::default()),
+        ..AnalyzeOptions::default()
+    };
+    let sf = Arc::new(analyze(&w.matrix.pattern(), &nd));
+    assert!(sf.sn_children().iter().any(|c| c.len() > 1), "the etree does not branch");
+    let mut depth = vec![0usize; sf.num_supernodes()];
+    for s in (0..sf.num_supernodes()).rev() {
+        if sf.sn_parent[s] != NONE {
+            depth[s] = depth[sf.sn_parent[s]] + 1;
+        }
+    }
+    let f = pselinv_factor::factorize(&w.matrix, sf).unwrap();
+    let (_, _, trace) = distributed_selinv_traced(
+        &f,
+        Grid2D::new(2, 2),
+        &opts(TreeScheme::ShiftedBinary, 4),
+        "window-4",
+    );
+    let mut deeper = 0;
+    for (r, rank) in trace.ranks.iter().enumerate() {
+        let mut seen = HashSet::new();
+        let activated: Vec<usize> = rank
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Span { coll: CollKind::Transpose, key, .. } => Some(key as usize),
+                _ => None,
+            })
+            .filter(|&k| seen.insert(k))
+            .collect();
+        assert!(activated.len() > 1, "rank {r} activated {} supernodes", activated.len());
+        for pair in activated.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            assert!(
+                depth[a] <= depth[b],
+                "rank {r}: supernode {a} (depth {}) activated before {b} (depth {})",
+                depth[a],
+                depth[b]
+            );
+            deeper += usize::from(depth[a] < depth[b]);
+        }
+    }
+    assert!(deeper > 0, "no rank went down the etree");
 }
 
 #[test]
