@@ -6,11 +6,11 @@
 //! inputs arrive, over the nonblocking tree collectives of
 //! [`pselinv_mpisim::nb`]. A per-rank progress loop keeps up to
 //! [`crate::DistOptions::window`] supernodes in the *window* at once and
-//! parks on the inbox only when no task can advance. A window of one is
-//! the lock-step schedule of the arithmetic — supernodes compute strictly
-//! one at a time — and a wider window lets the collectives of several
-//! supernodes overlap, the asynchrony the paper's tree-based communication
-//! is designed for.
+//! parks on the inbox only when no task can advance. The window bounds GEMM
+//! stages; a tail of reducing tasks follows it. A window of one runs the
+//! GEMM stages strictly one at a time, and a wider window lets those of
+//! several supernodes overlap with their collectives, the asynchrony the
+//! paper's tree-based communication is designed for.
 //!
 //! # The descent order
 //!
@@ -32,12 +32,25 @@
 //! horizon task has fired its transpose sends and posted its receives, and
 //! forwards its `Col-Bcast`s, but its GEMM stage — and with it every later
 //! stage — waits until the task enters the window. One window of `Û` is in
-//! flight while one window computes. Horizon and window tasks are the same
-//! machine, told apart by their position in the query's active list, and
-//! the loop sweeps both. A task's GEMM needs ([`gemm_needs`]) are recorded
-//! when it enters the window, against the query's live tasks at that
-//! moment: their producers are ancestors, activated before it, so they are
-//! in the window or already retired.
+//! flight while one window computes. A task's GEMM needs ([`gemm_needs`])
+//! are recorded when it enters the window, against the query's live tasks
+//! at that moment: their producers are ancestors, activated before it, so
+//! they are in the window or the tail, or already retired.
+//!
+//! # The reduction tail
+//!
+//! The window counts only tasks whose GEMM stage has not run. Once a task's
+//! local GEMMs have run it leaves the window for the *tail*, where its
+//! `Row-Reduce`s, diagonal reduction and step-5 `A⁻¹` transposes finish
+//! while the next supernode computes; the window bounds GEMM stages and
+//! their contribution buffers, a tail task holds only the reduction state
+//! of its own output blocks. The tail has no bound of its own: a tail of at
+//! most one window measured 31 % off `poles-latency`'s wall time, an
+//! unbounded one 49 % (EXPERIMENTS.md, *The reduction tail*). A query
+//! activates tasks while fewer than the window plus its horizon have not
+//! run their GEMM. Tail, window and horizon tasks are the same machine,
+//! told apart by their GEMM flag and their position in the query's active
+//! list, and the loop sweeps all three.
 //!
 //! The local GEMM step is [`local_gemms`]: per supernode, the rank gathers
 //! the `A⁻¹` pieces of its `(target, ancestor)` block pairs into strips of
@@ -46,7 +59,8 @@
 //!
 //! # Determinism
 //!
-//! The window, the horizon and the descent order reorder *communication*,
+//! The window, the horizon, the tail and the descent order reorder
+//! *communication*,
 //! never *arithmetic*:
 //!
 //! * every entry of a GEMM target block keeps its fixed sequence of
@@ -70,13 +84,14 @@
 //! one task, so a rank never stops activating. Consider the first
 //! unfinished supernode `k*` of the descent order: on every participating
 //! rank all supernodes before `k*` are finished, so `k*` is first in the
-//! active list there, hence inside the window (a full window would imply
-//! an unfinished task before `k*`). Its stage dependencies reach only its
-//! ancestors, which come before it and are finished, and `k*` itself, so
-//! some rank can always advance it; induction drains the schedule. The
-//! horizon does not weaken this: a horizon task only holds posted receives
-//! and has made non-blocking sends, so it never stands between `k*` and its
-//! inputs.
+//! active list there. If its GEMM has not run, it is the first such task,
+//! hence inside the window; if it has, it is in the tail, which is swept on
+//! every pass. Its stage dependencies reach only its ancestors, which come
+//! before it and are finished, and `k*` itself, so some rank can always
+//! advance it; induction drains the schedule. The tail and the horizon do
+//! not weaken this: their tasks hold only posted receives, non-blocking
+//! sends and non-blocking reduction state, so they never stand between
+//! `k*` and its inputs.
 //!
 //! The multi-query driver ([`phase2_multi`]) extends the argument across
 //! the pole batch: every rank admits queries in ascending query order,
@@ -135,11 +150,11 @@ impl Need {
 /// `(J, I)` is produced by supernode `min(J, I)` — the `Row-Reduce` of `I`
 /// (`Lower`), the step-5 transpose of `J` (`Upper`) or the diagonal
 /// reduction of `J == I` (`Diag`) — and a producer that is no longer active
-/// in the query has finished, so its piece is already on this rank. A
-/// window of one therefore records no need at all. No two pairs share a
-/// piece — a supernode's blocks have distinct `sn`, so `(J, I)` names a
-/// distinct block of `I`, of `J` or the diagonal of `J == I` — so the list
-/// needs no de-duplication.
+/// in the query has finished, so its piece is already on this rank. At a
+/// window of one the only live producers are tail tasks still reducing. No
+/// two pairs share a piece — a supernode's blocks have distinct `sn`, so
+/// `(J, I)` names a distinct block of `I`, of `J` or the diagonal of
+/// `J == I` — so the list needs no de-duplication.
 fn gemm_needs(st: &RankState<'_>, blocks: &[SnBlock], live: impl Fn(usize) -> bool) -> Vec<Need> {
     let (targets, ancestors) = gemm_task_specs(st, blocks);
     let mut needs = Vec::new();
@@ -328,7 +343,8 @@ impl SnTask {
     /// Records the GEMM stage's needs as the task enters the window, once:
     /// `live[sn]` says whether supernode `sn` is active in the query. The
     /// producers are ancestors, activated before this task, so a live one
-    /// is ahead of it in the window and an inactive one has retired.
+    /// is ahead of it in the window or the tail and an inactive one has
+    /// retired.
     fn promote(&mut self, st: &RankState<'_>, live: &[bool]) {
         if self.needs.is_none() {
             self.needs = Some(gemm_needs(st, st.sf.blocks_of(self.k), |sn| live[sn]));
@@ -615,13 +631,15 @@ pub(crate) fn descent_order(sf: &SymbolicFactor, window: usize) -> Vec<usize> {
     order
 }
 
-/// One query's window over the descent order inside [`phase2_multi`].
+/// One query's window over the descent order inside [`phase2_multi`]: the
+/// window bounds GEMM stages; a tail of reducing tasks follows it.
 struct QueryRun<'o> {
     /// The supernodes of the descent order not yet activated or skipped
     /// for this query.
     rest: &'o [usize],
-    /// The activated, unfinished tasks in descent order: the first
-    /// `window` are the window, the rest the Û horizon.
+    /// The activated, unfinished tasks in descent order. Those whose GEMM
+    /// has run are the tail; of the rest, the first `window` are the window
+    /// and the others the Û horizon.
     active: Vec<SnTask>,
     /// `live[k]`: supernode `k` is in `active` — set at activation, cleared
     /// at retirement.
@@ -640,16 +658,19 @@ impl QueryRun<'_> {
 /// [`crate::DistOptions::window`]) over the [`descent_order`] and its own
 /// [`RankState`] (whose `qid` namespaces every tag and span), and one
 /// progress loop per rank drives them all — the collectives of one pole
-/// overlap the local GEMMs of another. Directly behind each window runs its
-/// Û horizon of up to `window` more tasks, the next ones in the order,
-/// activated but not yet computing: their transposes and `Col-Bcast`s
-/// travel while the window computes. The loop polls every
-/// active task; when nothing advances and no window can grow, it parks
-/// (visible to the watchdog) until a message arrives. The park is filed
-/// under the oldest task's waiting stage ([`SnTask::waiting_on`]), so a
-/// traced wait keeps its (phase, supernode) attribution. A window of one is the lock-step
-/// schedule of the arithmetic: one supernode computes at a time, every
-/// stage in order, while the next one's Û is already on its way.
+/// overlap the local GEMMs of another. The window bounds GEMM stages; a
+/// tail of reducing tasks follows it: a task leaves the window once its
+/// local GEMMs have run and finishes its reductions and `A⁻¹` transposes
+/// in the tail. Directly behind each window runs its Û horizon of up to
+/// `window` more tasks, the next ones in the order, activated but not yet
+/// computing: their transposes and `Col-Bcast`s travel while the window
+/// computes. The loop polls every active task; when nothing advances and no
+/// window can grow, it parks (visible to the watchdog) until a message
+/// arrives. The park is filed under the oldest task's waiting stage
+/// ([`SnTask::waiting_on`]), so a traced wait keeps its (phase, supernode)
+/// attribution. A window of one runs one GEMM stage at a time, in descent
+/// order, while the reductions before it finish and the next one's Û is
+/// already on its way. [`RankCtx::outstanding`] reports the window tasks.
 ///
 /// Admission control: queries are admitted in ascending index order, with
 /// at most `max_inflight` *unfinished* admitted queries at a time. Every
@@ -666,7 +687,7 @@ pub(crate) fn phase2_multi(
 ) {
     let max_inflight = max_inflight.max(1);
     // The window plus its horizon of as many tasks again, saturating for an
-    // unbounded window.
+    // unbounded window: the tasks whose GEMM has not run.
     let span = window.saturating_mul(2);
     let order = states.first().map_or(Vec::new(), |st| descent_order(st.sf, window));
     let mut runs: Vec<QueryRun> = states
@@ -687,13 +708,16 @@ pub(crate) fn phase2_multi(
             running += 1;
             progressed = true;
         }
-        // Grow every admitted query's window and horizon in descent order.
+        // Grow every admitted query's window and horizon in descent order;
+        // the tail, whose GEMMs have run, takes no room.
         for (st, run) in states[..admitted].iter_mut().zip(&mut runs) {
-            while run.active.len() < span {
+            let mut unrun = run.active.iter().filter(|t| !t.gemm_done).count();
+            while unrun < span {
                 let Some((&k, rest)) = run.rest.split_first() else { break };
                 if participates(st.layout, st.me, &plans[k], k) {
                     run.active.push(SnTask::activate(ctx, st, &plans[k], k));
                     run.live[k] = true;
+                    unrun += 1;
                     progressed = true;
                 }
                 run.rest = rest;
@@ -707,14 +731,19 @@ pub(crate) fn phase2_multi(
         if admitted == runs.len() && runs.iter().all(QueryRun::is_finished) {
             return Progress::Done(());
         }
-        ctx.outstanding(runs.iter().map(|r| r.active.len().min(window)).sum());
+        // The window is each query's first `window` tasks whose GEMM has
+        // not run; the tail (GEMM run) and the horizon are swept alike.
+        let mut in_window = 0;
         for (st, run) in states[..admitted].iter_mut().zip(&mut runs) {
-            for (i, t) in run.active.iter_mut().enumerate() {
-                if i < window {
+            let mut seats = window;
+            for t in run.active.iter_mut() {
+                if !t.gemm_done && seats > 0 {
+                    seats -= 1;
                     t.promote(st, &run.live);
                 }
                 progressed |= t.poll(ctx, st, &plans[t.k], pool);
             }
+            in_window += window - seats;
             let before = run.active.len();
             let live = &mut run.live;
             run.active.retain(|t| {
@@ -726,6 +755,7 @@ pub(crate) fn phase2_multi(
             });
             progressed |= run.active.len() != before;
         }
+        ctx.outstanding(in_window);
         if progressed {
             return Progress::Moved;
         }

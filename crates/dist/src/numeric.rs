@@ -52,13 +52,14 @@ pub struct DistOptions {
     pub threads: usize,
     /// How many supernodes may compute at once in phase 2: the window of
     /// the engine ([`crate::engine`]), whose nonblocking tree collectives
-    /// are driven by a per-rank progress loop. `1` (the default) is the
-    /// lock-step schedule of the arithmetic, one supernode's GEMM and
-    /// reductions at a time, in descending index; `>= 2` lets up to
-    /// `lookahead` supernodes overlap (use `usize::MAX` for an unbounded
-    /// window), taken from the etree top down, depth by depth, so a window
-    /// holds supernodes that do not depend on each other; `0` means `1` —
-    /// read it through [`DistOptions::window`].
+    /// are driven by a per-rank progress loop. The window bounds GEMM
+    /// stages; a tail of reducing tasks follows it. `1` (the default) runs
+    /// one supernode's GEMM stage at a time, in descending index, while the
+    /// reductions of those before it finish; `>= 2` lets up to `lookahead`
+    /// GEMM stages overlap (use `usize::MAX` for an unbounded window), taken
+    /// from the etree top down, depth by depth, so a window holds
+    /// supernodes that do not depend on each other; `0` means `1` — read it
+    /// through [`DistOptions::window`].
     /// Behind the window, as many supernodes again already exchange their
     /// `Û` (transposes and `Col-Bcast`s), at any window size. Results stay
     /// bit-identical and logical communication volumes unchanged.

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use pselinv_chaos::{FaultPlan, FaultSpec};
 use pselinv_dist::{
     distributed_selinv, distributed_selinv_traced, factor_poles, try_batched_selinv,
-    try_distributed_selinv, BatchOptions, DistOptions, Layout,
+    try_distributed_selinv, try_distributed_selinv_traced, BatchOptions, DistOptions, Layout,
 };
 use pselinv_factor::LdlFactor;
 use pselinv_mpisim::{Grid2D, RankVolume, RunOptions};
@@ -150,46 +150,73 @@ fn async_engine_overlaps_collectives() {
     assert!(h1 <= 1, "a window of one overlapped supernodes: high-water {h1}");
     let h = hwm(&wide_trace);
     assert!(h > 1, "lookahead=4 should overlap supernodes, got high-water {h}");
+    // The window counts GEMM stages not yet run; the tail of reducing tasks
+    // behind it is not in the count.
+    assert!(h <= 4, "lookahead=4 held more than four supernodes in its window: {h}");
+}
+
+/// Each traced span's `(event index, phase, key)` on one rank, in the order
+/// the spans closed; for a single query the key is the supernode.
+fn keyed_spans(rank: &pselinv_trace::RankTrace) -> Vec<(usize, pselinv_trace::CollKind, u64)> {
+    use pselinv_trace::EventKind;
+    rank.events
+        .iter()
+        .enumerate()
+        .filter_map(|(i, e)| match e.kind {
+            EventKind::Span { coll, key, .. } | EventKind::Wait { coll, key, .. } => {
+                Some((i, coll, key))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// The reduction phases: a task reaches them only after its GEMM stage.
+const REDUCES: [pselinv_trace::CollKind; 2] =
+    [pselinv_trace::CollKind::RowReduce, pselinv_trace::CollKind::DiagReduce];
+
+/// Each supernode's etree depth, roots at 0 (the etree is postordered, so
+/// one descending pass sees every parent before its children).
+fn etree_depths(sf: &pselinv_order::SymbolicFactor) -> Vec<usize> {
+    let mut depth = vec![0usize; sf.num_supernodes()];
+    for s in (0..sf.num_supernodes()).rev() {
+        if sf.sn_parent[s] != NONE {
+            depth[s] = depth[sf.sn_parent[s]] + 1;
+        }
+    }
+    depth
 }
 
 #[test]
 fn a_window_of_one_sends_the_next_supernodes_u_hat_ahead() {
-    // The Û horizon: a window of one still computes one supernode at a time
-    // (`async_engine_overlaps_collectives`), but the next supernode's
-    // transposes and Col-Bcasts start while the current one computes. On
-    // every rank that takes part in both `k` and `k - 1`, the first
-    // Transpose or ColBcast span of `k - 1` is recorded before the last
-    // event of `k` — where `k` computes on the rank: a rank whose task ends
-    // with its Û has nothing of `k` left to overlap — and every reduction
-    // of `k - 1`, the stages a task reaches only after its GEMM, after it.
-    use pselinv_trace::{CollKind, EventKind};
+    // The Û horizon: a window of one still runs one GEMM stage at a time,
+    // in descent order (`async_engine_overlaps_collectives`), but the next
+    // supernode's transposes and Col-Bcasts start while the current one
+    // computes. On every rank that takes part in both `k` and `k - 1`, the
+    // first Transpose or ColBcast span of `k - 1` is recorded before the
+    // last event of `k` — where `k` computes on the rank: a rank whose task
+    // ends with its Û has nothing of `k` left to overlap — and the first
+    // reduction span of `k - 1`, which opens as its GEMM stage ends, after
+    // `k`'s first one. `k`'s reductions may still be running then: they
+    // are the tail, not the window.
+    use pselinv_trace::CollKind;
     let f = small_factor();
     let grid = Grid2D::new(2, 2);
     let (_, _, trace) =
         distributed_selinv_traced(f, grid, &opts(TreeScheme::ShiftedBinary, 1), "window-1");
-    let mut pairs = 0;
+    let (mut pairs, mut horizons) = (0, 0);
     for (r, rank) in trace.ranks.iter().enumerate() {
-        let keyed: Vec<(usize, CollKind, u64)> = rank
-            .events
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| match e.kind {
-                EventKind::Span { coll, key, .. } | EventKind::Wait { coll, key, .. } => {
-                    Some((i, coll, key))
-                }
-                _ => None,
-            })
-            .collect();
+        let keyed = keyed_spans(rank);
+        let first = |key: u64, kinds: &[CollKind]| {
+            keyed.iter().filter(|e| e.2 == key && kinds.contains(&e.1)).map(|e| e.0).min()
+        };
         for k in 1..f.symbolic.num_supernodes() as u64 {
-            const REDUCES: [CollKind; 2] = [CollKind::RowReduce, CollKind::DiagReduce];
-            let first = |key: u64, kinds: &[CollKind]| {
-                keyed.iter().filter(|e| e.2 == key && kinds.contains(&e.1)).map(|e| e.0).min()
-            };
             let Some(last_k) = keyed.iter().filter(|e| e.2 == k).map(|e| e.0).max() else {
                 continue;
             };
             let u_hat = first(k - 1, &[CollKind::Transpose, CollKind::ColBcast]);
-            if let (Some(first_u_hat), Some(_)) = (u_hat, first(k, &REDUCES)) {
+            let Some(first_reduce_k) = first(k, &REDUCES) else { continue };
+            if let Some(first_u_hat) = u_hat {
                 assert!(
                     first_u_hat < last_k,
                     "rank {r}: supernode {}'s Û started only after supernode {k} finished",
@@ -199,14 +226,92 @@ fn a_window_of_one_sends_the_next_supernodes_u_hat_ahead() {
             }
             if let Some(first_reduce) = first(k - 1, &REDUCES) {
                 assert!(
-                    first_reduce > last_k,
-                    "rank {r}: supernode {} computed before supernode {k} finished",
+                    first_reduce > first_reduce_k,
+                    "rank {r}: supernode {} computed before supernode {k}",
                     k - 1
                 );
             }
         }
+        // The horizon is one window: the supernode two places after `k` in
+        // this rank's activation order (its first Transpose span) is
+        // activated only once `k`'s GEMM stage has run.
+        let mut seen = HashSet::new();
+        let activated: Vec<u64> = keyed
+            .iter()
+            .filter(|e| e.1 == CollKind::Transpose)
+            .map(|e| e.2)
+            .filter(|&k| seen.insert(k))
+            .collect();
+        for three in activated.windows(3) {
+            let (k, later) = (three[0], three[2]);
+            if let (Some(reduce), Some(activation)) =
+                (first(k, &REDUCES), first(later, &[CollKind::Transpose]))
+            {
+                assert!(
+                    activation > reduce,
+                    "rank {r}: supernode {later} was activated before supernode {k} computed"
+                );
+                horizons += 1;
+            }
+        }
     }
     assert!(pairs > 0, "no rank takes part in two consecutive supernodes");
+    assert!(horizons > 0, "no rank takes part in three supernodes");
+}
+
+#[test]
+fn a_supernode_leaves_the_window_once_its_gemm_has_run() {
+    // The window bounds GEMM stages, not reductions: a task whose GEMM has
+    // run joins the tail and frees its seat. So at lookahead 4 some rank
+    // starts a supernode's reduction while four or more supernodes earlier
+    // in the descent order (etree depth, then descending index) are still
+    // reducing — a window that held each task to its last reduction would
+    // hold at most three of them beside it. Every message spends 300 µs in
+    // flight, so a reduction outlasts the GEMMs behind it, as on a network.
+    let w = gen::grid_laplacian_2d(23, 23);
+    let nd = AnalyzeOptions {
+        ordering: OrderingChoice::NestedDissection(w.geometry, NdOptions::default()),
+        ..AnalyzeOptions::default()
+    };
+    let sf = Arc::new(analyze(&w.matrix.pattern(), &nd));
+    let depth = etree_depths(&sf);
+    let before = |a: usize, b: usize| depth[a] < depth[b] || (depth[a] == depth[b] && a > b);
+    let f = pselinv_factor::factorize(&w.matrix, sf.clone()).unwrap();
+    let latency =
+        FaultPlan::new(7).with_default(FaultSpec { delay_us: 300, ..FaultSpec::default() });
+    let run = RunOptions { faults: Some(latency), ..RunOptions::default() };
+    let (_, _, trace) = try_distributed_selinv_traced(
+        &f,
+        Grid2D::new(2, 2),
+        &opts(TreeScheme::ShiftedBinary, 4),
+        &run,
+        "window-4",
+    )
+    .expect("a latency-only run completes");
+    let mut most = 0;
+    for rank in &trace.ranks {
+        let keyed = keyed_spans(rank);
+        // Each supernode's first and last reduction span on this rank.
+        let mut reducing = vec![None::<(usize, usize)>; sf.num_supernodes()];
+        for &(i, coll, key) in &keyed {
+            if REDUCES.contains(&coll) {
+                let r = reducing[key as usize].get_or_insert((i, i));
+                r.1 = i;
+            }
+        }
+        for (s, rs) in reducing.iter().enumerate() {
+            let Some((start, _)) = *rs else { continue };
+            let earlier = reducing
+                .iter()
+                .enumerate()
+                .filter(|&(e, re)| {
+                    before(e, s) && re.is_some_and(|(first, last)| first < start && last > start)
+                })
+                .count();
+            most = most.max(earlier);
+        }
+    }
+    assert!(most >= 4, "at most {most} earlier supernodes were reducing when one started");
 }
 
 #[test]
@@ -225,12 +330,7 @@ fn a_wide_window_activates_supernodes_by_etree_depth() {
     };
     let sf = Arc::new(analyze(&w.matrix.pattern(), &nd));
     assert!(sf.sn_children().iter().any(|c| c.len() > 1), "the etree does not branch");
-    let mut depth = vec![0usize; sf.num_supernodes()];
-    for s in (0..sf.num_supernodes()).rev() {
-        if sf.sn_parent[s] != NONE {
-            depth[s] = depth[sf.sn_parent[s]] + 1;
-        }
-    }
+    let depth = etree_depths(&sf);
     let f = pselinv_factor::factorize(&w.matrix, sf).unwrap();
     let (_, _, trace) = distributed_selinv_traced(
         &f,

@@ -889,9 +889,11 @@ impl RankCtx {
         Arc::clone(&self.shared.states[self.rank].pool_busy)
     }
 
-    /// Reports the number of nonblocking collectives currently in flight on
-    /// this rank: forwards to the trace sink and mirrors the value into the
-    /// telemetry gauge. The async engine calls this as its window changes.
+    /// Reports how much work the caller has outstanding on this rank:
+    /// forwards the count to the trace sink (its high-water mark is
+    /// `outstanding_hwm`) and mirrors it into the telemetry gauge. The
+    /// phase-2 engine reports the supernodes in its windows — tasks whose
+    /// GEMM stage has not run, not the reductions or broadcasts in flight.
     pub fn outstanding(&mut self, count: usize) {
         if self.shared.telemetry {
             self.shared.states[self.rank].outstanding.store(count, Ordering::Relaxed);

@@ -42,9 +42,9 @@ pub struct RankMetrics {
     pub msg_size_log2: [u64; 33],
     /// High-water mark of the out-of-order stash.
     pub stash_hwm: usize,
-    /// High-water mark of simultaneously outstanding nonblocking
-    /// collectives (the async engine's communication/computation overlap:
-    /// a synchronous schedule never exceeds 1).
+    /// High-water mark of the count the rank reported as outstanding: the
+    /// phase-2 engine's window tasks, whose GEMM stage has not run (a
+    /// window of one never exceeds 1 per query).
     pub outstanding_hwm: usize,
     /// Payload bytes physically copied on this rank (packing a buffer for
     /// a send). Forwarded shared payloads add nothing here, so this is the
