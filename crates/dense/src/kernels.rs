@@ -9,8 +9,19 @@
 //! small diagonal triangles are solved by scalar loops and the bulk of the
 //! update is delegated to the GEMM core.
 //!
-//! The seed's scalar kernels are retained verbatim as `*_naive` — they are
-//! the reference every blocked kernel is property-tested against.
+//! [`gemm_partitioned`] and [`gemm_tiled`] multiply a matrix cut into
+//! blocks of rows and terms of columns, one pass for every block pair, each
+//! pair bit-identical to its own [`gemm`] call. The tiled entry takes its
+//! operands already in the microkernel's layout: `A` as [`RowTiles`] (`MR`
+//! rows by all of `k` per tile, one tile set per row block) and `B` as
+//! [`PackedCols`] (all of `k` by `NR` columns per panel), so a caller packs
+//! `B` once for many products and can write `A` straight from its sources;
+//! every `KC` chunk of every term is then a slice of both, and nothing is
+//! packed per call. [`scalar_path`] is the one rule that sends a product to
+//! the scalar loops or the microkernel.
+//!
+//! The seed's scalar kernels, the reference every blocked kernel is
+//! property-tested against, live with those tests (`tests/support`).
 
 // BLAS-style kernels take (dims, scalars, ptr+ld per operand) positionally.
 #![allow(clippy::too_many_arguments)]
@@ -175,6 +186,31 @@ unsafe fn microkernel_fma(
     microkernel_body(kc, alpha, ap, bp, c, ldc, mr, nr)
 }
 
+/// Runs [`microkernel_fma`] when `fma` (the result of [`use_fma_kernel`])
+/// allows it, [`microkernel`] otherwise.
+///
+/// # Safety
+/// As [`microkernel`].
+#[inline(always)]
+unsafe fn run_microkernel(
+    fma: bool,
+    kc: usize,
+    alpha: f64,
+    ap: &[f64],
+    bp: &[f64],
+    c: *mut f64,
+    ldc: usize,
+    mr: usize,
+    nr: usize,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if fma {
+        return microkernel_fma(kc, alpha, ap, bp, c, ldc, mr, nr);
+    }
+    let _ = fma;
+    microkernel(kc, alpha, ap, bp, c, ldc, mr, nr)
+}
+
 /// Returns whether the FMA microkernel may be dispatched on this CPU.
 /// `is_x86_feature_detected!` caches the CPUID probe internally.
 #[inline(always)]
@@ -322,17 +358,7 @@ unsafe fn gemm_blocked_with(
                         let mr = MR.min(mc - ir);
                         let ap = &apack[(ir / MR) * (kc * MR)..][..kc * MR];
                         let ct = c.add((jc + jr) * ldc + ic + ir);
-                        #[cfg(target_arch = "x86_64")]
-                        if fma {
-                            microkernel_fma(kc, alpha, ap, bp, ct, ldc, mr, nr);
-                        } else {
-                            microkernel(kc, alpha, ap, bp, ct, ldc, mr, nr);
-                        }
-                        #[cfg(not(target_arch = "x86_64"))]
-                        {
-                            let _ = fma;
-                            microkernel(kc, alpha, ap, bp, ct, ldc, mr, nr);
-                        }
+                        run_microkernel(fma, kc, alpha, ap, bp, ct, ldc, mr, nr);
                         ir += MR;
                     }
                     jr += NR;
@@ -493,7 +519,7 @@ pub unsafe fn gemm_raw(
     if alpha == 0.0 || k == 0 || m == 0 || n == 0 {
         return;
     }
-    if m * n * k <= SMALL_FLOPS {
+    if scalar_path(m, n, k) {
         gemm_scalar(m, n, k, alpha, a, lda, ta, b, ldb, tb, c, ldc);
     } else {
         gemm_blocked(m, n, k, alpha, a, lda, ta, b, ldb, tb, c, ldc);
@@ -526,7 +552,8 @@ fn k_of(k: usize) -> usize {
 /// Shapes: `op(A)` is `m×k`, `op(B)` is `k×n`, `C` is `m×n`.
 ///
 /// Large products run the packed blocked path; small ones the scalar
-/// kernels. Both agree with [`gemm_naive`] up to floating-point reordering.
+/// kernels. Both agree with the seed's scalar loops (kept under
+/// `tests/support`) up to floating-point reordering.
 pub fn gemm(alpha: f64, a: &Mat, ta: Transpose, b: &Mat, tb: Transpose, beta: f64, c: &mut Mat) {
     let (m, n, k) = gemm_shapes(a, ta, b, tb, c);
     let lda = a.nrows();
@@ -553,6 +580,214 @@ pub fn gemm(alpha: f64, a: &Mat, ta: Transpose, b: &Mat, tb: Transpose, beta: f6
     }
 }
 
+/// Whether a `rows×kk` by `kk×n` product takes the scalar path: below
+/// 24³ multiply-adds, packing costs more than it saves. The one rule that
+/// [`gemm`], [`gemm_partitioned`] and [`gemm_tiled`] apply, public so that a
+/// caller laying out operands for [`gemm_tiled`] decides as they do: a
+/// `(row block, term)` pair takes the blocked path exactly when
+/// `!scalar_path(rows, n, kk)`, so a row block has a blocked-path pair
+/// exactly when `!scalar_path(rows, n, widest)` for its widest term.
+pub fn scalar_path(rows: usize, n: usize, kk: usize) -> bool {
+    rows * n * kk <= SMALL_FLOPS
+}
+
+/// Asserts that `ptr` is a partition of `0..end`: it starts at `0`, ends at
+/// `end` and never decreases.
+fn check_partition(ptr: &[usize], end: usize) {
+    assert!(ptr.first() == Some(&0) && ptr.last() == Some(&end), "partition must span 0..{end}");
+    assert!(ptr.windows(2).all(|w| w[0] <= w[1]), "partition must be non-decreasing");
+}
+
+/// `B` (`k×n`) packed once into the microkernel's column panels: panel `s`
+/// holds columns `s·NR..(s+1)·NR` as `k` consecutive groups of `NR` values,
+/// zero-padded past `n`. Rows `p0..p0+kc` of a panel — one `KC` chunk of any
+/// term — are then one contiguous slice, so one pack serves every row block
+/// and term of a [`gemm_tiled`] call, and every call that shares `B`.
+pub struct PackedCols {
+    k: usize,
+    n: usize,
+    data: Vec<f64>,
+}
+
+impl PackedCols {
+    /// Packs `b`.
+    pub fn new(b: &Mat) -> Self {
+        let (k, n) = (b.nrows(), b.ncols());
+        let mut data = vec![0.0; n.div_ceil(NR) * NR * k];
+        // SAFETY: `pack_b` reads `b[0..k, 0..n]` under `b`'s own leading
+        // dimension and writes `n.div_ceil(NR)` panels of `k·NR` values.
+        unsafe { pack_b(&mut data, b.data().as_ptr(), k, Transpose::No, 0, k, 0, n) };
+        PackedCols { k, n, data }
+    }
+
+    /// Rows of `B`.
+    pub fn nrows(&self) -> usize {
+        self.k
+    }
+
+    /// Columns of `B`.
+    pub fn ncols(&self) -> usize {
+        self.n
+    }
+
+    /// `B[p, j]`.
+    #[inline(always)]
+    fn at(&self, p: usize, j: usize) -> f64 {
+        self.data[((j / NR) * self.k + p) * NR + j % NR]
+    }
+
+    /// Rows `p0..p0+kc` of panel `s`, as the microkernel reads them.
+    #[inline(always)]
+    fn panel(&self, s: usize, p0: usize, kc: usize) -> &[f64] {
+        &self.data[(s * self.k + p0) * NR..][..kc * NR]
+    }
+}
+
+/// `A` (`m×k`) cut into row blocks, each packed into the microkernel's row
+/// tiles: tile `s` of a block holds the block's rows `s·MR..(s+1)·MR` as `k`
+/// consecutive groups of `MR` values, zero-padded past the block's end, and
+/// no tile straddles two blocks. One `KC` chunk of any term is then one
+/// contiguous slice of each tile. A caller can write the tiles straight
+/// from its sources ([`RowTiles::from_fn`]) instead of first assembling `A`.
+pub struct RowTiles {
+    k: usize,
+    row_ptr: Vec<usize>,
+    /// First tile of each row block, then the tile count.
+    tile_ptr: Vec<usize>,
+    data: Vec<f64>,
+}
+
+impl RowTiles {
+    /// Tiles for row blocks at `row_ptr` (`0`, …, `m`, non-decreasing) and
+    /// `k` columns, written one row block at a time, in order:
+    /// `fill(r, block)` pushes the `k` columns of row block `r`, in order.
+    /// Every value is written once, the padding included, and a block's
+    /// tiles are written together, while they are in cache.
+    ///
+    /// # Panics
+    /// If a `fill` pushes other than `k` columns.
+    pub fn from_fn(
+        row_ptr: &[usize],
+        k: usize,
+        mut fill: impl FnMut(usize, &mut BlockPush<'_>),
+    ) -> Self {
+        check_partition(row_ptr, row_ptr.last().copied().unwrap_or(0));
+        let tile_ptr: Vec<usize> = std::iter::once(0)
+            .chain(row_ptr.windows(2).scan(0, |at, r| {
+                *at += (r[1] - r[0]).div_ceil(MR);
+                Some(*at)
+            }))
+            .collect();
+        let span = k * MR;
+        let mut data: Vec<f64> = Vec::with_capacity(tile_ptr[tile_ptr.len() - 1] * span);
+        for (r, block) in row_ptr.windows(2).enumerate() {
+            let (start, end) = (tile_ptr[r] * span, tile_ptr[r + 1] * span);
+            let tiles = &mut data.spare_capacity_mut()[..end - start];
+            let mut push = BlockPush { tiles, rows: block[1] - block[0], k, cols: 0 };
+            fill(r, &mut push);
+            assert_eq!(push.cols, k, "row block {r} takes all {k} columns");
+            // SAFETY: `end` is within the capacity reserved above, and the
+            // `k` pushes wrote every value of `start..end`: each column
+            // writes all `MR` rows of each of the block's tiles, the padding
+            // included ([`BlockPush::push_col`], [`BlockPush::push_col_with`]).
+            unsafe { data.set_len(end) };
+        }
+        RowTiles { k, row_ptr: row_ptr.to_vec(), tile_ptr, data }
+    }
+
+    /// The tiles of `a`'s rows, cut into row blocks at `row_ptr`.
+    pub fn from_mat(a: &Mat, row_ptr: &[usize]) -> Self {
+        assert_eq!(row_ptr.last(), Some(&a.nrows()), "row blocks must span A's rows");
+        RowTiles::from_fn(row_ptr, a.ncols(), |r, block| {
+            for p in 0..a.ncols() {
+                block.push_col(&a.col(p)[row_ptr[r]..row_ptr[r + 1]]);
+            }
+        })
+    }
+
+    /// Rows of `A`.
+    pub fn nrows(&self) -> usize {
+        self.row_ptr[self.row_ptr.len() - 1]
+    }
+
+    /// Columns of `A`.
+    pub fn ncols(&self) -> usize {
+        self.k
+    }
+}
+
+impl Drop for RowTiles {
+    /// Hands the buffer back to this thread's arena if it is larger.
+    fn drop(&mut self) {
+        TILE_ARENA.with(|arena| {
+            let mut arena = arena.borrow_mut();
+            if arena.capacity() < self.data.capacity() {
+                *arena = std::mem::take(&mut self.data);
+            }
+        });
+    }
+}
+
+std::thread_local! {
+    /// The largest [`RowTiles`] buffer dropped on this thread, reused by the
+    /// next [`RowTiles::from_fn`]: steady-state gathers write into memory
+    /// that is already mapped.
+    static TILE_ARENA: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// One row block of a [`RowTiles`] being written ([`RowTiles::from_fn`]):
+/// its tiles, still unwritten, filled one column at a time.
+pub struct BlockPush<'t> {
+    tiles: &'t mut [std::mem::MaybeUninit<f64>],
+    rows: usize,
+    k: usize,
+    /// Columns pushed so far.
+    cols: usize,
+}
+
+impl BlockPush<'_> {
+    /// Appends the block's next column: its row `i` gets `src[i]`.
+    #[inline]
+    pub fn push_col(&mut self, src: &[f64]) {
+        assert_eq!(src.len(), self.rows, "one value per row of the block");
+        let at = self.next_col() * MR;
+        let span = self.k * MR;
+        let mut chunks = src.chunks_exact(MR);
+        for (s, chunk) in (&mut chunks).enumerate() {
+            for (d, &v) in self.tiles[s * span + at..][..MR].iter_mut().zip(chunk) {
+                d.write(v);
+            }
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let dst = &mut self.tiles[(self.rows / MR) * span + at..][..MR];
+            for (i, d) in dst.iter_mut().enumerate() {
+                d.write(rest.get(i).copied().unwrap_or(0.0));
+            }
+        }
+    }
+
+    /// Appends the block's next column: its row `i` gets `value(i)`, rows
+    /// ascending.
+    #[inline]
+    pub fn push_col_with(&mut self, mut value: impl FnMut(usize) -> f64) {
+        let at = self.next_col() * MR;
+        let span = self.k * MR;
+        for (s, i0) in (0..self.rows).step_by(MR).enumerate() {
+            for (i, d) in self.tiles[s * span + at..][..MR].iter_mut().enumerate() {
+                d.write(if i0 + i < self.rows { value(i0 + i) } else { 0.0 });
+            }
+        }
+    }
+
+    /// The index of the column being pushed.
+    fn next_col(&mut self) -> usize {
+        assert!(self.cols < self.k, "a row block takes {} columns", self.k);
+        self.cols += 1;
+        self.cols - 1
+    }
+}
+
 /// `C[r, :] += alpha · Σₜ A[r, t] · B[t, :]` over a partition of `A`'s rows
 /// into row blocks and of its columns (`B`'s rows) into terms, bit-identical
 /// to the per-block loop
@@ -565,11 +800,10 @@ pub fn gemm(alpha: f64, a: &Mat, ta: Transpose, b: &Mat, tb: Transpose, beta: f6
 /// and `0`, …, `A.ncols()`, non-decreasing). Only each entry's order of
 /// operations fixes its bits, not the number of calls: the scalar path adds
 /// `A[i,p]·(alpha·B[p,j])` to `C[i,j]` in ascending `p` and skips a zero
-/// `alpha·B[p,j]`, so the terms of a row block that would take it merge into
-/// one pass along `p`, and row blocks whose every term would take it stack
-/// into one pass along `i`. A term on the blocked path sums each packed
-/// panel in registers before it adds to `C`, so it stays a call of its own,
-/// reading its operands as views of `A` and `B`.
+/// `alpha·B[p,j]`, so when every pair would take it ([`scalar_path`]) the
+/// whole product is one scalar pass over `A` as it is stored. Otherwise `A`
+/// is cut into [`RowTiles`], `B` packed into [`PackedCols`], and
+/// [`gemm_tiled`] runs the pairs.
 pub fn gemm_partitioned(
     alpha: f64,
     a: &Mat,
@@ -579,152 +813,223 @@ pub fn gemm_partitioned(
     c: &mut Mat,
 ) {
     let (m, n, k) = gemm_shapes(a, Transpose::No, b, Transpose::No, c);
-    for (ptr, end) in [(row_ptr, m), (term_ptr, k)] {
-        assert!(
-            ptr.first() == Some(&0) && ptr.last() == Some(&end),
-            "partition must span 0..{end}"
-        );
-        assert!(ptr.windows(2).all(|w| w[0] <= w[1]), "partition must be non-decreasing");
-    }
+    check_partition(row_ptr, m);
+    check_partition(term_ptr, k);
     if alpha == 0.0 || n == 0 {
         return;
     }
-    let (lda, ldb, ldc) = (a.nrows(), b.nrows(), c.nrows());
-    let (a, b, c) = (a.data().as_ptr(), b.data().as_ptr(), c.data_mut().as_mut_ptr());
     let widest = term_ptr.windows(2).map(|t| t[1] - t[0]).max().unwrap_or(0);
-    let scalar = |rows: usize, k: usize| rows * n * k <= SMALL_FLOPS;
-    // `C[i0.., :] += alpha · A[i0.., p0..p0+kk] · B[p0..p0+kk, :]` over `rows`
-    // rows, on views of the three operands.
-    let product = |i0: usize, rows: usize, p0: usize, kk: usize, blocked: bool| {
+    if row_ptr.windows(2).all(|r| scalar_path(r[1] - r[0], n, widest)) {
+        let (lda, ldb, ldc) = (a.nrows(), b.nrows(), c.nrows());
         let (ta, tb) = (Transpose::No, Transpose::No);
-        // SAFETY: callers pass rows inside one run of row blocks and `k`
-        // indices inside one run of terms, and both partitions span `A`'s
-        // checked shape (`m×k`), `B`'s (`k×n`) and `C`'s (`m×n`), so every
-        // view is in bounds. `C` is a distinct, exclusively borrowed
-        // allocation.
+        // SAFETY: the shapes were checked against the stored dimensions, and
+        // `c` is a distinct, exclusively borrowed allocation.
         unsafe {
-            let (at, bt, ct) = (a.add(p0 * lda + i0), b.add(p0), c.add(i0));
-            if blocked {
-                gemm_blocked(rows, n, kk, alpha, at, lda, ta, bt, ldb, tb, ct, ldc)
-            } else {
-                gemm_scalar(rows, n, kk, alpha, at, lda, ta, bt, ldb, tb, ct, ldc)
-            }
+            let (a, b, c) = (a.data().as_ptr(), b.data().as_ptr(), c.data_mut().as_mut_ptr());
+            gemm_scalar(m, n, k, alpha, a, lda, ta, b, ldb, tb, c, ldc);
         }
-    };
-    let rows = |r: usize| row_ptr[r + 1] - row_ptr[r];
-    let (nblocks, nterms) = (row_ptr.len() - 1, term_ptr.len() - 1);
-    let mut r = 0;
-    while r < nblocks {
-        let i0 = row_ptr[r];
-        if scalar(rows(r), widest) {
-            // Every term of this row block and of the next ones like it
-            // takes the scalar path: one pass over their rows and all of `k`.
-            let mut end = r + 1;
-            while end < nblocks && scalar(rows(end), widest) {
-                end += 1;
-            }
-            product(i0, row_ptr[end] - i0, 0, k, false);
-            r = end;
-            continue;
-        }
-        let mut t = 0;
-        while t < nterms {
-            let p0 = term_ptr[t];
-            if scalar(rows(r), term_ptr[t + 1] - p0) {
-                let mut end = t + 1;
-                while end < nterms && scalar(rows(r), term_ptr[end + 1] - term_ptr[end]) {
-                    end += 1;
-                }
-                product(i0, rows(r), p0, term_ptr[end] - p0, false);
-                t = end;
-            } else {
-                product(i0, rows(r), p0, term_ptr[t + 1] - p0, true);
-                t += 1;
-            }
-        }
-        r += 1;
+    } else {
+        gemm_tiled(alpha, &RowTiles::from_mat(a, row_ptr), term_ptr, &PackedCols::new(b), c);
     }
 }
 
-/// The seed's scalar GEMM, retained as the reference implementation for
-/// property tests.
-pub fn gemm_naive(
-    alpha: f64,
-    a: &Mat,
-    ta: Transpose,
-    b: &Mat,
-    tb: Transpose,
-    beta: f64,
-    c: &mut Mat,
-) {
-    let (m, n, k) = gemm_shapes(a, ta, b, tb, c);
-
-    if beta != 1.0 {
-        for v in c.data_mut() {
-            *v *= beta;
-        }
-    }
-    if alpha == 0.0 || k == 0 {
+/// [`gemm_partitioned`] over operands already in the microkernel's layout:
+/// `C[r, :] += alpha · Σₜ A[r, t] · B[t, :]` for `A`'s row blocks in
+/// `a` and its terms at `term_ptr`, bit-identical to one [`gemm`] per
+/// `(row block, term)` pair, terms ascending.
+///
+/// Each pair keeps its own path ([`scalar_path`]) and with it each entry's
+/// sequence of operations. A scalar-path pair adds `A[i,p]·(alpha·B[p,j])`
+/// to `C[i,j]` in ascending `p`, skipping a zero `alpha·B[p,j]`. A
+/// blocked-path pair runs the microkernel on each `KC` chunk of its term,
+/// which sums the chunk in registers from zero and adds `alpha` times the
+/// sum to `C`: one flush per term and chunk, as [`gemm`]'s blocked path
+/// does. The microkernel reads its operands as slices of `a` and `b`,
+/// which are packed once for all pairs instead of once per call.
+pub fn gemm_tiled(alpha: f64, a: &RowTiles, term_ptr: &[usize], b: &PackedCols, c: &mut Mat) {
+    let (m, n, k) = (a.nrows(), b.ncols(), a.ncols());
+    assert_eq!(b.nrows(), k, "gemm_tiled inner dimensions differ: {k} vs {}", b.nrows());
+    assert_eq!((c.nrows(), c.ncols()), (m, n), "gemm_tiled C shape mismatch");
+    check_partition(term_ptr, k);
+    if alpha == 0.0 || n == 0 || k == 0 {
         return;
     }
+    let (ldc, c) = (c.nrows(), c.data_mut().as_mut_ptr());
+    let fma = use_fma_kernel();
+    let avx2 = use_avx2_kernel();
+    for r in 0..a.row_ptr.len() - 1 {
+        let rows = a.row_ptr[r + 1] - a.row_ptr[r];
+        let span = k * MR;
+        let tiles = &a.data[a.tile_ptr[r] * span..a.tile_ptr[r + 1] * span];
+        let scalar = |t: usize| scalar_path(rows, n, term_ptr[t + 1] - term_ptr[t]);
+        let mut t = 0;
+        while t < term_ptr.len() - 1 {
+            // A run of scalar-path terms is one pass along `p`: each entry's
+            // order is the same as term by term.
+            let mut end = t + 1;
+            while scalar(t) && end < term_ptr.len() - 1 && scalar(end) {
+                end += 1;
+            }
+            let (p0, kk) = (term_ptr[t], term_ptr[end] - term_ptr[t]);
+            // SAFETY: row block `r` covers rows `row_ptr[r]..` of `C`'s `m`,
+            // `C` is `m×n` with leading dimension `ldc` and exclusively
+            // borrowed, and `tiles` holds the block's tiles over all of `k`.
+            unsafe {
+                let cr = c.add(a.row_ptr[r]);
+                if scalar(t) {
+                    tiled_scalar(avx2, alpha, tiles, rows, p0, kk, b, cr, ldc);
+                } else {
+                    tiled_blocked(fma, alpha, tiles, rows, p0, kk, b, cr, ldc);
+                }
+            }
+            t = end;
+        }
+    }
+}
 
-    match (ta, tb) {
-        (Transpose::No, Transpose::No) => {
-            // jki order: stream down columns of A and C.
-            for j in 0..n {
-                for p in 0..k {
-                    let bpj = alpha * b[(p, j)];
-                    if bpj == 0.0 {
-                        continue;
-                    }
-                    let acol = a.col(p);
-                    let ccol = c.col_mut(j);
-                    for i in 0..m {
-                        ccol[i] += acol[i] * bpj;
-                    }
+/// Returns whether the AVX2 clone of a scalar loop may be dispatched on
+/// this CPU.
+#[inline(always)]
+fn use_avx2_kernel() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// A run of scalar-path pairs of [`gemm_tiled`]: `C[0..rows, :] += alpha ·
+/// A[.., p0..p0+kk] · B[p0..p0+kk, :]`, reading `A` from one row block's
+/// tiles, with [`scalar_jki`]'s per-entry order: tile by tile and column by
+/// column, each entry adds `A[i,p]·(alpha·B[p,j])` in ascending `p` and
+/// skips a zero `alpha·B[p,j]`.
+///
+/// # Safety
+/// `c` must point at the block's first row in a column-major matrix with
+/// leading dimension `ldc` that holds `rows×b.ncols()` entries from there,
+/// and `tiles` must hold `rows.div_ceil(MR)` tiles over `b.nrows()` columns.
+unsafe fn tiled_scalar(
+    avx2: bool,
+    alpha: f64,
+    tiles: &[f64],
+    rows: usize,
+    p0: usize,
+    kk: usize,
+    b: &PackedCols,
+    c: *mut f64,
+    ldc: usize,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2 {
+        return tiled_scalar_avx2(alpha, tiles, rows, p0, kk, b, c, ldc);
+    }
+    let _ = avx2;
+    tiled_scalar_body(alpha, tiles, rows, p0, kk, b, c, ldc)
+}
+
+/// [`tiled_scalar_body`] compiled with AVX2 codegen: the row loop runs four
+/// lanes wide with the same multiply and add per entry, so the bits do not
+/// move.
+///
+/// # Safety
+/// As [`tiled_scalar`], plus: the CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn tiled_scalar_avx2(
+    alpha: f64,
+    tiles: &[f64],
+    rows: usize,
+    p0: usize,
+    kk: usize,
+    b: &PackedCols,
+    c: *mut f64,
+    ldc: usize,
+) {
+    tiled_scalar_body(alpha, tiles, rows, p0, kk, b, c, ldc)
+}
+
+/// Shared body of the scalar-ISA and AVX2 tiled scalar loops.
+///
+/// # Safety
+/// As [`tiled_scalar`].
+#[inline(always)]
+unsafe fn tiled_scalar_body(
+    alpha: f64,
+    tiles: &[f64],
+    rows: usize,
+    p0: usize,
+    kk: usize,
+    b: &PackedCols,
+    c: *mut f64,
+    ldc: usize,
+) {
+    let span = b.nrows() * MR;
+    for (s, tile) in tiles.chunks_exact(span).enumerate() {
+        let h = MR.min(rows - s * MR);
+        let a = &tile[p0 * MR..][..kk * MR];
+        for j in 0..b.ncols() {
+            // `C`'s entries stay in registers along `p`: the same rounded
+            // multiply and add per entry and step as adding to memory.
+            let cs = c.add(j * ldc + s * MR);
+            let mut acc = [0.0f64; MR];
+            for i in 0..h {
+                acc[i] = *cs.add(i);
+            }
+            for (p, ap) in (p0..).zip(a.chunks_exact(MR)) {
+                let bpj = alpha * b.at(p, j);
+                if bpj == 0.0 {
+                    continue;
+                }
+                for i in 0..MR {
+                    acc[i] += ap[i] * bpj;
                 }
             }
-        }
-        (Transpose::Yes, Transpose::No) => {
-            // C_ij += Aᵀ_ip B_pj = A_pi B_pj : dot products of columns.
-            for j in 0..n {
-                for i in 0..m {
-                    let acol = a.col(i);
-                    let mut s = 0.0;
-                    for p in 0..k {
-                        s += acol[p] * b[(p, j)];
-                    }
-                    c[(i, j)] += alpha * s;
-                }
+            for i in 0..h {
+                *cs.add(i) = acc[i];
             }
         }
-        (Transpose::No, Transpose::Yes) => {
-            for j in 0..n {
-                for p in 0..k {
-                    let bpj = alpha * b[(j, p)];
-                    if bpj == 0.0 {
-                        continue;
-                    }
-                    let acol = a.col(p);
-                    let ccol = c.col_mut(j);
-                    for i in 0..m {
-                        ccol[i] += acol[i] * bpj;
-                    }
+    }
+}
+
+/// One blocked-path pair of [`gemm_tiled`]: [`gemm_blocked_with`]'s loop
+/// nest over one row block's tiles and `B`'s panels, `MC` rows at a time,
+/// with the microkernel reading each `KC` chunk in place.
+///
+/// # Safety
+/// As [`tiled_scalar`].
+unsafe fn tiled_blocked(
+    fma: bool,
+    alpha: f64,
+    tiles: &[f64],
+    rows: usize,
+    p0: usize,
+    kk: usize,
+    b: &PackedCols,
+    c: *mut f64,
+    ldc: usize,
+) {
+    let (n, span) = (b.ncols(), b.nrows() * MR);
+    let ntiles = rows.div_ceil(MR);
+    let mut pc = 0;
+    while pc < kk {
+        let (kc, p) = (KC.min(kk - pc), p0 + pc);
+        let mut s0 = 0;
+        while s0 < ntiles {
+            let s1 = (s0 + MC / MR).min(ntiles);
+            for jp in 0..n.div_ceil(NR) {
+                let (bp, nr) = (b.panel(jp, p, kc), NR.min(n - jp * NR));
+                for s in s0..s1 {
+                    let ap = &tiles[s * span + p * MR..][..kc * MR];
+                    let ct = c.add(jp * NR * ldc + s * MR);
+                    run_microkernel(fma, kc, alpha, ap, bp, ct, ldc, MR.min(rows - s * MR), nr);
                 }
             }
+            s0 = s1;
         }
-        (Transpose::Yes, Transpose::Yes) => {
-            for j in 0..n {
-                for i in 0..m {
-                    let acol = a.col(i);
-                    let mut s = 0.0;
-                    for p in 0..k {
-                        s += acol[p] * b[(j, p)];
-                    }
-                    c[(i, j)] += alpha * s;
-                }
-            }
-        }
+        pc += KC;
     }
 }
 
@@ -1023,97 +1328,6 @@ pub fn trsm_left_lower_trans(l: &Mat, b: &mut Mat, unit: bool) {
     }
 }
 
-/// The seed's scalar `X · L = B` solve, retained as the reference.
-pub fn trsm_right_lower_naive(b: &mut Mat, l: &Mat, unit: bool) {
-    let w = l.nrows();
-    assert_eq!(l.ncols(), w);
-    assert_eq!(b.ncols(), w);
-    let m = b.nrows();
-    for j in (0..w).rev() {
-        if !unit {
-            let d = l[(j, j)];
-            assert!(d != 0.0, "singular triangular block");
-            let bj = b.col_mut(j);
-            for v in bj.iter_mut() {
-                *v /= d;
-            }
-        }
-        // B_{:,i} -= X_{:,j} * L_{j,i} for i < j
-        for i in 0..j {
-            let lji = l[(j, i)];
-            if lji == 0.0 {
-                continue;
-            }
-            for r in 0..m {
-                let xj = b[(r, j)];
-                b[(r, i)] -= xj * lji;
-            }
-        }
-    }
-}
-
-/// The seed's scalar `X · Lᵀ = B` solve, retained as the reference.
-pub fn trsm_right_lower_trans_naive(b: &mut Mat, l: &Mat, unit: bool) {
-    let w = l.nrows();
-    assert_eq!(l.ncols(), w);
-    assert_eq!(b.ncols(), w);
-    let m = b.nrows();
-    for j in 0..w {
-        // B_{:,j} -= X_{:,k} * (Lᵀ)_{k,j} = X_{:,k} * L_{j,k}, k < j
-        for k in 0..j {
-            let ljk = l[(j, k)];
-            if ljk == 0.0 {
-                continue;
-            }
-            for r in 0..m {
-                let xk = b[(r, k)];
-                b[(r, j)] -= xk * ljk;
-            }
-        }
-        if !unit {
-            let d = l[(j, j)];
-            assert!(d != 0.0, "singular triangular block");
-            for v in b.col_mut(j) {
-                *v /= d;
-            }
-        }
-    }
-}
-
-/// The seed's scalar `L · X = B` solve, retained as the reference.
-pub fn trsm_left_lower_naive(l: &Mat, b: &mut Mat, unit: bool) {
-    let w = l.nrows();
-    assert_eq!(l.ncols(), w);
-    assert_eq!(b.nrows(), w);
-    let n = b.ncols();
-    for j in 0..n {
-        for i in 0..w {
-            let mut s = b[(i, j)];
-            for k in 0..i {
-                s -= l[(i, k)] * b[(k, j)];
-            }
-            b[(i, j)] = if unit { s } else { s / l[(i, i)] };
-        }
-    }
-}
-
-/// The seed's scalar `Lᵀ · X = B` solve, retained as the reference.
-pub fn trsm_left_lower_trans_naive(l: &Mat, b: &mut Mat, unit: bool) {
-    let w = l.nrows();
-    assert_eq!(l.ncols(), w);
-    assert_eq!(b.nrows(), w);
-    let n = b.ncols();
-    for j in 0..n {
-        for i in (0..w).rev() {
-            let mut s = b[(i, j)];
-            for k in (i + 1)..w {
-                s -= l[(k, i)] * b[(k, j)];
-            }
-            b[(i, j)] = if unit { s } else { s / l[(i, i)] };
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1211,34 +1425,6 @@ mod tests {
         assert_close(&c, &expect, 1e-13);
     }
 
-    #[test]
-    fn blocked_gemm_matches_naive_above_packing_threshold() {
-        // Big enough to exercise packing, edge tiles and multiple MC/KC
-        // blocks in every transpose variant.
-        let (m, n, k) = (131, 67, 300);
-        for (ta, tb) in [
-            (Transpose::No, Transpose::No),
-            (Transpose::Yes, Transpose::No),
-            (Transpose::No, Transpose::Yes),
-            (Transpose::Yes, Transpose::Yes),
-        ] {
-            let a = match ta {
-                Transpose::No => rand_mat(m, k, 21),
-                Transpose::Yes => rand_mat(k, m, 21),
-            };
-            let b = match tb {
-                Transpose::No => rand_mat(k, n, 22),
-                Transpose::Yes => rand_mat(n, k, 22),
-            };
-            let c0 = rand_mat(m, n, 23);
-            let mut c = c0.clone();
-            let mut expect = c0.clone();
-            gemm(1.5, &a, ta, &b, tb, -0.5, &mut c);
-            gemm_naive(1.5, &a, ta, &b, tb, -0.5, &mut expect);
-            assert_close(&c, &expect, 1e-10);
-        }
-    }
-
     fn lower_of(m: &Mat, unit: bool) -> Mat {
         let n = m.nrows();
         let mut l = Mat::zeros(n, n);
@@ -1296,42 +1482,6 @@ mod tests {
             let mut x = b.clone();
             trsm_left_lower_trans(&l, &mut x, unit);
             assert_close(&naive_gemm(&l.transpose(), &x), &b, 1e-12);
-        }
-    }
-
-    #[test]
-    fn blocked_trsm_matches_naive_across_blocks() {
-        // w > TRSM_NB so the blocked path takes the gemm shortcut.
-        let w = 130;
-        let m = 77;
-        for unit in [true, false] {
-            let l = lower_of(&rand_mat(w, w, 30), unit);
-            let b = rand_mat(m, w, 31);
-
-            let mut x1 = b.clone();
-            let mut x2 = b.clone();
-            trsm_right_lower(&mut x1, &l, unit);
-            trsm_right_lower_naive(&mut x2, &l, unit);
-            assert_close(&x1, &x2, 1e-9);
-
-            let mut x1 = b.clone();
-            let mut x2 = b.clone();
-            trsm_right_lower_trans(&mut x1, &l, unit);
-            trsm_right_lower_trans_naive(&mut x2, &l, unit);
-            assert_close(&x1, &x2, 1e-9);
-
-            let bl = rand_mat(w, m, 32);
-            let mut x1 = bl.clone();
-            let mut x2 = bl.clone();
-            trsm_left_lower(&l, &mut x1, unit);
-            trsm_left_lower_naive(&l, &mut x2, unit);
-            assert_close(&x1, &x2, 1e-9);
-
-            let mut x1 = bl.clone();
-            let mut x2 = bl.clone();
-            trsm_left_lower_trans(&l, &mut x1, unit);
-            trsm_left_lower_trans_naive(&l, &mut x2, unit);
-            assert_close(&x1, &x2, 1e-9);
         }
     }
 

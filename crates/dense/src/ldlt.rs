@@ -5,10 +5,11 @@
 //! packed GEMM core, the small diagonal chunk is factored by the retained
 //! scalar loops, and the sub-diagonal panel is solved by the blocked
 //! right-TRSM — so the `O(n³)` work runs at blocked-kernel speed instead of
-//! the seed's scalar jki loops. The seed algorithm is kept verbatim as
-//! [`ldlt_factor_naive`]: it is the equivalence reference for the property
-//! tests (LDLᵀ without pivoting is unique, so the two factors agree up to
-//! rounding).
+//! the seed's scalar jki loops. Blocks of at most one panel run the seed's
+//! scalar loop itself (`ldlt_factor_unblocked`); the property tests
+//! compare the blocked factor with a copy of that loop kept under
+//! `tests/support` (LDLᵀ without pivoting is unique, so the two factors
+//! agree up to rounding).
 
 use crate::kernels::{
     gemm, gemm_raw, trsm_left_lower, trsm_left_lower_trans, trsm_right_lower_trans, Transpose,
@@ -44,13 +45,13 @@ impl std::error::Error for SingularBlock {}
 /// (via the SPD workload generators) that pivots stay away from zero; a
 /// tiny pivot returns [`SingularBlock`].
 ///
-/// Blocked left-looking panels (see module docs); agrees with
-/// [`ldlt_factor_naive`] up to floating-point reordering.
+/// Blocked left-looking panels (see module docs); agrees with the seed's
+/// scalar loop up to floating-point reordering.
 pub fn ldlt_factor(a: &mut Mat) -> Result<(), SingularBlock> {
     let n = a.nrows();
     assert_eq!(a.ncols(), n, "ldlt_factor requires a square block");
     if n <= FACTOR_NB {
-        return ldlt_factor_naive(a);
+        return ldlt_factor_unblocked(a);
     }
     let mut k0 = 0;
     while k0 < n {
@@ -152,9 +153,9 @@ pub fn ldlt_factor(a: &mut Mat) -> Result<(), SingularBlock> {
     Ok(())
 }
 
-/// The seed's scalar jki-loop LDLᵀ, retained as the equivalence reference
-/// for [`ldlt_factor`].
-pub fn ldlt_factor_naive(a: &mut Mat) -> Result<(), SingularBlock> {
+/// The seed's scalar jki-loop LDLᵀ, which [`ldlt_factor`] runs on blocks of
+/// at most one panel.
+fn ldlt_factor_unblocked(a: &mut Mat) -> Result<(), SingularBlock> {
     let n = a.nrows();
     assert_eq!(a.ncols(), n, "ldlt_factor requires a square block");
     for j in 0..n {

@@ -7,7 +7,12 @@
 //! * [`Mat`] — an owned column-major matrix with views into raw slices;
 //! * [`gemm`] — general matrix multiply with transpose flags, and
 //!   [`gemm_partitioned`] — a sum of block products in one pass, bit-identical
-//!   to one `gemm` per block;
+//!   to one `gemm` per block; [`gemm_tiled`] is the same pass over operands
+//!   already in the microkernel's layout — `A`'s row blocks as [`RowTiles`]
+//!   (`MR`-row tiles over all of `k`), `B` packed once as [`PackedCols`]
+//!   (`NR`-column panels over all of `k`) — so a caller can gather `A`
+//!   straight into tiles and share one packed `B` among many products, and
+//!   [`scalar_path`] is the one rule that picks a product's path;
 //! * [`trsm_right_lower`] / [`trsm_left_lower`] — triangular solves against
 //!   unit/non-unit lower-triangular blocks;
 //! * [`ldlt_factor`] / [`ldlt_invert`] — LDLᵀ of a symmetric diagonal block
@@ -21,10 +26,9 @@ pub mod lu;
 pub mod mat;
 
 pub use kernels::{
-    gemm, gemm_naive, gemm_partitioned, trsm_left_lower, trsm_left_lower_naive,
-    trsm_left_lower_trans, trsm_left_lower_trans_naive, trsm_right_lower, trsm_right_lower_naive,
-    trsm_right_lower_trans, trsm_right_lower_trans_naive, Transpose,
+    gemm, gemm_partitioned, gemm_tiled, scalar_path, trsm_left_lower, trsm_left_lower_trans,
+    trsm_right_lower, trsm_right_lower_trans, BlockPush, PackedCols, RowTiles, Transpose,
 };
-pub use ldlt::{ldlt_factor, ldlt_factor_naive, ldlt_invert, ldlt_solve};
-pub use lu::{lu_factor, lu_factor_naive, lu_invert, lu_solve};
+pub use ldlt::{ldlt_factor, ldlt_invert, ldlt_solve};
+pub use lu::{lu_factor, lu_invert, lu_solve};
 pub use mat::Mat;

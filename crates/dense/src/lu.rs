@@ -32,14 +32,15 @@ impl std::error::Error for SingularLu {}
 /// Blocked right-looking panels: the rank-1 updates of the scalar loop are
 /// restricted to the current [`FACTOR_NB`]-column panel; the off-panel
 /// columns are updated once per panel via the blocked left-TRSM (`U₁₂`)
-/// and the packed GEMM core (Schur complement `A₂₂ -= L₂₁·U₁₂`). The
-/// seed's scalar elimination is retained as [`lu_factor_naive`]; both
-/// produce the same `P`, `L`, `U` up to floating-point reordering.
+/// and the packed GEMM core (Schur complement `A₂₂ -= L₂₁·U₁₂`). Blocks
+/// of at most one panel run the seed's scalar elimination
+/// (`lu_factor_unblocked`); both produce the same `P`, `L`, `U` up to
+/// floating-point reordering.
 pub fn lu_factor(a: &mut Mat) -> Result<Vec<usize>, SingularLu> {
     let n = a.nrows();
     assert_eq!(a.ncols(), n, "lu_factor requires a square block");
     if n <= FACTOR_NB {
-        return lu_factor_naive(a);
+        return lu_factor_unblocked(a);
     }
     let mut pivots = vec![0usize; n];
     let mut k0 = 0;
@@ -47,7 +48,7 @@ pub fn lu_factor(a: &mut Mat) -> Result<Vec<usize>, SingularLu> {
         let k1 = (k0 + FACTOR_NB).min(n);
         let nb = k1 - k0;
         // Unblocked panel factorization with partial pivoting; row swaps
-        // apply to the whole matrix so `pivots` keeps the naive semantics.
+        // apply to the whole matrix so `pivots` keeps the scalar loop's semantics.
         for k in k0..k1 {
             let mut p = k;
             let mut best = a[(k, k)].abs();
@@ -133,9 +134,9 @@ pub fn lu_factor(a: &mut Mat) -> Result<Vec<usize>, SingularLu> {
     Ok(pivots)
 }
 
-/// The seed's scalar right-looking elimination, retained as the
-/// equivalence reference for [`lu_factor`].
-pub fn lu_factor_naive(a: &mut Mat) -> Result<Vec<usize>, SingularLu> {
+/// The seed's scalar right-looking elimination, which [`lu_factor`] runs on
+/// blocks of at most one panel.
+fn lu_factor_unblocked(a: &mut Mat) -> Result<Vec<usize>, SingularLu> {
     let n = a.nrows();
     assert_eq!(a.ncols(), n, "lu_factor requires a square block");
     let mut pivots = vec![0usize; n];

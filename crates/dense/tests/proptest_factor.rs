@@ -1,11 +1,12 @@
 //! Property tests: the blocked panel factorizations must agree with the
-//! retained naive references across sizes straddling the panel width
-//! (48), including multi-panel problems.
+//! seed's scalar references (`support`) across sizes straddling the panel
+//! width (48), including multi-panel problems.
+
+mod support;
 
 use proptest::prelude::*;
-use pselinv_dense::{
-    gemm, ldlt_factor, ldlt_factor_naive, lu_factor, lu_factor_naive, lu_solve, Mat, Transpose,
-};
+use pselinv_dense::{gemm, ldlt_factor, lu_factor, lu_solve, Mat, Transpose};
+use support::{ldlt_factor_naive, lu_factor_naive};
 
 fn rand_mat(n: usize, seed: u64) -> Mat {
     let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1) | 1;

@@ -1,16 +1,20 @@
 //! Property tests: the blocked GEMM/TRSM kernels must agree with the
-//! retained naive references on every transpose variant, alpha/beta
-//! combination, and the odd/degenerate shape set {0, 1, 7, 48, 130}
-//! (empty operands, single elements, sub-tile sizes, one TRSM block, and
-//! multi-block problems that cross the packing boundaries).
+//! seed's scalar references (`support`) on every transpose variant,
+//! alpha/beta combination, and the odd/degenerate shape set
+//! {0, 1, 7, 48, 130} (empty operands, single elements, sub-tile sizes, one
+//! TRSM block, and multi-block problems that cross the packing boundaries).
+
+mod support;
 
 use proptest::prelude::*;
 use pselinv_dense::kernels::{
-    gemm, gemm_naive, trsm_left_lower, trsm_left_lower_naive, trsm_left_lower_trans,
-    trsm_left_lower_trans_naive, trsm_right_lower, trsm_right_lower_naive, trsm_right_lower_trans,
-    trsm_right_lower_trans_naive,
+    gemm, trsm_left_lower, trsm_left_lower_trans, trsm_right_lower, trsm_right_lower_trans,
 };
 use pselinv_dense::{Mat, Transpose};
+use support::{
+    gemm_naive, trsm_left_lower_naive, trsm_left_lower_trans_naive, trsm_right_lower_naive,
+    trsm_right_lower_trans_naive,
+};
 
 const SHAPES: [usize; 5] = [0, 1, 7, 48, 130];
 const COEFFS: [f64; 4] = [0.0, 1.0, -1.0, 0.75];
@@ -164,5 +168,68 @@ proptest! {
         gemm(1.0, &a, Transpose::No, &b, Transpose::No, 0.5, &mut c);
         prop_assert_eq!(&shared[..], &snapshot[..]);
         prop_assert!(!c.is_shared());
+    }
+}
+
+#[test]
+fn blocked_gemm_matches_naive_above_packing_threshold() {
+    // Big enough to exercise packing, edge tiles and multiple MC/KC
+    // blocks in every transpose variant.
+    let (m, n, k) = (131, 67, 300);
+    for (ta, tb) in [
+        (Transpose::No, Transpose::No),
+        (Transpose::Yes, Transpose::No),
+        (Transpose::No, Transpose::Yes),
+        (Transpose::Yes, Transpose::Yes),
+    ] {
+        let a = match ta {
+            Transpose::No => rand_mat(m, k, 21),
+            Transpose::Yes => rand_mat(k, m, 21),
+        };
+        let b = match tb {
+            Transpose::No => rand_mat(k, n, 22),
+            Transpose::Yes => rand_mat(n, k, 22),
+        };
+        let c0 = rand_mat(m, n, 23);
+        let mut c = c0.clone();
+        let mut expect = c0.clone();
+        gemm(1.5, &a, ta, &b, tb, -0.5, &mut c);
+        gemm_naive(1.5, &a, ta, &b, tb, -0.5, &mut expect);
+        assert_close(&c, &expect, 1e-10);
+    }
+}
+
+#[test]
+fn blocked_trsm_matches_naive_across_blocks() {
+    // w > TRSM_NB (48) so the blocked path takes the gemm shortcut.
+    let (w, m) = (130, 77);
+    for unit in [true, false] {
+        let l = lower_mat(w, unit, 30);
+        let b = rand_mat(m, w, 31);
+
+        let mut x1 = b.clone();
+        let mut x2 = b.clone();
+        trsm_right_lower(&mut x1, &l, unit);
+        trsm_right_lower_naive(&mut x2, &l, unit);
+        assert_close(&x1, &x2, 1e-9);
+
+        let mut x1 = b.clone();
+        let mut x2 = b.clone();
+        trsm_right_lower_trans(&mut x1, &l, unit);
+        trsm_right_lower_trans_naive(&mut x2, &l, unit);
+        assert_close(&x1, &x2, 1e-9);
+
+        let bl = rand_mat(w, m, 32);
+        let mut x1 = bl.clone();
+        let mut x2 = bl.clone();
+        trsm_left_lower(&l, &mut x1, unit);
+        trsm_left_lower_naive(&l, &mut x2, unit);
+        assert_close(&x1, &x2, 1e-9);
+
+        let mut x1 = bl.clone();
+        let mut x2 = bl.clone();
+        trsm_left_lower_trans(&l, &mut x1, unit);
+        trsm_left_lower_trans_naive(&l, &mut x2, unit);
+        assert_close(&x1, &x2, 1e-9);
     }
 }

@@ -231,7 +231,7 @@ fn batch_rank_entry(
     pool.set_busy_gauge(ctx.pool_busy_gauge());
     let pool_epoch_us = ctx.tracer().now_us();
     for st in &mut states {
-        phase1(ctx, st, plans);
+        phase1(ctx, st, plans, &pool);
     }
     crate::engine::phase2_multi(
         ctx,

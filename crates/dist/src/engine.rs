@@ -55,7 +55,9 @@
 //! The local GEMM step is [`local_gemms`]: per supernode, the rank gathers
 //! the `A⁻¹` pieces of its `(target, ancestor)` block pairs into strips of
 //! targets and runs one product per strip, a fork-join over the rank's pool
-//! with the rank thread helping. The loop does not poll while it runs.
+//! with the rank thread helping; on the diagonal owner the diagonal block's
+//! inverse is one more job of it, kept for the diagonal step. The loop does
+//! not poll while it runs.
 //!
 //! # Determinism
 //!
@@ -221,6 +223,10 @@ struct SnTask {
     needs: Option<Vec<Need>>,
     gemm_done: bool,
     contrib: HashMap<usize, Mat>,
+    /// `ldlt_invert` of `K`'s diagonal factor block, computed beside the
+    /// GEMMs on the diagonal owner ([`local_gemms`]); `None` elsewhere, and
+    /// when the GEMM stage had no targets.
+    diag_inv: Option<Mat>,
     rr: Vec<Rr>,
     /// Block indices whose `Row-Reduce` roots on this rank (the owned
     /// `A⁻¹_{J,K}` blocks) gate the diagonal contribution.
@@ -332,6 +338,7 @@ impl SnTask {
             needs: None,
             gemm_done: false,
             contrib: HashMap::new(),
+            diag_inv: None,
             rr,
             owned_bids,
             dr,
@@ -454,7 +461,7 @@ impl SnTask {
             && self.cb.iter().all(|c| matches!(c, Cb::Out | Cb::Done))
             && self.needs.as_ref().is_some_and(|n| n.iter().all(|n| n.satisfied(st)))
         {
-            self.contrib = local_gemms(st, &self.ucur, blocks, w, pool);
+            (self.contrib, self.diag_inv) = local_gemms(st, &self.ucur, k, w, pool);
             self.gemm_done = true;
             progressed = true;
         }
@@ -506,7 +513,7 @@ impl SnTask {
             let dcon = diag_contrib(st, &self.owned_bids, w, pool);
             if sp.diag_reduce.is_empty() {
                 if is_diag_owner {
-                    finish_diag(st, k, w, dcon.into_vec());
+                    finish_diag(st, k, w, dcon.into_vec(), self.diag_inv.take());
                 }
                 self.dr = Dr::Done;
             } else {
@@ -528,7 +535,7 @@ impl SnTask {
                     if is_diag_owner {
                         let total =
                             nb.into_result().expect("diag owner must receive the reduction");
-                        finish_diag(st, k, w, total);
+                        finish_diag(st, k, w, total, self.diag_inv.take());
                     }
                 }
                 progressed = true;
@@ -580,8 +587,10 @@ impl SnTask {
 
 /// `A⁻¹_{K,K} = (L D Lᵀ)⁻¹ − Σ`, symmetrized — identical arithmetic to the
 /// synchronous path (contributions were accumulated in block order).
-fn finish_diag(st: &mut RankState<'_>, k: usize, w: usize, total: Vec<f64>) {
-    let mut diag = ldlt_invert(&st.factor_diag(k));
+/// `inverse` is `(L D Lᵀ)⁻¹` when the GEMM stage computed it; otherwise it
+/// is computed here.
+fn finish_diag(st: &mut RankState<'_>, k: usize, w: usize, total: Vec<f64>, inverse: Option<Mat>) {
+    let mut diag = inverse.unwrap_or_else(|| ldlt_invert(&st.factor_diag(k)));
     let t = Mat::from_vec(w, w, total);
     diag.axpy(-1.0, &t);
     for jl in 0..w {

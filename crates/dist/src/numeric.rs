@@ -2,13 +2,24 @@
 //! runtime.
 //!
 //! This module holds the options, the per-rank state and the building
-//! blocks of a run: tags, packing, the GEMM step (one `A⁻¹` strip gather
-//! and one [`gemm_partitioned`] per rank, supernode and strip of target
-//! blocks), the diagonal step, phase 1 (ascending, blocking diagonal
-//! broadcasts) and the assembly of the result. Phase 2 — supernodes from
-//! the etree root down ([`crate::engine::descent_order`]); within a
-//! supernode: transpose sends, `Col-Bcast`s, local GEMMs, `Row-Reduce`s, the diagonal
-//! reduction, and the step-5 `A⁻¹` transposes, restricted to the
+//! blocks of a run: tags, packing, the GEMM step, the diagonal step, phase
+//! 1 (ascending, blocking diagonal broadcasts, each supernode's `L̂` solves
+//! on the rank's pool) and the assembly of the result.
+//!
+//! The GEMM step ([`local_gemms`]) is one fork-join per rank and
+//! supernode. The stacked `Û` is packed once into the microkernel's column
+//! panels ([`PackedCols`]) when any pair takes the blocked path, and every
+//! strip task reads it. Each task gathers its strip of target blocks'
+//! `A⁻¹` straight into the microkernel's row tiles ([`RowTiles`], one tile
+//! set per target) and runs [`gemm_tiled`] over them; runs of targets whose
+//! every pair is scalar keep a column-major gather and one scalar pass
+//! ([`gemm_partitioned`]). On the diagonal owner, the diagonal block's
+//! `ldlt_invert` is one more job of the same fork-join.
+//!
+//! Phase 2 — supernodes from the etree root down
+//! ([`crate::engine::descent_order`]); within a supernode: transpose sends,
+//! `Col-Bcast`s, local GEMMs, `Row-Reduce`s, the diagonal reduction, and
+//! the step-5 `A⁻¹` transposes, restricted to the
 //! collectives a rank participates in — runs on the one engine of
 //! [`crate::engine`], whose window ([`DistOptions::window`]) is the only
 //! schedule knob. A standalone run is a batch of one query: its entry
@@ -23,7 +34,10 @@ use crate::batch::{try_batched_selinv, try_batched_selinv_traced, BatchOptions, 
 use crate::layout::Layout;
 use crate::plan::SupernodePlan;
 use pselinv_dense::kernels::trsm_right_lower;
-use pselinv_dense::{gemm, gemm_partitioned, Mat, Transpose};
+use pselinv_dense::{
+    gemm, gemm_partitioned, gemm_tiled, ldlt_invert, scalar_path, Mat, PackedCols, RowTiles,
+    Transpose,
+};
 use pselinv_factor::{LdlFactor, Panel};
 use pselinv_mpisim::collectives::tree_bcast;
 use pselinv_mpisim::{Grid2D, Payload, RankCtx, RankVolume};
@@ -214,22 +228,89 @@ impl<'a> RankState<'a> {
     /// `A⁻¹[rows of targets, rows of ancestors]` (blocks of one supernode)
     /// as one column-major strip: target `J`'s rows stacked down it in
     /// order, ancestor `I`'s rows across it, so block pair `(J, I)` is one
-    /// sub-block. Each piece is read where it lives: the lower block `(J, I)`
-    /// of supernode `I`, the transpose of block `(I, J)` of supernode `J`, or
-    /// the diagonal block of `J == I`. Per ancestor, the pieces are located
-    /// first — one cursor walks `I`'s blocks as the targets ascend, and one
-    /// per target walks `J`'s blocks as the ancestors ascend — and then the
-    /// strip is written in order, column by column.
+    /// sub-block. Each ancestor's columns are written as soon as
+    /// [`RankState::strip_pieces`] has located its pieces.
     pub(crate) fn gather_strip(
         &self,
         blocks: &[SnBlock],
         targets: &[usize],
         ancestors: &[usize],
     ) -> Mat {
-        let sf = self.sf;
         let rows_of = |ids: &[usize]| ids.iter().map(|&b| blocks[b].nrows()).sum::<usize>();
         let (m, k) = (rows_of(targets), rows_of(ancestors));
         let mut strip = Vec::with_capacity(m * k);
+        self.strip_pieces(blocks, targets, ancestors, |width, pieces, offsets| {
+            for q in 0..width {
+                for p in pieces {
+                    let at = p.cols.at(q, offsets) * p.scale;
+                    match p.rows {
+                        Offsets::Run(r0) => strip.extend_from_slice(&p.src[at + r0..][..p.len]),
+                        Offsets::List(o) => {
+                            strip.extend(offsets[o..o + p.len].iter().map(|&r| p.src[at + r]))
+                        }
+                    }
+                }
+            }
+        });
+        Mat::from_vec(m, k, strip)
+    }
+
+    /// The same `A⁻¹` strip as [`RankState::gather_strip`], written straight
+    /// into the microkernel's row tiles, one row block per target (rows
+    /// `row_ptr`), `k` columns: once every piece is located, each target's
+    /// tiles column by column, so every entry moves once between its source
+    /// and the layout the GEMM reads.
+    pub(crate) fn gather_tiles(
+        &self,
+        blocks: &[SnBlock],
+        targets: &[usize],
+        ancestors: &[usize],
+        row_ptr: &[usize],
+        k: usize,
+    ) -> RowTiles {
+        // Every ancestor's pieces, ancestor-major, with their offset lists
+        // appended to one list.
+        let (mut all, mut all_offsets, mut widths) = (Vec::new(), Vec::new(), Vec::new());
+        self.strip_pieces(blocks, targets, ancestors, |width, pieces, offsets| {
+            let base = all_offsets.len();
+            all_offsets.extend_from_slice(offsets);
+            all.extend(pieces.iter().map(|p| p.rebased(base)));
+            widths.push(width);
+        });
+        let nt = targets.len();
+        RowTiles::from_fn(row_ptr, k, |t, block| {
+            for (a, &width) in widths.iter().enumerate() {
+                let p = &all[a * nt + t];
+                for q in 0..width {
+                    let at = p.cols.at(q, &all_offsets) * p.scale;
+                    match p.rows {
+                        Offsets::Run(r0) => block.push_col(&p.src[at + r0..][..p.len]),
+                        Offsets::List(o) => {
+                            let rows = &all_offsets[o..o + p.len];
+                            block.push_col_with(|i| p.src[at + rows[i]])
+                        }
+                    }
+                }
+            }
+        })
+    }
+
+    /// Locates the `A⁻¹` piece of every block pair `(J, I)` of a strip,
+    /// ancestor by ancestor, and hands each ancestor's row count and pieces
+    /// (one per target, in order, indexing the offset list passed with
+    /// them) to `put`. Each piece is read where it lives: the lower block
+    /// `(J, I)` of supernode `I`, the transpose of block `(I, J)` of
+    /// supernode `J`, or the diagonal block of `J == I`. One cursor walks
+    /// `I`'s blocks as the targets ascend, and one per target walks `J`'s
+    /// blocks as the ancestors ascend.
+    fn strip_pieces<'s>(
+        &'s self,
+        blocks: &[SnBlock],
+        targets: &[usize],
+        ancestors: &[usize],
+        mut put: impl FnMut(usize, &[Piece<'s>], &[usize]),
+    ) {
+        let sf = self.sf;
         let mut pieces = Vec::with_capacity(targets.len());
         let mut offsets = Vec::new();
         let mut upper_at = vec![0; targets.len()];
@@ -269,19 +350,8 @@ impl<'a> RankState<'a> {
                 };
                 pieces.push(Piece { src: src.data(), rows, len: rj.len(), cols, scale });
             }
-            for q in 0..ri.len() {
-                for p in &pieces {
-                    let at = p.cols.at(q, &offsets) * p.scale;
-                    match p.rows {
-                        Offsets::Run(r0) => strip.extend_from_slice(&p.src[at + r0..][..p.len]),
-                        Offsets::List(o) => {
-                            strip.extend(offsets[o..o + p.len].iter().map(|&r| p.src[at + r]))
-                        }
-                    }
-                }
-            }
+            put(ri.len(), &pieces, &offsets);
         }
-        Mat::from_vec(m, k, strip)
     }
 }
 
@@ -294,7 +364,7 @@ fn seek(blocks: &[SnBlock], sn: usize, of: usize) -> usize {
         .unwrap_or_else(|| panic!("block ({sn},{of}) not in structure"))
 }
 
-/// Where one block pair's `A⁻¹` piece lives for [`RankState::gather_strip`]:
+/// Where one block pair's `A⁻¹` piece lives ([`RankState::strip_pieces`]):
 /// its entry `(p, q)` is `src[rows.at(p) + cols.at(q) · scale]`, for `len`
 /// rows.
 struct Piece<'s> {
@@ -303,6 +373,18 @@ struct Piece<'s> {
     len: usize,
     cols: Offsets,
     scale: usize,
+}
+
+impl Piece<'_> {
+    /// The piece with its offset lists moved `base` entries down a longer
+    /// list.
+    fn rebased(&self, base: usize) -> Self {
+        let shift = |o| match o {
+            Offsets::List(i) => Offsets::List(base + i),
+            run => run,
+        };
+        Piece { rows: shift(self.rows), cols: shift(self.cols), ..*self }
+    }
 }
 
 /// Ascending storage offsets of one side of a [`Piece`].
@@ -503,25 +585,36 @@ pub(crate) fn gemm_task_specs(st: &RankState<'_>, blocks: &[SnBlock]) -> (Vec<us
 const STRIPS_PER_THREAD: usize = 4;
 
 /// Step 1 of Algorithm 1 on one rank: for every target block `J` among
-/// `blocks` (one supernode's) whose GEMM participants include this rank,
+/// `blocks` (supernode `k`'s) whose GEMM participants include this rank,
 /// `−Σ_I A⁻¹[RJ,RI]·Û_{I,K}` over the ancestor blocks `I`. The ancestors'
 /// `Û` blocks are stacked once; the targets are cut into strips of about
 /// equal rows (one on a one-thread pool, a few per participant otherwise),
-/// and each pool task gathers its strip's `A⁻¹` once
-/// ([`RankState::gather_strip`]) and runs one [`gemm_partitioned`] over it.
-/// That entry is bit-identical to one `gemm` per `(J, I)` pair in ascending
-/// `I`, and rows of different targets never meet, so neither the thread
-/// count nor the cut moves a bit.
+/// and each pool task gathers its strip's `A⁻¹` once and multiplies it. A
+/// target with a `(J, I)` pair on the dense kernel's blocked path
+/// ([`scalar_path`]) is gathered straight into row tiles
+/// ([`RankState::gather_tiles`]) and multiplied by [`gemm_tiled`] against
+/// the stacked `Û`, packed into column panels once per supernode and shared
+/// by every strip; a run of targets whose every pair is scalar is gathered
+/// column-major ([`RankState::gather_strip`]) and multiplied in one scalar
+/// pass by [`gemm_partitioned`]. Both entries are bit-identical to one
+/// `gemm` per `(J, I)` pair in ascending `I`, and rows of different targets
+/// never meet, so neither the thread count nor the cut moves a bit.
+///
+/// When this rank owns `K`'s diagonal, `ldlt_invert` of its factor block
+/// joins the same fork-join as one more job, and comes back as the second
+/// value for the diagonal step ([`crate::engine`]'s `finish_diag`). With no
+/// targets there is no fork-join, and no inverse.
 pub(crate) fn local_gemms(
     st: &RankState<'_>,
     ucur: &HashMap<usize, Mat>,
-    blocks: &[SnBlock],
+    k: usize,
     w: usize,
     pool: &Pool,
-) -> HashMap<usize, Mat> {
+) -> (HashMap<usize, Mat>, Option<Mat>) {
+    let blocks = st.sf.blocks_of(k);
     let (targets, ancestors) = gemm_task_specs(st, blocks);
     if targets.is_empty() {
-        return HashMap::new();
+        return (HashMap::new(), None);
     }
     let ptr = |ids: &[usize]| -> Vec<usize> {
         std::iter::once(0)
@@ -532,36 +625,78 @@ pub(crate) fn local_gemms(
             .collect()
     };
     let term_ptr = ptr(&ancestors);
-    let k = term_ptr[ancestors.len()];
-    let mut u = vec![0.0; k * w];
+    let kk = term_ptr[ancestors.len()];
+    let mut u = vec![0.0; kk * w];
     for (t, &bi_i) in ancestors.iter().enumerate() {
         let ub = &ucur[&bi_i];
         for j in 0..w {
-            u[j * k + term_ptr[t]..][..ub.nrows()].copy_from_slice(ub.col(j));
+            u[j * kk + term_ptr[t]..][..ub.nrows()].copy_from_slice(ub.col(j));
         }
     }
-    let u = Mat::from_vec(k, w, u);
+    let u = Mat::from_vec(kk, w, u);
+    let widest = ancestors.iter().map(|&b| blocks[b].nrows()).max().unwrap_or(0);
+    let blocked = |bj_i: &usize| !scalar_path(blocks[*bj_i].nrows(), w, widest);
+    let packed = targets.iter().any(blocked).then(|| PackedCols::new(&u));
     let n_strips = if pool.threads() == 1 { 1 } else { STRIPS_PER_THREAD * pool.threads() };
     let strips = row_strips(&targets, &ptr(&targets), n_strips);
-    let computed = pool.map(strips, |strip: &[usize]| {
-        let row_ptr = ptr(strip);
-        let a = st.gather_strip(blocks, strip, &ancestors);
-        let mut c = Mat::zeros(a.nrows(), w);
-        gemm_partitioned(-1.0, &a, &row_ptr, &term_ptr, &u, &mut c);
-        let (c, m) = (c.data(), a.nrows());
-        strip
-            .iter()
-            .zip(row_ptr.windows(2))
-            .map(|(&bj_i, r)| {
+    let inverse = (st.layout.diag_owner(k) == st.me).then_some(GemmJob::Inverse);
+    let jobs: Vec<GemmJob<'_>> =
+        inverse.into_iter().chain(strips.into_iter().map(GemmJob::Strip)).collect();
+    let done = pool.map(jobs, |job| {
+        let strip = match job {
+            GemmJob::Inverse => return GemmDone::Inverse(ldlt_invert(&st.factor_diag(k))),
+            GemmJob::Strip(strip) => strip,
+        };
+        // Runs of targets with a blocked-path pair are gathered into tiles;
+        // runs of all-scalar targets stay one column-major scalar pass.
+        let mut out = Vec::with_capacity(strip.len());
+        for run in strip.chunk_by(|a, b| blocked(a) == blocked(b)) {
+            let row_ptr = ptr(run);
+            let m = row_ptr[run.len()];
+            let mut c = Mat::zeros(m, w);
+            match &packed {
+                Some(pu) if blocked(&run[0]) => {
+                    let a = st.gather_tiles(blocks, run, &ancestors, &row_ptr, kk);
+                    gemm_tiled(-1.0, &a, &term_ptr, pu, &mut c);
+                }
+                _ => {
+                    let a = st.gather_strip(blocks, run, &ancestors);
+                    gemm_partitioned(-1.0, &a, &row_ptr, &term_ptr, &u, &mut c);
+                }
+            }
+            let c = c.data();
+            out.extend(run.iter().zip(row_ptr.windows(2)).map(|(&bj_i, r)| {
                 let mut cj = Vec::with_capacity((r[1] - r[0]) * w);
                 for j in 0..w {
                     cj.extend_from_slice(&c[j * m + r[0]..j * m + r[1]]);
                 }
                 (bj_i, Mat::from_vec(r[1] - r[0], w, cj))
-            })
-            .collect::<Vec<_>>()
+            }));
+        }
+        GemmDone::Blocks(out)
     });
-    computed.into_iter().flatten().collect()
+    let (mut contrib, mut inverse) = (HashMap::new(), None);
+    for d in done {
+        match d {
+            GemmDone::Inverse(m) => inverse = Some(m),
+            GemmDone::Blocks(b) => contrib.extend(b),
+        }
+    }
+    (contrib, inverse)
+}
+
+/// One job of [`local_gemms`]' fork-join.
+enum GemmJob<'t> {
+    /// `ldlt_invert` of the diagonal factor block, on its owner.
+    Inverse,
+    /// A strip of target blocks.
+    Strip(&'t [usize]),
+}
+
+/// What a [`GemmJob`] computed.
+enum GemmDone {
+    Inverse(Mat),
+    Blocks(Vec<(usize, Mat)>),
 }
 
 /// Cuts `targets` (row offsets `row_ptr`) into at most `n` runs of about
@@ -598,8 +733,15 @@ pub(crate) fn diag_contrib(st: &RankState<'_>, owned_bids: &[usize], w: usize, p
     dcon
 }
 
-/// Phase 1 (ascending): normalize panels, L̂ = L_{R,K} L_{K,K}⁻¹.
-pub(crate) fn phase1(ctx: &mut RankCtx, st: &mut RankState<'_>, plans: &[SupernodePlan]) {
+/// Phase 1 (ascending): normalize panels, L̂ = L_{R,K} L_{K,K}⁻¹. Each
+/// supernode's owned blocks are solved on the pool, one job per block, and
+/// shared and stored on the rank thread in block order.
+pub(crate) fn phase1(
+    ctx: &mut RankCtx,
+    st: &mut RankState<'_>,
+    plans: &[SupernodePlan],
+    pool: &Pool,
+) {
     let sf = st.sf;
     let me = st.me;
     let layout = st.layout;
@@ -637,10 +779,13 @@ pub(crate) fn phase1(ctx: &mut RankCtx, st: &mut RankState<'_>, plans: &[Superno
         };
         ctx.tracer().pop_scope();
         if let Some(d) = diag {
-            for bi in my_blocks {
-                let b = blocks[bi];
-                let mut m = st.factor_block(k, &b);
+            let view: &RankState<'_> = st;
+            let solved = pool.map(&my_blocks, |&bi| {
+                let mut m = view.factor_block(k, &blocks[bi]);
                 trsm_right_lower(&mut m, &d, true);
+                m
+            });
+            for (bi, m) in my_blocks.into_iter().zip(solved) {
                 // Shared storage: the transpose send, the same-rank Û
                 // handle and the diag-reduce read all reuse this buffer.
                 let m = share(ctx, m);

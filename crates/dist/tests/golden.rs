@@ -220,6 +220,28 @@ fn threads_do_not_move_a_digest() {
     }
 }
 
+/// Three and four participants split a supernode's GEMM jobs — its strips
+/// and, on the diagonal owner, the diagonal inverse — and phase 1's solves
+/// unevenly, where two split them evenly more often: `fem8x8x8` still hashes
+/// to its one-thread digest on 1×1 and 2×2.
+#[test]
+fn fem8x8x8_at_three_and_four_threads_hashes_to_its_one_thread_digest() {
+    let f = factor(&gen::fem_3d(8, 8, 8, 3, 7).matrix);
+    let scheme = TreeScheme::ShiftedBinary;
+    for (pr, pc) in [(1, 1), (2, 2)] {
+        let label = format!("fem8x8x8/{pr}x{pc}/{scheme}/t1");
+        let golden = STRIP_GOLDEN.iter().find(|(l, _)| *l == label).expect("a recorded case").1;
+        for threads in [3, 4] {
+            let opts = DistOptions { scheme, seed: 7, threads, lookahead: 1 };
+            let (inv, vols) = distributed_selinv(&f, Grid2D::new(pr, pc), &opts);
+            let mut h = Fnv::new();
+            h.inverse(&inv);
+            h.volumes(&vols);
+            assert_eq!(h.0, golden, "{label} at {threads} threads");
+        }
+    }
+}
+
 /// Loss, duplication and reordering reach every data message — the
 /// engine's plain transposes as much as its tree collectives — and the
 /// reliable transport repairs them: the lossy run hashes to the fault-free
