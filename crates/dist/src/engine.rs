@@ -5,8 +5,9 @@
 //! reduction, the step-5 `A⁻¹` transposes) advance independently as their
 //! inputs arrive, over the nonblocking tree collectives of
 //! [`pselinv_mpisim::nb`]. A per-rank progress loop keeps up to
-//! [`crate::DistOptions::window`] supernodes in the *window* at once and
-//! parks on the inbox only when no task can advance. The window bounds GEMM
+//! [`crate::DistOptions::window`] supernodes in the *window* at once,
+//! advances only the stages an input has woken, and parks on the inbox
+//! only when nothing is woken. The window bounds GEMM
 //! stages; a tail of reducing tasks follows it. A window of one runs the
 //! GEMM stages strictly one at a time, and a wider window lets those of
 //! several supernodes overlap with their collectives, the asynchrony the
@@ -49,8 +50,8 @@
 //! unbounded one 49 % (EXPERIMENTS.md, *The reduction tail*). A query
 //! activates tasks while fewer than the window plus its horizon have not
 //! run their GEMM. Tail, window and horizon tasks are the same machine,
-//! told apart by their GEMM flag and their position in the query's active
-//! list, and the loop sweeps all three.
+//! told apart by their GEMM and promotion flags; the loop wakes all three
+//! alike.
 //!
 //! The local GEMM step is [`local_gemms`]: per supernode, the rank gathers
 //! the `A⁻¹` pieces of its `(target, ancestor)` block pairs into strips of
@@ -58,6 +59,33 @@
 //! with the rank thread helping; on the diagonal owner the diagonal block's
 //! inverse is one more job of it, kept for the diagonal step. The loop does
 //! not poll while it runs.
+//!
+//! # The ready list
+//!
+//! A pass of the loop costs what it wakes, not what is active: it advances
+//! only stages on its ready list, and every entry names one stage of one
+//! task. Two kinds of event put a stage there:
+//!
+//! * *a message.* The rank's wake log ([`RankCtx::take_wakes`]) yields
+//!   `(src, tag)` of every data message that entered the stash, and the tag
+//!   decodes ([`untag_q`]) to the exact `(query, supernode, phase, block)`
+//!   waiting for it, so the stage tests that one receive. A message for a
+//!   supernode not activated yet is kept until its activation, and a
+//!   reduction contribution that beats the rank's own GEMM stage until the
+//!   reduction starts;
+//! * *an in-rank event:* activation, entry into the window, and the landing
+//!   of an `A⁻¹` piece. Each window task counts its [`gemm_needs`] that
+//!   have not landed and is registered as a waiter on each; the landing
+//!   counts the waiters down, and the one that reaches zero is woken. A
+//!   GEMM stage that runs, a transpose that completes a root's `Û` or a
+//!   `Row-Reduce` that lands an owned block advances the next stage of the
+//!   same task at once.
+//!
+//! Counters replace every scan over the active tasks: a task counts its
+//! unfinished stages, a query counts its window and keeps its Û horizon
+//! as a queue in descent order, so activation and promotion are O(1) per
+//! task. A delivered message costs about one match attempt
+//! ([`pselinv_trace::RankMetrics::match_calls`]).
 //!
 //! # Determinism
 //!
@@ -85,15 +113,23 @@
 //! every etree ancestor before its descendants. The window holds at least
 //! one task, so a rank never stops activating. Consider the first
 //! unfinished supernode `k*` of the descent order: on every participating
-//! rank all supernodes before `k*` are finished, so `k*` is first in the
-//! active list there. If its GEMM has not run, it is the first such task,
-//! hence inside the window; if it has, it is in the tail, which is swept on
-//! every pass. Its stage dependencies reach only its ancestors, which come
-//! before it and are finished, and `k*` itself, so some rank can always
-//! advance it; induction drains the schedule. The tail and the horizon do
-//! not weaken this: their tasks hold only posted receives, non-blocking
-//! sends and non-blocking reduction state, so they never stand between
-//! `k*` and its inputs.
+//! rank all supernodes before `k*` are finished, so `k*` is the oldest
+//! active task there. If its GEMM has not run, it is the first such task,
+//! hence inside the window; if it has, it is in the tail. Its stage
+//! dependencies reach only its ancestors, which come before it and are
+//! finished, and `k*` itself, so some rank can always advance it — and
+//! every input of `k*` wakes the stage that consumes it: each message is
+//! logged once as it enters the stash (retransmissions included, phase-1
+//! stragglers when the log opens) and names its stage by its tag; one that
+//! comes before its stage can take it is kept and replayed when the stage
+//! opens; every in-rank input (entry into the window, a landed piece, a
+//! GEMM run) wakes or advances its consumer. So a stage of `k*` that can
+//! advance is on the ready list, and a rank parks only with an empty list
+//! and no arrival since its last pass ([`RankCtx::sweep_then_park`]);
+//! induction drains the schedule. The tail and the horizon do not weaken
+//! this: their tasks hold only posted receives, non-blocking sends and
+//! non-blocking reduction state, so they never stand between `k*` and its
+//! inputs.
 //!
 //! The multi-query driver ([`phase2_multi`]) extends the argument across
 //! the pole batch: every rank admits queries in ascending query order,
@@ -108,8 +144,8 @@
 use crate::layout::Layout;
 use crate::numeric::{
     diag_contrib, find_block, gemm_task_specs, local_gemms, pack, share, span_key, tag_q, unpack,
-    RankState, PHASE_AINV_TRANS, PHASE_COL_BCAST, PHASE_DIAG_REDUCE, PHASE_ROW_REDUCE,
-    PHASE_TRANSPOSE,
+    untag_q, RankState, TagFields, PHASE_AINV_TRANS, PHASE_COL_BCAST, PHASE_DIAG_REDUCE,
+    PHASE_ROW_REDUCE, PHASE_TRANSPOSE,
 };
 use crate::plan::SupernodePlan;
 use pselinv_dense::{ldlt_invert, Mat};
@@ -122,11 +158,11 @@ use pselinv_order::SymbolicFactor;
 use pselinv_pool::Pool;
 use pselinv_trace::CollKind;
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// Ancestor data a supernode's GEMM stage reads from [`RankState`], i.e.
 /// an output of an ancestor supernode's task on this rank.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum Need {
     /// `ainv_lower[bid]` — produced by a `Row-Reduce` root.
     Lower(usize),
@@ -207,8 +243,31 @@ enum Dr {
     Done,
 }
 
+/// What wakes a task's stages ([`SnTask::wake`]).
+#[derive(Clone, Copy, Debug)]
+enum Wake {
+    /// A message of the task's stage `(phase, bi)` from `src` entered the
+    /// stash: exactly that stage's receive is tested.
+    Msg { phase: u64, bi: usize, src: usize },
+    /// An in-rank event — entry into the window, the last GEMM need
+    /// landing — opened the GEMM gate ([`SnTask::may_compute`]).
+    Gate,
+}
+
+/// What one [`SnTask::wake`] did that other tasks of the query wait for.
+#[derive(Default)]
+struct Fired {
+    /// `A⁻¹` pieces that landed in [`RankState`] (the GEMM needs of later
+    /// tasks).
+    landed: Vec<Need>,
+    /// The task's GEMM stage ran: it left the window.
+    gemm: bool,
+}
+
 /// One in-flight descending supernode on one rank: the rank-local slice of
-/// steps a′/a/1/b/2+c/3′ of Algorithm 1, as an explicit state machine.
+/// steps a′/a/1/b/2+c/3′ of Algorithm 1, as an explicit state machine. It
+/// advances only when woken ([`Wake`]); counters stand in for every scan
+/// over its stages.
 struct SnTask {
     k: usize,
     /// Pending transpose receives `(bi, request)`.
@@ -216,11 +275,15 @@ struct SnTask {
     /// `Û_{K,I}` blocks available on this rank, keyed by block index.
     ucur: HashMap<usize, Mat>,
     cb: Vec<Cb>,
-    /// Ancestor `A⁻¹` data the GEMM stage still waits for ([`gemm_needs`]),
-    /// recorded when the task enters its query's window ([`SnTask::promote`]);
-    /// `None` while it is in the Û horizon, which keeps the GEMM stage and
-    /// every later one shut.
-    needs: Option<Vec<Need>>,
+    /// `Û` steps still outstanding: pending transposes plus broadcasts not
+    /// done. The GEMM stage waits for zero.
+    u_left: usize,
+    /// In its query's window; `false` while it is in the Û horizon, which
+    /// keeps the GEMM stage and every later one shut.
+    promoted: bool,
+    /// Ancestor `A⁻¹` pieces ([`gemm_needs`]) missing at promotion that
+    /// have not landed yet; each landing counts it down.
+    needs_left: usize,
     gemm_done: bool,
     contrib: HashMap<usize, Mat>,
     /// `ldlt_invert` of `K`'s diagonal factor block, computed beside the
@@ -231,18 +294,27 @@ struct SnTask {
     /// Block indices whose `Row-Reduce` roots on this rank (the owned
     /// `A⁻¹_{J,K}` blocks) gate the diagonal contribution.
     owned_bids: Vec<usize>,
+    /// Owned blocks whose `Row-Reduce` has not landed.
+    owned_left: usize,
     dr: Dr,
     /// Pending step-5 `A⁻¹` transpose receives `(bj_i, request)`.
     at_recvs: Vec<(usize, RecvRequest)>,
     /// Step-5 sends/self-copies waiting for this rank's `A⁻¹_{J,K}`.
     at_pending: Vec<usize>,
+    /// Reduction messages `(phase, bi, src)` that arrived before their
+    /// stage started; replayed when it does.
+    early: Vec<(u64, usize, usize)>,
+    /// Unfinished stages (transposes, broadcasts, the GEMM, reductions and
+    /// step-5 transfers); the task is done at zero.
+    left: usize,
 }
 
 impl SnTask {
     /// Activates supernode `k` on this rank: issues the transpose sends,
-    /// posts every receive the task will ever need, and launches the
-    /// non-root sides of the `Col-Bcast`s. The task starts in the Û
-    /// horizon; [`SnTask::promote`] lets it compute.
+    /// posts every receive the task will ever need, launches the non-root
+    /// sides of the `Col-Bcast`s and every root whose `Û` block is a
+    /// self-transpose. The task starts in the Û horizon; promotion into the
+    /// window lets it compute.
     fn activate(ctx: &mut RankCtx, st: &RankState<'_>, sp: &SupernodePlan, k: usize) -> Self {
         let sf = st.sf;
         let me = st.me;
@@ -251,7 +323,7 @@ impl SnTask {
 
         // Step a': transpose sends fire immediately (L̂ is shared storage
         // from phase 1, so each send is a reference-count bump); receives
-        // are posted as requests for the progress loop.
+        // are posted as requests, tested when their message arrives.
         ctx.tracer().push_scope(CollKind::Transpose, span_key(st.qid, k));
         let mut ucur: HashMap<usize, Mat> = HashMap::new();
         let mut t_recvs = Vec::new();
@@ -272,7 +344,8 @@ impl SnTask {
         ctx.tracer().pop_scope();
 
         // Step a: non-root Col-Bcast members post their parent receive now;
-        // a root waits until the transpose delivers its Û block.
+        // a root broadcasts once the transpose delivers its Û block, at once
+        // for a self-transpose.
         ctx.tracer().push_scope(CollKind::ColBcast, span_key(st.qid, k));
         let cb: Vec<Cb> = (0..blocks.len())
             .map(|bi| {
@@ -280,7 +353,16 @@ impl SnTask {
                 if !tree.members().contains(&me) {
                     Cb::Out
                 } else if me == tree.root() {
-                    Cb::Root
+                    match ucur.get(&bi) {
+                        Some(u) => {
+                            let tag = tag_q(st.qid, PHASE_COL_BCAST, k, bi);
+                            let payload = pack(ctx, u);
+                            let nb = TreeBcastNb::start(ctx, tree, tag, Some(payload));
+                            debug_assert!(nb.is_done(), "the root side completes at start");
+                            Cb::Done
+                        }
+                        None => Cb::Root,
+                    }
                 } else {
                     Cb::Run(TreeBcastNb::start(
                         ctx,
@@ -330,42 +412,44 @@ impl SnTask {
             }
         }
 
+        let u_left =
+            t_recvs.len() + cb.iter().filter(|c| matches!(c, Cb::Root | Cb::Run(_))).count();
+        let left = u_left
+            + 1
+            + rr.iter().filter(|r| !matches!(r, Rr::Out)).count()
+            + usize::from(!matches!(dr, Dr::Out))
+            + at_recvs.len()
+            + at_pending.len();
         SnTask {
             k,
             t_recvs,
             ucur,
             cb,
-            needs: None,
+            u_left,
+            promoted: false,
+            needs_left: 0,
             gemm_done: false,
             contrib: HashMap::new(),
             diag_inv: None,
             rr,
+            owned_left: owned_bids.len(),
             owned_bids,
             dr,
             at_recvs,
             at_pending,
+            early: Vec::new(),
+            left,
         }
     }
 
-    /// Records the GEMM stage's needs as the task enters the window, once:
-    /// `live[sn]` says whether supernode `sn` is active in the query. The
-    /// producers are ancestors, activated before this task, so a live one
-    /// is ahead of it in the window or the tail and an inactive one has
-    /// retired.
-    fn promote(&mut self, st: &RankState<'_>, live: &[bool]) {
-        if self.needs.is_none() {
-            self.needs = Some(gemm_needs(st, st.sf.blocks_of(self.k), |sn| live[sn]));
-        }
+    /// Whether the GEMM stage can run: the task is in the window and every
+    /// `Û` block and every ancestor `A⁻¹` piece this rank reads is here.
+    fn may_compute(&self) -> bool {
+        self.promoted && !self.gemm_done && self.u_left == 0 && self.needs_left == 0
     }
 
     fn is_done(&self) -> bool {
-        self.gemm_done
-            && self.t_recvs.is_empty()
-            && self.cb.iter().all(|c| matches!(c, Cb::Out | Cb::Done))
-            && self.rr.iter().all(|r| matches!(r, Rr::Out | Rr::Done))
-            && matches!(self.dr, Dr::Out | Dr::Done)
-            && self.at_recvs.is_empty()
-            && self.at_pending.is_empty()
+        self.left == 0
     }
 
     /// The phase of the first stage this unfinished task still waits in —
@@ -384,204 +468,304 @@ impl SnTask {
         }
     }
 
-    /// Advances every stage as far as its inputs allow; returns whether
-    /// anything changed (the progress loop blocks only when no task moved).
-    fn poll(
+    /// Advances the stage `wake` names, then every in-rank stage its
+    /// counters have opened. Each message wake tests exactly one receive.
+    fn wake(
         &mut self,
         ctx: &mut RankCtx,
         st: &mut RankState<'_>,
         sp: &SupernodePlan,
         pool: &Pool,
-    ) -> bool {
-        let k = self.k;
-        let sf = st.sf;
-        let me = st.me;
-        let blocks = sf.blocks_of(k);
-        let w = sf.width(k);
-        let mut progressed = false;
-
-        // Step a': drain arrived transposes into Û.
-        if !self.t_recvs.is_empty() {
-            ctx.tracer().push_scope(CollKind::Transpose, span_key(st.qid, k));
-            let ucur = &mut self.ucur;
-            self.t_recvs.retain_mut(|(bi, req)| {
-                if req.test(ctx) {
-                    let data = std::mem::replace(req, RecvRequest::post(0, 0))
-                        .take()
-                        .expect("completed request has a payload");
-                    ucur.insert(*bi, unpack(blocks[*bi].nrows(), w, data));
-                    progressed = true;
-                    false
-                } else {
-                    true
-                }
-            });
-            ctx.tracer().pop_scope();
-        }
-
-        // Step a: launch root broadcasts whose Û arrived; forward/finish
-        // the rest.
-        for (bi, b) in blocks.iter().enumerate() {
-            let tree = &sp.col_bcasts[bi];
-            match &mut self.cb[bi] {
-                Cb::Root if self.ucur.contains_key(&bi) => {
-                    ctx.tracer().push_scope(CollKind::ColBcast, span_key(st.qid, k));
-                    let payload = pack(ctx, &self.ucur[&bi]);
-                    let nb = TreeBcastNb::start(
-                        ctx,
-                        tree,
-                        tag_q(st.qid, PHASE_COL_BCAST, k, bi),
-                        Some(payload),
-                    );
-                    debug_assert!(nb.is_done(), "the root side completes at start");
-                    ctx.tracer().pop_scope();
-                    self.cb[bi] = Cb::Done;
-                    progressed = true;
-                }
-                Cb::Run(nb) => {
-                    ctx.tracer().push_scope(CollKind::ColBcast, span_key(st.qid, k));
-                    if nb.poll(ctx, tree) {
-                        let data = std::mem::replace(&mut self.cb[bi], Cb::Done);
-                        if let Cb::Run(nb) = data {
-                            let p = nb.into_payload().expect("non-root member got the payload");
-                            self.ucur.entry(bi).or_insert_with(|| unpack(b.nrows(), w, p));
-                        }
-                        progressed = true;
-                    }
-                    ctx.tracer().pop_scope();
-                }
-                _ => {}
+        wake: Wake,
+        fired: &mut Fired,
+    ) {
+        if let Wake::Msg { phase, bi, src } = wake {
+            match phase {
+                PHASE_TRANSPOSE => self.on_transpose(ctx, st, sp, bi),
+                PHASE_COL_BCAST => self.on_col_bcast(ctx, st, sp, bi),
+                PHASE_ROW_REDUCE => self.on_row_reduce(ctx, st, sp, bi, src, fired),
+                PHASE_DIAG_REDUCE => self.on_diag_reduce(ctx, st, sp, src, fired),
+                PHASE_AINV_TRANS => self.on_ainv_transpose(ctx, st, bi, fired),
+                _ => debug_assert!(false, "phase {phase:#x} has no phase-2 stage"),
             }
         }
-
-        // Step 1: the local GEMMs, once the task is in the window and every
-        // Û block and every ancestor A⁻¹ piece this rank reads is available.
-        if !self.gemm_done
-            && self.t_recvs.is_empty()
-            && self.cb.iter().all(|c| matches!(c, Cb::Out | Cb::Done))
-            && self.needs.as_ref().is_some_and(|n| n.iter().all(|n| n.satisfied(st)))
-        {
-            (self.contrib, self.diag_inv) = local_gemms(st, &self.ucur, k, w, pool);
+        // Step 1: the local GEMMs.
+        if self.may_compute() {
+            let w = st.sf.width(self.k);
+            (self.contrib, self.diag_inv) = local_gemms(st, &self.ucur, self.k, w, pool);
             self.gemm_done = true;
-            progressed = true;
+            self.left -= 1;
+            fired.gemm = true;
+            self.start_row_reduces(ctx, st, sp, fired);
         }
+        // Steps 2 + c: the diagonal contribution, once every owned A⁻¹
+        // block has landed.
+        if matches!(self.dr, Dr::Wait) && self.gemm_done && self.owned_left == 0 {
+            self.start_diag_reduce(ctx, st, sp, pool, fired);
+        }
+    }
 
-        // Step b: Row-Reduces — start once the GEMM contributions exist,
-        // then advance on child arrivals.
-        for (bj_i, bj) in blocks.iter().enumerate() {
-            let tree = &sp.row_reduces[bj_i];
-            match &mut self.rr[bj_i] {
-                Rr::Wait if self.gemm_done => {
-                    ctx.tracer().push_scope(CollKind::RowReduce, span_key(st.qid, k));
-                    let local =
-                        self.contrib.remove(&bj_i).unwrap_or_else(|| Mat::zeros(bj.nrows(), w));
-                    let nb = TreeReduceNb::start(
-                        ctx,
-                        tree,
-                        tag_q(st.qid, PHASE_ROW_REDUCE, k, bj_i),
-                        local.into_vec(),
-                    );
-                    ctx.tracer().pop_scope();
-                    self.rr[bj_i] = Rr::Run(nb);
-                    progressed = true;
-                }
-                _ => {}
-            }
-            if let Rr::Run(nb) = &mut self.rr[bj_i] {
-                ctx.tracer().push_scope(CollKind::RowReduce, span_key(st.qid, k));
-                if nb.poll(ctx, tree) {
-                    if let Rr::Run(nb) = std::mem::replace(&mut self.rr[bj_i], Rr::Done) {
-                        if me == tree.root() {
-                            let t = nb.into_result().expect("reduce root has the total");
-                            let m = share(ctx, Mat::from_vec(bj.nrows(), w, t));
-                            st.ainv_lower.insert(sf.blocks_ptr[k] + bj_i, m);
-                        }
-                    }
-                    progressed = true;
-                }
+    /// Step a': a transpose landed; a root launches its broadcast with it.
+    fn on_transpose(
+        &mut self,
+        ctx: &mut RankCtx,
+        st: &RankState<'_>,
+        sp: &SupernodePlan,
+        bi: usize,
+    ) {
+        let Some(i) = self.t_recvs.iter().position(|(b, _)| *b == bi) else { return };
+        ctx.tracer().push_scope(CollKind::Transpose, span_key(st.qid, self.k));
+        let matched = self.t_recvs[i].1.test(ctx);
+        ctx.tracer().pop_scope();
+        if !matched {
+            return;
+        }
+        let data = self.t_recvs.swap_remove(i).1.take().expect("completed request has a payload");
+        let rows = st.sf.blocks_of(self.k)[bi].nrows();
+        self.ucur.insert(bi, unpack(rows, st.sf.width(self.k), data));
+        self.u_left -= 1;
+        self.left -= 1;
+        // Step a at the root: broadcast Û_{K,I}; the root completes at start.
+        if matches!(self.cb[bi], Cb::Root) {
+            ctx.tracer().push_scope(CollKind::ColBcast, span_key(st.qid, self.k));
+            let payload = pack(ctx, &self.ucur[&bi]);
+            let tag = tag_q(st.qid, PHASE_COL_BCAST, self.k, bi);
+            let nb = TreeBcastNb::start(ctx, &sp.col_bcasts[bi], tag, Some(payload));
+            debug_assert!(nb.is_done(), "the root side completes at start");
+            ctx.tracer().pop_scope();
+            self.cb[bi] = Cb::Done;
+            self.u_left -= 1;
+            self.left -= 1;
+        }
+    }
+
+    /// Step a off the root: the parent's message forwards `Û_{K,I}` on.
+    fn on_col_bcast(
+        &mut self,
+        ctx: &mut RankCtx,
+        st: &RankState<'_>,
+        sp: &SupernodePlan,
+        bi: usize,
+    ) {
+        let Cb::Run(nb) = &mut self.cb[bi] else { return };
+        ctx.tracer().push_scope(CollKind::ColBcast, span_key(st.qid, self.k));
+        let done = nb.poll(ctx, &sp.col_bcasts[bi]);
+        ctx.tracer().pop_scope();
+        if !done {
+            return;
+        }
+        if let Cb::Run(nb) = std::mem::replace(&mut self.cb[bi], Cb::Done) {
+            let p = nb.into_payload().expect("non-root member got the payload");
+            let rows = st.sf.blocks_of(self.k)[bi].nrows();
+            let w = st.sf.width(self.k);
+            self.ucur.entry(bi).or_insert_with(|| unpack(rows, w, p));
+        }
+        self.u_left -= 1;
+        self.left -= 1;
+    }
+
+    /// Step b: a child's contribution to `Row-Reduce` `bj_i` arrived; one
+    /// that beats this rank's GEMM stage waits in `early`.
+    fn on_row_reduce(
+        &mut self,
+        ctx: &mut RankCtx,
+        st: &mut RankState<'_>,
+        sp: &SupernodePlan,
+        bj_i: usize,
+        src: usize,
+        fired: &mut Fired,
+    ) {
+        match &mut self.rr[bj_i] {
+            Rr::Wait => self.early.push((PHASE_ROW_REDUCE, bj_i, src)),
+            Rr::Run(nb) => {
+                ctx.tracer().push_scope(CollKind::RowReduce, span_key(st.qid, self.k));
+                let done = nb.poll_from(ctx, &sp.row_reduces[bj_i], src);
                 ctx.tracer().pop_scope();
+                if done {
+                    self.finish_row_reduce(ctx, st, sp, bj_i, fired);
+                }
+            }
+            Rr::Out | Rr::Done => {}
+        }
+    }
+
+    /// Step b after the GEMM stage: every member's `Row-Reduce` starts with
+    /// its contribution, and the children's messages that came early are
+    /// matched.
+    fn start_row_reduces(
+        &mut self,
+        ctx: &mut RankCtx,
+        st: &mut RankState<'_>,
+        sp: &SupernodePlan,
+        fired: &mut Fired,
+    ) {
+        let k = self.k;
+        let w = st.sf.width(k);
+        for (bj_i, bj) in st.sf.blocks_of(k).iter().enumerate() {
+            if !matches!(self.rr[bj_i], Rr::Wait) {
+                continue;
+            }
+            let tree = &sp.row_reduces[bj_i];
+            ctx.tracer().push_scope(CollKind::RowReduce, span_key(st.qid, k));
+            let local = self.contrib.remove(&bj_i).unwrap_or_else(|| Mat::zeros(bj.nrows(), w));
+            let tag = tag_q(st.qid, PHASE_ROW_REDUCE, k, bj_i);
+            let nb = TreeReduceNb::start(ctx, tree, tag, local.into_vec());
+            ctx.tracer().pop_scope();
+            let done = nb.is_done();
+            self.rr[bj_i] = Rr::Run(nb);
+            if done {
+                self.finish_row_reduce(ctx, st, sp, bj_i, fired);
             }
         }
-
-        // Steps 2 + c: diagonal contribution and reduction.
-        let is_diag_owner = st.layout.diag_owner(k) == me;
-        if matches!(self.dr, Dr::Wait)
-            && self.gemm_done
-            && self.owned_bids.iter().all(|bid| st.ainv_lower.contains_key(bid))
-        {
-            ctx.tracer().push_scope(CollKind::DiagReduce, span_key(st.qid, k));
-            let dcon = diag_contrib(st, &self.owned_bids, w, pool);
-            if sp.diag_reduce.is_empty() {
-                if is_diag_owner {
-                    finish_diag(st, k, w, dcon.into_vec(), self.diag_inv.take());
-                }
-                self.dr = Dr::Done;
+        for (phase, bj_i, src) in std::mem::take(&mut self.early) {
+            if phase == PHASE_ROW_REDUCE {
+                self.on_row_reduce(ctx, st, sp, bj_i, src, fired);
             } else {
-                let nb = TreeReduceNb::start(
-                    ctx,
-                    &sp.diag_reduce,
-                    tag_q(st.qid, PHASE_DIAG_REDUCE, k, 0),
-                    dcon.into_vec(),
-                );
-                self.dr = Dr::Run(nb);
+                self.early.push((phase, bj_i, src));
             }
-            ctx.tracer().pop_scope();
-            progressed = true;
         }
-        if let Dr::Run(nb) = &mut self.dr {
-            ctx.tracer().push_scope(CollKind::DiagReduce, span_key(st.qid, k));
-            if nb.poll(ctx, &sp.diag_reduce) {
-                if let Dr::Run(nb) = std::mem::replace(&mut self.dr, Dr::Done) {
-                    if is_diag_owner {
-                        let total =
-                            nb.into_result().expect("diag owner must receive the reduction");
-                        finish_diag(st, k, w, total, self.diag_inv.take());
-                    }
-                }
-                progressed = true;
-            }
-            ctx.tracer().pop_scope();
-        }
+    }
 
-        // Step 3': A⁻¹ transposes — sends fire as soon as the Row-Reduce
-        // lands the owned block; receives drain as they arrive.
-        if !self.at_pending.is_empty() || !self.at_recvs.is_empty() {
+    /// `Row-Reduce` `bj_i` finished on this rank. At the root `A⁻¹_{J,K}`
+    /// lands, and its step-5 transpose fires.
+    fn finish_row_reduce(
+        &mut self,
+        ctx: &mut RankCtx,
+        st: &mut RankState<'_>,
+        sp: &SupernodePlan,
+        bj_i: usize,
+        fired: &mut Fired,
+    ) {
+        let Rr::Run(nb) = std::mem::replace(&mut self.rr[bj_i], Rr::Done) else {
+            unreachable!("only a running reduction finishes")
+        };
+        self.left -= 1;
+        let Some(t) = nb.into_result() else { return };
+        let k = self.k;
+        let (rows, w) = (st.sf.blocks_of(k)[bj_i].nrows(), st.sf.width(k));
+        let bid = st.sf.blocks_ptr[k] + bj_i;
+        let m = share(ctx, Mat::from_vec(rows, w, t));
+        st.ainv_lower.insert(bid, m);
+        fired.landed.push(Need::Lower(bid));
+        if self.owned_bids.contains(&bid) {
+            self.owned_left -= 1;
+        }
+        // Step 3': the A⁻¹ transpose send (or self-copy) of this block.
+        if let Some(i) = self.at_pending.iter().position(|&b| b == bj_i) {
+            self.at_pending.swap_remove(i);
+            self.left -= 1;
             ctx.tracer().push_scope(CollKind::AinvTranspose, span_key(st.qid, k));
-            let mut still = Vec::with_capacity(self.at_pending.len());
-            for bj_i in self.at_pending.drain(..) {
-                let (src, dst) = sp.transposes[bj_i];
-                let bid = sf.blocks_ptr[k] + bj_i;
-                if !st.ainv_lower.contains_key(&bid) {
-                    still.push(bj_i);
-                    continue;
-                }
-                if src == dst {
-                    let m = st.ainv_lower[&bid].clone();
-                    st.ainv_upper.insert(bid, m);
-                } else {
-                    let data = pack(ctx, &st.ainv_lower[&bid]);
-                    ctx.send(dst, tag_q(st.qid, PHASE_AINV_TRANS, k, bj_i), data);
-                }
-                progressed = true;
+            let (src, dst) = sp.transposes[bj_i];
+            if src == dst {
+                let m = st.ainv_lower[&bid].clone();
+                st.ainv_upper.insert(bid, m);
+                fired.landed.push(Need::Upper(bid));
+            } else {
+                let data = pack(ctx, &st.ainv_lower[&bid]);
+                ctx.send(dst, tag_q(st.qid, PHASE_AINV_TRANS, k, bj_i), data);
             }
-            self.at_pending = still;
-            let (ainv_upper, blocks_ptr) = (&mut st.ainv_upper, sf.blocks_ptr[k]);
-            self.at_recvs.retain_mut(|(bj_i, req)| {
-                if req.test(ctx) {
-                    let data = std::mem::replace(req, RecvRequest::post(0, 0))
-                        .take()
-                        .expect("completed request has a payload");
-                    ainv_upper.insert(blocks_ptr + *bj_i, unpack(blocks[*bj_i].nrows(), w, data));
-                    progressed = true;
-                    false
-                } else {
-                    true
-                }
-            });
             ctx.tracer().pop_scope();
         }
+    }
 
-        progressed
+    /// Steps 2 + c: the diagonal contribution and its reduction start; the
+    /// messages that came early are matched.
+    fn start_diag_reduce(
+        &mut self,
+        ctx: &mut RankCtx,
+        st: &mut RankState<'_>,
+        sp: &SupernodePlan,
+        pool: &Pool,
+        fired: &mut Fired,
+    ) {
+        let k = self.k;
+        let w = st.sf.width(k);
+        ctx.tracer().push_scope(CollKind::DiagReduce, span_key(st.qid, k));
+        let dcon = diag_contrib(st, &self.owned_bids, w, pool);
+        if sp.diag_reduce.is_empty() {
+            if st.layout.diag_owner(k) == st.me {
+                finish_diag(st, k, w, dcon.into_vec(), self.diag_inv.take());
+                fired.landed.push(Need::Diag(k));
+            }
+            self.dr = Dr::Done;
+            self.left -= 1;
+            ctx.tracer().pop_scope();
+            return;
+        }
+        let tag = tag_q(st.qid, PHASE_DIAG_REDUCE, k, 0);
+        let nb = TreeReduceNb::start(ctx, &sp.diag_reduce, tag, dcon.into_vec());
+        ctx.tracer().pop_scope();
+        let done = nb.is_done();
+        self.dr = Dr::Run(nb);
+        if done {
+            self.finish_diag_reduce(st, fired);
+        }
+        // The row reductions' early messages were replayed at the GEMM.
+        for (phase, _, src) in std::mem::take(&mut self.early) {
+            debug_assert_eq!(phase, PHASE_DIAG_REDUCE);
+            self.on_diag_reduce(ctx, st, sp, src, fired);
+        }
+    }
+
+    /// Step c: a child's contribution to the diagonal reduction arrived.
+    fn on_diag_reduce(
+        &mut self,
+        ctx: &mut RankCtx,
+        st: &mut RankState<'_>,
+        sp: &SupernodePlan,
+        src: usize,
+        fired: &mut Fired,
+    ) {
+        match &mut self.dr {
+            Dr::Wait => self.early.push((PHASE_DIAG_REDUCE, 0, src)),
+            Dr::Run(nb) => {
+                ctx.tracer().push_scope(CollKind::DiagReduce, span_key(st.qid, self.k));
+                let done = nb.poll_from(ctx, &sp.diag_reduce, src);
+                ctx.tracer().pop_scope();
+                if done {
+                    self.finish_diag_reduce(st, fired);
+                }
+            }
+            Dr::Out | Dr::Done => {}
+        }
+    }
+
+    /// The diagonal reduction finished on this rank; at the diagonal owner
+    /// `A⁻¹_{K,K}` lands.
+    fn finish_diag_reduce(&mut self, st: &mut RankState<'_>, fired: &mut Fired) {
+        let Dr::Run(nb) = std::mem::replace(&mut self.dr, Dr::Done) else {
+            unreachable!("only a running reduction finishes")
+        };
+        self.left -= 1;
+        if st.layout.diag_owner(self.k) == st.me {
+            let total = nb.into_result().expect("diag owner must receive the reduction");
+            finish_diag(st, self.k, st.sf.width(self.k), total, self.diag_inv.take());
+            fired.landed.push(Need::Diag(self.k));
+        }
+    }
+
+    /// Step 3': an `A⁻¹` transpose landed.
+    fn on_ainv_transpose(
+        &mut self,
+        ctx: &mut RankCtx,
+        st: &mut RankState<'_>,
+        bj_i: usize,
+        fired: &mut Fired,
+    ) {
+        let Some(i) = self.at_recvs.iter().position(|(b, _)| *b == bj_i) else { return };
+        ctx.tracer().push_scope(CollKind::AinvTranspose, span_key(st.qid, self.k));
+        let matched = self.at_recvs[i].1.test(ctx);
+        ctx.tracer().pop_scope();
+        if !matched {
+            return;
+        }
+        let data = self.at_recvs.swap_remove(i).1.take().expect("completed request has a payload");
+        let k = self.k;
+        let bid = st.sf.blocks_ptr[k] + bj_i;
+        let rows = st.sf.blocks_of(k)[bj_i].nrows();
+        st.ainv_upper.insert(bid, unpack(rows, st.sf.width(k), data));
+        fired.landed.push(Need::Upper(bid));
+        self.left -= 1;
     }
 }
 
@@ -646,18 +830,53 @@ struct QueryRun<'o> {
     /// The supernodes of the descent order not yet activated or skipped
     /// for this query.
     rest: &'o [usize],
-    /// The activated, unfinished tasks in descent order. Those whose GEMM
-    /// has run are the tail; of the rest, the first `window` are the window
-    /// and the others the Û horizon.
-    active: Vec<SnTask>,
-    /// `live[k]`: supernode `k` is in `active` — set at activation, cleared
-    /// at retirement.
-    live: Vec<bool>,
+    /// `tasks[k]`: supernode `k`'s task while it is active — from
+    /// activation to retirement.
+    tasks: Vec<Option<Box<SnTask>>>,
+    /// Active tasks.
+    active: usize,
+    /// Promoted tasks whose GEMM has not run: the window.
+    in_window: usize,
+    /// Activated tasks not yet promoted, in descent order: the Û horizon.
+    /// With the window, the ordered queue of tasks whose GEMM has not run.
+    horizon: VecDeque<usize>,
+    /// Window tasks waiting on each `A⁻¹` piece that has not landed.
+    waiters: HashMap<Need, Vec<usize>>,
+    /// Message wakes for supernodes not activated yet, replayed at
+    /// activation.
+    early: HashMap<usize, Vec<Wake>>,
+    /// Position in the descent order of the oldest task that may still be
+    /// active (the park's trace scope names it).
+    oldest: usize,
 }
 
 impl QueryRun<'_> {
     fn is_finished(&self) -> bool {
-        self.rest.is_empty() && self.active.is_empty()
+        self.rest.is_empty() && self.active == 0
+    }
+}
+
+/// A woken stage of task `k` of query `q`.
+type Ready = VecDeque<(usize, usize, Wake)>;
+
+/// Routes the message wakes in `wakes` to the ready list: a message names
+/// its waiting stage through its tag ([`untag_q`]), and one for a
+/// supernode not activated yet is kept until it is.
+fn route(wakes: &[(usize, u64)], runs: &mut [QueryRun], pos: &[usize], ready: &mut Ready) {
+    for &(src, tag) in wakes {
+        let Some(TagFields { qid, phase, k, bi }) = untag_q(tag) else {
+            debug_assert!(false, "phase 2 got a message outside its lanes: {tag:#x}");
+            continue;
+        };
+        let (q, wake) = (qid as usize, Wake::Msg { phase, bi, src });
+        let run = &mut runs[q];
+        if run.tasks[k].is_some() {
+            ready.push_back((q, k, wake));
+        } else if pos[k] >= pos.len() - run.rest.len() {
+            run.early.entry(k).or_default().push(wake);
+        } else {
+            debug_assert!(false, "a message for retired supernode {k}: {tag:#x}");
+        }
     }
 }
 
@@ -673,13 +892,20 @@ impl QueryRun<'_> {
 /// in the tail. Directly behind each window runs its Û horizon of up to
 /// `window` more tasks, the next ones in the order, activated but not yet
 /// computing: their transposes and `Col-Bcast`s travel while the window
-/// computes. The loop polls every active task; when nothing advances and no
-/// window can grow, it parks (visible to the watchdog) until a message
-/// arrives. The park is filed under the oldest task's waiting stage
-/// ([`SnTask::waiting_on`]), so a traced wait keeps its (phase, supernode)
-/// attribution. A window of one runs one GEMM stage at a time, in descent
-/// order, while the reductions before it finish and the next one's Û is
-/// already on its way. [`RankCtx::outstanding`] reports the window tasks.
+/// computes.
+///
+/// The loop keeps a ready list of woken stages and polls nothing else: a
+/// pass costs what it wakes, not what is active. A message wakes the stage
+/// its tag names, read from the rank's wake log
+/// ([`RankCtx::take_wakes`]); activation, entry into the window and the
+/// landing of a piece some window task's GEMM needs are in-rank wakes.
+/// When the list is empty and no window can grow, it parks (visible to the
+/// watchdog) until a message arrives. The park is filed under the oldest
+/// task's waiting stage ([`SnTask::waiting_on`]), so a traced wait keeps
+/// its (phase, supernode) attribution. A window of one runs one GEMM stage
+/// at a time, in descent order, while the reductions before it finish and
+/// the next one's Û is already on its way. [`RankCtx::outstanding`]
+/// reports the window tasks.
 ///
 /// Admission control: queries are admitted in ascending index order, with
 /// at most `max_inflight` *unfinished* admitted queries at a time. Every
@@ -699,88 +925,143 @@ pub(crate) fn phase2_multi(
     // unbounded window: the tasks whose GEMM has not run.
     let span = window.saturating_mul(2);
     let order = states.first().map_or(Vec::new(), |st| descent_order(st.sf, window));
+    let mut pos = vec![0; order.len()];
+    for (i, &k) in order.iter().enumerate() {
+        pos[k] = i;
+    }
+    debug_assert!(states.iter().enumerate().all(|(q, st)| st.qid == q as u64));
     let mut runs: Vec<QueryRun> = states
         .iter()
-        .map(|_| QueryRun { rest: &order, active: Vec::new(), live: vec![false; order.len()] })
+        .map(|_| QueryRun {
+            rest: &order,
+            tasks: (0..order.len()).map(|_| None).collect(),
+            active: 0,
+            in_window: 0,
+            horizon: VecDeque::new(),
+            waiters: HashMap::new(),
+            early: HashMap::new(),
+            oldest: 0,
+        })
         .collect();
+    let mut ready: Ready = VecDeque::new();
+    let mut wakes = Vec::new();
+    let mut fired = Fired::default();
     let mut admitted = 0usize; // queries 0..admitted have entered the race
-    let mut park_scope = false; // the last sweep left a scope open over the park
+    let mut park_scope = false; // the last pass left a scope open over the park
+
+    // Phase-2 messages that reached this rank during its phase 1 are in the
+    // stash already; opening the log wakes their stages.
+    ctx.open_wake_log();
     ctx.sweep_then_park(BlockedOn::ANY, |ctx| {
         if std::mem::take(&mut park_scope) {
             ctx.tracer().pop_scope();
         }
-        let mut progressed = false;
-        // Admission in ascending query order, bounded by unfinished count.
-        let mut running = runs[..admitted].iter().filter(|r| !r.is_finished()).count();
-        while admitted < runs.len() && running < max_inflight {
-            admitted += 1;
-            running += 1;
-            progressed = true;
-        }
-        // Grow every admitted query's window and horizon in descent order;
-        // the tail, whose GEMMs have run, takes no room.
-        for (st, run) in states[..admitted].iter_mut().zip(&mut runs) {
-            let mut unrun = run.active.iter().filter(|t| !t.gemm_done).count();
-            while unrun < span {
-                let Some((&k, rest)) = run.rest.split_first() else { break };
-                if participates(st.layout, st.me, &plans[k], k) {
-                    run.active.push(SnTask::activate(ctx, st, &plans[k], k));
-                    run.live[k] = true;
-                    unrun += 1;
-                    progressed = true;
+        // Every woken stage, and whatever it wakes in turn.
+        while let Some((q, k, wake)) = ready.pop_front() {
+            let (run, st) = (&mut runs[q], &mut states[q]);
+            let Some(task) = run.tasks[k].as_deref_mut() else { continue };
+            task.wake(ctx, st, &plans[k], pool, wake, &mut fired);
+            if task.is_done() {
+                run.tasks[k] = None;
+                run.active -= 1;
+            }
+            for need in fired.landed.drain(..) {
+                for w in run.waiters.remove(&need).unwrap_or_default() {
+                    let t = run.tasks[w].as_deref_mut().expect("a GEMM waiter is active");
+                    t.needs_left -= 1;
+                    if t.may_compute() {
+                        ready.push_back((q, w, Wake::Gate));
+                    }
                 }
-                run.rest = rest;
-                // Skipping the supernodes this rank takes no part in can
-                // finish a query with no task retiring. That frees an
-                // admission slot, and the next query's first messages may
-                // already sit in the stash, where they wake nobody.
-                progressed |= run.is_finished();
+            }
+            if std::mem::take(&mut fired.gemm) {
+                run.in_window -= 1;
+                // A GEMM stage is long: forward what arrived meanwhile.
+                ctx.take_wakes(&mut wakes);
+                route(&wakes, &mut runs, &pos, &mut ready);
             }
         }
+        // Admission in ascending query order, bounded by unfinished count;
+        // then grow every admitted query's window and horizon in descent
+        // order (the tail, whose GEMMs have run, takes no room). Skipping
+        // the supernodes this rank takes no part in can finish a query with
+        // no task retiring, which frees an admission slot.
+        loop {
+            let mut running = runs[..admitted].iter().filter(|r| !r.is_finished()).count();
+            while admitted < runs.len() && running < max_inflight {
+                admitted += 1;
+                running += 1;
+            }
+            let mut freed = false;
+            for (q, (st, run)) in states[..admitted].iter_mut().zip(&mut runs).enumerate() {
+                if run.is_finished() {
+                    continue;
+                }
+                while run.in_window + run.horizon.len() < span {
+                    let Some((&k, rest)) = run.rest.split_first() else { break };
+                    run.rest = rest;
+                    if !participates(st.layout, st.me, &plans[k], k) {
+                        continue;
+                    }
+                    run.tasks[k] = Some(Box::new(SnTask::activate(ctx, st, &plans[k], k)));
+                    run.active += 1;
+                    run.horizon.push_back(k);
+                    let early = run.early.remove(&k).unwrap_or_default();
+                    ready.extend(early.into_iter().map(|w| (q, k, w)));
+                }
+                // Promotion records the GEMM needs against the query's live
+                // tasks: the producers are ancestors, activated before this
+                // task, so a live one is ahead of it in the window or the
+                // tail and an inactive one has retired, its piece here.
+                while run.in_window < window {
+                    let Some(k) = run.horizon.pop_front() else { break };
+                    let mut needs =
+                        gemm_needs(st, st.sf.blocks_of(k), |sn| run.tasks[sn].is_some());
+                    needs.retain(|n| !n.satisfied(st));
+                    let t = run.tasks[k].as_deref_mut().expect("a horizon task is active");
+                    t.promoted = true;
+                    t.needs_left = needs.len();
+                    if t.may_compute() {
+                        ready.push_back((q, k, Wake::Gate));
+                    }
+                    for need in needs {
+                        run.waiters.entry(need).or_default().push(k);
+                    }
+                    run.in_window += 1;
+                }
+                freed |= run.is_finished();
+            }
+            if !freed || admitted == runs.len() {
+                break;
+            }
+        }
+        ctx.outstanding(runs[..admitted].iter().map(|r| r.in_window).sum());
         if admitted == runs.len() && runs.iter().all(QueryRun::is_finished) {
             return Progress::Done(());
         }
-        // The window is each query's first `window` tasks whose GEMM has
-        // not run; the tail (GEMM run) and the horizon are swept alike.
-        let mut in_window = 0;
-        for (st, run) in states[..admitted].iter_mut().zip(&mut runs) {
-            let mut seats = window;
-            for t in run.active.iter_mut() {
-                if !t.gemm_done && seats > 0 {
-                    seats -= 1;
-                    t.promote(st, &run.live);
-                }
-                progressed |= t.poll(ctx, st, &plans[t.k], pool);
-            }
-            in_window += window - seats;
-            let before = run.active.len();
-            let live = &mut run.live;
-            run.active.retain(|t| {
-                let done = t.is_done();
-                if done {
-                    live[t.k] = false;
-                }
-                !done
-            });
-            progressed |= run.active.len() != before;
-        }
-        ctx.outstanding(in_window);
-        if progressed {
+        ctx.take_wakes(&mut wakes);
+        route(&wakes, &mut runs, &pos, &mut ready);
+        if !ready.is_empty() {
             return Progress::Moved;
         }
         // Every window is as full as it can get and every pending stage
         // awaits a message. Hold the oldest task's waiting stage open over
-        // the park; the next sweep closes it.
-        let oldest = states[..admitted]
-            .iter()
-            .zip(&runs)
-            .find_map(|(st, r)| r.active.first().map(|t| (t.waiting_on(), span_key(st.qid, t.k))));
+        // the park; the next pass closes it.
+        let oldest = states[..admitted].iter().zip(&mut runs).find_map(|(st, r)| {
+            let activated = order.len() - r.rest.len();
+            while r.oldest < activated && r.tasks[order[r.oldest]].is_none() {
+                r.oldest += 1;
+            }
+            let t = r.tasks[*order.get(r.oldest)?].as_deref()?;
+            Some((t.waiting_on(), span_key(st.qid, t.k)))
+        });
         if let Some((coll, key)) = oldest {
             ctx.tracer().push_scope(coll, key);
             park_scope = true;
         }
         Progress::Idle
     });
+    ctx.close_wake_log();
     ctx.outstanding(0);
 }
 

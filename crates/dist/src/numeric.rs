@@ -136,6 +136,33 @@ pub(crate) fn tag_q(qid: u64, phase: u64, k: usize, bi: usize) -> u64 {
     phase | (qid << 48) | ((k as u64) << 24) | bi as u64
 }
 
+/// A message tag read back into the fields [`tag_q`] packed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct TagFields {
+    pub(crate) qid: u64,
+    /// One of the six `PHASE_*` lane values.
+    pub(crate) phase: u64,
+    pub(crate) k: usize,
+    pub(crate) bi: usize,
+}
+
+/// The inverse of [`tag_q`]: the `(query, phase, supernode, block)` a tag
+/// names, or `None` when its top byte is not one of the six phase lanes
+/// (the runtime's ack, barrier and recovery lanes).
+pub(crate) fn untag_q(tag: u64) -> Option<TagFields> {
+    let phase = tag & (0xFF << 56);
+    if !(PHASE_DIAG_BCAST..=PHASE_AINV_TRANS).contains(&phase) {
+        return None;
+    }
+    const LANE24: u64 = (1 << 24) - 1;
+    Some(TagFields {
+        qid: (tag >> 48) & 0xFF,
+        phase,
+        k: ((tag >> 24) & LANE24) as usize,
+        bi: (tag & LANE24) as usize,
+    })
+}
+
 /// [`tag_q`] for single-query runs (query id 0) — tag values are unchanged
 /// from before the query lane existed. Production call sites all thread the
 /// query id through [`RankState`]; this shorthand anchors the
@@ -1008,6 +1035,35 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn untag_q_inverts_tag_q_and_rejects_runtime_lanes() {
+        let phases = [
+            PHASE_DIAG_BCAST,
+            PHASE_TRANSPOSE,
+            PHASE_COL_BCAST,
+            PHASE_ROW_REDUCE,
+            PHASE_DIAG_REDUCE,
+            PHASE_AINV_TRANS,
+        ];
+        let top = (1usize << 24) - 1;
+        for phase in phases {
+            for qid in [0u64, 255] {
+                for k in [0, top] {
+                    for bi in [0, top] {
+                        let want = TagFields { qid, phase, k, bi };
+                        assert_eq!(untag_q(tag_q(qid, phase, k, bi)), Some(want), "{want:?}");
+                    }
+                }
+            }
+        }
+        use pselinv_mpisim::{ACK_LANE, BARRIER_DOWN_LANE, BARRIER_UP_LANE};
+        for lane in [ACK_LANE, BARRIER_UP_LANE, BARRIER_DOWN_LANE] {
+            assert_eq!(untag_q(lane), None, "{lane:#x}");
+            assert_eq!(untag_q(lane | tag_q(3, PHASE_ROW_REDUCE, 5, 2)), None, "{lane:#x}");
+        }
+        assert_eq!(untag_q(0), None, "a tag below every phase lane");
     }
 
     #[test]

@@ -17,6 +17,7 @@ use pselinv_factor::LdlFactor;
 use pselinv_mpisim::{Grid2D, RankVolume, RunOptions};
 use pselinv_order::etree::NONE;
 use pselinv_order::nd::NdOptions;
+use pselinv_order::supernodes::SupernodeOptions;
 use pselinv_order::{analyze, AnalyzeOptions, OrderingChoice};
 use pselinv_selinv::SelectedInverse;
 use pselinv_sparse::gen;
@@ -363,6 +364,66 @@ fn a_wide_window_activates_supernodes_by_etree_depth() {
         }
     }
     assert!(deeper > 0, "no rank went down the etree");
+}
+
+#[test]
+fn stages_are_woken_not_swept() {
+    // The loop tests a receive when its message has arrived, not on every
+    // pass: each delivered message costs about one match attempt, and each
+    // activation at most one more, at any window. Every message spends
+    // 300 µs in flight and some are duplicated or reordered, so stages
+    // wait long and in arbitrary order; a loop that polled every active
+    // task per pass would make many times more attempts than messages.
+    use pselinv_trace::{CollKind, EventKind};
+    let w = gen::grid_laplacian_2d(24, 24);
+    let narrow = AnalyzeOptions {
+        ordering: OrderingChoice::NestedDissection(w.geometry, NdOptions::default()),
+        supernode: SupernodeOptions { max_width: 4, relax_small: 2, relax_zero_fraction: 0.3 },
+        ..AnalyzeOptions::default()
+    };
+    let sf = Arc::new(analyze(&w.matrix.pattern(), &narrow));
+    let f = pselinv_factor::factorize(&w.matrix, sf).unwrap();
+    let grid = Grid2D::new(2, 2);
+    let (one, one_vol) = distributed_selinv(&f, grid, &opts(TreeScheme::ShiftedBinary, 1));
+    let plan = FaultPlan::new(11).with_default(FaultSpec {
+        delay_us: 300,
+        duplicate_permille: 100,
+        reorder_permille: 100,
+        ..FaultSpec::default()
+    });
+    for lookahead in [1usize, 4, usize::MAX] {
+        let what = format!("lookahead={lookahead}");
+        let (inv, vol, trace) = try_distributed_selinv_traced(
+            &f,
+            grid,
+            &opts(TreeScheme::ShiftedBinary, lookahead),
+            &chaos_opts(plan.clone()),
+            &what,
+        )
+        .expect("a crash-free fault plan completes");
+        assert_bit_identical(&one, &inv, &what);
+        assert_volumes_equal(&one_vol, &vol, &what);
+        for (r, rank) in trace.ranks.iter().enumerate() {
+            // Activation opens a Transpose span keyed to the supernode.
+            let activations: HashSet<u64> = rank
+                .events
+                .iter()
+                .filter_map(|e| match e.kind {
+                    EventKind::Span { coll: CollKind::Transpose, key, .. } => Some(key),
+                    _ => None,
+                })
+                .collect();
+            let (calls, received) = (rank.metrics.match_calls, vol[r].msgs_received);
+            let bound = 1.5 * received as f64 + activations.len() as f64;
+            assert!(received > 0, "{what}: rank {r} received nothing");
+            assert!(
+                calls as f64 <= bound,
+                "{what}: rank {r} made {calls} match attempts for {received} messages \
+                 and {} activations",
+                activations.len()
+            );
+        }
+    }
 }
 
 #[test]

@@ -142,6 +142,20 @@ impl TreeReduceNb {
         self.is_done()
     }
 
+    /// Non-blocking progress on one child's arrival: tests only the pending
+    /// receive from `src` (a progress loop that knows which message landed
+    /// need not test the others); when it was the last one, sums and
+    /// forwards. Returns [`TreeReduceNb::is_done`].
+    pub fn poll_from(&mut self, ctx: &mut RankCtx, tree: &CollectiveTree, src: usize) -> bool {
+        if !self.is_done() {
+            if let Some(r) = self.reqs.iter_mut().find(|r| r.src == src && !r.is_done()) {
+                r.test(ctx);
+            }
+            self.try_finish(ctx, tree);
+        }
+        self.is_done()
+    }
+
     /// If every child's contribution is in, performs the fixed-order sum and
     /// forwards/stores the total.
     fn try_finish(&mut self, ctx: &mut RankCtx, tree: &CollectiveTree) {

@@ -323,8 +323,9 @@ pub(crate) struct RankState {
     crashed: AtomicBool,
     pub(crate) blocked: Mutex<Option<BlockedOn>>,
     /// `(src, tag)` of stashed messages, in stash order: the rank's own
-    /// stash helpers update it with every change.
-    pub(crate) stash: Mutex<Vec<(usize, u64)>>,
+    /// stash helpers update it with every change. A deque like the stash,
+    /// so a take costs the same shift in both.
+    pub(crate) stash: Mutex<VecDeque<(usize, u64)>>,
     /// Messages currently queued in this rank's inbox. Always maintained
     /// (two relaxed bumps per message): the watchdog refuses to call a
     /// wait-for cycle a deadlock while a rank on it has mail it has not
@@ -488,6 +489,10 @@ pub struct RankCtx {
     /// guard [`RankCtx::sweep_then_park`] snapshots before each sweep and
     /// compares before it parks, and [`RankCtx::park`] watches to end.
     arrivals: u64,
+    /// The wake log: `(src, tag)` of every data message that entered the
+    /// stash since the last [`RankCtx::take_wakes`], kept only while a
+    /// reader is attached ([`RankCtx::open_wake_log`]) and `None` otherwise.
+    wake_log: Option<Vec<(usize, u64)>>,
     /// Whether [`RankCtx::park`] polls before it parks, learnt from this
     /// rank's own waits.
     spin: SpinPolicy,
@@ -565,6 +570,13 @@ pub const JOIN_LANE: u64 = 0xCA << 56;
 /// in-flight traffic of the original tree.
 pub const REPAIR_LANE: u64 = 0xDA << 56;
 
+/// Whether `m` is at or above its edge's epoch floor
+/// ([`RankCtx::expect_epoch`]): a message below it is discarded at match
+/// time and never logged as a wake.
+fn above_floor(min_epoch: &HashMap<(usize, u64), u64>, m: &Message) -> bool {
+    min_epoch.is_empty() || min_epoch.get(&(m.src, m.tag)).is_none_or(|&floor| m.epoch >= floor)
+}
+
 /// How long a matched receive may wait: when it began (what
 /// [`RecvTimeout::waited`] is measured from) and when it gives up.
 #[derive(Clone, Copy)]
@@ -634,13 +646,19 @@ impl RankCtx {
         }
     }
 
-    /// Appends an arrival to the stash and bumps `arrivals`. With
+    /// Appends an arrival to the stash, bumps `arrivals` and logs it for
+    /// an attached wake-log reader. With
     /// [`RankCtx::stash_take`] the only way the stash changes: the two keep
     /// the trace's depth gauge and the observers' mirror
     /// ([`RankState::stash`]) equal to it.
     fn stash_push(&mut self, m: Message) {
         if self.shared.observed() {
-            self.shared.states[self.rank].stash.lock().unwrap().push((m.src, m.tag));
+            self.shared.states[self.rank].stash.lock().unwrap().push_back((m.src, m.tag));
+        }
+        if let Some(log) = &mut self.wake_log {
+            if above_floor(&self.min_epoch, &m) {
+                log.push((m.src, m.tag));
+            }
         }
         self.stash.push_back(m);
         self.arrivals += 1;
@@ -1095,7 +1113,9 @@ impl RankCtx {
     /// oversubscribed host the core goes to a runnable rank; only then
     /// does it park in `recv_timeout`, in slices of `poll`. A wait that
     /// found the inbox empty is booked with the policy when it completes,
-    /// whether it spun or not — as a win only if a message ended it.
+    /// whether it spun or not — as a win only if a message ended it. The
+    /// spin's own wall time goes to the trace
+    /// ([`pselinv_trace::RankMetrics::spin_us`]).
     ///
     /// **What the watchdog sees.** `on` is published before the first
     /// poll and cleared on return, and progress is bumped per message
@@ -1106,6 +1126,9 @@ impl RankCtx {
         let start = Instant::now();
         let spin_until = self.spin.should_spin().then(|| start + SPIN_BUDGET);
         let mut waited = false;
+        // The last instant the spin polled an empty inbox: the spin ran
+        // from `start` to here.
+        let mut spun: Option<Instant> = None;
         let seen = self.arrivals;
         self.set_blocked(on);
         let got = loop {
@@ -1120,6 +1143,7 @@ impl RankCtx {
                         break false;
                     }
                     if spin_until.is_some_and(|s| now < s) {
+                        spun = Some(now);
                         std::thread::yield_now();
                         continue;
                     }
@@ -1146,6 +1170,9 @@ impl RankCtx {
             }
         };
         self.clear_blocked();
+        if let Some(t) = spun {
+            self.tracer.spin(t.saturating_duration_since(start).as_micros() as u64);
+        }
         if waited {
             // Mail that was already queued cost no park either way: only a
             // wait that found the inbox empty says anything about spinning.
@@ -1187,7 +1214,7 @@ impl RankCtx {
         loop {
             from += self.stash.range(from..).position(&wants)?;
             let m = self.stash_take(from);
-            if self.min_epoch.get(&(m.src, m.tag)).is_none_or(|&floor| m.epoch >= floor) {
+            if above_floor(&self.min_epoch, &m) {
                 return Some(m);
             }
             self.tracer.fault(FaultKind::Dropped, m.src, m.tag);
@@ -1232,6 +1259,7 @@ impl RankCtx {
     /// operation — a request's count does not depend on how often it was
     /// polled.
     pub fn try_match(&mut self, src: usize, tag: u64) -> Option<Payload> {
+        self.tracer.match_call();
         self.check_abort();
         self.flush_held();
         self.reliable_tick();
@@ -1239,6 +1267,44 @@ impl RankCtx {
         let m = self.take_match(0, |m| m.src == src && m.tag == tag)?;
         self.chaos_op();
         Some(self.account_recv(m).data)
+    }
+
+    /// Attaches a reader to the wake log. From now on `(src, tag)` of every
+    /// data message that enters the stash — in turn, released from the
+    /// early buffer, or retransmitted — is recorded once, in stash order,
+    /// for [`RankCtx::take_wakes`]; the messages already stashed are
+    /// recorded first, as if they had just arrived. Acks, suppressed
+    /// duplicates and messages below their edge's epoch floor
+    /// ([`RankCtx::expect_epoch`]) are never recorded. A progress loop that
+    /// polls a request only when its own message has arrived reads its
+    /// wake-ups here; the runtime never interprets the tags.
+    pub fn open_wake_log(&mut self) {
+        let floor = &self.min_epoch;
+        let log = self.stash.iter().filter(|m| above_floor(floor, m)).map(|m| (m.src, m.tag));
+        self.wake_log = Some(log.collect());
+    }
+
+    /// Detaches the wake-log reader and drops whatever it did not take:
+    /// nothing is recorded while no reader is attached, so a phase that
+    /// never drains the log cannot grow it.
+    pub fn close_wake_log(&mut self) {
+        self.wake_log = None;
+    }
+
+    /// Drains the inbox into the stash (running the retransmission tick
+    /// first, as a match attempt does), then moves the wakes logged since
+    /// the last call into `into` (cleared first), oldest first; leaves
+    /// `into` empty while no reader is attached. The two buffers swap, so a
+    /// reader that passes the same vector every time allocates nothing
+    /// once both have grown.
+    pub fn take_wakes(&mut self, into: &mut Vec<(usize, u64)>) {
+        into.clear();
+        self.check_abort();
+        self.reliable_tick();
+        self.drain_inbox();
+        if let Some(log) = &mut self.wake_log {
+            std::mem::swap(log, into);
+        }
     }
 
     /// Drives a progress loop to completion; the one place a rank parks
@@ -1495,7 +1561,7 @@ fn stall_error(
         .states
         .iter()
         .enumerate()
-        .map(|(r, s)| (r, s.stash.lock().unwrap().clone()))
+        .map(|(r, s)| (r, s.stash.lock().unwrap().iter().copied().collect::<Vec<_>>()))
         .filter(|(_, s)| !s.is_empty())
         .collect();
     RunError::Stalled(Box::new(StallDiagnostic {
@@ -1652,6 +1718,7 @@ where
                     min_epoch: HashMap::new(),
                     channels: None,
                     arrivals: 0,
+                    wake_log: None,
                     spin: SpinPolicy::default(),
                     courier: courier_tx,
                 };
@@ -2341,6 +2408,163 @@ mod tests {
         });
         assert_eq!(results[1], 2.0);
         assert_eq!(volumes[1].msgs_received, 1, "the stale message is never accounted");
+    }
+
+    #[test]
+    fn try_match_counts_every_poll_and_a_stash_hit_once() {
+        use crate::requests::RecvRequest;
+        // Rank 1 tests request A N times before rank 0 may send anything,
+        // then lets rank 0 send A, B and a marker on one channel. Once the
+        // blocking receive of the marker returns, A and B are stashed
+        // (channel order), so one more test completes A and one test of B
+        // is a stash hit. Blocking receives never count.
+        const N: u64 = 5;
+        let (results, _, trace) = run_traced(2, "match-calls", |ctx| {
+            if ctx.rank() == 0 {
+                let _ = ctx.recv(1, 9);
+                for tag in [1, 2, 3] {
+                    ctx.send(1, tag, vec![tag as f64]);
+                }
+                return (0, 0);
+            }
+            let calls = |ctx: &mut RankCtx| ctx.tracer().metrics().unwrap().match_calls;
+            let mut a = RecvRequest::post(0, 1);
+            for _ in 0..N {
+                assert!(!a.test(ctx), "nothing was sent yet");
+            }
+            ctx.send(0, 9, vec![0.0]);
+            let _ = ctx.recv(0, 3);
+            assert!(a.test(ctx), "A precedes the marker on its channel");
+            let after_a = calls(ctx);
+            let mut b = RecvRequest::post(0, 2);
+            assert!(b.test(ctx), "B is a stash hit");
+            (after_a, calls(ctx) - after_a)
+        });
+        assert_eq!(results[1], (N + 1, 1));
+        assert_eq!(trace.ranks[1].metrics.match_calls, N + 2);
+        assert_eq!(trace.ranks[0].metrics.match_calls, 0, "blocking receives never count");
+    }
+
+    #[test]
+    fn the_wake_log_records_each_stashed_message_once_and_only_while_read() {
+        // Fed to rank 0's arrival rule from rank 1 as (seq, tag), one tag
+        // per sequence number: an early arrival, the in-turn message and a
+        // duplicate of it, the gap filler that releases the early one, a
+        // duplicate of a taken message, then an early message and a
+        // duplicate of it while it is held.
+        let feed = [(2, 12), (0, 10), (0, 10), (1, 11), (2, 12), (4, 14), (4, 14)];
+        for open in [true, false] {
+            let (results, _) = try_run(2, &RunOptions::default(), |ctx| {
+                if ctx.rank() == 1 {
+                    return Default::default();
+                }
+                if open {
+                    ctx.open_wake_log();
+                }
+                for &(seq, tag) in &feed {
+                    let data = Payload::from(vec![seq as f64]);
+                    let m =
+                        Message { src: 1, tag, sent_us: 0, seq, clock: 0, idx: 0, epoch: 0, data };
+                    ctx.arrive(m);
+                }
+                let mut wakes = vec![(9, 99)];
+                ctx.take_wakes(&mut wakes);
+                let stash: Vec<(usize, u64)> = ctx.stash.iter().map(|m| (m.src, m.tag)).collect();
+                let mut again = Vec::new();
+                ctx.take_wakes(&mut again);
+                assert!(again.is_empty(), "open={open}: a take empties the log");
+                ctx.close_wake_log();
+                assert!(ctx.wake_log.is_none(), "open={open}: a closed log holds nothing");
+                (stash, wakes)
+            })
+            .expect("a clean run");
+            let (stash, wakes) = &results[0];
+            assert_eq!(stash, &vec![(1, 10), (1, 11), (1, 12)], "open={open}");
+            let want = if open { stash.clone() } else { Vec::new() };
+            assert_eq!(wakes, &want, "open={open}");
+        }
+    }
+
+    #[test]
+    fn opening_the_wake_log_records_the_stash_and_never_a_stale_epoch() {
+        // Three messages are stashed before the log opens, one of them
+        // below the epoch floor of its edge: opening records the other two.
+        // Of two later arrivals on that edge, the stale one is not logged.
+        let (results, _) = try_run(2, &RunOptions::default(), |ctx| {
+            if ctx.rank() == 1 {
+                return Vec::new();
+            }
+            ctx.expect_epoch(1, 7, 1);
+            let mut feed = [(0, 5, 1), (1, 7, 0), (2, 6, 1), (3, 7, 0), (4, 7, 1)].into_iter();
+            let arrive = |ctx: &mut RankCtx, (seq, tag, epoch): (u64, u64, u64)| {
+                let data = Payload::from(vec![0.0]);
+                ctx.arrive(Message { src: 1, tag, sent_us: 0, seq, clock: 0, idx: 0, epoch, data });
+            };
+            for m in feed.by_ref().take(3) {
+                arrive(ctx, m);
+            }
+            ctx.open_wake_log();
+            for m in feed {
+                arrive(ctx, m);
+            }
+            let mut wakes = Vec::new();
+            ctx.take_wakes(&mut wakes);
+            ctx.close_wake_log();
+            wakes
+        })
+        .expect("a clean run");
+        assert_eq!(results[0], vec![(1, 5), (1, 6), (1, 7)]);
+    }
+
+    #[test]
+    fn the_wake_log_sees_retransmissions_once_and_never_acks_or_duplicates() {
+        // Rank 0 sends one tag per message under loss, duplication and
+        // reordering with the reliable transport on; rank 1 takes them all
+        // and answers once. Each rank's log must read exactly the data
+        // messages it was sent, in channel order: every lost message once,
+        // through its retransmission, and no ack or duplicate.
+        use pselinv_chaos::FaultSpec;
+        const N: u64 = 24;
+        let spec = FaultSpec {
+            drop_permille: 200,
+            duplicate_permille: 200,
+            reorder_permille: 200,
+            ..FaultSpec::default()
+        };
+        let plan = (0..)
+            .map(|seed| FaultPlan::new(seed).with_default(spec))
+            .find(|p| (0..N).any(|s| p.drops(0, 1, s)) && (0..N).any(|s| p.duplicates(0, 1, s)))
+            .expect("some seed drops and duplicates");
+        let opts = RunOptions {
+            faults: Some(plan),
+            reliable: Some(crate::reliable::ReliableConfig {
+                rto: Duration::from_millis(2),
+                ..Default::default()
+            }),
+            ..guard_opts()
+        };
+        let (results, volumes) = try_run(2, &opts, |ctx| {
+            ctx.open_wake_log();
+            if ctx.rank() == 0 {
+                for tag in 100..100 + N {
+                    ctx.send(1, tag, vec![tag as f64]);
+                }
+                let _ = ctx.recv(1, 999);
+            } else {
+                for tag in 100..100 + N {
+                    assert_eq!(ctx.recv(0, tag)[0], tag as f64);
+                }
+                ctx.send(0, 999, vec![0.0]);
+            }
+            let mut wakes = Vec::new();
+            ctx.take_wakes(&mut wakes);
+            ctx.close_wake_log();
+            wakes
+        })
+        .expect("loss is masked");
+        assert!(volumes[0].retransmitted > 0, "nothing was retransmitted");
+        assert_eq!(results[0], vec![(1, 999)], "rank 0 saw only the answer, never an ack");
+        assert_eq!(results[1], (100..100 + N).map(|t| (0, t)).collect::<Vec<_>>());
     }
 
     /// Options under which a lost wakeup fails the run in under a second

@@ -74,6 +74,13 @@ pub struct RankMetrics {
     pub pool_busy_us: u64,
     /// Number of pool participants (workers + the submitting thread).
     pub pool_workers: usize,
+    /// Non-blocking match attempts (`RankCtx::try_match`), hits and misses
+    /// alike: a progress loop's polling cost, read against the messages
+    /// this rank consumed.
+    pub match_calls: u64,
+    /// Wall time the rank spent in its receive spin, polling an empty
+    /// inbox before it parks, in microseconds.
+    pub spin_us: u64,
 }
 
 impl Default for RankMetrics {
@@ -92,6 +99,8 @@ impl Default for RankMetrics {
             pool_stolen: 0,
             pool_busy_us: 0,
             pool_workers: 0,
+            match_calls: 0,
+            spin_us: 0,
         }
     }
 }
@@ -180,6 +189,21 @@ impl RankMetrics {
         self.pool_stolen += stolen;
         self.pool_busy_us += busy_us;
         self.pool_workers = self.pool_workers.max(workers);
+    }
+
+    /// Records one non-blocking match attempt.
+    pub fn on_match_call(&mut self) {
+        self.match_calls += 1;
+    }
+
+    /// Records `us` microseconds of receive spinning.
+    pub fn on_spin(&mut self, us: u64) {
+        self.spin_us += us;
+    }
+
+    /// Total messages received across all kinds.
+    pub fn total_recv_msgs(&self) -> u64 {
+        self.per_kind.iter().map(|c| c.msgs_recv).sum()
     }
 
     /// Total bytes sent across all kinds.

@@ -259,6 +259,20 @@ impl RankTracer {
         }
     }
 
+    /// Counts one non-blocking match attempt (metrics only, no event).
+    pub fn match_call(&mut self) {
+        if let Some(inner) = self.0.as_deref_mut() {
+            inner.metrics.on_match_call();
+        }
+    }
+
+    /// Books `us` microseconds of receive spinning (metrics only).
+    pub fn spin(&mut self, us: u64) {
+        if let Some(inner) = self.0.as_deref_mut() {
+            inner.metrics.on_spin(us);
+        }
+    }
+
     /// Reports the current out-of-order stash depth. Updates the high-water
     /// mark; emits a counter event only when the depth changed.
     pub fn stash_depth(&mut self, depth: usize) {
@@ -585,6 +599,18 @@ impl Trace {
             .map(|r| (r.rank, r.metrics.retransmits))
             .max_by_key(|&(rank, n)| (n, std::cmp::Reverse(rank)))
             .unwrap_or((0, 0));
+        // Matching cost of the progress loops: non-blocking match attempts
+        // per consumed message (1.0 when every poll finds its message), and
+        // the time spent spinning on an empty inbox before parking.
+        let m_calls: u64 = self.ranks.iter().map(|r| r.metrics.match_calls).sum();
+        let m_recv: u64 = self.ranks.iter().map(|r| r.metrics.total_recv_msgs()).sum();
+        let per_msg = if m_recv == 0 { 0.0 } else { m_calls as f64 / m_recv as f64 };
+        let spin: u64 = self.ranks.iter().map(|r| r.metrics.spin_us).sum();
+        let _ = writeln!(
+            out,
+            "matching: {m_calls} try_match calls for {m_recv} delivered messages \
+             ({per_msg:.2} per message), spin {spin} µs"
+        );
         let _ = writeln!(
             out,
             "retransmits: total {r_total} ({r_bytes} B control traffic), max {r_max} at rank {r_rank}"
@@ -775,10 +801,10 @@ mod tests {
 
     #[test]
     fn summary_table_golden_format() {
-        // Golden test for the full table shape, including the two
-        // unconditional footer lines (stash and outstanding HWM) that must
-        // appear on both backends whether or not anything was stashed or in
-        // flight.
+        // Golden test for the full table shape, including the
+        // unconditional footer lines (stash and outstanding HWM, matching,
+        // retransmits, pool) that must appear on both backends whether or
+        // not anything was stashed or in flight.
         let mut a = RankTracer::manual(0);
         a.push_scope(CollKind::ColBcast, 0);
         a.msg_send(1, 0, 100, 1, 0);
@@ -797,6 +823,7 @@ phase                msgs   sent.min B   sent.max B  sent.mean B   sent.sigma   
 ColBcast                2          100          300        200.0        100.0         20          0          0
 stash high-water: max 0 at rank 0, mean 0.00, 0/2 ranks ever stashed
 outstanding collectives high-water: max 0, mean 0.00 across ranks
+matching: 0 try_match calls for 0 delivered messages (0.00 per message), spin 0 µs
 retransmits: total 0 (0 B control traffic), max 0 at rank 0
 pool tasks: executed 0, stolen 0 (0.0%), busy 0 µs, 0 workers/rank
 ";
@@ -810,6 +837,7 @@ pool tasks: executed 0, stolen 0 (0.0%), busy 0 µs, 0 workers/rank
         let table = Trace::new("empty", vec![]).summary_table();
         assert!(table.contains("stash high-water:"), "{table}");
         assert!(table.contains("outstanding collectives high-water:"), "{table}");
+        assert!(table.contains("matching: 0 try_match calls"), "{table}");
         assert!(table.contains("retransmits: total 0"), "{table}");
         assert!(table.contains("pool tasks: executed 0"), "{table}");
     }
