@@ -1173,12 +1173,20 @@ unsafe fn trsm_llt_small(
 /// This computes `X = B · L⁻¹`, the panel normalization `L̂ = L_{C,K} ·
 /// (L_{K,K})⁻¹` from step 2 of Algorithm 1.
 pub fn trsm_right_lower(b: &mut Mat, l: &Mat, unit: bool) {
+    assert_eq!(b.ncols(), l.nrows());
+    trsm_right_lower_cols(b.data_mut(), l, unit);
+}
+
+/// [`trsm_right_lower`] on `B` given as its column-major buffer of `w`
+/// columns (`w` the order of `L`): for a matrix that lives somewhere other
+/// than a [`Mat`], such as a shared buffer built in place.
+pub fn trsm_right_lower_cols(b: &mut [f64], l: &Mat, unit: bool) {
     let w = l.nrows();
     assert_eq!(l.ncols(), w);
-    assert_eq!(b.ncols(), w);
-    let m = b.nrows();
+    let m = b.len().checked_div(w).unwrap_or(0);
+    assert_eq!(b.len(), m * w, "B is not a whole number of columns");
     let ld = l.data().as_ptr();
-    let bd = b.data_mut().as_mut_ptr();
+    let bd = b.as_mut_ptr();
     // SAFETY: `b` is m×w (ldb = m) and `l` is w×w (ldl = w); every block
     // offset below stays inside those shapes, and the GEMM reads/writes
     // disjoint column ranges of `b`.

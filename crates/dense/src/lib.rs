@@ -27,7 +27,8 @@ pub mod mat;
 
 pub use kernels::{
     gemm, gemm_partitioned, gemm_tiled, scalar_path, trsm_left_lower, trsm_left_lower_trans,
-    trsm_right_lower, trsm_right_lower_trans, BlockPush, PackedCols, RowTiles, Transpose,
+    trsm_right_lower, trsm_right_lower_cols, trsm_right_lower_trans, BlockPush, PackedCols,
+    RowTiles, Transpose,
 };
 pub use ldlt::{ldlt_factor, ldlt_invert, ldlt_solve};
 pub use lu::{lu_factor, lu_invert, lu_solve};

@@ -253,6 +253,23 @@ impl Mat {
         }
         m
     }
+
+    /// Copies the `r×c` sub-matrix at `(row, col)` straight into a fresh
+    /// shared buffer, column by column: one copy, where
+    /// [`Mat::submatrix`] followed by [`Mat::into_shared`] makes two. The
+    /// buffer has one holder, so `Arc::get_mut` can update it in place
+    /// before it is wrapped ([`Mat::from_shared`]) and handed out.
+    pub fn submatrix_shared(&self, row: usize, col: usize, r: usize, c: usize) -> Arc<[f64]> {
+        assert!(row + r <= self.nrows && col + c <= self.ncols);
+        let mut buf = Arc::<[f64]>::new_uninit_slice(r * c);
+        let cols = Arc::get_mut(&mut buf).expect("a fresh buffer has one holder");
+        for (j, dst) in cols.chunks_exact_mut(r.max(1)).enumerate() {
+            dst.write_copy_of_slice(&self.col(col + j)[row..row + r]);
+        }
+        // SAFETY: the `c` chunks of `r` entries tile the buffer, and each
+        // was written from a source column of exactly `r` entries.
+        unsafe { buf.assume_init() }
+    }
 }
 
 impl PartialEq for Mat {
@@ -364,6 +381,15 @@ mod tests {
         assert_eq!(buf[0], 1.0, "writer must never alias the shared buffer");
         assert_eq!(m[(0, 0)], 99.0);
         assert_eq!(Arc::strong_count(&buf), 1);
+    }
+
+    #[test]
+    fn submatrix_shared_equals_submatrix() {
+        let m = Mat::from_col_major(3, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]);
+        for (row, col, r, c) in [(1, 1, 2, 2), (0, 0, 3, 3), (2, 0, 1, 3), (0, 2, 0, 1)] {
+            let shared = Mat::from_shared(r, c, m.submatrix_shared(row, col, r, c));
+            assert_eq!(shared, m.submatrix(row, col, r, c), "({row},{col}) {r}x{c}");
+        }
     }
 
     #[test]

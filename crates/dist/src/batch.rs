@@ -26,8 +26,9 @@
 //! communication, never arithmetic, so every pole's panels are bit-identical
 //! to its standalone [`crate::numeric::distributed_selinv`] run.
 
+use crate::ainv::AinvPanels;
 use crate::layout::Layout;
-use crate::numeric::{assemble, phase1, DistOptions, RankOutput, RankState};
+use crate::numeric::{phase1, DistOptions, RankState};
 use crate::plan::{CommPlan, SupernodePlan};
 use pselinv_factor::{FactorError, LdlFactor};
 use pselinv_mpisim::{Grid2D, RankCtx, RankVolume};
@@ -115,11 +116,30 @@ pub fn try_batched_selinv(
     opts: &BatchOptions,
     run_opts: &pselinv_mpisim::RunOptions,
 ) -> Result<BatchRun, pselinv_mpisim::RunError> {
-    let (layout, plans) = shared_plan(factors, grid, opts);
-    let (rank_results, volumes) = pselinv_mpisim::try_run(grid.size(), run_opts, |ctx| {
-        batch_rank_entry(ctx, factors, &layout, &plans, opts)
+    let (panels, volumes, query_volumes) =
+        try_batched_selinv_panels(factors, grid, opts, run_opts)?;
+    Ok(finish(panels, volumes, query_volumes))
+}
+
+/// Each query's filled [`AinvPanels`], then the aggregate and per-query
+/// volumes of a [`BatchRun`].
+pub type PanelsRun = (Vec<AinvPanels>, Vec<RankVolume>, Vec<Vec<RankVolume>>);
+
+/// [`try_batched_selinv`] before its panels become inverses: each query's
+/// [`AinvPanels`] as the ranks left them — every region landed, with the
+/// rank that wrote it ([`AinvPanels::lower_writer`],
+/// [`AinvPanels::diag_writer`]).
+pub fn try_batched_selinv_panels(
+    factors: &[LdlFactor],
+    grid: Grid2D,
+    opts: &BatchOptions,
+    run_opts: &pselinv_mpisim::RunOptions,
+) -> Result<PanelsRun, pselinv_mpisim::RunError> {
+    let (layout, plans, panels) = shared_plan(factors, grid, opts);
+    let (channels, volumes) = pselinv_mpisim::try_run(grid.size(), run_opts, |ctx| {
+        batch_rank_entry(ctx, factors, &layout, &plans, &panels, opts)
     })?;
-    Ok(finish(factors, &layout, rank_results, volumes))
+    Ok((panels, volumes, by_query(channels, factors.len())))
 }
 
 /// [`batched_selinv`] with tracing enabled: spans and counters carry each
@@ -145,10 +165,10 @@ pub fn try_batched_selinv_traced(
     run_opts: &pselinv_mpisim::RunOptions,
     label: &str,
 ) -> Result<(BatchRun, Trace), pselinv_mpisim::RunError> {
-    let (layout, plans) = shared_plan(factors, grid, opts);
-    let (rank_results, volumes, mut trace) =
+    let (layout, plans, panels) = shared_plan(factors, grid, opts);
+    let (channels, volumes, mut trace) =
         pselinv_mpisim::try_run_traced(grid.size(), label, run_opts, |ctx| {
-            batch_rank_entry(ctx, factors, &layout, &plans, opts)
+            batch_rank_entry(ctx, factors, &layout, &plans, &panels, opts)
         })?;
     trace.set_meta("backend", "mpisim");
     trace.set_meta("grid", format!("{}x{}", grid.pr, grid.pc));
@@ -157,17 +177,18 @@ pub fn try_batched_selinv_traced(
     trace.set_meta("lookahead", opts.dist.window().to_string());
     trace.set_meta("queries", factors.len().to_string());
     trace.set_meta("max_inflight", opts.max_inflight.max(1).to_string());
-    Ok((finish(factors, &layout, rank_results, volumes), trace))
+    Ok((finish(panels, volumes, by_query(channels, factors.len())), trace))
 }
 
 /// The once-per-batch preprocessing: validates the shared pattern, builds
-/// the layout from the `Arc`d symbolic and precomputes every collective
-/// tree one time for all queries.
+/// the layout from the `Arc`d symbolic, precomputes every collective tree
+/// one time for all queries, and allocates each query's output panels,
+/// which the ranks fill in place.
 fn shared_plan(
     factors: &[LdlFactor],
     grid: Grid2D,
     opts: &BatchOptions,
-) -> (Layout, Arc<Vec<SupernodePlan>>) {
+) -> (Layout, Arc<Vec<SupernodePlan>>, Vec<AinvPanels>) {
     assert!(!factors.is_empty(), "a batch needs at least one factor");
     assert!(
         factors.len() <= 256,
@@ -184,12 +205,9 @@ fn shared_plan(
     let layout = Layout::new(sf.clone(), grid);
     let builder = TreeBuilder::new(opts.dist.scheme, opts.dist.seed);
     let plans = CommPlan::new(layout.clone(), builder).precompute_all();
-    (layout, plans)
+    let panels = factors.iter().map(|_| AinvPanels::new(&layout)).collect();
+    (layout, plans, panels)
 }
-
-/// Per-rank results of a batched run: one [`RankOutput`] per query plus
-/// this rank's per-query channel volumes.
-type BatchRankResult = (Vec<RankOutput>, Vec<RankVolume>);
 
 /// Maps a message tag to its pole channel: the six numeric phase lanes
 /// carry a query id in bits 48..56 ([`crate::numeric::tag_q`]); everything
@@ -202,29 +220,32 @@ fn classify_pole_tag(tag: u64) -> Option<usize> {
 /// One rank's batched execution: phase 1 for every pole up front (blocking,
 /// ascending pole order — a restriction of one global order, so
 /// deadlock-free), then all phase-2 windows concurrently through
-/// [`crate::engine::phase2_multi`] on one shared pool.
+/// [`crate::engine::phase2_multi`] on one shared pool, each pole writing
+/// the `A⁻¹` blocks this rank owns into its `panels`. Returns this rank's
+/// per-query channel volumes.
 fn batch_rank_entry(
     ctx: &mut RankCtx,
     factors: &[LdlFactor],
     layout: &Layout,
     plans: &[SupernodePlan],
+    panels: &[AinvPanels],
     opts: &BatchOptions,
-) -> BatchRankResult {
+) -> Vec<RankVolume> {
     ctx.enable_channel_accounting(factors.len(), classify_pole_tag);
     let me = ctx.rank();
     let mut states: Vec<RankState<'_>> = factors
         .iter()
+        .zip(panels)
         .enumerate()
-        .map(|(q, f)| RankState {
+        .map(|(q, (f, ainv))| RankState {
             sf: &f.symbolic,
             factor: f,
             layout,
             me,
             qid: q as u64,
             lhat: HashMap::new(),
-            ainv_lower: HashMap::new(),
+            ainv,
             ainv_upper: HashMap::new(),
-            ainv_diag: HashMap::new(),
         })
         .collect();
     let pool = Pool::new(opts.dist.worker_threads());
@@ -255,35 +276,31 @@ fn batch_rank_entry(
             );
         }
     }
-    let outputs = states.into_iter().map(|st| (st.ainv_diag, st.ainv_lower)).collect();
-    (outputs, ctx.channel_volumes())
+    ctx.channel_volumes()
 }
 
-/// Reassembles per-rank, per-query pieces into per-query inverses and
-/// transposes the channel volumes into `[query][rank]` shape.
-fn finish(
-    factors: &[LdlFactor],
-    layout: &Layout,
-    rank_results: Vec<BatchRankResult>,
-    volumes: Vec<RankVolume>,
-) -> BatchRun {
-    let nq = factors.len();
-    let nranks = rank_results.len();
-    let mut per_query: Vec<Vec<RankOutput>> = (0..nq).map(|_| Vec::with_capacity(nranks)).collect();
+/// Transposes the ranks' per-query channel volumes into `[query][rank]`
+/// shape.
+fn by_query(channels: Vec<Vec<RankVolume>>, nq: usize) -> Vec<Vec<RankVolume>> {
     let mut query_volumes: Vec<Vec<RankVolume>> =
-        (0..nq).map(|_| Vec::with_capacity(nranks)).collect();
-    for (outputs, channels) in rank_results {
-        assert_eq!(outputs.len(), nq);
-        assert_eq!(channels.len(), nq);
-        for (q, out) in outputs.into_iter().enumerate() {
-            per_query[q].push(out);
-        }
-        for (q, v) in channels.into_iter().enumerate() {
+        (0..nq).map(|_| Vec::with_capacity(channels.len())).collect();
+    for rank in channels {
+        assert_eq!(rank.len(), nq);
+        for (q, v) in rank.into_iter().enumerate() {
             query_volumes[q].push(v);
         }
     }
-    let inverses =
-        factors.iter().zip(per_query).map(|(f, outs)| assemble(f, layout, outs)).collect();
+    query_volumes
+}
+
+/// Hands each query's filled panels back as its inverse: no copy, the
+/// panels are the result.
+fn finish(
+    panels: Vec<AinvPanels>,
+    volumes: Vec<RankVolume>,
+    query_volumes: Vec<Vec<RankVolume>>,
+) -> BatchRun {
+    let inverses = panels.into_iter().map(AinvPanels::into_inverse).collect();
     BatchRun { inverses, volumes, query_volumes }
 }
 

@@ -60,6 +60,18 @@
 //! inverse is one more job of it, kept for the diagonal step. The loop does
 //! not poll while it runs.
 //!
+//! # Where the results land
+//!
+//! A stage's result lands in place, in the query's output panels
+//! ([`crate::ainv::AinvPanels`]): a `Row-Reduce` root writes its lower block
+//! `A⁻¹_{J,K}` into its region of `K`'s panel, and the diagonal owner writes
+//! `A⁻¹_{K,K}` where the diagonal reduction finishes. Each region is
+//! written once, by its owner, and read only by it: by later GEMM gathers,
+//! by the diagonal contribution, and — for a self-transposed block — as the
+//! upper piece no message carries. A block whose step-5 transpose travels
+//! is packed once, from the reduction's result, as it lands. The panels'
+//! landed record is what a GEMM need ([`Need`]) asks.
+//!
 //! # The ready list
 //!
 //! A pass of the loop costs what it wakes, not what is active: it advances
@@ -143,9 +155,9 @@
 
 use crate::layout::Layout;
 use crate::numeric::{
-    diag_contrib, find_block, gemm_task_specs, local_gemms, pack, share, span_key, tag_q, unpack,
-    untag_q, RankState, TagFields, PHASE_AINV_TRANS, PHASE_COL_BCAST, PHASE_DIAG_REDUCE,
-    PHASE_ROW_REDUCE, PHASE_TRANSPOSE,
+    diag_contrib, find_block, gemm_task_specs, local_gemms, pack, span_key, tag_q, unpack, untag_q,
+    RankState, TagFields, PHASE_AINV_TRANS, PHASE_COL_BCAST, PHASE_DIAG_REDUCE, PHASE_ROW_REDUCE,
+    PHASE_TRANSPOSE,
 };
 use crate::plan::SupernodePlan;
 use pselinv_dense::{ldlt_invert, Mat};
@@ -160,24 +172,33 @@ use pselinv_trace::CollKind;
 use std::cmp::Ordering;
 use std::collections::{HashMap, VecDeque};
 
-/// Ancestor data a supernode's GEMM stage reads from [`RankState`], i.e.
-/// an output of an ancestor supernode's task on this rank.
+/// Ancestor data a supernode's GEMM stage reads on this rank, i.e. an
+/// output of an ancestor supernode's task.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum Need {
-    /// `ainv_lower[bid]` — produced by a `Row-Reduce` root.
+    /// Lower block `bid` in this rank's panel — landed by a `Row-Reduce`
+    /// root.
     Lower(usize),
-    /// `ainv_upper[bid]` — produced by a step-5 `A⁻¹` transpose.
+    /// The transpose of lower block `bid` — received by a step-5 `A⁻¹`
+    /// transpose, or, self-transposed, lower block `bid` in this rank's
+    /// panel.
     Upper(usize),
-    /// `ainv_diag[sn]` — produced by a diagonal reduction.
+    /// Supernode `sn`'s diagonal block in this rank's panel — landed by a
+    /// diagonal reduction.
     Diag(usize),
 }
 
 impl Need {
+    /// Whether the piece is here: the query's landed record of this rank's
+    /// panel regions ([`crate::ainv::AinvPanels`]), or the received upper
+    /// blocks.
     fn satisfied(self, st: &RankState<'_>) -> bool {
         match self {
-            Need::Lower(bid) => st.ainv_lower.contains_key(&bid),
-            Need::Upper(bid) => st.ainv_upper.contains_key(&bid),
-            Need::Diag(sn) => st.ainv_diag.contains_key(&sn),
+            Need::Lower(bid) => st.ainv.landed_lower(st.me, bid),
+            Need::Upper(bid) => {
+                st.ainv_upper.contains_key(&bid) || st.ainv.landed_lower(st.me, bid)
+            }
+            Need::Diag(sn) => st.ainv.landed_diag(st.me, sn),
         }
     }
 }
@@ -257,7 +278,7 @@ enum Wake {
 /// What one [`SnTask::wake`] did that other tasks of the query wait for.
 #[derive(Default)]
 struct Fired {
-    /// `A⁻¹` pieces that landed in [`RankState`] (the GEMM needs of later
+    /// `A⁻¹` pieces that landed on this rank (the GEMM needs of later
     /// tasks).
     landed: Vec<Need>,
     /// The task's GEMM stage ran: it left the window.
@@ -627,7 +648,9 @@ impl SnTask {
     }
 
     /// `Row-Reduce` `bj_i` finished on this rank. At the root `A⁻¹_{J,K}`
-    /// lands, and its step-5 transpose fires.
+    /// lands in its panel region, and its step-5 transpose fires: a send,
+    /// packed from the reduction's result as it lands, or nothing for a
+    /// self-transpose, whose upper piece this rank reads from the panel.
     fn finish_row_reduce(
         &mut self,
         ctx: &mut RankCtx,
@@ -642,10 +665,8 @@ impl SnTask {
         self.left -= 1;
         let Some(t) = nb.into_result() else { return };
         let k = self.k;
-        let (rows, w) = (st.sf.blocks_of(k)[bj_i].nrows(), st.sf.width(k));
         let bid = st.sf.blocks_ptr[k] + bj_i;
-        let m = share(ctx, Mat::from_vec(rows, w, t));
-        st.ainv_lower.insert(bid, m);
+        st.ainv.write_lower(st.me, k, bj_i, &t);
         fired.landed.push(Need::Lower(bid));
         if self.owned_bids.contains(&bid) {
             self.owned_left -= 1;
@@ -657,12 +678,11 @@ impl SnTask {
             ctx.tracer().push_scope(CollKind::AinvTranspose, span_key(st.qid, k));
             let (src, dst) = sp.transposes[bj_i];
             if src == dst {
-                let m = st.ainv_lower[&bid].clone();
-                st.ainv_upper.insert(bid, m);
                 fired.landed.push(Need::Upper(bid));
             } else {
-                let data = pack(ctx, &st.ainv_lower[&bid]);
-                ctx.send(dst, tag_q(st.qid, PHASE_AINV_TRANS, k, bj_i), data);
+                // Sending the result is the one packing copy of a block
+                // that travels (`send` accounts it).
+                ctx.send(dst, tag_q(st.qid, PHASE_AINV_TRANS, k, bj_i), t);
             }
             ctx.tracer().pop_scope();
         }
@@ -681,7 +701,7 @@ impl SnTask {
         let k = self.k;
         let w = st.sf.width(k);
         ctx.tracer().push_scope(CollKind::DiagReduce, span_key(st.qid, k));
-        let dcon = diag_contrib(st, &self.owned_bids, w, pool);
+        let dcon = diag_contrib(st, k, &self.owned_bids, w, pool);
         if sp.diag_reduce.is_empty() {
             if st.layout.diag_owner(k) == st.me {
                 finish_diag(st, k, w, dcon.into_vec(), self.diag_inv.take());
@@ -784,7 +804,7 @@ fn finish_diag(st: &mut RankState<'_>, k: usize, w: usize, total: Vec<f64>, inve
             diag[(jl, il)] = v;
         }
     }
-    st.ainv_diag.insert(k, diag);
+    st.ainv.write_diag(st.me, k, diag.data());
 }
 
 /// Does rank `me` touch supernode `k`'s phase-2 work at all? Skipped
@@ -1121,6 +1141,7 @@ mod tests {
             let factor = pselinv_factor::factorize(&w.matrix, sf.clone()).unwrap();
             for grid in [Grid2D::new(1, 1), Grid2D::new(2, 2), Grid2D::new(2, 3)] {
                 let layout = Layout::new(sf.clone(), grid);
+                let panels = crate::ainv::AinvPanels::new(&layout);
                 let mut total = 0;
                 for me in 0..grid.size() {
                     let st = RankState {
@@ -1130,9 +1151,8 @@ mod tests {
                         me,
                         qid: 0,
                         lhat: HashMap::new(),
-                        ainv_lower: HashMap::new(),
+                        ainv: &panels,
                         ainv_upper: HashMap::new(),
-                        ainv_diag: HashMap::new(),
                     };
                     for k in 0..sf.num_supernodes() {
                         let blocks = sf.blocks_of(k);

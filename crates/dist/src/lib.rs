@@ -12,6 +12,8 @@
 //! * [`numeric`] — a real distributed execution of the selected inversion
 //!   over the thread-based `pselinv-mpisim` runtime, verified element-wise
 //!   against the sequential algorithm;
+//! * [`ainv`] — where the result lives: each query's `A⁻¹` panels, which
+//!   every rank fills in place, block by owned block, with no assembly;
 //! * [`volume`] — structure-only replay that accumulates per-rank
 //!   communication volumes at arbitrary grid sizes (Tables I/II, the heat
 //!   maps and histograms of Figs. 4–7);
@@ -25,6 +27,7 @@
 //!   namespacing, per-pole volume attribution and an admission-control
 //!   knob bounding how many poles race at once.
 
+pub mod ainv;
 pub mod batch;
 pub mod engine;
 pub mod layout;
@@ -33,9 +36,10 @@ pub mod plan;
 pub mod taskgraph;
 pub mod volume;
 
+pub use ainv::AinvPanels;
 pub use batch::{
     batched_selinv, batched_selinv_traced, factor_poles, pole_summary_table, try_batched_selinv,
-    try_batched_selinv_traced, BatchOptions, BatchRun,
+    try_batched_selinv_panels, try_batched_selinv_traced, BatchOptions, BatchRun,
 };
 pub use layout::Layout;
 pub use numeric::{

@@ -2,9 +2,12 @@
 //! runtime.
 //!
 //! This module holds the options, the per-rank state and the building
-//! blocks of a run: tags, packing, the GEMM step, the diagonal step, phase
-//! 1 (ascending, blocking diagonal broadcasts, each supernode's `L̂` solves
-//! on the rank's pool) and the assembly of the result.
+//! blocks of a run: tags, packing, the GEMM step, the diagonal step and
+//! phase 1 (ascending, blocking diagonal broadcasts, each supernode's `L̂`
+//! solved on the rank's pool in the shared buffer it is sent from). There
+//! is no assembly: each rank writes the `A⁻¹` blocks it owns into the
+//! query's output panels in place, and reads them there
+//! ([`crate::ainv`]); the panels are the result.
 //!
 //! The GEMM step ([`local_gemms`]) is one fork-join per rank and
 //! supernode. The stacked `Û` is packed once into the microkernel's column
@@ -13,8 +16,11 @@
 //! `A⁻¹` straight into the microkernel's row tiles ([`RowTiles`], one tile
 //! set per target) and runs [`gemm_tiled`] over them; runs of targets whose
 //! every pair is scalar keep a column-major gather and one scalar pass
-//! ([`gemm_partitioned`]). On the diagonal owner, the diagonal block's
-//! `ldlt_invert` is one more job of the same fork-join.
+//! ([`gemm_partitioned`]). The gathers read the lower and diagonal pieces
+//! straight from this rank's regions of the output panels, and upper pieces
+//! from step 5's received blocks or, self-transposed, from the panel too. On
+//! the diagonal owner, the diagonal block's `ldlt_invert` is one more job of
+//! the same fork-join.
 //!
 //! Phase 2 — supernodes from the etree root down
 //! ([`crate::engine::descent_order`]); within a supernode: transpose sends,
@@ -30,15 +36,15 @@
 //! module establishes the numerical correctness of the tree-routed
 //! communication.
 
+use crate::ainv::{AinvPanels, Cols};
 use crate::batch::{try_batched_selinv, try_batched_selinv_traced, BatchOptions, BatchRun};
 use crate::layout::Layout;
 use crate::plan::SupernodePlan;
-use pselinv_dense::kernels::trsm_right_lower;
 use pselinv_dense::{
-    gemm, gemm_partitioned, gemm_tiled, ldlt_invert, scalar_path, Mat, PackedCols, RowTiles,
-    Transpose,
+    gemm_partitioned, gemm_tiled, ldlt_invert, scalar_path, trsm_right_lower_cols, BlockPush, Mat,
+    PackedCols, RowTiles,
 };
-use pselinv_factor::{LdlFactor, Panel};
+use pselinv_factor::LdlFactor;
 use pselinv_mpisim::collectives::tree_bcast;
 use pselinv_mpisim::{Grid2D, Payload, RankCtx, RankVolume};
 use pselinv_order::symbolic::SnBlock;
@@ -48,6 +54,7 @@ use pselinv_selinv::SelectedInverse;
 use pselinv_trace::{CollKind, Trace};
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Options for a distributed run.
 #[derive(Clone, Copy, Debug)]
@@ -206,16 +213,6 @@ pub(crate) fn unpack(nrows: usize, ncols: usize, data: Payload) -> Mat {
     Mat::from_shared(nrows, ncols, data.into_arc())
 }
 
-/// Moves an owned matrix into shared storage so every later send and
-/// same-rank transpose is a reference-count bump. The one packing copy is
-/// charged to the rank's physical-copy counter.
-pub(crate) fn share(ctx: &mut RankCtx, m: Mat) -> Mat {
-    if !m.is_shared() {
-        ctx.account_copy((m.data().len() * 8) as u64);
-    }
-    m.into_shared()
-}
-
 /// One rank's state during the distributed inversion.
 pub(crate) struct RankState<'a> {
     pub(crate) sf: &'a SymbolicFactor,
@@ -228,23 +225,28 @@ pub(crate) struct RankState<'a> {
     pub(crate) qid: u64,
     /// `L̂` blocks this rank owns, keyed by global block index.
     pub(crate) lhat: HashMap<usize, Mat>,
-    /// Computed `A⁻¹` lower blocks, keyed by global block index.
-    pub(crate) ainv_lower: HashMap<usize, Mat>,
-    /// Computed `A⁻¹` upper blocks (stored transposed), keyed by the
-    /// corresponding lower block's global index.
+    /// The query's `A⁻¹` panels: this rank writes and reads the lower and
+    /// diagonal blocks it owns there, in place ([`crate::ainv`]).
+    pub(crate) ainv: &'a AinvPanels,
+    /// `A⁻¹` upper blocks (stored transposed) received by step 5's
+    /// transposes, keyed by the corresponding lower block's global index. A
+    /// self-transposed block is read from this rank's own panel instead.
     pub(crate) ainv_upper: HashMap<usize, Mat>,
-    /// Computed `A⁻¹` diagonal blocks, keyed by supernode.
-    pub(crate) ainv_diag: HashMap<usize, Mat>,
 }
 
 impl<'a> RankState<'a> {
-    /// Reads the factor's block `(b.sn, k)` as a dense matrix; only legal
-    /// on the owning rank (asserted) — the discipline that turns shared
-    /// memory into distributed memory.
-    pub(crate) fn factor_block(&self, k: usize, b: &SnBlock) -> Mat {
+    /// `L̂` block `(b.sn, k) = L_{b,K} · L_{K,K}⁻¹` against the diagonal
+    /// factor block `d`: the factor's block is copied once, straight into
+    /// the shared buffer every later send and read of it reuses, and solved
+    /// there. Only legal on the owning rank (asserted) — the discipline that
+    /// turns shared memory into distributed memory.
+    pub(crate) fn lhat_block(&self, k: usize, b: &SnBlock, d: &Mat) -> Mat {
         assert_eq!(self.layout.lower_owner(b, k), self.me, "reading a non-owned block");
-        let lb = b.rows_begin - self.sf.rows_ptr[k];
-        self.factor.panels[k].below.submatrix(lb, 0, b.nrows(), self.sf.width(k))
+        let (lb, w) = (b.rows_begin - self.sf.rows_ptr[k], self.sf.width(k));
+        let mut data = self.factor.panels[k].below.submatrix_shared(lb, 0, b.nrows(), w);
+        let buf = Arc::get_mut(&mut data).expect("a fresh buffer has one holder");
+        trsm_right_lower_cols(buf, d, true);
+        Mat::from_shared(b.nrows(), w, data)
     }
 
     pub(crate) fn factor_diag(&self, k: usize) -> Mat {
@@ -269,13 +271,7 @@ impl<'a> RankState<'a> {
         self.strip_pieces(blocks, targets, ancestors, |width, pieces, offsets| {
             for q in 0..width {
                 for p in pieces {
-                    let at = p.cols.at(q, offsets) * p.scale;
-                    match p.rows {
-                        Offsets::Run(r0) => strip.extend_from_slice(&p.src[at + r0..][..p.len]),
-                        Offsets::List(o) => {
-                            strip.extend(offsets[o..o + p.len].iter().map(|&r| p.src[at + r]))
-                        }
-                    }
+                    p.push_column(q, offsets, &mut strip);
                 }
             }
         });
@@ -309,14 +305,7 @@ impl<'a> RankState<'a> {
             for (a, &width) in widths.iter().enumerate() {
                 let p = &all[a * nt + t];
                 for q in 0..width {
-                    let at = p.cols.at(q, &all_offsets) * p.scale;
-                    match p.rows {
-                        Offsets::Run(r0) => block.push_col(&p.src[at + r0..][..p.len]),
-                        Offsets::List(o) => {
-                            let rows = &all_offsets[o..o + p.len];
-                            block.push_col_with(|i| p.src[at + rows[i]])
-                        }
-                    }
+                    p.push_column(q, &all_offsets, &mut *block);
                 }
             }
         })
@@ -326,10 +315,11 @@ impl<'a> RankState<'a> {
     /// ancestor by ancestor, and hands each ancestor's row count and pieces
     /// (one per target, in order, indexing the offset list passed with
     /// them) to `put`. Each piece is read where it lives: the lower block
-    /// `(J, I)` of supernode `I`, the transpose of block `(I, J)` of
-    /// supernode `J`, or the diagonal block of `J == I`. One cursor walks
-    /// `I`'s blocks as the targets ascend, and one per target walks `J`'s
-    /// blocks as the ancestors ascend.
+    /// `(J, I)` of supernode `I` or the diagonal block of `J == I`, both in
+    /// this rank's own panels; or the transpose of block `(I, J)` of
+    /// supernode `J`, received by step 5 or, self-transposed, in this rank's
+    /// panel too. One cursor walks `I`'s blocks as the targets ascend, and
+    /// one per target walks `J`'s blocks as the ancestors ascend.
     fn strip_pieces<'s>(
         &'s self,
         blocks: &[SnBlock],
@@ -353,29 +343,32 @@ impl<'a> RankState<'a> {
             let cols_i = Offsets::list(ri.iter().map(|&c| c - first_i), &mut offsets);
             for (&bj_i, up) in targets.iter().zip(&mut upper_at) {
                 let (jsn, rj) = (blocks[bj_i].sn, sf.block_rows(&blocks[bj_i]));
-                let (src, rows, cols, scale) = match jsn.cmp(&isn) {
+                let (src, rows, cols, transposed) = match jsn.cmp(&isn) {
                     Ordering::Greater => {
                         lower_at += seek(&lower[lower_at..], jsn, isn);
-                        let src = &self.ainv_lower[&(sf.blocks_ptr[isn] + lower_at)];
+                        let src = self.ainv.lower(self.me, isn, lower_at);
                         let rows = Offsets::positions(sf, &lower[lower_at], rj, &mut offsets);
-                        (src, rows, cols_i, src.nrows())
+                        (src, rows, cols_i, false)
                     }
                     Ordering::Less => {
+                        // `J`'s rows are columns of the stored block `(I, J)`.
                         let own = sf.blocks_of(jsn);
                         *up += seek(&own[*up..], isn, jsn);
-                        let src = &self.ainv_upper[&(sf.blocks_ptr[jsn] + *up)];
-                        let (first, ld) = (sf.first_col(jsn), src.nrows());
-                        let rows =
-                            Offsets::list(rj.iter().map(|&r| (r - first) * ld), &mut offsets);
-                        (src, rows, Offsets::positions(sf, &own[*up], ri, &mut offsets), 1)
+                        let src = match self.ainv_upper.get(&(sf.blocks_ptr[jsn] + *up)) {
+                            Some(received) => Cols::of(received),
+                            None => self.ainv.lower(self.me, jsn, *up),
+                        };
+                        let first = sf.first_col(jsn);
+                        let cols = Offsets::list(rj.iter().map(|&r| r - first), &mut offsets);
+                        (src, cols, Offsets::positions(sf, &own[*up], ri, &mut offsets), true)
                     }
                     Ordering::Equal => {
-                        let src = &self.ainv_diag[&jsn];
+                        let src = self.ainv.diag(self.me, jsn);
                         let rows = Offsets::list(rj.iter().map(|&r| r - first_i), &mut offsets);
-                        (src, rows, cols_i, src.nrows())
+                        (src, rows, cols_i, false)
                     }
                 };
-                pieces.push(Piece { src: src.data(), rows, len: rj.len(), cols, scale });
+                pieces.push(Piece { src, rows, len: rj.len(), cols, transposed });
             }
             put(ri.len(), &pieces, &offsets);
         }
@@ -392,17 +385,18 @@ fn seek(blocks: &[SnBlock], sn: usize, of: usize) -> usize {
 }
 
 /// Where one block pair's `A⁻¹` piece lives ([`RankState::strip_pieces`]):
-/// its entry `(p, q)` is `src[rows.at(p) + cols.at(q) · scale]`, for `len`
-/// rows.
+/// its entry `(p, q)`, for `len` rows, is row `rows.at(p)` of column
+/// `cols.at(q)` of `src` — or, for a `transposed` piece (an upper block
+/// stored as its lower transpose), row `cols.at(q)` of column `rows.at(p)`.
 struct Piece<'s> {
-    src: &'s [f64],
+    src: Cols<'s>,
     rows: Offsets,
     len: usize,
     cols: Offsets,
-    scale: usize,
+    transposed: bool,
 }
 
-impl Piece<'_> {
+impl<'s> Piece<'s> {
     /// The piece with its offset lists moved `base` entries down a longer
     /// list.
     fn rebased(&self, base: usize) -> Self {
@@ -411,6 +405,56 @@ impl Piece<'_> {
             run => run,
         };
         Piece { rows: shift(self.rows), cols: shift(self.cols), ..*self }
+    }
+
+    /// Appends column `q` of the piece to `out`: a slice of one stored
+    /// column when its rows are a run of it, otherwise entry by entry. Each
+    /// storage shape gets its own loop.
+    #[inline]
+    fn push_column(&self, q: usize, list: &[usize], out: &mut impl ColumnSink) {
+        let (c, src, len) = (self.cols.at(q, list), self.src, self.len);
+        match (self.transposed, self.rows) {
+            (false, Offsets::Run(r0)) => out.put(&src.col(c)[r0..][..len]),
+            (false, Offsets::List(o)) => {
+                let (col, rows) = (src.col(c), &list[o..o + len]);
+                out.put_with(len, |i| col[rows[i]])
+            }
+            (true, Offsets::Run(c0)) => out.put_with(len, |i| src.col(c0 + i)[c]),
+            (true, Offsets::List(o)) => {
+                let cols = &list[o..o + len];
+                out.put_with(len, |i| src.col(cols[i])[c])
+            }
+        }
+    }
+}
+
+/// Where a gather writes the columns of its pieces.
+trait ColumnSink {
+    /// Appends `s`.
+    fn put(&mut self, s: &[f64]);
+    /// Appends `value(0..len)`.
+    fn put_with(&mut self, len: usize, value: impl FnMut(usize) -> f64);
+}
+
+/// A column-major strip, filled down each column.
+impl ColumnSink for Vec<f64> {
+    fn put(&mut self, s: &[f64]) {
+        self.extend_from_slice(s);
+    }
+
+    fn put_with(&mut self, len: usize, value: impl FnMut(usize) -> f64) {
+        self.extend((0..len).map(value));
+    }
+}
+
+/// One target's row tiles, filled one whole column of the target at a time.
+impl ColumnSink for BlockPush<'_> {
+    fn put(&mut self, s: &[f64]) {
+        self.push_col(s);
+    }
+
+    fn put_with(&mut self, _len: usize, value: impl FnMut(usize) -> f64) {
+        self.push_col_with(value);
     }
 }
 
@@ -475,11 +519,8 @@ impl Offsets {
     }
 }
 
-/// Output of one rank: its owned pieces of the selected inverse.
-pub(crate) type RankOutput = (HashMap<usize, Mat>, HashMap<usize, Mat>);
-
 /// Runs the distributed selected inversion on `grid.size()` rank threads
-/// and assembles the result. Panics propagate from rank threads.
+/// and returns the panels they filled. Panics propagate from rank threads.
 ///
 /// Also returns the per-rank communication volumes measured by the runtime.
 pub fn distributed_selinv(
@@ -547,7 +588,7 @@ pub fn try_distributed_selinv_traced(
 }
 
 /// A standalone run is a batch of one query, admitted alone, so the batch
-/// engine's plan, rank entry and assembly serve every run.
+/// engine's plan, rank entry and output panels serve every run.
 fn batch_of_one(opts: &DistOptions) -> BatchOptions {
     BatchOptions { dist: *opts, max_inflight: 1 }
 }
@@ -556,32 +597,6 @@ fn batch_of_one(opts: &DistOptions) -> BatchOptions {
 fn only_query(run: BatchRun) -> (SelectedInverse, Vec<RankVolume>) {
     let BatchRun { mut inverses, volumes, .. } = run;
     (inverses.pop().expect("a batch of one has one inverse"), volumes)
-}
-
-/// Assembles the per-rank output pieces into a [`SelectedInverse`].
-pub(crate) fn assemble(
-    factor: &LdlFactor,
-    layout: &Layout,
-    outputs: Vec<RankOutput>,
-) -> SelectedInverse {
-    let sf = factor.symbolic.clone();
-    let mut panels: Vec<Panel> = (0..sf.num_supernodes()).map(|s| Panel::zeros(&sf, s)).collect();
-    for (rank, (diags, lowers)) in outputs.into_iter().enumerate() {
-        for (k, d) in diags {
-            assert_eq!(layout.diag_owner(k), rank);
-            panels[k].diag = d;
-        }
-        for (bid, m) in lowers {
-            // find the supernode owning this global block index
-            let k = sf.blocks_ptr.partition_point(|&p| p <= bid).saturating_sub(1);
-            let b = sf.blocks[bid];
-            let lb = b.rows_begin - sf.rows_ptr[k];
-            for q in 0..sf.width(k) {
-                panels[k].below.col_mut(q)[lb..lb + b.nrows()].copy_from_slice(m.col(q));
-            }
-        }
-    }
-    SelectedInverse { symbolic: sf, panels }
 }
 
 /// Supernode `k`'s local GEMM step on this rank, as `(targets, ancestors)`
@@ -743,14 +758,20 @@ fn row_strips<'t>(targets: &'t [usize], row_ptr: &[usize], n: usize) -> Vec<&'t 
 }
 
 /// Step 2's diagonal contribution `Σ L̂ᵀ_{I,K}·A⁻¹_{I,K}` over this rank's
-/// owned blocks of supernode `k`. Each block gets its own `w×w`
-/// accumulator (a pool task); the partial results are merged elementwise
-/// in ascending block order, so the sum is deterministic and identical
-/// across thread counts and windows.
-pub(crate) fn diag_contrib(st: &RankState<'_>, owned_bids: &[usize], w: usize, pool: &Pool) -> Mat {
+/// owned blocks of supernode `k`, each `A⁻¹_{I,K}` read where it landed in
+/// the panel. Each block gets its own `w×w` accumulator (a pool task); the
+/// partial results are merged elementwise in ascending block order, so the
+/// sum is deterministic and identical across thread counts and windows.
+pub(crate) fn diag_contrib(
+    st: &RankState<'_>,
+    k: usize,
+    owned_bids: &[usize],
+    w: usize,
+    pool: &Pool,
+) -> Mat {
     let parts = pool.map(owned_bids, |&bid: &usize| {
         let mut t = Mat::zeros(w, w);
-        gemm(1.0, &st.lhat[&bid], Transpose::Yes, &st.ainv_lower[&bid], Transpose::No, 0.0, &mut t);
+        st.ainv.lower(st.me, k, bid - st.sf.blocks_ptr[k]).gemm_tn(&st.lhat[&bid], &mut t);
         t
     });
     let mut dcon = Mat::zeros(w, w);
@@ -761,8 +782,9 @@ pub(crate) fn diag_contrib(st: &RankState<'_>, owned_bids: &[usize], w: usize, p
 }
 
 /// Phase 1 (ascending): normalize panels, L̂ = L_{R,K} L_{K,K}⁻¹. Each
-/// supernode's owned blocks are solved on the pool, one job per block, and
-/// shared and stored on the rank thread in block order.
+/// supernode's owned blocks are solved on the pool, one job per block, each
+/// in the shared buffer it is sent from ([`RankState::lhat_block`]), and
+/// stored on the rank thread in block order.
 pub(crate) fn phase1(
     ctx: &mut RankCtx,
     st: &mut RankState<'_>,
@@ -807,15 +829,11 @@ pub(crate) fn phase1(
         ctx.tracer().pop_scope();
         if let Some(d) = diag {
             let view: &RankState<'_> = st;
-            let solved = pool.map(&my_blocks, |&bi| {
-                let mut m = view.factor_block(k, &blocks[bi]);
-                trsm_right_lower(&mut m, &d, true);
-                m
-            });
+            let solved = pool.map(&my_blocks, |&bi| view.lhat_block(k, &blocks[bi], &d));
             for (bi, m) in my_blocks.into_iter().zip(solved) {
-                // Shared storage: the transpose send, the same-rank Û
+                // The one packing copy: the transpose send, the same-rank Û
                 // handle and the diag-reduce read all reuse this buffer.
-                let m = share(ctx, m);
+                ctx.account_copy((m.data().len() * 8) as u64);
                 st.lhat.insert(sf.blocks_ptr[k] + bi, m);
             }
         }

@@ -106,12 +106,24 @@ impl CommPlan {
             Self::tree_key(CollectiveKind::DiagBcast, k, 0),
         );
 
-        // Process rows of every ancestor block (the GEMM participants).
-        let prows: Vec<usize> = blocks.iter().map(|b| grid.prow_of_block(b.sn)).collect();
+        // The distinct process rows and columns of the ancestor blocks: the
+        // GEMM participants of block `I` are the ranks of `pc(I)` in these
+        // rows, and the `Row-Reduce` contributors of block `J` the ranks of
+        // `pr(J)` in these columns. `rank_of` ascends in either coordinate,
+        // so each list below comes out sorted and distinct.
+        let distinct = |of: &dyn Fn(usize) -> usize| {
+            let mut v: Vec<usize> = blocks.iter().map(|b| of(b.sn)).collect();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        let prows = distinct(&|sn| grid.prow_of_block(sn));
+        let pcols = distinct(&|sn| grid.pcol_of_block(sn));
 
         let mut transposes = Vec::with_capacity(blocks.len());
         let mut col_bcasts = Vec::with_capacity(blocks.len());
         let mut row_reduces = Vec::with_capacity(blocks.len());
+        let mut others = Vec::with_capacity(prows.len().max(pcols.len()));
 
         for (bi, b) in blocks.iter().enumerate() {
             let src = lower_owners[bi];
@@ -121,14 +133,11 @@ impl CommPlan {
             // Col-Bcast of Û_{K,I} within process column pc(I): one message
             // per distinct process row hosting a GEMM participant.
             let pcol_i = grid.pcol_of_block(b.sn);
-            let mut receivers: Vec<usize> =
-                prows.iter().map(|&pr| grid.rank_of(pr, pcol_i)).collect();
-            receivers.sort_unstable();
-            receivers.dedup();
-            receivers.retain(|&r| r != dst);
+            others.clear();
+            others.extend(prows.iter().map(|&pr| grid.rank_of(pr, pcol_i)).filter(|&r| r != dst));
             col_bcasts.push(self.builder.build(
                 dst,
-                &receivers,
+                &others,
                 Self::tree_key(CollectiveKind::ColBcast, k, bi),
             ));
 
@@ -136,14 +145,11 @@ impl CommPlan {
             // pr(J): one contribution per distinct process column hosting
             // one of the ancestors I.
             let prow_j = grid.prow_of_block(b.sn);
-            let mut contributors: Vec<usize> =
-                blocks.iter().map(|bb| grid.rank_of(prow_j, grid.pcol_of_block(bb.sn))).collect();
-            contributors.sort_unstable();
-            contributors.dedup();
-            contributors.retain(|&r| r != src);
+            others.clear();
+            others.extend(pcols.iter().map(|&pc| grid.rank_of(prow_j, pc)).filter(|&r| r != src));
             row_reduces.push(self.builder.build(
                 src,
-                &contributors,
+                &others,
                 Self::tree_key(CollectiveKind::RowReduce, k, bi),
             ));
         }

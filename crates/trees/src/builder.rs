@@ -97,6 +97,11 @@ impl TreeBuilder {
     /// ```
     pub fn build(&self, root: usize, receivers: &[usize], key: u64) -> CollectiveTree {
         assert!(!receivers.contains(&root), "root must not appear among receivers");
+        if receivers.len() <= 1 {
+            // One edge or none: every scheme links the receiver to the root,
+            // and none draws on the key.
+            return Self::build_flat(root, receivers);
+        }
         let mut sorted: Vec<usize> = receivers.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
