@@ -64,6 +64,15 @@ fn telemetry_observes_every_rank_and_preserves_volume_identities() {
         assert!(samples.iter().any(|s| s.rank == rank), "no telemetry sample for rank {rank}");
     }
 
+    // The stash gauge follows the stash: never above the depth the trace
+    // saw on that rank, and empty in the final snapshot, taken after every
+    // rank consumed every message it was sent.
+    for rt in &trace.ranks {
+        let mine: Vec<_> = samples.iter().filter(|s| s.rank == rt.rank).collect();
+        assert!(mine.iter().all(|s| s.stash <= rt.metrics.stash_hwm), "rank {}", rt.rank);
+        assert_eq!(mine.last().unwrap().stash, 0, "rank {} ends with a stash", rt.rank);
+    }
+
     // Exports are well-formed: every JSONL line parses, Prometheus text
     // carries one gauge line per rank per metric.
     let jsonl = tel.to_jsonl();

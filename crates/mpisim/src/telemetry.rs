@@ -250,6 +250,29 @@ mod tests {
     }
 
     #[test]
+    fn the_stash_gauge_reads_the_stash_depth() {
+        // Rank 0 takes tag 7 past two tag-5 messages and finishes holding
+        // them; rank 1 stashes nothing. The final sample runs after every
+        // rank finished, so it reads the depths the ranks ended with.
+        let tel = Telemetry::new(Duration::from_millis(1), 64);
+        let opts = crate::RunOptions { telemetry: Some(tel.clone()), ..Default::default() };
+        crate::try_run(2, &opts, |ctx| {
+            if ctx.rank() == 1 {
+                for tag in [5, 5, 7] {
+                    ctx.send(0, tag, vec![1.0]);
+                }
+            } else {
+                ctx.recv(1, 7);
+            }
+        })
+        .unwrap();
+        let samples = tel.samples();
+        let last = &samples[samples.len() - 2..];
+        assert_eq!(last.iter().map(|s| (s.rank, s.stash)).collect::<Vec<_>>(), [(0, 2), (1, 0)]);
+        assert!(samples.iter().all(|s| s.stash <= 2), "{samples:?}");
+    }
+
+    #[test]
     fn prometheus_reports_latest_sample_per_rank() {
         let tel = Telemetry::new(Duration::from_millis(1), 16);
         tel.push(vec![sample(0, 10), sample(1, 10)]);

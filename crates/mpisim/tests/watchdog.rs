@@ -87,6 +87,34 @@ fn partial_deadlock_reports_finished_ranks() {
 }
 
 #[test]
+fn stall_diagnostic_lists_blocked_and_finished_stashes() {
+    // Ranks 0 and 1 wait on each other while rank 0 holds a stray tag-99
+    // message from rank 2 in its stash. Rank 2 takes tag 6 from rank 0 and
+    // finishes with the tag-5 message it never asked for: a message
+    // stranded at a finished rank must show too.
+    let err = try_run(3, &short_watchdog(), |ctx| match ctx.rank() {
+        0 => {
+            ctx.send(2, 5, vec![5.0]);
+            ctx.send(2, 6, vec![6.0]);
+            ctx.recv(1, 3).len()
+        }
+        1 => ctx.recv(0, 4).len(),
+        _ => {
+            ctx.send(0, 99, vec![9.0]);
+            ctx.recv(0, 6).len()
+        }
+    })
+    .expect_err("ranks 0/1 must stall");
+    let RunError::Stalled(diag) = err else {
+        panic!("expected a stall diagnostic, got: {err}");
+    };
+    assert_eq!(diag.stashes, vec![(0, vec![(2, 99)]), (2, vec![(0, 5)])], "{diag}");
+    let text = diag.to_string();
+    assert!(text.contains("rank 0 stash: [(src=2, tag=99)]"), "{text}");
+    assert!(text.contains("rank 2 stash: [(src=0, tag=5)]"), "{text}");
+}
+
+#[test]
 fn rank_panic_unwinds_siblings_with_original_message() {
     // Rank 2 panics while every other rank is parked in a blocking receive
     // that would otherwise never complete. The run must come down with the
