@@ -172,11 +172,6 @@ impl FaultPlan {
         self.overrides.get(&rank).unwrap_or(&self.base)
     }
 
-    /// Ranks with an explicit override.
-    pub fn overridden_ranks(&self) -> impl Iterator<Item = usize> + '_ {
-        self.overrides.keys().copied()
-    }
-
     /// Independent deterministic draw for message `seq` from `src` to
     /// `dst` in the stream selected by `salt`.
     fn draw(&self, salt: u64, src: usize, dst: usize, seq: u64) -> u64 {
@@ -347,7 +342,6 @@ mod tests {
         assert!(p.down_at(5, 0.5));
         assert!(p.ever_down(5));
         assert!(!p.ever_down(3));
-        assert_eq!(p.overridden_ranks().collect::<Vec<_>>(), vec![3, 5]);
     }
 
     #[test]

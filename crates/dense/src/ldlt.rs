@@ -1,6 +1,6 @@
 //! LDLᵀ factorization and symmetric inversion of dense diagonal blocks.
 //!
-//! [`ldlt_factor`] is blocked: panels of [`FACTOR_NB`] columns are
+//! [`ldlt_factor`] is blocked: panels of `FACTOR_NB` columns are
 //! pre-updated from the already-factored columns by one call into the
 //! packed GEMM core, the small diagonal chunk is factored by the retained
 //! scalar loops, and the sub-diagonal panel is solved by the blocked

@@ -30,7 +30,7 @@ impl std::error::Error for SingularLu {}
 /// `pivots[k]` is the row swapped into position `k` at step `k`.
 ///
 /// Blocked right-looking panels: the rank-1 updates of the scalar loop are
-/// restricted to the current [`FACTOR_NB`]-column panel; the off-panel
+/// restricted to the current `FACTOR_NB`-column panel; the off-panel
 /// columns are updated once per panel via the blocked left-TRSM (`U₁₂`)
 /// and the packed GEMM core (Schur complement `A₂₂ -= L₂₁·U₁₂`). Blocks
 /// of at most one panel run the seed's scalar elimination

@@ -94,18 +94,6 @@ impl Mat {
         }
     }
 
-    /// Converts to shared storage, so subsequent [`Mat::clone`]s and
-    /// [`Mat::to_shared`] calls are reference-count bumps instead of
-    /// buffer copies. Owned storage pays one move into a fresh `Arc`
-    /// allocation; already-shared matrices are returned unchanged.
-    pub fn into_shared(self) -> Self {
-        let store = match self.store {
-            Store::Owned(v) => Store::Shared(Arc::from(v)),
-            shared @ Store::Shared(_) => shared,
-        };
-        Self { nrows: self.nrows, ncols: self.ncols, store }
-    }
-
     /// The storage as a shareable buffer: free when already shared
     /// ([`Mat::from_shared`] round-trips without copying), one copy when
     /// exclusively owned.
@@ -223,11 +211,6 @@ impl Mat {
         t
     }
 
-    /// Frobenius norm.
-    pub fn norm_fro(&self) -> f64 {
-        self.data().iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Max-abs norm.
     pub fn norm_max(&self) -> f64 {
         self.data().iter().fold(0.0, |acc, v| acc.max(v.abs()))
@@ -256,7 +239,7 @@ impl Mat {
 
     /// Copies the `r×c` sub-matrix at `(row, col)` straight into a fresh
     /// shared buffer, column by column: one copy, where
-    /// [`Mat::submatrix`] followed by [`Mat::into_shared`] makes two. The
+    /// [`Mat::submatrix`] followed by a move into an `Arc` makes two. The
     /// buffer has one holder, so `Arc::get_mut` can update it in place
     /// before it is wrapped ([`Mat::from_shared`]) and handed out.
     pub fn submatrix_shared(&self, row: usize, col: usize, r: usize, c: usize) -> Arc<[f64]> {
@@ -342,7 +325,6 @@ mod tests {
     #[test]
     fn norms() {
         let m = Mat::from_col_major(1, 2, &[3.0, -4.0]);
-        assert!((m.norm_fro() - 5.0).abs() < 1e-15);
         assert_eq!(m.norm_max(), 4.0);
     }
 

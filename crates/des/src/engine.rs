@@ -507,7 +507,6 @@ fn simulate_impl(
                                     dst,
                                     tag as u64,
                                     b,
-                                    None,
                                     stamp.clock,
                                     stamp.idx,
                                 );

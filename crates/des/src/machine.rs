@@ -184,11 +184,6 @@ impl Topology {
         t + self.cfg.msg_overhead
     }
 
-    /// The configuration this topology was built from.
-    pub fn config(&self) -> &MachineConfig {
-        &self.cfg
-    }
-
     /// The random link-cost factor between the nodes of two ranks (1.0
     /// within a node). Applied to node-NIC occupancy as well, so the
     /// per-run inhomogeneity reaches the binding resource.

@@ -7,13 +7,13 @@
 //! precomputed collective trees. This module exploits that: the
 //! [`crate::plan::CommPlan`] is computed once and shared (`Arc`d symbolic,
 //! one plan vector) across every query, and all queries are driven
-//! concurrently through the engine ([`crate::engine::phase2_multi`]) on one
+//! concurrently through the engine (`crate::engine::phase2_multi`) on one
 //! rank thread each, with one shared work-stealing pool per rank. The
 //! communication of pole `k` overlaps the local GEMMs of pole `k+1`; the
 //! [`BatchOptions::max_inflight`] knob bounds how many poles race at once.
 //!
 //! Isolation comes from the tag/trace namespacing of
-//! [`crate::numeric::tag_q`]: every message tag and every trace-scope key
+//! `crate::numeric::tag_q`: every message tag and every trace-scope key
 //! carries the query id, so interleaved collectives of different poles can
 //! never cross-match, and a batched trace still attributes every span and
 //! byte to its pole. Per-pole *logical* volumes are measured by the
@@ -28,7 +28,7 @@
 
 use crate::ainv::AinvPanels;
 use crate::layout::Layout;
-use crate::numeric::{phase1, DistOptions, RankState};
+use crate::numeric::{phase1, untag_q, DistOptions, RankState};
 use crate::plan::{CommPlan, SupernodePlan};
 use pselinv_factor::{FactorError, LdlFactor};
 use pselinv_mpisim::{Grid2D, RankCtx, RankVolume};
@@ -59,6 +59,15 @@ pub struct BatchOptions {
 impl Default for BatchOptions {
     fn default() -> Self {
         Self { dist: DistOptions { lookahead: 4, ..Default::default() }, max_inflight: 4 }
+    }
+}
+
+impl BatchOptions {
+    /// The effective admission bound: [`BatchOptions::max_inflight`] with
+    /// `0` normalized to `1`, as [`DistOptions::window`] normalizes the
+    /// window. The rank entry and the trace meta read the knob through here.
+    pub fn inflight(&self) -> usize {
+        self.max_inflight.max(1)
     }
 }
 
@@ -143,7 +152,7 @@ pub fn try_batched_selinv_panels(
 }
 
 /// [`batched_selinv`] with tracing enabled: spans and counters carry each
-/// pole's query id ([`crate::numeric::span_key`]), and the trace meta
+/// pole's query id (`crate::numeric::span_key`), and the trace meta
 /// records the batch shape.
 pub fn batched_selinv_traced(
     factors: &[LdlFactor],
@@ -176,7 +185,7 @@ pub fn try_batched_selinv_traced(
     trace.set_meta("seed", opts.dist.seed.to_string());
     trace.set_meta("lookahead", opts.dist.window().to_string());
     trace.set_meta("queries", factors.len().to_string());
-    trace.set_meta("max_inflight", opts.max_inflight.max(1).to_string());
+    trace.set_meta("max_inflight", opts.inflight().to_string());
     Ok((finish(panels, volumes, by_query(channels, factors.len())), trace))
 }
 
@@ -209,12 +218,11 @@ fn shared_plan(
     (layout, plans, panels)
 }
 
-/// Maps a message tag to its pole channel: the six numeric phase lanes
-/// carry a query id in bits 48..56 ([`crate::numeric::tag_q`]); everything
-/// else (control lanes, barriers) belongs to no pole.
+/// Maps a message tag to its pole channel: the query id of a numeric phase
+/// tag (`untag_q`); everything else (control lanes, barriers) belongs to no
+/// pole.
 fn classify_pole_tag(tag: u64) -> Option<usize> {
-    let phase = tag >> 56;
-    (1..=6).contains(&phase).then_some(((tag >> 48) & 0xFF) as usize)
+    untag_q(tag).map(|f| f.qid as usize)
 }
 
 /// One rank's batched execution: phase 1 for every pole up front (blocking,
@@ -260,7 +268,7 @@ fn batch_rank_entry(
         plans,
         &pool,
         opts.dist.window(),
-        opts.max_inflight.max(1),
+        opts.inflight(),
     );
     // On one thread `map` runs inline and records nothing: such a trace
     // gets no pool lines.

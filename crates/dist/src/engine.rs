@@ -1,6 +1,6 @@
 //! The phase-2 engine: the one executor of Algorithm 1's descending pass.
 //!
-//! Each in-flight supernode is a [`SnTask`] whose stages (transpose
+//! Each in-flight supernode is a `SnTask` whose stages (transpose
 //! exchange, `Col-Bcast`s, local GEMMs, `Row-Reduce`s, the diagonal
 //! reduction, the step-5 `A⁻¹` transposes) advance independently as their
 //! inputs arrive, over the nonblocking tree collectives of
@@ -17,7 +17,7 @@
 //!
 //! A supernode's phase-2 inputs come only from its etree ancestors, so
 //! supernodes in disjoint subtrees are independent. Every rank activates a
-//! query's supernodes in one [`descent_order`]: descending index for a
+//! query's supernodes in one `descent_order`: descending index for a
 //! window of one, and above it by etree depth (root first), descending
 //! index within a depth. A window then holds supernodes of one depth, which
 //! never wait on each other, where descending index — a preorder of the
@@ -33,7 +33,7 @@
 //! horizon task has fired its transpose sends and posted its receives, and
 //! forwards its `Col-Bcast`s, but its GEMM stage — and with it every later
 //! stage — waits until the task enters the window. One window of `Û` is in
-//! flight while one window computes. A task's GEMM needs ([`gemm_needs`])
+//! flight while one window computes. A task's GEMM needs (`gemm_needs`)
 //! are recorded when it enters the window, against the query's live tasks
 //! at that moment: their producers are ancestors, activated before it, so
 //! they are in the window or the tail, or already retired.
@@ -53,7 +53,7 @@
 //! told apart by their GEMM and promotion flags; the loop wakes all three
 //! alike.
 //!
-//! The local GEMM step is [`local_gemms`]: per supernode, the rank gathers
+//! The local GEMM step is `local_gemms`: per supernode, the rank gathers
 //! the `A⁻¹` pieces of its `(target, ancestor)` block pairs into strips of
 //! targets and runs one product per strip, a fork-join over the rank's pool
 //! with the rank thread helping; on the diagonal owner the diagonal block's
@@ -70,7 +70,7 @@
 //! by the diagonal contribution, and — for a self-transposed block — as the
 //! upper piece no message carries. A block whose step-5 transpose travels
 //! is packed once, from the reduction's result, as it lands. The panels'
-//! landed record is what a GEMM need ([`Need`]) asks.
+//! landed record is what a GEMM need (`Need`) asks.
 //!
 //! # The ready list
 //!
@@ -80,13 +80,13 @@
 //!
 //! * *a message.* The rank's wake log ([`RankCtx::take_wakes`]) yields
 //!   `(src, tag)` of every data message that entered the stash, and the tag
-//!   decodes ([`untag_q`]) to the exact `(query, supernode, phase, block)`
+//!   decodes (`untag_q`) to the exact `(query, supernode, phase, block)`
 //!   waiting for it, so the stage tests that one receive. A message for a
 //!   supernode not activated yet is kept until its activation, and a
 //!   reduction contribution that beats the rank's own GEMM stage until the
 //!   reduction starts;
 //! * *an in-rank event:* activation, entry into the window, and the landing
-//!   of an `A⁻¹` piece. Each window task counts its [`gemm_needs`] that
+//!   of an `A⁻¹` piece. Each window task counts its `gemm_needs` that
 //!   have not landed and is registered as a waiter on each; the landing
 //!   counts the waiters down, and the one that reaches zero is woken. A
 //!   GEMM stage that runs, a transpose that completes a root's `Û` or a
@@ -106,7 +106,7 @@
 //! never *arithmetic*:
 //!
 //! * every entry of a GEMM target block keeps its fixed sequence of
-//!   operations, ancestors ascending ([`local_gemms`]);
+//!   operations, ancestors ascending (`local_gemms`);
 //! * nonblocking reductions consume child contributions in arrival order
 //!   but park them in per-child slots summed in the tree's fixed child
 //!   order ([`TreeReduceNb`]);
@@ -143,13 +143,13 @@
 //! non-blocking reduction state, so they never stand between `k*` and its
 //! inputs.
 //!
-//! The multi-query driver ([`phase2_multi`]) extends the argument across
+//! The multi-query driver (`phase2_multi`) extends the argument across
 //! the pole batch: every rank admits queries in ascending query order,
 //! bounded by `max_inflight` *unfinished* admitted queries. Consider the
 //! lowest-indexed globally-unfinished query `q*`: every earlier query is
 //! finished on every rank, so each rank's unfinished-admitted count ignores
 //! them and `q*` is admitted everywhere (admission is ascending). Within
-//! `q*` the single-query argument applies, and [`crate::numeric::tag_q`]'s
+//! `q*` the single-query argument applies, and `crate::numeric::tag_q`'s
 //! query lane keeps its messages from cross-matching with any other
 //! in-flight query.
 
@@ -928,7 +928,8 @@ fn route(wakes: &[(usize, u64)], runs: &mut [QueryRun], pos: &[usize], ready: &m
 /// reports the window tasks.
 ///
 /// Admission control: queries are admitted in ascending index order, with
-/// at most `max_inflight` *unfinished* admitted queries at a time. Every
+/// at most `max_inflight` (at least 1, [`crate::BatchOptions::inflight`])
+/// *unfinished* admitted queries at a time. Every
 /// rank computes admission from its local completion state, which is a
 /// restriction of the same global order — see the module-level
 /// deadlock-freedom argument.
@@ -940,7 +941,6 @@ pub(crate) fn phase2_multi(
     window: usize,
     max_inflight: usize,
 ) {
-    let max_inflight = max_inflight.max(1);
     // The window plus its horizon of as many tasks again, saturating for an
     // unbounded window: the tasks whose GEMM has not run.
     let span = window.saturating_mul(2);

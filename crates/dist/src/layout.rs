@@ -50,15 +50,6 @@ impl Layout {
         let w = self.symbolic.width(k);
         (w * w * std::mem::size_of::<f64>()) as u64
     }
-
-    /// `true` when `rank` owns at least one block of supernode `k`'s panel
-    /// (diagonal included).
-    pub fn rank_touches_panel(&self, rank: usize, k: usize) -> bool {
-        if self.diag_owner(k) == rank {
-            return true;
-        }
-        self.symbolic.blocks_of(k).iter().any(|b| self.lower_owner(b, k) == rank)
-    }
 }
 
 #[cfg(test)]
@@ -95,18 +86,6 @@ mod tests {
                 assert_eq!(l.block_bytes(b, k), (b.nrows() * sf.width(k) * 8) as u64);
             }
             assert_eq!(l.diag_bytes(k), (sf.width(k) * sf.width(k) * 8) as u64);
-        }
-    }
-
-    #[test]
-    fn every_panel_touched_by_its_owners() {
-        let l = layout(2, 3);
-        let sf = l.symbolic.clone();
-        for k in 0..sf.num_supernodes() {
-            assert!(l.rank_touches_panel(l.diag_owner(k), k));
-            for b in sf.blocks_of(k) {
-                assert!(l.rank_touches_panel(l.lower_owner(b, k), k));
-            }
         }
     }
 }

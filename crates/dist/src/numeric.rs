@@ -9,7 +9,7 @@
 //! query's output panels in place, and reads them there
 //! ([`crate::ainv`]); the panels are the result.
 //!
-//! The GEMM step ([`local_gemms`]) is one fork-join per rank and
+//! The GEMM step (`local_gemms`) is one fork-join per rank and
 //! supernode. The stacked `Û` is packed once into the microkernel's column
 //! panels ([`PackedCols`]) when any pair takes the blocked path, and every
 //! strip task reads it. Each task gathers its strip of target blocks'
@@ -23,7 +23,7 @@
 //! the same fork-join.
 //!
 //! Phase 2 — supernodes from the etree root down
-//! ([`crate::engine::descent_order`]); within a supernode: transpose sends,
+//! (`crate::engine::descent_order`); within a supernode: transpose sends,
 //! `Col-Bcast`s, local GEMMs, `Row-Reduce`s, the diagonal reduction, and
 //! the step-5 `A⁻¹` transposes, restricted to the
 //! collectives a rank participates in — runs on the one engine of

@@ -16,8 +16,8 @@
 //!   for the reference curve in Fig. 8.
 
 use crate::layout::Layout;
+use crate::numeric::find_block;
 use crate::plan::{CommPlan, SupernodePlan};
-use pselinv_order::SymbolicFactor;
 use pselinv_trace::{pack_task_tag, CollKind};
 use pselinv_trees::{CollectiveTree, TreeBuilder, TreeScheme};
 
@@ -368,14 +368,6 @@ impl GraphBuilder {
     }
 }
 
-fn find_block(sf: &SymbolicFactor, row_sn: usize, col_sn: usize) -> usize {
-    let blocks = sf.blocks_of(col_sn);
-    let i = blocks
-        .binary_search_by_key(&row_sn, |b| b.sn)
-        .unwrap_or_else(|_| panic!("block ({row_sn},{col_sn}) not in structure"));
-    sf.blocks_ptr[col_sn] + i
-}
-
 /// Builds the selected-inversion task graph.
 pub fn selinv_graph(layout: &Layout, opts: &GraphOptions) -> TaskGraph {
     let sf = layout.symbolic.clone();
@@ -500,9 +492,9 @@ pub fn selinv_graph(layout: &Layout, opts: &GraphOptions) -> TaskGraph {
                 // stored-block availability
                 let (jsn, isn) = (bj.sn, bi.sn);
                 if jsn > isn {
-                    gb.edge(rred_root[find_block(&sf, jsn, isn)], t, 0);
+                    gb.edge(rred_root[find_block(&sf, jsn, isn).0], t, 0);
                 } else if jsn < isn {
-                    gb.edge(atr_recv[find_block(&sf, isn, jsn)], t, 0);
+                    gb.edge(atr_recv[find_block(&sf, isn, jsn).0], t, 0);
                 } else {
                     gb.edge(diag_done[jsn].expect("ancestor diagonal not built"), t, 0);
                 }
@@ -684,7 +676,7 @@ pub fn factorization_graph(layout: &Layout, opts: &GraphOptions) -> TaskGraph {
                 if bi.sn == bj.sn {
                     gb.edge(t, fdiag[bj.sn], 0);
                 } else {
-                    gb.edge(t, fpanel[find_block(&sf, bi.sn, bj.sn)], 0);
+                    gb.edge(t, fpanel[find_block(&sf, bi.sn, bj.sn).0], 0);
                 }
             }
         }

@@ -14,18 +14,6 @@ use crate::runtime::{BlockedOn, Progress, RankCtx};
 use pselinv_trace::CollKind;
 use pselinv_trees::CollectiveTree;
 
-/// Opens the tracing window of one collective call: records this rank's
-/// tree depth for per-depth byte attribution and (when no phase scope is
-/// already open) a `(kind, tag)` span. Free when tracing is disabled — in
-/// particular `depth_of` is never computed.
-fn trace_enter(ctx: &mut RankCtx, kind: CollKind, tag: u64, tree: &CollectiveTree) -> bool {
-    if !ctx.tracer().is_enabled() {
-        return false;
-    }
-    let depth = tree.depth_of(ctx.rank());
-    ctx.tracer().coll_enter(kind, tag, depth)
-}
-
 /// Broadcasts `data` from the tree's root to every participant.
 ///
 /// The root passes `Some(data)`, everyone else `None`; all participants
@@ -47,7 +35,7 @@ pub fn tree_bcast<P: IntoPayload>(
         parent.is_some() || me == tree.root(),
         "rank {me} is not a participant of this broadcast"
     );
-    let pushed = trace_enter(ctx, CollKind::Bcast, tag, tree);
+    let pushed = ctx.tracer().coll_enter(CollKind::Bcast, tag);
     let mut nb = TreeBcastNb::start(ctx, tree, tag, data);
     ctx.sweep_then_park(BlockedOn { src: parent, tag: Some(tag) }, |ctx| {
         Progress::done_or_idle(nb.poll(ctx, tree))
@@ -73,7 +61,7 @@ pub fn tree_reduce(
         tree.parent_of(me).is_some() || me == tree.root(),
         "rank {me} is not a participant of this reduction"
     );
-    let pushed = trace_enter(ctx, CollKind::Reduce, tag, tree);
+    let pushed = ctx.tracer().coll_enter(CollKind::Reduce, tag);
     let mut nb = TreeReduceNb::start(ctx, tree, tag, local);
     let children = tree.children_of(me);
     let src = if let [only] = children[..] { Some(only) } else { None };
@@ -201,22 +189,6 @@ mod tests {
         pselinv_trees::bcast_sent_volume(&tree, (payload * 8) as u64, &mut expected);
         // Bare collective: every send lands under the Bcast kind.
         assert_eq!(trace.sent_bytes(CollKind::Bcast), expected);
-        // Depth attribution: total over depths equals total over ranks, and
-        // only depths that actually forward (interior levels) carry bytes.
-        let by_depth: Vec<u64> = {
-            let mut d = Vec::new();
-            for r in &trace.ranks {
-                for (i, &v) in r.metrics.depth_sent_bytes.iter().enumerate() {
-                    if i >= d.len() {
-                        d.resize(i + 1, 0);
-                    }
-                    d[i] += v;
-                }
-            }
-            d
-        };
-        assert_eq!(by_depth.iter().sum::<u64>(), expected.iter().sum::<u64>());
-        assert!(by_depth.len() <= tree.depth() + 1);
     }
 
     #[test]

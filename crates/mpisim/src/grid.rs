@@ -67,16 +67,6 @@ impl Grid2D {
     pub fn pcol_of_block(&self, j: usize) -> usize {
         j % self.pc
     }
-
-    /// All ranks in process column `pcol`.
-    pub fn col_group(&self, pcol: usize) -> Vec<usize> {
-        (0..self.pr).map(|r| self.rank_of(r, pcol)).collect()
-    }
-
-    /// All ranks in process row `prow`.
-    pub fn row_group(&self, prow: usize) -> Vec<usize> {
-        (0..self.pc).map(|c| self.rank_of(prow, c)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -101,13 +91,6 @@ mod tests {
         assert_eq!(g.owner_of_block(0, 0), 0);
         assert_eq!(g.owner_of_block(2, 3), 0);
         assert_eq!(g.owner_of_block(5, 4), g.rank_of(1, 1));
-    }
-
-    #[test]
-    fn groups() {
-        let g = Grid2D::new(3, 2);
-        assert_eq!(g.col_group(1), vec![1, 3, 5]);
-        assert_eq!(g.row_group(2), vec![4, 5]);
     }
 
     #[test]

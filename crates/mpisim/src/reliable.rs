@@ -2,7 +2,7 @@
 //!
 //! Two cooperating layers live here:
 //!
-//! * **Reliable transport** ([`ReliableConfig`] / [`ReliableState`]): one
+//! * **Reliable transport** ([`ReliableConfig`] / `ReliableState`): one
 //!   out-stream and one cumulative ack per `(src, dst)` channel, under
 //!   every data message. The runtime buffers each message until the
 //!   receiver's cumulative ack covers its channel sequence number and

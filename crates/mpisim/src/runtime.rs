@@ -10,7 +10,7 @@
 //!   a monitor thread builds the cross-rank wait-for graph and converts a
 //!   global stall or a deadlock cycle into a structured
 //!   [`StallDiagnostic`] ([`RunError::Stalled`]) instead of hanging.
-//! * **Fault injection.** A [`FaultPlan`](pselinv_chaos::FaultPlan) lets a
+//! * **Fault injection.** A [`FaultPlan`] lets a
 //!   run inject per-message delay/jitter, duplication and reordering plus
 //!   per-rank stall/crash triggers, deterministically from a seed. Every
 //!   data message carries a sequence number on its `(src, dst)` channel
@@ -163,7 +163,8 @@ pub struct StallDiagnostic {
     /// (`[a, b, c]` means a waits on b waits on c waits on a).
     pub cycle: Option<Vec<usize>>,
     /// Per-rank stash contents as `(src, tag)` pairs (non-empty stashes
-    /// only): messages that arrived but matched no posted receive.
+    /// only): messages that arrived but matched no posted receive. Each
+    /// rank leaves its own as it unwinds from the abort or finishes.
     pub stashes: Vec<(usize, Vec<(usize, u64)>)>,
     /// Last few trace events per rank (traced runs only).
     pub trace_tails: Vec<(usize, Vec<String>)>,
@@ -322,10 +323,6 @@ pub(crate) struct RankState {
     /// confirmed-death board survivors consult to rebuild trees.
     crashed: AtomicBool,
     pub(crate) blocked: Mutex<Option<BlockedOn>>,
-    /// `(src, tag)` of stashed messages, in stash order: the rank's own
-    /// stash helpers update it with every change. A deque like the stash,
-    /// so a take costs the same shift in both.
-    pub(crate) stash: Mutex<VecDeque<(usize, u64)>>,
     /// Messages currently queued in this rank's inbox. Always maintained
     /// (two relaxed bumps per message): the watchdog refuses to call a
     /// wait-for cycle a deadlock while a rank on it has mail it has not
@@ -337,6 +334,8 @@ pub(crate) struct RankState {
     /// Nonblocking collectives currently in flight on this rank
     /// (telemetry gauge, mirrored from [`RankCtx::outstanding`]).
     pub(crate) outstanding: AtomicUsize,
+    /// Messages in this rank's out-of-order stash (telemetry gauge).
+    pub(crate) stash_len: AtomicUsize,
     /// Running total of bytes sent (telemetry gauge).
     pub(crate) sent_bytes: AtomicU64,
     /// Running total of payload bytes physically copied (telemetry gauge).
@@ -347,13 +346,19 @@ pub(crate) struct RankState {
     pub(crate) pool_busy: Arc<AtomicUsize>,
 }
 
+/// A stash as `(src, tag)` pairs, in stash order.
+type StashPairs = Vec<(usize, u64)>;
+
 /// Run-global state shared by rank threads, the monitor and the sampler.
 pub(crate) struct Shared {
     pub(crate) states: Vec<RankState>,
     pub(crate) abort: AtomicBool,
     /// First failure wins; later ones (usually secondary) are dropped.
     verdict: Mutex<Option<RunError>>,
+    /// What ranks leave behind for a stall diagnostic as they unwind or
+    /// finish: their trace tails and their non-empty stashes.
     trace_tails: Mutex<Vec<(usize, Vec<String>)>>,
+    stashes: Mutex<Vec<(usize, StashPairs)>>,
     pub(crate) finished: AtomicUsize,
     pub(crate) cv_lock: Mutex<()>,
     pub(crate) cv: Condvar,
@@ -383,6 +388,7 @@ impl Shared {
             abort: AtomicBool::new(false),
             verdict: Mutex::new(None),
             trace_tails: Mutex::new(Vec::new()),
+            stashes: Mutex::new(Vec::new()),
             finished: AtomicUsize::new(0),
             cv_lock: Mutex::new(()),
             cv: Condvar::new(),
@@ -397,8 +403,8 @@ impl Shared {
         }
     }
 
-    /// Whether any observer (watchdog or sampler) reads the blocked/stash
-    /// mirrors.
+    /// Whether any observer (watchdog or sampler) reads the blocked
+    /// mirror.
     fn observed(&self) -> bool {
         self.watchdog || self.telemetry
     }
@@ -438,7 +444,7 @@ impl Shared {
 /// The out-of-order stash preserves MPI's non-overtaking guarantee: two
 /// messages with the same `(source, tag)` are always delivered in the order
 /// they were sent. Messages enter the stash in channel order (the arrival
-/// rule, [`RankCtx::arrive`]), and the stash is a FIFO (`VecDeque`):
+/// rule, `RankCtx::arrive`), and the stash is a FIFO (`VecDeque`):
 /// arrivals append at the back and tag matches take the *first* match.
 pub struct RankCtx {
     rank: usize,
@@ -615,13 +621,24 @@ impl RankCtx {
     }
 
     /// Unwinds this rank because the run was aborted elsewhere, leaving its
-    /// trace tail behind for the diagnostic.
+    /// trace tail and its stash behind for the diagnostic.
     fn abort_unwind(&mut self) -> ! {
         let tail = self.tracer.tail(8);
         if !tail.is_empty() {
             self.shared.trace_tails.lock().unwrap().push((self.rank, tail));
         }
+        self.leave_stash();
         std::panic::panic_any(Aborted);
+    }
+
+    /// Leaves the `(src, tag)` of every stashed message for a stall
+    /// diagnostic, if the stash holds any: at an abort, and at finish, so a
+    /// message stranded at a finished rank shows too.
+    fn leave_stash(&self) {
+        if !self.stash.is_empty() {
+            let stash = self.stash.iter().map(|m| (m.src, m.tag)).collect();
+            self.shared.stashes.lock().unwrap().push((self.rank, stash));
+        }
     }
 
     fn check_abort(&mut self) {
@@ -649,12 +666,8 @@ impl RankCtx {
     /// Appends an arrival to the stash, bumps `arrivals` and logs it for
     /// an attached wake-log reader. With
     /// [`RankCtx::stash_take`] the only way the stash changes: the two keep
-    /// the trace's depth gauge and the observers' mirror
-    /// ([`RankState::stash`]) equal to it.
+    /// the trace's depth gauge and the telemetry gauge equal to it.
     fn stash_push(&mut self, m: Message) {
-        if self.shared.observed() {
-            self.shared.states[self.rank].stash.lock().unwrap().push_back((m.src, m.tag));
-        }
         if let Some(log) = &mut self.wake_log {
             if above_floor(&self.min_epoch, &m) {
                 log.push((m.src, m.tag));
@@ -662,18 +675,23 @@ impl RankCtx {
         }
         self.stash.push_back(m);
         self.arrivals += 1;
-        self.tracer.stash_depth(self.stash.len());
+        self.stash_depth();
     }
 
     /// Removes stash entry `i`. `remove` (not `swap_remove_back`) keeps the
     /// rest in arrival order, preserving per-`(src, tag)` FIFO delivery.
     fn stash_take(&mut self, i: usize) -> Message {
         let m = self.stash.remove(i).expect("stash index in range");
-        if self.shared.observed() {
-            self.shared.states[self.rank].stash.lock().unwrap().remove(i);
+        self.stash_depth();
+        m
+    }
+
+    /// Reports the stash depth to the trace and the telemetry gauge.
+    fn stash_depth(&mut self) {
+        if self.shared.telemetry {
+            self.shared.states[self.rank].stash_len.store(self.stash.len(), Ordering::Relaxed);
         }
         self.tracer.stash_depth(self.stash.len());
-        m
     }
 
     /// Takes everything queued in the inbox.
@@ -1481,12 +1499,6 @@ impl RankCtx {
     pub(crate) fn note_join(&self) {
         self.shared.joins.fetch_add(1, Ordering::Relaxed);
     }
-
-    /// The run's poll granularity (the recovery layer slices its waits on
-    /// the same cadence).
-    pub fn poll_interval(&self) -> Duration {
-        self.poll
-    }
 }
 
 /// Follows the wait-for edges `r -> blocked[r].src`, skipping finished
@@ -1549,7 +1561,6 @@ fn deadlock_cycle(
 
 /// Assembles the stall verdict from the monitor's observation.
 fn stall_error(
-    shared: &Shared,
     blocked: &[Option<BlockedOn>],
     done: &[bool],
     cycle: Option<Vec<usize>>,
@@ -1557,18 +1568,11 @@ fn stall_error(
 ) -> RunError {
     let blocked_list = blocked.iter().enumerate().filter_map(|(r, b)| b.map(|b| (r, b))).collect();
     let done_list = done.iter().enumerate().filter(|&(_, &d)| d).map(|(r, _)| r).collect();
-    let stashes = shared
-        .states
-        .iter()
-        .enumerate()
-        .map(|(r, s)| (r, s.stash.lock().unwrap().iter().copied().collect::<Vec<_>>()))
-        .filter(|(_, s)| !s.is_empty())
-        .collect();
     RunError::Stalled(Box::new(StallDiagnostic {
         blocked: blocked_list,
         done: done_list,
         cycle,
-        stashes,
+        stashes: Vec::new(),
         trace_tails: Vec::new(),
         stalled_for,
     }))
@@ -1611,7 +1615,6 @@ fn monitor(shared: &Shared, nranks: usize, stall: Duration, poll: Duration, fast
                     *seen += 1;
                     if *seen >= 3 {
                         shared.record_verdict(stall_error(
-                            shared,
                             &blocked,
                             &done,
                             Some(c),
@@ -1626,13 +1629,7 @@ fn monitor(shared: &Shared, nranks: usize, stall: Duration, poll: Duration, fast
             stable_cycle = None;
         }
         if last_change.elapsed() >= stall {
-            shared.record_verdict(stall_error(
-                shared,
-                &blocked,
-                &done,
-                None,
-                last_change.elapsed(),
-            ));
+            shared.record_verdict(stall_error(&blocked, &done, None, last_change.elapsed()));
             return;
         }
     }
@@ -1727,6 +1724,7 @@ where
                     Ok(r) => {
                         ctx.flush_held();
                         ctx.reliable_flush();
+                        ctx.leave_stash();
                         shared.rank_finished(rank);
                         Some((r, ctx.volume, ctx.tracer.finish()))
                     }
@@ -1772,6 +1770,8 @@ where
         if let RunError::Stalled(d) = &mut e {
             d.trace_tails = std::mem::take(&mut *shared.trace_tails.lock().unwrap());
             d.trace_tails.sort_by_key(|(r, _)| *r);
+            d.stashes = std::mem::take(&mut *shared.stashes.lock().unwrap());
+            d.stashes.sort_by_key(|(r, _)| *r);
         }
         return Err(e);
     }

@@ -2,7 +2,7 @@
 //! while a run executes.
 //!
 //! A [`Telemetry`] handle is a cloneable ring buffer. Passing one in
-//! [`RunOptions::telemetry`](crate::RunOptions) makes [`run_impl`] spawn a
+//! [`RunOptions::telemetry`](crate::RunOptions) makes the run spawn a
 //! sampler thread alongside the rank threads; on its cadence it reads each
 //! rank's gauges — blocked-on state, inbox depth, stash size, outstanding
 //! nonblocking collectives, bytes sent/copied, and the progress counter —
@@ -168,7 +168,7 @@ fn snapshot(shared: &Shared, nranks: usize, t_us: u64) -> Vec<TelemetrySample> {
                 rank,
                 blocked: *st.blocked.lock().unwrap(),
                 inbox: st.inbox_len.load(Ordering::Relaxed),
-                stash: st.stash.lock().unwrap().len(),
+                stash: st.stash_len.load(Ordering::Relaxed),
                 outstanding: st.outstanding.load(Ordering::Relaxed),
                 sent_bytes: st.sent_bytes.load(Ordering::Relaxed),
                 copied_bytes: st.copied_bytes.load(Ordering::Relaxed),

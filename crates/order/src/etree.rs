@@ -1,7 +1,7 @@
 //! Elimination tree, postorder and factor column counts.
 //!
 //! Implements the classic structures from Liu, *"The role of elimination
-//! trees in sparse factorization"* (reference [19] of the paper), and the
+//! trees in sparse factorization"* (reference \[19\] of the paper), and the
 //! column counts of Gilbert, Ng and Peyton, *"An efficient algorithm to
 //! compute row and column counts for sparse Cholesky factorization"* (SIAM
 //! J. Matrix Anal. Appl. 15(4), 1994).

@@ -84,12 +84,6 @@ impl Permutation {
         let new_of_old: Vec<usize> = self.new_of_old.iter().map(|&mid| after.new_of(mid)).collect();
         Permutation::from_new_of_old(new_of_old)
     }
-
-    /// Permutes a dense vector indexed by old indices into new order.
-    pub fn apply_vec<T: Clone>(&self, v: &[T]) -> Vec<T> {
-        assert_eq!(v.len(), self.len());
-        (0..self.len()).map(|new| v[self.old_of(new)].clone()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -132,13 +126,6 @@ mod tests {
         assert_eq!(p.new_of(2), 0);
         assert_eq!(p.new_of(0), 1);
         assert_eq!(p.new_of(1), 2);
-    }
-
-    #[test]
-    fn apply_vec_reorders() {
-        let p = Permutation::from_new_of_old(vec![2, 0, 1]);
-        // old values [a, b, c]; new position of old0=2, old1=0, old2=1
-        assert_eq!(p.apply_vec(&["a", "b", "c"]), vec!["b", "c", "a"]);
     }
 
     #[test]

@@ -164,20 +164,6 @@ impl SymbolicFactor {
             .sum()
     }
 
-    /// For each supernode `I`, the list of `(K, block_index)` pairs such
-    /// that descendant supernode `K` has an off-diagonal block in `I`
-    /// (`block_index` points into [`SymbolicFactor::blocks`]). This is the
-    /// transpose of the block structure, used by the distributed layout.
-    pub fn transpose_blocks(&self) -> Vec<Vec<(usize, usize)>> {
-        let mut t: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.num_supernodes()];
-        for s in 0..self.num_supernodes() {
-            for (bi, b) in self.blocks_of(s).iter().enumerate() {
-                t[b.sn].push((s, self.blocks_ptr[s] + bi));
-            }
-        }
-        t
-    }
-
     /// Children lists of the supernodal elimination tree.
     pub fn sn_children(&self) -> Vec<Vec<usize>> {
         let mut c: Vec<Vec<usize>> = vec![Vec::new(); self.num_supernodes()];
@@ -546,7 +532,7 @@ mod tests {
 
     #[test]
     fn rows_sorted_and_below_diagonal() {
-        let w = gen::proxies::dg_water(1);
+        let w = gen::dg_hamiltonian(4, 4, 4, 12, 0x3a7e4);
         let pat = w.matrix.pattern();
         let sf = analyze(&pat, &AnalyzeOptions::default());
         for s in 0..sf.num_supernodes() {
@@ -558,25 +544,6 @@ mod tests {
                 assert!(first >= sf.end_col(s));
             }
         }
-    }
-
-    #[test]
-    fn transpose_blocks_is_consistent() {
-        let w = gen::grid_laplacian_2d(10, 10);
-        let sf = analyze(&w.matrix.pattern(), &AnalyzeOptions::default());
-        let t = sf.transpose_blocks();
-        let mut total = 0;
-        for (i, list) in t.iter().enumerate() {
-            for &(k, bi) in list {
-                assert_eq!(sf.blocks[bi].sn, i);
-                assert!(
-                    (sf.blocks_ptr[k]..sf.blocks_ptr[k + 1]).contains(&bi),
-                    "block index out of supernode range"
-                );
-                total += 1;
-            }
-        }
-        assert_eq!(total, sf.blocks.len());
     }
 
     #[test]

@@ -95,7 +95,7 @@ mod tests {
     #[test]
     fn block_ancestors_lie_on_parent_chain() {
         // The property the gather relies on.
-        let w = gen::proxies::dg_water(1);
+        let w = gen::dg_hamiltonian(4, 4, 4, 12, 0x3a7e4);
         let sf = analyze(&w.matrix.pattern(), &AnalyzeOptions::default());
         for k in 0..sf.num_supernodes() {
             let mut chain = Vec::new();

@@ -186,9 +186,10 @@ impl SelectedInverse {
         })
     }
 
-    /// Assembles the selected entries into a symmetric [`SparseMatrix`]
-    /// (both triangles populated) — convenient for downstream consumers
-    /// that want `A⁻¹` restricted to the selected set as a matrix.
+    /// Assembles the selected entries into a symmetric
+    /// [`SparseMatrix`](pselinv_sparse::SparseMatrix) (both triangles
+    /// populated) — convenient for downstream consumers that want `A⁻¹`
+    /// restricted to the selected set as a matrix.
     pub fn to_sparse(&self) -> pselinv_sparse::SparseMatrix {
         let n = self.symbolic.n;
         let mut t = pselinv_sparse::TripletMatrix::new(n, n);

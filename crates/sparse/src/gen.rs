@@ -36,15 +36,6 @@ impl Geometry {
     pub fn n(&self) -> usize {
         self.dims[0] * self.dims[1] * self.dims[2] * self.dof
     }
-
-    /// Grid coordinates of matrix row `i`.
-    pub fn coords(&self, i: usize) -> (usize, usize, usize) {
-        let node = i / self.dof;
-        let x = node % self.dims[0];
-        let y = (node / self.dims[0]) % self.dims[1];
-        let z = node / (self.dims[0] * self.dims[1]);
-        (x, y, z)
-    }
 }
 
 /// A generated workload: matrix plus grid geometry.
@@ -258,59 +249,6 @@ pub fn random_spd(n: usize, density: f64, seed: u64) -> SparseMatrix {
     t.to_csc()
 }
 
-/// Paper-matrix proxies at a reproduction scale controlled by `scale`
-/// (1 = laptop-sized defaults used by the bench harness).
-pub mod proxies {
-    use super::*;
-
-    /// audikw_1 proxy: 3-D FEM mesh, 3 DOF per node (structural analysis).
-    pub fn audikw(scale: usize) -> Workload {
-        let s = 6 * scale;
-        let mut w = fem_3d(s, s, s, 3, 0xaadc);
-        w.name = format!("audikw_proxy_{}", w.matrix.nrows());
-        w
-    }
-
-    /// Flan_1565 proxy: 3-D FEM mesh, 3 DOF, slightly larger/sparser mesh.
-    pub fn flan(scale: usize) -> Workload {
-        let s = 7 * scale;
-        let mut w = fem_3d(s, s, s, 3, 0xf1a5);
-        w.name = format!("flan_proxy_{}", w.matrix.nrows());
-        w
-    }
-
-    /// DG_PNF14000 proxy: 2-D phosphorene nanoflake, dense DG blocks.
-    pub fn dg_pnf(scale: usize) -> Workload {
-        let s = 8 * scale;
-        let mut w = dg_hamiltonian(s, s, 1, 20, 0xd6f);
-        w.name = format!("dg_pnf_proxy_{}", w.matrix.nrows());
-        w
-    }
-
-    /// DG_Graphene_32768 proxy: larger 2-D DG sheet.
-    pub fn dg_graphene(scale: usize) -> Workload {
-        let s = 10 * scale;
-        let mut w = dg_hamiltonian(s, s, 1, 20, 0x96a);
-        w.name = format!("dg_graphene_proxy_{}", w.matrix.nrows());
-        w
-    }
-
-    /// DG_Water_12888 proxy: small 3-D DG system.
-    pub fn dg_water(scale: usize) -> Workload {
-        let s = 4 * scale;
-        let mut w = dg_hamiltonian(s, s, s, 12, 0x3a7e4);
-        w.name = format!("dg_water_proxy_{}", w.matrix.nrows());
-        w
-    }
-
-    /// LU_C_BN_C proxy: quasi-1-D DG system (layered heterostructure).
-    pub fn lu_c_bn_c(scale: usize) -> Workload {
-        let mut w = dg_hamiltonian(16 * scale, 4 * scale, 1, 16, 0x1cbc);
-        w.name = format!("lu_c_bn_c_proxy_{}", w.matrix.nrows());
-        w
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,25 +319,6 @@ mod tests {
         let m = random_spd(40, 0.1, 3);
         assert!(m.is_symmetric(1e-14));
         assert!(is_diag_dominant(&m));
-    }
-
-    #[test]
-    fn geometry_coords_roundtrip() {
-        let g = Geometry { dims: [3, 4, 5], dof: 2 };
-        for i in 0..g.n() {
-            let (x, y, z) = g.coords(i);
-            let node = (z * 4 + y) * 3 + x;
-            assert_eq!(node, i / 2);
-        }
-    }
-
-    #[test]
-    fn proxies_generate() {
-        let w = proxies::dg_water(1);
-        assert!(w.matrix.nrows() > 0);
-        assert!(w.matrix.is_symmetric(1e-12));
-        let w = proxies::audikw(1);
-        assert!(w.matrix.is_symmetric(1e-12));
     }
 
     #[test]

@@ -33,4 +33,4 @@ pub use event::{
 };
 pub use json::Json;
 pub use metrics::{KindCounters, RankMetrics, N_KINDS};
-pub use sink::{collect, key_of, RankTrace, RankTracer, Trace};
+pub use sink::{collect, RankTrace, RankTracer, Trace};

@@ -26,20 +26,11 @@ pub struct KindCounters {
     pub transfer_us: u64,
 }
 
-/// Metrics registry for one rank.
-///
-/// All updates are O(1) array writes; the registry allocates only when a
-/// send is attributed to a tree depth deeper than any seen before.
+/// Metrics registry for one rank. All updates are O(1) and allocate
+/// nothing.
 #[derive(Clone, Debug)]
 pub struct RankMetrics {
     per_kind: [KindCounters; N_KINDS],
-    /// Bytes sent while at depth `d` of the active collective tree.
-    pub depth_sent_bytes: Vec<u64>,
-    /// Messages sent while at depth `d` of the active collective tree.
-    pub depth_sent_msgs: Vec<u64>,
-    /// Histogram of sent message sizes: bucket `b` counts messages with
-    /// `2^(b-1) < bytes <= 2^b` (bucket 0 is empty messages).
-    pub msg_size_log2: [u64; 33],
     /// High-water mark of the out-of-order stash.
     pub stash_hwm: usize,
     /// High-water mark of the count the rank reported as outstanding: the
@@ -87,9 +78,6 @@ impl Default for RankMetrics {
     fn default() -> Self {
         Self {
             per_kind: [KindCounters::default(); N_KINDS],
-            depth_sent_bytes: Vec::new(),
-            depth_sent_msgs: Vec::new(),
-            msg_size_log2: [0; 33],
             stash_hwm: 0,
             outstanding_hwm: 0,
             bytes_copied: 0,
@@ -105,34 +93,17 @@ impl Default for RankMetrics {
     }
 }
 
-fn log2_bucket(bytes: u64) -> usize {
-    if bytes == 0 {
-        0
-    } else {
-        (64 - (bytes - 1).leading_zeros() as usize).min(32)
-    }
-}
-
 impl RankMetrics {
     /// Counters for `coll`.
     pub fn kind(&self, coll: CollKind) -> &KindCounters {
         &self.per_kind[coll.index()]
     }
 
-    /// Records a sent message, optionally attributed to a tree depth.
-    pub fn on_send(&mut self, coll: CollKind, bytes: u64, depth: Option<usize>) {
+    /// Records a sent message.
+    pub fn on_send(&mut self, coll: CollKind, bytes: u64) {
         let c = &mut self.per_kind[coll.index()];
         c.msgs_sent += 1;
         c.bytes_sent += bytes;
-        self.msg_size_log2[log2_bucket(bytes)] += 1;
-        if let Some(d) = depth {
-            if d >= self.depth_sent_bytes.len() {
-                self.depth_sent_bytes.resize(d + 1, 0);
-                self.depth_sent_msgs.resize(d + 1, 0);
-            }
-            self.depth_sent_bytes[d] += bytes;
-            self.depth_sent_msgs[d] += 1;
-        }
     }
 
     /// Records a consumed message.
@@ -211,11 +182,6 @@ impl RankMetrics {
         self.per_kind.iter().map(|c| c.bytes_sent).sum()
     }
 
-    /// Total bytes received across all kinds.
-    pub fn total_recv_bytes(&self) -> u64 {
-        self.per_kind.iter().map(|c| c.bytes_recv).sum()
-    }
-
     /// Total messages sent across all kinds.
     pub fn total_sent_msgs(&self) -> u64 {
         self.per_kind.iter().map(|c| c.msgs_sent).sum()
@@ -242,22 +208,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn size_buckets() {
-        assert_eq!(log2_bucket(0), 0);
-        assert_eq!(log2_bucket(1), 0);
-        assert_eq!(log2_bucket(2), 1);
-        assert_eq!(log2_bucket(3), 2);
-        assert_eq!(log2_bucket(4), 2);
-        assert_eq!(log2_bucket(1024), 10);
-        assert_eq!(log2_bucket(1025), 11);
-        assert_eq!(log2_bucket(u64::MAX), 32);
-    }
-
-    #[test]
     fn send_recv_accounting() {
         let mut m = RankMetrics::default();
-        m.on_send(CollKind::ColBcast, 100, Some(2));
-        m.on_send(CollKind::ColBcast, 50, Some(0));
+        m.on_send(CollKind::ColBcast, 100);
+        m.on_send(CollKind::ColBcast, 50);
         m.on_recv(CollKind::RowReduce, 30);
         m.on_span(CollKind::ColBcast, 7);
         assert_eq!(m.kind(CollKind::ColBcast).bytes_sent, 150);
@@ -265,23 +219,7 @@ mod tests {
         assert_eq!(m.kind(CollKind::ColBcast).spans, 1);
         assert_eq!(m.kind(CollKind::ColBcast).span_time_us, 7);
         assert_eq!(m.kind(CollKind::RowReduce).bytes_recv, 30);
-        assert_eq!(m.depth_sent_bytes, vec![50, 0, 100]);
-        assert_eq!(m.depth_sent_msgs, vec![1, 0, 1]);
         assert_eq!(m.total_sent_bytes(), 150);
-    }
-
-    #[test]
-    fn size_buckets_at_exact_powers_of_two() {
-        // bytes == 2^b must land in bucket b, not b+1 (the bucket covers
-        // 2^(b-1) < bytes <= 2^b); bytes == 2^b + 1 spills into b+1.
-        for b in 1..32usize {
-            assert_eq!(log2_bucket(1u64 << b), b, "2^{b}");
-            assert_eq!(log2_bucket((1u64 << b) + 1), b + 1, "2^{b}+1");
-        }
-        assert_eq!(log2_bucket(1u64 << 32), 32);
-        // Everything past the last bucket boundary saturates into bucket 32.
-        assert_eq!(log2_bucket((1u64 << 32) + 1), 32);
-        assert_eq!(log2_bucket(1u64 << 63), 32);
     }
 
     #[test]

@@ -42,9 +42,6 @@ struct Inner {
     /// Open attribution scopes, innermost last. Sends/recvs are attributed
     /// to the innermost scope's kind.
     scopes: Vec<Scope>,
-    /// Tree depth of this rank in the collective currently in flight, for
-    /// per-depth byte attribution.
-    depth: Option<usize>,
     /// Last reported stash depth (events are emitted on change only).
     last_stash: usize,
     /// Last reported outstanding-collectives count (events are emitted on
@@ -72,7 +69,6 @@ impl RankTracer {
             rank,
             clock: ClockInner::Wall { epoch },
             scopes: Vec::new(),
-            depth: None,
             last_stash: 0,
             last_outstanding: 0,
             events: Vec::new(),
@@ -87,7 +83,6 @@ impl RankTracer {
             rank,
             clock: ClockInner::Manual { now_us: 0 },
             scopes: Vec::new(),
-            depth: None,
             last_stash: 0,
             last_outstanding: 0,
             events: Vec::new(),
@@ -139,14 +134,12 @@ impl RankTracer {
         }
     }
 
-    /// Called by a collective implementation on entry. Records this rank's
-    /// tree `depth` for per-depth attribution, and — only when no ambient
+    /// Called by a collective implementation on entry. Only when no ambient
     /// scope is already open (i.e. the collective is used bare, outside a
-    /// phase) — opens a `(coll, key)` scope. Returns whether a scope was
+    /// phase) opens a `(coll, key)` scope. Returns whether a scope was
     /// pushed; pass that to [`RankTracer::coll_exit`].
-    pub fn coll_enter(&mut self, coll: CollKind, key: u64, depth: Option<usize>) -> bool {
+    pub fn coll_enter(&mut self, coll: CollKind, key: u64) -> bool {
         let Some(inner) = self.0.as_deref_mut() else { return false };
-        inner.depth = depth;
         if inner.scopes.is_empty() {
             let start_us = inner.clock.now_us();
             inner.scopes.push(Scope { coll, key, start_us });
@@ -162,9 +155,6 @@ impl RankTracer {
         if pushed {
             self.pop_scope();
         }
-        if let Some(inner) = self.0.as_deref_mut() {
-            inner.depth = None;
-        }
     }
 
     /// Records a message leaving this rank. `clock` is the sender's Lamport
@@ -178,7 +168,7 @@ impl RankTracer {
                 ts_us,
                 kind: EventKind::MsgSend { peer, tag, bytes, coll, clock, idx },
             });
-            inner.metrics.on_send(coll, bytes, inner.depth);
+            inner.metrics.on_send(coll, bytes);
         }
     }
 
@@ -316,14 +306,12 @@ impl RankTracer {
     /// Records a message event with the attribution kind supplied by the
     /// caller instead of the ambient scope (used by the DES backend, whose
     /// edges carry their own `(coll, supernode)` task tags).
-    #[allow(clippy::too_many_arguments)]
     pub fn msg_send_as(
         &mut self,
         coll: CollKind,
         peer: usize,
         tag: u64,
         bytes: u64,
-        depth: Option<usize>,
         clock: u64,
         idx: u64,
     ) {
@@ -333,7 +321,7 @@ impl RankTracer {
                 ts_us,
                 kind: EventKind::MsgSend { peer, tag, bytes, coll, clock, idx },
             });
-            inner.metrics.on_send(coll, bytes, depth);
+            inner.metrics.on_send(coll, bytes);
         }
     }
 
@@ -644,11 +632,6 @@ pub fn collect(label: impl Into<String>, tracers: Vec<RankTracer>) -> Option<Tra
     }
 }
 
-/// Keys a span by supernode, mapping "no supernode" to [`NO_KEY`].
-pub fn key_of(supernode: Option<usize>) -> u64 {
-    supernode.map_or(NO_KEY, |s| s as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -686,13 +669,13 @@ mod tests {
     fn coll_enter_respects_ambient_scope() {
         let mut t = RankTracer::manual(0);
         // Bare collective: pushes its own scope.
-        let pushed = t.coll_enter(CollKind::Bcast, 9, Some(1));
+        let pushed = t.coll_enter(CollKind::Bcast, 9);
         assert!(pushed);
         t.msg_send(1, 0, 10, 1, 1);
         t.coll_exit(pushed);
         // Inside a phase scope: keeps the ambient attribution.
         t.push_scope(CollKind::ColBcast, 2);
-        let pushed = t.coll_enter(CollKind::Bcast, 9, Some(0));
+        let pushed = t.coll_enter(CollKind::Bcast, 9);
         assert!(!pushed);
         t.msg_send(1, 0, 20, 2, 2);
         t.coll_exit(pushed);
@@ -700,8 +683,6 @@ mod tests {
         let r = t.finish().unwrap();
         assert_eq!(r.metrics.kind(CollKind::Bcast).bytes_sent, 10);
         assert_eq!(r.metrics.kind(CollKind::ColBcast).bytes_sent, 20);
-        // Depth attribution happened in both cases.
-        assert_eq!(r.metrics.depth_sent_bytes, vec![20, 10]);
     }
 
     #[test]

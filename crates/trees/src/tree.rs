@@ -119,30 +119,12 @@ impl CollectiveTree {
         self.parent().iter().zip(members).skip(1).map(|(&p, &m)| (members[p], m)).collect()
     }
 
-    /// Depth of `rank` below the root (root is 0), or `None` for
-    /// non-participants.
-    pub fn depth_of(&self, rank: usize) -> Option<usize> {
-        let mut i = self.index_of(rank)?;
-        let mut d = 0;
-        while self.parent()[i] != NO_PARENT {
-            i = self.parent()[i];
-            d += 1;
-        }
-        Some(d)
-    }
-
     /// Height of the tree (edges on the longest root-leaf path).
     pub fn depth(&self) -> usize {
         fn go(t: &CollectiveTree, i: usize) -> usize {
             t.children_at(i).iter().map(|&c| 1 + go(t, c)).max().unwrap_or(0)
         }
         go(self, 0)
-    }
-
-    /// Number of children of each member, keyed by rank — the per-rank
-    /// message count of a broadcast over this tree.
-    pub fn out_degrees(&self) -> Vec<(usize, usize)> {
-        self.members().iter().enumerate().map(|(i, &m)| (m, self.children_at(i).len())).collect()
     }
 }
 
@@ -175,10 +157,6 @@ mod tests {
         assert_eq!(t.parent_of(5), None);
         assert_eq!(t.parent_of(1234), None);
         assert_eq!(t.depth(), 2);
-        assert_eq!(t.depth_of(5), Some(0));
-        assert_eq!(t.depth_of(7), Some(1));
-        assert_eq!(t.depth_of(9), Some(2));
-        assert_eq!(t.depth_of(1234), None);
         assert_eq!(t.edges(), vec![(5, 7), (7, 9)]);
     }
 
