@@ -621,19 +621,19 @@ impl RankCtx {
     }
 
     /// Unwinds this rank because the run was aborted elsewhere, leaving its
-    /// trace tail and its stash behind for the diagnostic.
+    /// trace tail behind for the diagnostic.
     fn abort_unwind(&mut self) -> ! {
         let tail = self.tracer.tail(8);
         if !tail.is_empty() {
             self.shared.trace_tails.lock().unwrap().push((self.rank, tail));
         }
-        self.leave_stash();
         std::panic::panic_any(Aborted);
     }
 
     /// Leaves the `(src, tag)` of every stashed message for a stall
-    /// diagnostic, if the stash holds any: at an abort, and at finish, so a
-    /// message stranded at a finished rank shows too.
+    /// diagnostic, if the stash holds any. Called where the rank's thread
+    /// ends — after its last flush, or as it unwinds from an abort or a
+    /// panic — so a message stranded at a finished rank shows too.
     fn leave_stash(&self) {
         if !self.stash.is_empty() {
             let stash = self.stash.iter().map(|m| (m.src, m.tag)).collect();
@@ -1729,6 +1729,7 @@ where
                         Some((r, ctx.volume, ctx.tracer.finish()))
                     }
                     Err(payload) => {
+                        ctx.leave_stash();
                         let aborted = payload.downcast_ref::<Aborted>().is_some();
                         if shared.recovery && !aborted {
                             // Online recovery: absorb the death instead of
