@@ -929,10 +929,9 @@ fn route(wakes: &[(usize, u64)], runs: &mut [QueryRun], pos: &[usize], ready: &m
 ///
 /// Admission control: queries are admitted in ascending index order, with
 /// at most `max_inflight` (at least 1, [`crate::BatchOptions::inflight`])
-/// *unfinished* admitted queries at a time. Every
-/// rank computes admission from its local completion state, which is a
-/// restriction of the same global order — see the module-level
-/// deadlock-freedom argument.
+/// *unfinished* admitted queries at a time. Every rank computes admission
+/// from its local completion state, which is a restriction of the same
+/// global order — see the module-level deadlock-freedom argument.
 pub(crate) fn phase2_multi(
     ctx: &mut RankCtx,
     states: &mut [RankState<'_>],

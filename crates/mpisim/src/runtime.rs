@@ -10,13 +10,13 @@
 //!   a monitor thread builds the cross-rank wait-for graph and converts a
 //!   global stall or a deadlock cycle into a structured
 //!   [`StallDiagnostic`] ([`RunError::Stalled`]) instead of hanging.
-//! * **Fault injection.** A [`FaultPlan`] lets a
-//!   run inject per-message delay/jitter, duplication and reordering plus
-//!   per-rank stall/crash triggers, deterministically from a seed. Every
-//!   data message carries a sequence number on its `(src, dst)` channel
-//!   and is judged once, as it comes off the inbox: duplicates are dropped
-//!   and early arrivals held until their turn, so any crash-free schedule
-//!   yields bit-identical results.
+//! * **Fault injection.** A [`FaultPlan`] lets a run inject per-message
+//!   delay/jitter, duplication and reordering plus per-rank stall/crash
+//!   triggers, deterministically from a seed. Every data message carries a
+//!   sequence number on its `(src, dst)` channel and is judged once, as it
+//!   comes off the inbox: duplicates are dropped and early arrivals held
+//!   until their turn, so any crash-free schedule yields bit-identical
+//!   results.
 
 use crate::payload::{IntoPayload, Payload};
 use crate::spin::{SpinPolicy, SPIN_BUDGET};
@@ -164,7 +164,8 @@ pub struct StallDiagnostic {
     pub cycle: Option<Vec<usize>>,
     /// Per-rank stash contents as `(src, tag)` pairs (non-empty stashes
     /// only): messages that arrived but matched no posted receive. Each
-    /// rank leaves its own as it unwinds from the abort or finishes.
+    /// rank leaves its own where its thread ends, at finish or as it
+    /// unwinds.
     pub stashes: Vec<(usize, Vec<(usize, u64)>)>,
     /// Last few trace events per rank (traced runs only).
     pub trace_tails: Vec<(usize, Vec<String>)>,
