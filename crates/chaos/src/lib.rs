@@ -40,8 +40,8 @@ use std::collections::BTreeMap;
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultSpec {
     /// Fixed extra latency injected into every message this rank sends
-    /// (µs; mpisim sleeps it on the send path, DES adds it to the arrival
-    /// time).
+    /// (µs; mpisim stamps the message with its delivery instant and the
+    /// receiver holds it until then, DES adds it to the arrival time).
     pub delay_us: u64,
     /// Additional per-message random latency in `0..=jitter_us` (µs),
     /// drawn deterministically from the plan seed.

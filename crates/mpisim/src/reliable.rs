@@ -354,6 +354,7 @@ mod tests {
             clock: 0,
             idx: 0,
             epoch: 0,
+            visible_at: None,
             data: Payload::from(vec![1.0]),
         };
         for seq in 0..4 {

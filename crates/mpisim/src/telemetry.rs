@@ -36,7 +36,9 @@ pub struct TelemetrySample {
     pub rank: usize,
     /// What the rank was blocked on, if it was blocked in a receive.
     pub blocked: Option<BlockedOn>,
-    /// Messages queued in the rank's inbox channel.
+    /// Messages sent to the rank that have not landed: queued in its inbox
+    /// channel, or held until their delivery instant under an injected
+    /// delay.
     pub inbox: usize,
     /// Messages parked in the out-of-order stash.
     pub stash: usize,

@@ -311,3 +311,43 @@ fn wait_any_mixed_sources_reports_wildcard_block() {
     let text = diag.to_string();
     assert!(text.contains("rank 0 blocked on recv(any)"), "{text}");
 }
+
+/// Two ranks play `rounds` round trips of ping-pong under an injected
+/// in-flight delay of `delay`, with the given watchdog poll. Returns how
+/// long the run took.
+fn delayed_ping_pong(delay: Duration, rounds: usize, opts: RunOptions) -> Duration {
+    let spec = FaultSpec { delay_us: delay.as_micros() as u64, ..FaultSpec::default() };
+    let opts = RunOptions { faults: Some(FaultPlan::new(36).with_default(spec)), ..opts };
+    let t0 = Instant::now();
+    let (got, _) = try_run(2, &opts, |ctx| {
+        let mut x = 0.0;
+        for i in 0..rounds as u64 {
+            if ctx.rank() == 0 {
+                ctx.send(1, i, vec![x]);
+                x = ctx.recv(1, i)[0];
+            } else {
+                x = ctx.recv(0, i)[0] + 1.0;
+                ctx.send(0, i, vec![x]);
+            }
+        }
+        x
+    })
+    .unwrap_or_else(|e| panic!("a delayed ping-pong is no deadlock: {e}"));
+    assert_eq!(got, vec![rounds as f64; 2]);
+    t0.elapsed()
+}
+
+#[test]
+fn a_message_in_flight_is_mail_and_lands_at_its_delivery_instant() {
+    // (a) While a 150 ms flight is under way both ranks are blocked on each
+    // other, for six 25 ms monitor polls running. The message is still
+    // counted in its receiver's inbox, so that wait-for cycle is no
+    // deadlock.
+    delayed_ping_pong(Duration::from_millis(150), 2, RunOptions::default());
+    // (b) A parked receiver wakes at the delivery instant, not at the end
+    // of its 2 s poll slice: 40 hops of 5 ms take 0.2 s.
+    let poll = Duration::from_secs(2);
+    let took =
+        delayed_ping_pong(Duration::from_millis(5), 20, RunOptions { poll, ..Default::default() });
+    assert!(took < poll, "20 round trips of 5 ms flights took {took:?}");
+}
