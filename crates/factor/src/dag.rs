@@ -1,8 +1,8 @@
 //! The factorization as one task DAG over supernode updates, run on the
 //! pool.
 //!
-//! Both factorizations ([`crate::ldlt`] and [`crate::lu`]) feed this one
-//! scheduler. It runs two kinds of task:
+//! The factorization ([`crate::ldlt`]) feeds this scheduler. It runs two
+//! kinds of task:
 //!
 //! * `F(s)` factors supernode `s`'s diagonal block and normalizes its panel;
 //! * `U(s, b)` applies block `b` of `s` — one GEMM and its scatter — to the
@@ -65,7 +65,7 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 pub(crate) const CLAIM_BELOW: usize = 4_000;
 
 /// A pool with one worker per CPU the process may use: what
-/// [`crate::factorize`] and [`crate::lu::factorize_lu`] run on. Share one
+/// [`crate::factorize`] runs on. Share one
 /// across several factorizations with [`crate::factorize_on`].
 pub fn default_pool() -> Pool {
     Pool::new(std::thread::available_parallelism().map_or(1, |n| n.get()))

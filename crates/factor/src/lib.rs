@@ -5,21 +5,16 @@
 //! symmetric matrix using the structure prepared by
 //! [`pselinv_order::analyze`], on one worker per available CPU;
 //! [`ldlt::factorize_on`] runs the same code on a caller's
-//! [`pselinv_pool::Pool`]. Both factorizations feed one scheduler (the
-//! private `dag` module), and their factors are bit-identical at every
-//! worker count. The resulting [`ldlt::LdlFactor`] stores one
+//! [`pselinv_pool::Pool`]. Both run one scheduler (the private `dag`
+//! module), and the factor is bit-identical at every worker count. The
+//! resulting [`ldlt::LdlFactor`] stores one
 //! dense panel per supernode — exactly the representation the selected
 //! inversion (sequential in `pselinv-selinv`, distributed in
 //! `pselinv-dist`) consumes, and the same one SuperLU_DIST hands to
 //! PSelInv in the paper's pipeline.
-//!
-//! [`lu`] provides the unsymmetric-path factorization (`L·U` with
-//! structurally symmetric pattern), the extension the paper lists as work
-//! in progress.
 
 mod dag;
 pub mod ldlt;
-pub mod lu;
 pub mod panel;
 
 pub use dag::default_pool;

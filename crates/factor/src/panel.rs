@@ -159,31 +159,6 @@ pub(crate) fn scatter_lower(
     }
 }
 
-/// Scatters the strict upper triangle of `P a Pᵀ`, read as columns of
-/// `at = aᵀ`, into supernode `s`: entry `(i, j)`, `i < j`, goes to row `i`
-/// of `diag` for `j < end_col(s)`, else to `uright` (`U_{K,R}ᵀ`).
-pub(crate) fn scatter_upper(
-    sf: &SymbolicFactor,
-    at: &SparseMatrix,
-    s: usize,
-    diag: &mut Mat,
-    uright: &mut Mat,
-    buf: &mut ColumnBuf,
-) {
-    for i in sf.first_col(s)..sf.end_col(s) {
-        let il = i - sf.first_col(s);
-        buf.permuted_col(sf, at, i, i + 1);
-        let ndiag = relative_indices(sf, s, &buf.rows, &mut buf.idx);
-        for (k, (&pos, &v)) in buf.idx.iter().zip(&buf.vals).enumerate() {
-            if k < ndiag {
-                diag[(il, pos)] = v;
-            } else {
-                uright[(pos, il)] = v;
-            }
-        }
-    }
-}
-
 /// `buf` as `len` zeros, reusing its allocation.
 pub(crate) fn zeroed(buf: &mut Vec<f64>, len: usize) -> &mut [f64] {
     buf.clear();

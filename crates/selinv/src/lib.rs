@@ -10,14 +10,10 @@
 //!     A⁻¹_{K,K} ← (L_{K,K} D_K L_{K,K}ᵀ)⁻¹ - L̂_{C,K}ᵀ A⁻¹_{C,K}
 //! ```
 //!
-//! [`selinv_ldlt`] is the symmetric path used throughout the paper;
-//! [`lu::selinv_lu`] is the unsymmetric extension the paper lists as work
-//! in progress. Both serve as the correctness oracle for the distributed
-//! algorithm in `pselinv-dist`.
+//! [`selinv_ldlt`] inverts the `L·D·Lᵀ` factor the paper works with; it is
+//! the correctness oracle for the distributed algorithm in `pselinv-dist`.
 
 pub mod gather;
-pub mod lu;
 pub mod symmetric;
 
-pub use lu::{selinv_lu, SelectedInverseLu};
 pub use symmetric::{selinv_ldlt, SelectedInverse};
