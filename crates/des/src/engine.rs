@@ -458,17 +458,8 @@ fn simulate_impl(
                     // results never leave the node.
                     continue;
                 }
-                let out = task.edge_range();
-                // CPU cost of issuing this task's sends: stalls the core
-                // (flat-tree roots issue many sends back to back).
-                if cfg.cpu_per_msg > 0.0 {
-                    let nmsgs = edges[out.clone()].iter().filter(|e| e.bytes > 0).count();
-                    if nmsgs > 0 {
-                        rank_busy_until[r] =
-                            rank_busy_until[r].max(time) + cfg.cpu_per_msg * nmsgs as f64;
-                    }
-                }
-                for e in out {
+                let sent_before = messages;
+                for e in task.edge_range() {
                     let edge = edges[e];
                     let (s, b) = (edge.succ, edge.bytes);
                     if b == 0 {
@@ -548,6 +539,14 @@ fn simulate_impl(
                         }
                         queue.push(arrive, EventKind::Arrive, t, e as u32);
                     }
+                }
+                // CPU cost of issuing this task's sends, dropped ones too:
+                // stalls the core (flat-tree roots issue many sends back to
+                // back). Nothing above reads the core's reservation.
+                let nmsgs = messages - sent_before;
+                if cfg.cpu_per_msg > 0.0 && nmsgs > 0 {
+                    rank_busy_until[r] =
+                        rank_busy_until[r].max(time) + cfg.cpu_per_msg * nmsgs as f64;
                 }
                 dispatch!(r, time);
             }
