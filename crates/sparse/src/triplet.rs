@@ -3,8 +3,9 @@
 use crate::csc::SparseMatrix;
 
 /// A sparse matrix under construction, stored as unordered `(row, col, val)`
-/// triplets. Duplicate entries are summed on conversion to CSC, matching the
-/// Matrix Market convention for assembled finite-element matrices.
+/// triplets. Duplicate entries are summed on conversion to CSC, in the order
+/// they were pushed, matching the Matrix Market convention for assembled
+/// finite-element matrices.
 #[derive(Clone, Debug, Default)]
 pub struct TripletMatrix {
     nrows: usize,
@@ -64,10 +65,13 @@ impl TripletMatrix {
         }
     }
 
-    /// Converts to CSC, summing duplicates and sorting row indices within
-    /// each column.
+    /// Converts to CSC, sorting row indices within each column and summing
+    /// duplicates in push order: the entries of one `(row, col)` are added
+    /// left to right, starting from `0.0`, in the order they were pushed, so
+    /// the sum does not depend on where the others in the column sit.
     pub fn to_csc(&self) -> SparseMatrix {
-        // Counting sort by column, then sort-and-compress each column.
+        // Counting sort by column, then sort-and-compress each column; both
+        // sorts are stable, so duplicates keep their push order.
         let mut col_counts = vec![0usize; self.ncols + 1];
         for &c in &self.cols {
             col_counts[c + 1] += 1;
@@ -95,7 +99,7 @@ impl TripletMatrix {
             for k in col_counts[j]..col_counts[j + 1] {
                 scratch.push((row_idx[k], values[k]));
             }
-            scratch.sort_unstable_by_key(|&(r, _)| r);
+            scratch.sort_by_key(|&(r, _)| r);
             let mut i = 0;
             while i < scratch.len() {
                 let r = scratch[i].0;
@@ -156,6 +160,27 @@ mod tests {
     fn out_of_bounds_panics() {
         let mut t = TripletMatrix::new(2, 2);
         t.push(2, 0, 1.0);
+    }
+
+    #[test]
+    fn duplicates_are_summed_in_push_order() {
+        // Summed in push order, 1e16 + 1.0 rounds back to 1e16 and row 0
+        // reads 0.0; summed as 1e16 - 1e16 + 1.0 it reads 1.0. An unstable
+        // sort of this 503-entry column (500 other rows, descending, with
+        // the duplicates in the middle) reorders the duplicates that way.
+        let mut t = TripletMatrix::new(501, 1);
+        for r in (251..=500).rev() {
+            t.push(r, 0, r as f64);
+        }
+        for v in [1e16, 1.0, -1e16] {
+            t.push(0, 0, v);
+        }
+        for r in (1..=250).rev() {
+            t.push(r, 0, r as f64);
+        }
+        let m = t.to_csc();
+        assert_eq!(m.col_rows(0).len(), 501);
+        assert_eq!(m.get(0, 0).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
