@@ -4,8 +4,13 @@
 //! cache-blocked, register-tiled implementation: operands are packed into
 //! contiguous panels (`MR`/`NR`-interleaved, zero-padded at the edges) and
 //! multiplied by a fixed-size microkernel whose accumulator tile lives in
-//! registers, so the compiler can keep the inner loop free of bounds checks
-//! and autovectorize it. The triangular solves are blocked the same way:
+//! registers. The microkernel runs on one of three instruction-set paths,
+//! picked from CPUID at each entry call: portable and AVX2 (one `MR×NR`
+//! source, compiled twice) and AVX-512 (an `MR×2NR` tile over two `B` panels,
+//! written with intrinsics). Every path gives each entry the same rounded
+//! multiplies and adds in the same order, never a fused multiply-add, so the
+//! bits do not depend on the host (`kernels/bit_pin.rs` checks each path
+//! against a scalar model). The triangular solves are blocked the same way:
 //! small diagonal triangles are solved by scalar loops and the bulk of the
 //! update is delegated to the GEMM core.
 //!
@@ -141,6 +146,60 @@ unsafe fn pack_b(
     }
 }
 
+/// The instruction set the kernels run on, probed once per entry call
+/// ([`Isa::host`]) and passed down. Every path computes each entry with the
+/// same operations in the same order, so the bits do not depend on it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Isa {
+    /// Baseline codegen: the `MR×NR` microkernel and the scalar loops.
+    Portable,
+    /// AVX2 clones of the `MR×NR` microkernel and of the scalar loops.
+    Avx2,
+    /// The AVX-512 `MR×2NR` microkernel over pairs of `B` panels; a lone
+    /// last panel and the scalar loops run as on [`Isa::Avx2`].
+    Avx512,
+}
+
+impl Isa {
+    /// Every path, narrowest first.
+    const ALL: [Isa; 3] = [Isa::Portable, Isa::Avx2, Isa::Avx512];
+
+    /// Whether this CPU runs the path. `is_x86_feature_detected!` caches
+    /// its CPUID probe.
+    fn supported(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            match self {
+                Isa::Portable => true,
+                Isa::Avx2 => has!("avx2"),
+                Isa::Avx512 => has!("avx2") && has!("avx512f"),
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            self == Isa::Portable
+        }
+    }
+
+    /// The widest path this CPU runs.
+    fn host() -> Isa {
+        Isa::ALL.into_iter().rev().find(|isa| isa.supported()).unwrap_or(Isa::Portable)
+    }
+
+    /// How many of `panels` `NR`-column panels one microkernel call covers
+    /// from panel `s`: two on [`Isa::Avx512`] unless `s` is the last, else
+    /// one.
+    #[inline(always)]
+    fn panels_at(self, s: usize, panels: usize) -> usize {
+        if self == Isa::Avx512 && s + 1 < panels {
+            2
+        } else {
+            1
+        }
+    }
+}
+
 /// The register-tiled microkernel: `C[0..mr, 0..nr] += alpha * Ap · Bp`
 /// where `Ap` is an `MR×kc` packed strip and `Bp` a `kc×NR` packed strip.
 /// The accumulator tile is a fixed-size array the compiler keeps in
@@ -164,16 +223,15 @@ unsafe fn microkernel(
     microkernel_body(kc, alpha, ap, bp, c, ldc, mr, nr)
 }
 
-/// [`microkernel`] compiled with AVX2 + FMA codegen enabled. Same source;
-/// the wider vectors and fused multiply-adds come entirely from the
-/// compiler re-vectorizing the accumulator loop.
+/// [`microkernel`] compiled with AVX2 codegen enabled. Same source; the
+/// wider vectors come entirely from the compiler re-vectorizing the
+/// accumulator loop, with the same multiply and add per entry.
 ///
 /// # Safety
-/// As [`microkernel`], plus: the CPU must support AVX2 and FMA (checked
-/// once at dispatch via `is_x86_feature_detected!`).
+/// As [`microkernel`], plus: the CPU must support AVX2 ([`Isa::supported`]).
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn microkernel_fma(
+#[target_feature(enable = "avx2")]
+unsafe fn microkernel_avx2(
     kc: usize,
     alpha: f64,
     ap: &[f64],
@@ -186,46 +244,87 @@ unsafe fn microkernel_fma(
     microkernel_body(kc, alpha, ap, bp, c, ldc, mr, nr)
 }
 
-/// Runs [`microkernel_fma`] when `fma` (the result of [`use_fma_kernel`])
-/// allows it, [`microkernel`] otherwise.
+/// The `MR×2NR` tile over two adjacent `B` panels, written with AVX-512
+/// intrinsics: `C[0..mr, 0..nr] += alpha * Ap · [B0 B1]` for `NR < nr ≤
+/// 2NR`. Each step loads one `MR`-row group of `Ap` into a zmm register and
+/// multiplies it by each of the step's `2NR` values of `B0` and `B1`, one
+/// zmm accumulator per column. Every entry gets [`microkernel_body`]'s
+/// operations: from zero, one rounded multiply then one rounded add per `p`
+/// ascending (`vmulpd`, `vaddpd`, never a fused `vfmadd`), then `C += alpha
+/// · acc` as a multiply and an add.
 ///
 /// # Safety
-/// As [`microkernel`].
-#[inline(always)]
-unsafe fn run_microkernel(
-    fma: bool,
+/// As [`microkernel`] for the `mr×nr` tile, with `b0` and `b1` both
+/// `kc×NR` packed strips; plus: the CPU must support AVX-512F
+/// ([`Isa::supported`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn microkernel_avx512(
     kc: usize,
     alpha: f64,
     ap: &[f64],
-    bp: &[f64],
+    b0: &[f64],
+    b1: &[f64],
+    c: *mut f64,
+    ldc: usize,
+    mr: usize,
+    nr: usize,
+) {
+    use std::arch::x86_64::*;
+    debug_assert!(ap.len() == kc * MR && b0.len() == kc * NR && b1.len() == kc * NR);
+    debug_assert!(0 < mr && mr <= MR && NR < nr && nr <= 2 * NR);
+    let mut acc = [_mm512_setzero_pd(); 2 * NR];
+    for ((a, b0), b1) in ap.chunks_exact(MR).zip(b0.chunks_exact(NR)).zip(b1.chunks_exact(NR)) {
+        let a = _mm512_loadu_pd(a.as_ptr());
+        for j in 0..NR {
+            acc[j] = _mm512_add_pd(acc[j], _mm512_mul_pd(a, _mm512_set1_pd(b0[j])));
+            acc[NR + j] = _mm512_add_pd(acc[NR + j], _mm512_mul_pd(a, _mm512_set1_pd(b1[j])));
+        }
+    }
+    let alpha = _mm512_set1_pd(alpha);
+    // Rows past `mr` are neither read nor written: masked lanes do not fault.
+    let rows = (0xff_u8) >> (MR - mr);
+    for (j, acc) in acc.iter().enumerate() {
+        // A constant bound keeps `acc` in registers; columns past `nr` skip.
+        if j < nr {
+            let cj = c.add(j * ldc);
+            let sum = _mm512_add_pd(_mm512_maskz_loadu_pd(rows, cj), _mm512_mul_pd(alpha, *acc));
+            _mm512_mask_storeu_pd(cj, rows, sum);
+        }
+    }
+}
+
+/// Runs the microkernel of `isa` on an `mr×nr` tile: over the `B` panel
+/// `b0`, and for `nr > NR` (only on [`Isa::Avx512`], see [`Isa::panels_at`])
+/// also over the next panel `b1`.
+///
+/// # Safety
+/// As [`microkernel`], plus: `isa` must be [`Isa::supported`], and `b1` a
+/// `kc×NR` packed strip when `nr > NR`.
+#[inline(always)]
+unsafe fn run_microkernel(
+    isa: Isa,
+    kc: usize,
+    alpha: f64,
+    ap: &[f64],
+    b0: &[f64],
+    b1: &[f64],
     c: *mut f64,
     ldc: usize,
     mr: usize,
     nr: usize,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if fma {
-        return microkernel_fma(kc, alpha, ap, bp, c, ldc, mr, nr);
+    match isa {
+        Isa::Avx512 if nr > NR => return microkernel_avx512(kc, alpha, ap, b0, b1, c, ldc, mr, nr),
+        Isa::Avx512 | Isa::Avx2 => return microkernel_avx2(kc, alpha, ap, b0, c, ldc, mr, nr),
+        Isa::Portable => {}
     }
-    let _ = fma;
-    microkernel(kc, alpha, ap, bp, c, ldc, mr, nr)
+    let _ = (isa, b1);
+    microkernel(kc, alpha, ap, b0, c, ldc, mr, nr)
 }
 
-/// Returns whether the FMA microkernel may be dispatched on this CPU.
-/// `is_x86_feature_detected!` caches the CPUID probe internally.
-#[inline(always)]
-fn use_fma_kernel() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// Shared body of the scalar-ISA and FMA microkernels.
+/// Shared body of the portable and AVX2 microkernels.
 ///
 /// # Safety
 /// As [`microkernel`].
@@ -289,8 +388,10 @@ fn arena_reserve(buf: &mut Vec<f64>, len: usize) {
 ///
 /// # Safety
 /// `a`/`b`/`c` must cover `op(A)` (`m×k`), `op(B)` (`k×n`) and `C` (`m×n`)
-/// under their leading dimensions; `c` must not overlap `a` or `b`.
+/// under their leading dimensions; `c` must not overlap `a` or `b`; `isa`
+/// must be [`Isa::supported`].
 unsafe fn gemm_blocked(
+    isa: Isa,
     m: usize,
     n: usize,
     k: usize,
@@ -311,7 +412,7 @@ unsafe fn gemm_blocked(
         let nc_cap = NC.min(n).next_multiple_of(NR);
         arena_reserve(apack, mc_cap * kc_cap);
         arena_reserve(bpack, kc_cap * nc_cap);
-        gemm_blocked_with(m, n, k, alpha, a, lda, ta, b, ldb, tb, c, ldc, apack, bpack)
+        gemm_blocked_with(isa, m, n, k, alpha, a, lda, ta, b, ldb, tb, c, ldc, apack, bpack)
     })
 }
 
@@ -321,6 +422,7 @@ unsafe fn gemm_blocked(
 /// As [`gemm_blocked`]; the buffers must hold at least one MC×KC (KC×NC)
 /// packing round for the clipped block sizes.
 unsafe fn gemm_blocked_with(
+    isa: Isa,
     m: usize,
     n: usize,
     k: usize,
@@ -336,8 +438,6 @@ unsafe fn gemm_blocked_with(
     apack: &mut [f64],
     bpack: &mut [f64],
 ) {
-    let fma = use_fma_kernel();
-
     let mut jc = 0;
     while jc < n {
         let nc = NC.min(n - jc);
@@ -349,19 +449,22 @@ unsafe fn gemm_blocked_with(
             while ic < m {
                 let mc = MC.min(m - ic);
                 pack_a(apack, a, lda, ta, ic, mc, pc, kc);
-                let mut jr = 0;
-                while jr < nc {
-                    let nr = NR.min(nc - jr);
-                    let bp = &bpack[(jr / NR) * (kc * NR)..][..kc * NR];
+                let (panels, span) = (nc.div_ceil(NR), kc * NR);
+                let mut s = 0;
+                while s < panels {
+                    let step = isa.panels_at(s, panels);
+                    let nr = (step * NR).min(nc - s * NR);
+                    let b0 = &bpack[s * span..][..span];
+                    let b1 = &bpack[(s + step - 1) * span..][..span];
                     let mut ir = 0;
                     while ir < mc {
                         let mr = MR.min(mc - ir);
                         let ap = &apack[(ir / MR) * (kc * MR)..][..kc * MR];
-                        let ct = c.add((jc + jr) * ldc + ic + ir);
-                        run_microkernel(fma, kc, alpha, ap, bp, ct, ldc, mr, nr);
+                        let ct = c.add((jc + s * NR) * ldc + ic + ir);
+                        run_microkernel(isa, kc, alpha, ap, b0, b1, ct, ldc, mr, nr);
                         ir += MR;
                     }
-                    jr += NR;
+                    s += step;
                 }
                 ic += MC;
             }
@@ -377,6 +480,7 @@ unsafe fn gemm_blocked_with(
 /// # Safety
 /// Same bounds contract as [`gemm_blocked`].
 unsafe fn gemm_scalar(
+    isa: Isa,
     m: usize,
     n: usize,
     k: usize,
@@ -391,10 +495,8 @@ unsafe fn gemm_scalar(
     ldc: usize,
 ) {
     match ta {
-        // `is_x86_feature_detected!` caches its probe; the check guards the
-        // AVX2 clone's safety condition.
         #[cfg(target_arch = "x86_64")]
-        Transpose::No if std::arch::is_x86_feature_detected!("avx2") => {
+        Transpose::No if isa != Isa::Portable => {
             scalar_jki_avx2(m, n, k, alpha, a, lda, b, ldb, tb, c, ldc)
         }
         Transpose::No => scalar_jki(m, n, k, alpha, a, lda, b, ldb, tb, c, ldc),
@@ -515,14 +617,37 @@ pub unsafe fn gemm_raw(
     c: *mut f64,
     ldc: usize,
 ) {
+    gemm_raw_on(Isa::host(), m, n, k, alpha, a, lda, ta, b, ldb, tb, beta, c, ldc)
+}
+
+/// [`gemm_raw`] on the kernels of `isa`.
+///
+/// # Safety
+/// As [`gemm_raw`], plus: `isa` must be [`Isa::supported`].
+unsafe fn gemm_raw_on(
+    isa: Isa,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: *const f64,
+    lda: usize,
+    ta: Transpose,
+    b: *const f64,
+    ldb: usize,
+    tb: Transpose,
+    beta: f64,
+    c: *mut f64,
+    ldc: usize,
+) {
     scale_c(m, n, beta, c, ldc);
     if alpha == 0.0 || k == 0 || m == 0 || n == 0 {
         return;
     }
     if scalar_path(m, n, k) {
-        gemm_scalar(m, n, k, alpha, a, lda, ta, b, ldb, tb, c, ldc);
+        gemm_scalar(isa, m, n, k, alpha, a, lda, ta, b, ldb, tb, c, ldc);
     } else {
-        gemm_blocked(m, n, k, alpha, a, lda, ta, b, ldb, tb, c, ldc);
+        gemm_blocked(isa, m, n, k, alpha, a, lda, ta, b, ldb, tb, c, ldc);
     }
 }
 
@@ -555,14 +680,34 @@ fn k_of(k: usize) -> usize {
 /// kernels. Both agree with the seed's scalar loops (kept under
 /// `tests/support`) up to floating-point reordering.
 pub fn gemm(alpha: f64, a: &Mat, ta: Transpose, b: &Mat, tb: Transpose, beta: f64, c: &mut Mat) {
+    gemm_on(Isa::host(), alpha, a, ta, b, tb, beta, c)
+}
+
+/// [`gemm`] on the kernels of `isa`.
+///
+/// # Panics
+/// As [`gemm`], and if `isa` is not [`Isa::supported`].
+fn gemm_on(
+    isa: Isa,
+    alpha: f64,
+    a: &Mat,
+    ta: Transpose,
+    b: &Mat,
+    tb: Transpose,
+    beta: f64,
+    c: &mut Mat,
+) {
+    assert!(isa.supported(), "{isa:?} is not supported on this CPU");
     let (m, n, k) = gemm_shapes(a, ta, b, tb, c);
     let lda = a.nrows();
     let ldb = b.nrows();
     let ldc = c.nrows();
-    // SAFETY: shapes were checked against the stored dimensions, and the
-    // three matrices are distinct allocations (`a`/`b` shared, `c` mutable).
+    // SAFETY: shapes were checked against the stored dimensions, the
+    // three matrices are distinct allocations (`a`/`b` shared, `c` mutable)
+    // and `isa` is supported.
     unsafe {
-        gemm_raw(
+        gemm_raw_on(
+            isa,
             m,
             n,
             k,
@@ -819,17 +964,20 @@ pub fn gemm_partitioned(
         return;
     }
     let widest = term_ptr.windows(2).map(|t| t[1] - t[0]).max().unwrap_or(0);
+    let isa = Isa::host();
     if row_ptr.windows(2).all(|r| scalar_path(r[1] - r[0], n, widest)) {
         let (lda, ldb, ldc) = (a.nrows(), b.nrows(), c.nrows());
         let (ta, tb) = (Transpose::No, Transpose::No);
-        // SAFETY: the shapes were checked against the stored dimensions, and
-        // `c` is a distinct, exclusively borrowed allocation.
+        // SAFETY: the shapes were checked against the stored dimensions,
+        // `c` is a distinct, exclusively borrowed allocation, and the host
+        // supports `isa`.
         unsafe {
             let (a, b, c) = (a.data().as_ptr(), b.data().as_ptr(), c.data_mut().as_mut_ptr());
-            gemm_scalar(m, n, k, alpha, a, lda, ta, b, ldb, tb, c, ldc);
+            gemm_scalar(isa, m, n, k, alpha, a, lda, ta, b, ldb, tb, c, ldc);
         }
     } else {
-        gemm_tiled(alpha, &RowTiles::from_mat(a, row_ptr), term_ptr, &PackedCols::new(b), c);
+        let (a, b) = (RowTiles::from_mat(a, row_ptr), PackedCols::new(b));
+        gemm_tiled_on(isa, alpha, &a, term_ptr, &b, c);
     }
 }
 
@@ -847,6 +995,22 @@ pub fn gemm_partitioned(
 /// does. The microkernel reads its operands as slices of `a` and `b`,
 /// which are packed once for all pairs instead of once per call.
 pub fn gemm_tiled(alpha: f64, a: &RowTiles, term_ptr: &[usize], b: &PackedCols, c: &mut Mat) {
+    gemm_tiled_on(Isa::host(), alpha, a, term_ptr, b, c)
+}
+
+/// [`gemm_tiled`] on the kernels of `isa`.
+///
+/// # Panics
+/// As [`gemm_tiled`], and if `isa` is not [`Isa::supported`].
+fn gemm_tiled_on(
+    isa: Isa,
+    alpha: f64,
+    a: &RowTiles,
+    term_ptr: &[usize],
+    b: &PackedCols,
+    c: &mut Mat,
+) {
+    assert!(isa.supported(), "{isa:?} is not supported on this CPU");
     let (m, n, k) = (a.nrows(), b.ncols(), a.ncols());
     assert_eq!(b.nrows(), k, "gemm_tiled inner dimensions differ: {k} vs {}", b.nrows());
     assert_eq!((c.nrows(), c.ncols()), (m, n), "gemm_tiled C shape mismatch");
@@ -855,8 +1019,6 @@ pub fn gemm_tiled(alpha: f64, a: &RowTiles, term_ptr: &[usize], b: &PackedCols, 
         return;
     }
     let (ldc, c) = (c.nrows(), c.data_mut().as_mut_ptr());
-    let fma = use_fma_kernel();
-    let avx2 = use_avx2_kernel();
     for r in 0..a.row_ptr.len() - 1 {
         let rows = a.row_ptr[r + 1] - a.row_ptr[r];
         let span = k * MR;
@@ -873,31 +1035,18 @@ pub fn gemm_tiled(alpha: f64, a: &RowTiles, term_ptr: &[usize], b: &PackedCols, 
             let (p0, kk) = (term_ptr[t], term_ptr[end] - term_ptr[t]);
             // SAFETY: row block `r` covers rows `row_ptr[r]..` of `C`'s `m`,
             // `C` is `m×n` with leading dimension `ldc` and exclusively
-            // borrowed, and `tiles` holds the block's tiles over all of `k`.
+            // borrowed, `tiles` holds the block's tiles over all of `k`, and
+            // `isa` is supported.
             unsafe {
                 let cr = c.add(a.row_ptr[r]);
                 if scalar(t) {
-                    tiled_scalar(avx2, alpha, tiles, rows, p0, kk, b, cr, ldc);
+                    tiled_scalar(isa, alpha, tiles, rows, p0, kk, b, cr, ldc);
                 } else {
-                    tiled_blocked(fma, alpha, tiles, rows, p0, kk, b, cr, ldc);
+                    tiled_blocked(isa, alpha, tiles, rows, p0, kk, b, cr, ldc);
                 }
             }
             t = end;
         }
-    }
-}
-
-/// Returns whether the AVX2 clone of a scalar loop may be dispatched on
-/// this CPU.
-#[inline(always)]
-fn use_avx2_kernel() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
     }
 }
 
@@ -910,9 +1059,10 @@ fn use_avx2_kernel() -> bool {
 /// # Safety
 /// `c` must point at the block's first row in a column-major matrix with
 /// leading dimension `ldc` that holds `rows×b.ncols()` entries from there,
-/// and `tiles` must hold `rows.div_ceil(MR)` tiles over `b.nrows()` columns.
+/// and `tiles` must hold `rows.div_ceil(MR)` tiles over `b.nrows()` columns;
+/// `isa` must be [`Isa::supported`].
 unsafe fn tiled_scalar(
-    avx2: bool,
+    isa: Isa,
     alpha: f64,
     tiles: &[f64],
     rows: usize,
@@ -923,10 +1073,10 @@ unsafe fn tiled_scalar(
     ldc: usize,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if avx2 {
+    if isa != Isa::Portable {
         return tiled_scalar_avx2(alpha, tiles, rows, p0, kk, b, c, ldc);
     }
-    let _ = avx2;
+    let _ = isa;
     tiled_scalar_body(alpha, tiles, rows, p0, kk, b, c, ldc)
 }
 
@@ -951,7 +1101,7 @@ unsafe fn tiled_scalar_avx2(
     tiled_scalar_body(alpha, tiles, rows, p0, kk, b, c, ldc)
 }
 
-/// Shared body of the scalar-ISA and AVX2 tiled scalar loops.
+/// Shared body of the portable and AVX2 tiled scalar loops.
 ///
 /// # Safety
 /// As [`tiled_scalar`].
@@ -995,13 +1145,14 @@ unsafe fn tiled_scalar_body(
 }
 
 /// One blocked-path pair of [`gemm_tiled`]: [`gemm_blocked_with`]'s loop
-/// nest over one row block's tiles and `B`'s panels, `MC` rows at a time,
-/// with the microkernel reading each `KC` chunk in place.
+/// nest over one row block's tiles and `B`'s panels (in pairs on
+/// [`Isa::Avx512`]), `MC` rows at a time, with the microkernel reading each
+/// `KC` chunk in place.
 ///
 /// # Safety
 /// As [`tiled_scalar`].
 unsafe fn tiled_blocked(
-    fma: bool,
+    isa: Isa,
     alpha: f64,
     tiles: &[f64],
     rows: usize,
@@ -1019,13 +1170,19 @@ unsafe fn tiled_blocked(
         let mut s0 = 0;
         while s0 < ntiles {
             let s1 = (s0 + MC / MR).min(ntiles);
-            for jp in 0..n.div_ceil(NR) {
-                let (bp, nr) = (b.panel(jp, p, kc), NR.min(n - jp * NR));
+            let panels = n.div_ceil(NR);
+            let mut jp = 0;
+            while jp < panels {
+                let step = isa.panels_at(jp, panels);
+                let nr = (step * NR).min(n - jp * NR);
+                let (b0, b1) = (b.panel(jp, p, kc), b.panel(jp + step - 1, p, kc));
                 for s in s0..s1 {
                     let ap = &tiles[s * span + p * MR..][..kc * MR];
                     let ct = c.add(jp * NR * ldc + s * MR);
-                    run_microkernel(fma, kc, alpha, ap, bp, ct, ldc, MR.min(rows - s * MR), nr);
+                    let mr = MR.min(rows - s * MR);
+                    run_microkernel(isa, kc, alpha, ap, b0, b1, ct, ldc, mr, nr);
                 }
+                jp += step;
             }
             s0 = s1;
         }
@@ -1335,6 +1492,9 @@ pub fn trsm_left_lower_trans(l: &Mat, b: &mut Mat, unit: bool) {
         }
     }
 }
+
+#[cfg(test)]
+mod bit_pin;
 
 #[cfg(test)]
 mod tests {
