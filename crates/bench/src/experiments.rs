@@ -852,10 +852,7 @@ pub fn recovery(out: &OutDir) -> std::io::Result<String> {
         watchdog: Some(Duration::from_secs(60)),
         poll: Duration::from_millis(2),
         faults: Some(live_crash_plan),
-        reliable: Some(ReliableConfig {
-            rto: Duration::from_millis(5),
-            ..ReliableConfig::default()
-        }),
+        reliable: Some(ReliableConfig { rto: Duration::from_millis(5) }),
         ..RunOptions::default()
     };
     let rec_cfg = RecoveryConfig {

@@ -52,10 +52,11 @@ pub struct FaultSpec {
     /// Per-message probability (‰) that a sent message is delivered twice.
     pub duplicate_permille: u16,
     /// Per-message probability (‰) that a sent message is lost in flight
-    /// (mpisim drops it at `deliver()`, the DES engine never schedules the
-    /// arrival). Unlike duplication and reordering, loss is *not* benign on
-    /// its own: without a reliable transport retransmitting the message,
-    /// data is gone and the receiver hangs or the task graph strands.
+    /// (mpisim's fault interposer never hands it to the receiver's inbox,
+    /// the DES engine never schedules the arrival). Unlike duplication and
+    /// reordering, loss is *not* benign on its own: without a reliable
+    /// transport retransmitting the message, data is gone and the receiver
+    /// hangs or the task graph strands.
     pub drop_permille: u16,
     /// Service-time multiplier for this rank (≥ 1.0 slows it down).
     pub slowdown: f64,

@@ -219,8 +219,8 @@ fn shared_plan(
 }
 
 /// Maps a message tag to its pole channel: the query id of a numeric phase
-/// tag (`untag_q`); everything else (control lanes, barriers) belongs to no
-/// pole.
+/// tag (`untag_q`); everything else (the runtime's control lanes) belongs
+/// to no pole.
 fn classify_pole_tag(tag: u64) -> Option<usize> {
     untag_q(tag).map(|f| f.qid as usize)
 }
@@ -338,13 +338,13 @@ mod tests {
 
     #[test]
     fn classify_routes_phase_lanes_only() {
-        use crate::numeric::{tag_q, PHASE_AINV_TRANS, PHASE_DIAG_BCAST};
-        assert_eq!(classify_pole_tag(tag_q(0, PHASE_DIAG_BCAST, 3, 0)), Some(0));
-        assert_eq!(classify_pole_tag(tag_q(7, PHASE_AINV_TRANS, 3, 2)), Some(7));
-        assert_eq!(classify_pole_tag(tag_q(255, PHASE_DIAG_BCAST, 0, 0)), Some(255));
+        use crate::numeric::tag_q;
+        assert_eq!(classify_pole_tag(tag_q(0, CollKind::DiagBcast, 3, 0)), Some(0));
+        assert_eq!(classify_pole_tag(tag_q(7, CollKind::AinvTranspose, 3, 2)), Some(7));
+        assert_eq!(classify_pole_tag(tag_q(255, CollKind::DiagBcast, 0, 0)), Some(255));
         // Control lanes are nobody's pole.
         assert_eq!(classify_pole_tag(pselinv_mpisim::ACK_LANE), None);
-        assert_eq!(classify_pole_tag(pselinv_mpisim::BARRIER_UP_LANE | 17), None);
+        assert_eq!(classify_pole_tag(pselinv_mpisim::JOIN_LANE | 17), None);
         assert_eq!(classify_pole_tag(0), None);
     }
 

@@ -156,8 +156,7 @@
 use crate::layout::Layout;
 use crate::numeric::{
     diag_contrib, find_block, gemm_task_specs, local_gemms, pack, span_key, tag_q, unpack, untag_q,
-    RankState, TagFields, PHASE_AINV_TRANS, PHASE_COL_BCAST, PHASE_DIAG_REDUCE, PHASE_ROW_REDUCE,
-    PHASE_TRANSPOSE,
+    RankState, TagFields,
 };
 use crate::plan::SupernodePlan;
 use pselinv_dense::{ldlt_invert, Mat};
@@ -269,7 +268,7 @@ enum Dr {
 enum Wake {
     /// A message of the task's stage `(phase, bi)` from `src` entered the
     /// stash: exactly that stage's receive is tested.
-    Msg { phase: u64, bi: usize, src: usize },
+    Msg { phase: CollKind, bi: usize, src: usize },
     /// An in-rank event — entry into the window, the last GEMM need
     /// landing — opened the GEMM gate ([`SnTask::may_compute`]).
     Gate,
@@ -324,7 +323,7 @@ struct SnTask {
     at_pending: Vec<usize>,
     /// Reduction messages `(phase, bi, src)` that arrived before their
     /// stage started; replayed when it does.
-    early: Vec<(u64, usize, usize)>,
+    early: Vec<(CollKind, usize, usize)>,
     /// Unfinished stages (transposes, broadcasts, the GEMM, reductions and
     /// step-5 transfers); the task is done at zero.
     left: usize,
@@ -357,9 +356,10 @@ impl SnTask {
                 }
             } else if me == src {
                 let data = pack(ctx, &st.lhat[&bid]);
-                ctx.send(dst, tag_q(st.qid, PHASE_TRANSPOSE, k, bi), data);
+                ctx.send(dst, tag_q(st.qid, CollKind::Transpose, k, bi), data);
             } else if me == dst {
-                t_recvs.push((bi, RecvRequest::post(src, tag_q(st.qid, PHASE_TRANSPOSE, k, bi))));
+                t_recvs
+                    .push((bi, RecvRequest::post(src, tag_q(st.qid, CollKind::Transpose, k, bi))));
             }
         }
         ctx.tracer().pop_scope();
@@ -376,7 +376,7 @@ impl SnTask {
                 } else if me == tree.root() {
                     match ucur.get(&bi) {
                         Some(u) => {
-                            let tag = tag_q(st.qid, PHASE_COL_BCAST, k, bi);
+                            let tag = tag_q(st.qid, CollKind::ColBcast, k, bi);
                             let payload = pack(ctx, u);
                             let nb = TreeBcastNb::start(ctx, tree, tag, Some(payload));
                             debug_assert!(nb.is_done(), "the root side completes at start");
@@ -388,7 +388,7 @@ impl SnTask {
                     Cb::Run(TreeBcastNb::start(
                         ctx,
                         tree,
-                        tag_q(st.qid, PHASE_COL_BCAST, k, bi),
+                        tag_q(st.qid, CollKind::ColBcast, k, bi),
                         None::<Payload>,
                     ))
                 }
@@ -428,8 +428,10 @@ impl SnTask {
             if me == src {
                 at_pending.push(bj_i);
             } else if me == dst {
-                at_recvs
-                    .push((bj_i, RecvRequest::post(src, tag_q(st.qid, PHASE_AINV_TRANS, k, bj_i))));
+                at_recvs.push((
+                    bj_i,
+                    RecvRequest::post(src, tag_q(st.qid, CollKind::AinvTranspose, k, bj_i)),
+                ));
             }
         }
 
@@ -502,12 +504,12 @@ impl SnTask {
     ) {
         if let Wake::Msg { phase, bi, src } = wake {
             match phase {
-                PHASE_TRANSPOSE => self.on_transpose(ctx, st, sp, bi),
-                PHASE_COL_BCAST => self.on_col_bcast(ctx, st, sp, bi),
-                PHASE_ROW_REDUCE => self.on_row_reduce(ctx, st, sp, bi, src, fired),
-                PHASE_DIAG_REDUCE => self.on_diag_reduce(ctx, st, sp, src, fired),
-                PHASE_AINV_TRANS => self.on_ainv_transpose(ctx, st, bi, fired),
-                _ => debug_assert!(false, "phase {phase:#x} has no phase-2 stage"),
+                CollKind::Transpose => self.on_transpose(ctx, st, sp, bi),
+                CollKind::ColBcast => self.on_col_bcast(ctx, st, sp, bi),
+                CollKind::RowReduce => self.on_row_reduce(ctx, st, sp, bi, src, fired),
+                CollKind::DiagReduce => self.on_diag_reduce(ctx, st, sp, src, fired),
+                CollKind::AinvTranspose => self.on_ainv_transpose(ctx, st, bi, fired),
+                _ => debug_assert!(false, "{phase:?} has no phase-2 stage"),
             }
         }
         // Step 1: the local GEMMs.
@@ -550,7 +552,7 @@ impl SnTask {
         if matches!(self.cb[bi], Cb::Root) {
             ctx.tracer().push_scope(CollKind::ColBcast, span_key(st.qid, self.k));
             let payload = pack(ctx, &self.ucur[&bi]);
-            let tag = tag_q(st.qid, PHASE_COL_BCAST, self.k, bi);
+            let tag = tag_q(st.qid, CollKind::ColBcast, self.k, bi);
             let nb = TreeBcastNb::start(ctx, &sp.col_bcasts[bi], tag, Some(payload));
             debug_assert!(nb.is_done(), "the root side completes at start");
             ctx.tracer().pop_scope();
@@ -597,7 +599,7 @@ impl SnTask {
         fired: &mut Fired,
     ) {
         match &mut self.rr[bj_i] {
-            Rr::Wait => self.early.push((PHASE_ROW_REDUCE, bj_i, src)),
+            Rr::Wait => self.early.push((CollKind::RowReduce, bj_i, src)),
             Rr::Run(nb) => {
                 ctx.tracer().push_scope(CollKind::RowReduce, span_key(st.qid, self.k));
                 let done = nb.poll_from(ctx, &sp.row_reduces[bj_i], src);
@@ -629,7 +631,7 @@ impl SnTask {
             let tree = &sp.row_reduces[bj_i];
             ctx.tracer().push_scope(CollKind::RowReduce, span_key(st.qid, k));
             let local = self.contrib.remove(&bj_i).unwrap_or_else(|| Mat::zeros(bj.nrows(), w));
-            let tag = tag_q(st.qid, PHASE_ROW_REDUCE, k, bj_i);
+            let tag = tag_q(st.qid, CollKind::RowReduce, k, bj_i);
             let nb = TreeReduceNb::start(ctx, tree, tag, local.into_vec());
             ctx.tracer().pop_scope();
             let done = nb.is_done();
@@ -639,7 +641,7 @@ impl SnTask {
             }
         }
         for (phase, bj_i, src) in std::mem::take(&mut self.early) {
-            if phase == PHASE_ROW_REDUCE {
+            if phase == CollKind::RowReduce {
                 self.on_row_reduce(ctx, st, sp, bj_i, src, fired);
             } else {
                 self.early.push((phase, bj_i, src));
@@ -682,7 +684,7 @@ impl SnTask {
             } else {
                 // Sending the result is the one packing copy of a block
                 // that travels (`send` accounts it).
-                ctx.send(dst, tag_q(st.qid, PHASE_AINV_TRANS, k, bj_i), t);
+                ctx.send(dst, tag_q(st.qid, CollKind::AinvTranspose, k, bj_i), t);
             }
             ctx.tracer().pop_scope();
         }
@@ -712,7 +714,7 @@ impl SnTask {
             ctx.tracer().pop_scope();
             return;
         }
-        let tag = tag_q(st.qid, PHASE_DIAG_REDUCE, k, 0);
+        let tag = tag_q(st.qid, CollKind::DiagReduce, k, 0);
         let nb = TreeReduceNb::start(ctx, &sp.diag_reduce, tag, dcon.into_vec());
         ctx.tracer().pop_scope();
         let done = nb.is_done();
@@ -722,7 +724,7 @@ impl SnTask {
         }
         // The row reductions' early messages were replayed at the GEMM.
         for (phase, _, src) in std::mem::take(&mut self.early) {
-            debug_assert_eq!(phase, PHASE_DIAG_REDUCE);
+            debug_assert_eq!(phase, CollKind::DiagReduce);
             self.on_diag_reduce(ctx, st, sp, src, fired);
         }
     }
@@ -737,7 +739,7 @@ impl SnTask {
         fired: &mut Fired,
     ) {
         match &mut self.dr {
-            Dr::Wait => self.early.push((PHASE_DIAG_REDUCE, 0, src)),
+            Dr::Wait => self.early.push((CollKind::DiagReduce, 0, src)),
             Dr::Run(nb) => {
                 ctx.tracer().push_scope(CollKind::DiagReduce, span_key(st.qid, self.k));
                 let done = nb.poll_from(ctx, &sp.diag_reduce, src);

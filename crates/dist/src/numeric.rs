@@ -116,15 +116,14 @@ impl DistOptions {
     }
 }
 
-pub(crate) const PHASE_DIAG_BCAST: u64 = 1 << 56;
-pub(crate) const PHASE_TRANSPOSE: u64 = 2 << 56;
-pub(crate) const PHASE_COL_BCAST: u64 = 3 << 56;
-pub(crate) const PHASE_ROW_REDUCE: u64 = 4 << 56;
-pub(crate) const PHASE_DIAG_REDUCE: u64 = 5 << 56;
-pub(crate) const PHASE_AINV_TRANS: u64 = 6 << 56;
+/// The last selected-inversion phase in [`CollKind`]'s order: the phases
+/// `DiagBcast..=AinvTranspose` own tag lanes 1..=6.
+const LAST_PHASE: CollKind = CollKind::AinvTranspose;
 
-/// Packs `(query, phase, supernode, block)` into one message tag: the phase
-/// in the top byte, the query id in bits 48..56, the supernode in bits
+/// Packs `(query, phase, supernode, block)` into one message tag: the
+/// phase's [`CollKind::index`] + 1 in the top byte (lanes 1..=6; lane 0 and
+/// the runtime's control lanes stay free), the query id in bits 48..56, the
+/// supernode in bits
 /// 24..48, the block index in bits 0..24. The query lane is what lets the
 /// pole-batch engine interleave the collectives of many concurrent selected
 /// inversions over one runtime — two queries at the same `(phase, k, bi)`
@@ -132,35 +131,30 @@ pub(crate) const PHASE_AINV_TRANS: u64 = 6 << 56;
 /// runtime's `(src, tag)` matching. The fields must stay inside their lanes
 /// or tags of different collectives collide; the debug assertions catch any
 /// workload large enough to overflow.
-pub(crate) fn tag_q(qid: u64, phase: u64, k: usize, bi: usize) -> u64 {
-    debug_assert!(
-        phase != 0 && phase.trailing_zeros() >= 56,
-        "phase {phase:#x} outside the top byte"
-    );
+pub(crate) fn tag_q(qid: u64, phase: CollKind, k: usize, bi: usize) -> u64 {
+    debug_assert!(phase.index() <= LAST_PHASE.index(), "{phase:?} is not a phase with a tag lane");
     debug_assert!(qid < (1 << 8), "query {qid} overflows its 8-bit tag lane");
     debug_assert!((k as u64) < (1 << 24), "supernode {k} overflows its 24-bit tag lane");
     debug_assert!((bi as u64) < (1 << 24), "block index {bi} overflows its 24-bit tag lane");
-    phase | (qid << 48) | ((k as u64) << 24) | bi as u64
+    ((phase.index() as u64 + 1) << 56) | (qid << 48) | ((k as u64) << 24) | bi as u64
 }
 
 /// A message tag read back into the fields [`tag_q`] packed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct TagFields {
     pub(crate) qid: u64,
-    /// One of the six `PHASE_*` lane values.
-    pub(crate) phase: u64,
+    /// One of the six phases `DiagBcast..=AinvTranspose`.
+    pub(crate) phase: CollKind,
     pub(crate) k: usize,
     pub(crate) bi: usize,
 }
 
 /// The inverse of [`tag_q`]: the `(query, phase, supernode, block)` a tag
 /// names, or `None` when its top byte is not one of the six phase lanes
-/// (the runtime's ack, barrier and recovery lanes).
+/// (the runtime's ack and recovery lanes).
 pub(crate) fn untag_q(tag: u64) -> Option<TagFields> {
-    let phase = tag & (0xFF << 56);
-    if !(PHASE_DIAG_BCAST..=PHASE_AINV_TRANS).contains(&phase) {
-        return None;
-    }
+    let i = ((tag >> 56) as usize).checked_sub(1).filter(|&i| i <= LAST_PHASE.index())?;
+    let phase = CollKind::ALL[i];
     const LANE24: u64 = (1 << 24) - 1;
     Some(TagFields {
         qid: (tag >> 48) & 0xFF,
@@ -175,7 +169,7 @@ pub(crate) fn untag_q(tag: u64) -> Option<TagFields> {
 /// query id through [`RankState`]; this shorthand anchors the
 /// backwards-compatibility tests.
 #[cfg(test)]
-pub(crate) fn tag(phase: u64, k: usize, bi: usize) -> u64 {
+pub(crate) fn tag(phase: CollKind, k: usize, bi: usize) -> u64 {
     tag_q(0, phase, k, bi)
 }
 
@@ -812,14 +806,14 @@ pub(crate) fn phase1(
             let d = st.factor_diag(k);
             if !sp.diag_bcast.is_empty() {
                 let p = pack(ctx, &d);
-                tree_bcast(ctx, &sp.diag_bcast, tag_q(st.qid, PHASE_DIAG_BCAST, k, 0), Some(p));
+                tree_bcast(ctx, &sp.diag_bcast, tag_q(st.qid, CollKind::DiagBcast, k, 0), Some(p));
             }
             Some(d)
         } else if in_bcast {
             let data = tree_bcast(
                 ctx,
                 &sp.diag_bcast,
-                tag_q(st.qid, PHASE_DIAG_BCAST, k, 0),
+                tag_q(st.qid, CollKind::DiagBcast, k, 0),
                 None::<Payload>,
             );
             Some(unpack(w, w, data))
@@ -995,26 +989,19 @@ mod tests {
         // collectives (or of the same collective in two interleaved pole
         // queries) cross-match in the runtime's (src, tag) matching.
         use std::collections::HashMap;
-        let phases = [
-            PHASE_DIAG_BCAST,
-            PHASE_TRANSPOSE,
-            PHASE_COL_BCAST,
-            PHASE_ROW_REDUCE,
-            PHASE_DIAG_REDUCE,
-            PHASE_AINV_TRANS,
-        ];
+        let phases = &CollKind::ALL[..=LAST_PHASE.index()];
         // Sample the corners and interiors of each lane.
         let qids = [0u64, 1, 2, 127, 255];
         let ks = [0usize, 1, 2, 1000, (1 << 24) - 1];
         let bis = [0usize, 1, 7, 4095, (1 << 24) - 1];
-        let mut seen: HashMap<u64, (u64, u64, usize, usize)> = HashMap::new();
+        let mut seen: HashMap<u64, (u64, CollKind, usize, usize)> = HashMap::new();
         for &q in &qids {
-            for &p in &phases {
+            for &p in phases {
                 for &k in &ks {
                     for &bi in &bis {
                         let t = tag_q(q, p, k, bi);
                         if let Some(prev) = seen.insert(t, (q, p, k, bi)) {
-                            panic!("tag collision: {prev:?} and ({q},{p:#x},{k},{bi}) -> {t:#x}");
+                            panic!("tag collision: {prev:?} and ({q},{p:?},{k},{bi}) -> {t:#x}");
                         }
                     }
                 }
@@ -1022,34 +1009,13 @@ mod tests {
         }
         assert_eq!(seen.len(), qids.len() * phases.len() * ks.len() * bis.len());
         // Query 0 reproduces the pre-batching tag values through the
-        // shorthand, so standalone runs are byte-for-byte unchanged.
-        for &p in &phases {
+        // shorthand, so standalone runs are byte-for-byte unchanged; each
+        // phase keeps its top byte 1..=6.
+        for (lane, &p) in (1u64..).zip(phases) {
+            assert_eq!(tag(p, 0, 0), lane << 56, "{p:?}");
             for &k in &ks {
                 for &bi in &bis {
                     assert_eq!(tag(p, k, bi), tag_q(0, p, k, bi));
-                }
-            }
-        }
-        // The runtime's barrier owns two reserved values in the same top
-        // byte. They must never land in one of our six phase lanes, for any
-        // low-56-bit caller tag — the barrier's original design (flipping
-        // the caller tag's top bit) would have collided with PHASE_* lanes.
-        use pselinv_mpisim::{BARRIER_DOWN_LANE, BARRIER_UP_LANE};
-        for lane in [BARRIER_UP_LANE, BARRIER_DOWN_LANE] {
-            for &p in &phases {
-                assert_ne!(lane >> 56, p >> 56, "barrier lane collides with phase {p:#x}");
-            }
-            for &q in &qids {
-                for &k in &ks {
-                    for &bi in &bis {
-                        // Low-56-bit part of any phase tag.
-                        let caller = (q << 48) | ((k as u64) << 24) | bi as u64;
-                        assert!(
-                            !seen.contains_key(&(lane | caller)),
-                            "barrier tag {:#x} collides with a phase tag",
-                            lane | caller
-                        );
-                    }
                 }
             }
         }
@@ -1057,16 +1023,8 @@ mod tests {
 
     #[test]
     fn untag_q_inverts_tag_q_and_rejects_runtime_lanes() {
-        let phases = [
-            PHASE_DIAG_BCAST,
-            PHASE_TRANSPOSE,
-            PHASE_COL_BCAST,
-            PHASE_ROW_REDUCE,
-            PHASE_DIAG_REDUCE,
-            PHASE_AINV_TRANS,
-        ];
         let top = (1usize << 24) - 1;
-        for phase in phases {
+        for &phase in &CollKind::ALL[..=LAST_PHASE.index()] {
             for qid in [0u64, 255] {
                 for k in [0, top] {
                     for bi in [0, top] {
@@ -1076,10 +1034,10 @@ mod tests {
                 }
             }
         }
-        use pselinv_mpisim::{ACK_LANE, BARRIER_DOWN_LANE, BARRIER_UP_LANE};
-        for lane in [ACK_LANE, BARRIER_UP_LANE, BARRIER_DOWN_LANE] {
+        use pselinv_mpisim::{ACK_LANE, JOIN_LANE, REPAIR_LANE};
+        for lane in [ACK_LANE, JOIN_LANE, REPAIR_LANE, 7 << 56] {
             assert_eq!(untag_q(lane), None, "{lane:#x}");
-            assert_eq!(untag_q(lane | tag_q(3, PHASE_ROW_REDUCE, 5, 2)), None, "{lane:#x}");
+            assert_eq!(untag_q(lane | tag_q(3, CollKind::RowReduce, 5, 2)), None, "{lane:#x}");
         }
         assert_eq!(untag_q(0), None, "a tag below every phase lane");
     }
@@ -1096,21 +1054,21 @@ mod tests {
     #[should_panic(expected = "24-bit tag lane")]
     #[cfg(debug_assertions)]
     fn tag_rejects_block_index_overflow() {
-        let _ = tag(PHASE_COL_BCAST, 0, 1 << 24);
+        let _ = tag(CollKind::ColBcast, 0, 1 << 24);
     }
 
     #[test]
     #[should_panic(expected = "supernode")]
     #[cfg(debug_assertions)]
     fn tag_rejects_supernode_overflow() {
-        let _ = tag(PHASE_COL_BCAST, 1 << 24, 0);
+        let _ = tag(CollKind::ColBcast, 1 << 24, 0);
     }
 
     #[test]
     #[should_panic(expected = "8-bit tag lane")]
     #[cfg(debug_assertions)]
     fn tag_rejects_query_overflow() {
-        let _ = tag_q(256, PHASE_COL_BCAST, 0, 0);
+        let _ = tag_q(256, CollKind::ColBcast, 0, 0);
     }
 
     #[test]

@@ -336,10 +336,7 @@ fn lap12_2x2_under_loss_equals_its_golden_digest() {
     let run_opts = RunOptions {
         poll: Duration::from_millis(2),
         faults: Some(plan),
-        reliable: Some(ReliableConfig {
-            rto: Duration::from_millis(2),
-            ..ReliableConfig::default()
-        }),
+        reliable: Some(ReliableConfig { rto: Duration::from_millis(2) }),
         ..RunOptions::default()
     };
     let f = factor(&matrices().swap_remove(0).1);

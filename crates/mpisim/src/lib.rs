@@ -22,6 +22,7 @@
 
 pub mod collectives;
 pub mod grid;
+mod interpose;
 pub mod nb;
 pub mod payload;
 pub mod reliable;
@@ -34,7 +35,7 @@ pub use grid::Grid2D;
 pub use nb::{TreeBcastNb, TreeReduceNb};
 pub use payload::{IntoPayload, Payload};
 pub use reliable::{Recovery, RecoveryConfig, ReliableConfig};
-pub use requests::{tree_barrier, wait_any, RecvRequest, BARRIER_DOWN_LANE, BARRIER_UP_LANE};
+pub use requests::{wait_any, RecvRequest};
 pub use runtime::{
     run, run_traced, try_run, try_run_recover, try_run_traced, BlockedOn, Message, Progress,
     RankCtx, RankVolume, RecoverOutcome, RecoveryReport, RecvTimeout, RunError, RunOptions,

@@ -2,18 +2,14 @@
 //!
 //! Two cooperating layers live here:
 //!
-//! * **Reliable transport** ([`ReliableConfig`] / `ReliableState`): one
-//!   out-stream and one cumulative ack per `(src, dst)` channel, under
-//!   every data message. The runtime buffers each message until the
-//!   receiver's cumulative ack covers its channel sequence number and
-//!   re-sends the channel's unacked suffix on deadline expiry with
-//!   exponential backoff (deterministic jitter drawn from the fault plan's
-//!   seed). With it, an injected `drop_permille` loss fault is fully
-//!   masked: results are bit-identical to the fault-free run and the
-//!   logical volume counters are untouched — all recovery traffic lands in
-//!   [`RankVolume::retransmitted`](crate::RankVolume::retransmitted). A
-//!   gap holds back the later messages of its channel until it is
-//!   retransmitted (head-of-line blocking), as on any ordered transport.
+//! * **Reliable transport** ([`ReliableConfig`] / `ReliableState`, one
+//!   value per rank): each data message is kept until the receiver's
+//!   cumulative ack covers its `(src, dst)` sequence number, and the
+//!   channel's unacked suffix is re-sent on deadline expiry with capped
+//!   exponential backoff. An injected `drop_permille` loss is then masked:
+//!   results are bit-identical to the fault-free run and all recovery
+//!   traffic lands in [`RankVolume::retransmitted`](crate::RankVolume::retransmitted).
+//!   A gap holds back its channel's later messages (head-of-line blocking).
 //! * **Crash recovery** ([`Recovery`]): an online re-implementation of the
 //!   offline `figures -- faults` rebuild study. Survivors of a confirmed
 //!   rank death (the shared crash board is the failure detector's ground
@@ -28,82 +24,141 @@
 
 use crate::payload::Payload;
 use crate::runtime::{Message, RankCtx, JOIN_LANE, LANE_MASK, REPAIR_LANE};
+use pselinv_chaos::FaultPlan;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Knobs of the reliable transport.
 #[derive(Clone, Copy, Debug)]
 pub struct ReliableConfig {
     /// Base retransmission timeout: how long an unacked message may stay
-    /// in flight before its stream is re-sent.
+    /// in flight before its stream is re-sent (doubled per attempt, to 64×).
     pub rto: Duration,
-    /// Cap on the exponential backoff: the deadline after attempt `k` is
-    /// `rto * 2^min(k, max_backoff_exp)` plus jitter.
-    pub max_backoff_exp: u32,
-    /// Upper bound (µs) of the deterministic per-attempt jitter drawn from
-    /// the fault plan's seed; 0 disables jitter.
-    pub jitter_cap_us: u64,
 }
 
 impl Default for ReliableConfig {
     fn default() -> Self {
-        Self { rto: Duration::from_millis(20), max_backoff_exp: 6, jitter_cap_us: 2000 }
+        Self { rto: Duration::from_millis(20) }
     }
 }
 
+/// Cap on the backoff exponent: attempt `k` waits `rto · 2^min(k, 6)`.
+const MAX_BACKOFF_EXP: u32 = 6;
+
+/// Upper bound (µs) of the per-attempt jitter drawn from the fault plan.
+const JITTER_CAP_US: u64 = 2000;
+
 /// One retransmission stream: the unacked suffix of a `(src, dst)` channel.
-pub(crate) struct OutStream {
-    /// Messages sent but not yet covered by a cumulative ack, by sequence
-    /// number.
-    pub(crate) unacked: BTreeMap<u64, Message>,
+struct OutStream {
+    /// Sent, not yet covered by a cumulative ack, by sequence number.
+    unacked: BTreeMap<u64, Message>,
     /// Retransmission attempts since the last ack progress.
-    pub(crate) attempts: u32,
+    attempts: u32,
     /// When the stream is re-sent next.
-    pub(crate) deadline: Instant,
+    deadline: Instant,
 }
 
-/// Per-rank reliable-transport state, owned by the runtime's `RankCtx`.
+/// When a stream is re-sent: the base timeout, doubled per attempt up to
+/// the cap, plus a jitter drawn from the fault plan's seed.
+struct Backoff {
+    rto: Duration,
+    rank: usize,
+    /// Source of the deterministic jitter (none without a plan).
+    plan: Option<Arc<FaultPlan>>,
+}
+
+impl Backoff {
+    /// When the stream to `dst` is re-sent after `attempts` retransmissions
+    /// armed at `now`: `rto · 2^min(attempts, 6)` plus the plan's jitter
+    /// for the attempt. Every deadline of the transport is armed here.
+    fn deadline(&self, dst: usize, attempts: u32, now: Instant) -> Instant {
+        let jitter =
+            |p: &FaultPlan| p.backoff_jitter_us(self.rank, dst, attempts as u64, JITTER_CAP_US);
+        let jitter_us = self.plan.as_deref().map_or(0, jitter);
+        let backoff = self.rto * 2u32.saturating_pow(attempts.min(MAX_BACKOFF_EXP));
+        now + backoff + Duration::from_micros(jitter_us)
+    }
+}
+
+/// One rank's reliable transport, held by its `RankCtx` when the run
+/// enables it: the out-streams, their deadlines and the ack wire format.
 pub(crate) struct ReliableState {
-    pub(crate) cfg: ReliableConfig,
+    backoff: Backoff,
     /// Out-streams with unacked messages, by destination.
-    pub(crate) streams: HashMap<usize, OutStream>,
+    streams: HashMap<usize, OutStream>,
 }
 
 impl ReliableState {
-    pub(crate) fn new(cfg: ReliableConfig) -> Self {
-        Self { cfg, streams: HashMap::new() }
+    pub(crate) fn new(cfg: ReliableConfig, rank: usize, plan: Option<Arc<FaultPlan>>) -> Self {
+        Self { backoff: Backoff { rto: cfg.rto, rank, plan }, streams: HashMap::new() }
     }
 
-    /// Buffers a freshly sent message until it is acked. Arms the stream
-    /// deadline if the stream was previously empty.
-    pub(crate) fn track(&mut self, dst: usize, msg: Message, jitter: Duration) {
-        let now = Instant::now();
-        let rto = self.cfg.rto;
-        let s = self.streams.entry(dst).or_insert_with(|| OutStream {
-            unacked: BTreeMap::new(),
-            attempts: 0,
-            deadline: now + rto + jitter,
-        });
+    /// Whether every message sent so far is acked.
+    pub(crate) fn idle(&self) -> bool {
+        self.streams.is_empty()
+    }
+
+    /// Buffers a freshly sent message until it is acked, arming the stream
+    /// deadline if the stream was empty. Tracking happens before the fault
+    /// interposer, so a dropped first copy is still retransmittable.
+    pub(crate) fn track(&mut self, dst: usize, msg: Message) {
+        let deadline = self.backoff.deadline(dst, 0, Instant::now());
+        let fresh = || OutStream { unacked: BTreeMap::new(), attempts: 0, deadline };
+        let s = self.streams.entry(dst).or_insert_with(fresh);
         if s.unacked.is_empty() {
-            s.attempts = 0;
-            s.deadline = now + rto + jitter;
+            (s.attempts, s.deadline) = (0, deadline);
         }
         s.unacked.insert(msg.seq, msg);
     }
 
-    /// Applies a cumulative ack: everything below `cum` on the channel to
-    /// `src` is delivered. Ack progress resets the backoff and re-arms the
-    /// deadline.
-    pub(crate) fn ack(&mut self, src: usize, cum: u64, jitter: Duration) {
-        let Some(s) = self.streams.get_mut(&src) else { return };
-        let before = s.unacked.len();
-        s.unacked.retain(|&seq, _| seq >= cum);
-        if s.unacked.is_empty() {
-            self.streams.remove(&src);
-        } else if s.unacked.len() < before {
-            s.attempts = 0;
-            s.deadline = Instant::now() + self.cfg.rto + jitter;
+    /// The payload of the cumulative ack for channel `src → me`: everything
+    /// below `cum` is received; the receiver's recovery epoch rides along.
+    pub(crate) fn ack_payload(cum: u64, epoch: u64) -> Payload {
+        Payload::from(vec![f64::from_bits(cum), f64::from_bits(epoch)])
+    }
+
+    /// Applies a cumulative ack: everything below its number on the channel
+    /// to its sender is delivered. Ack progress resets the backoff and
+    /// re-arms the deadline. Returns the epoch the ack carried.
+    pub(crate) fn on_ack(&mut self, m: &Message) -> u64 {
+        let cum = m.data.first().map_or(0, |v| v.to_bits());
+        let armed = self.backoff.deadline(m.src, 0, Instant::now());
+        if let Some(s) = self.streams.get_mut(&m.src) {
+            let before = s.unacked.len();
+            s.unacked.retain(|&seq, _| seq >= cum);
+            if s.unacked.is_empty() {
+                self.streams.remove(&m.src);
+            } else if s.unacked.len() < before {
+                (s.attempts, s.deadline) = (0, armed);
+            }
         }
+        m.data.get(1).map_or(0, |v| v.to_bits())
+    }
+
+    /// The `(dst, message)` resends due at `now`: each expired stream's
+    /// unacked suffix in sequence order, the stream re-armed one attempt of
+    /// backoff later. A stream whose receiver `finished` is dropped: nothing
+    /// re-sent to it could ever be acked.
+    pub(crate) fn due(
+        &mut self,
+        now: Instant,
+        finished: impl Fn(usize) -> bool,
+    ) -> Vec<(usize, Message)> {
+        let mut out = Vec::new();
+        let backoff = &self.backoff;
+        self.streams.retain(|&dst, s| {
+            if finished(dst) || s.unacked.is_empty() {
+                return false;
+            }
+            if now >= s.deadline {
+                out.extend(s.unacked.values().map(|m| (dst, m.clone())));
+                s.attempts += 1;
+                s.deadline = backoff.deadline(dst, s.attempts, now);
+            }
+            true
+        });
+        out
     }
 }
 
@@ -343,46 +398,69 @@ impl Recovery {
 mod tests {
     use super::*;
 
-    #[test]
-    fn reliable_state_tracks_and_acks_cumulatively() {
-        let mut rel = ReliableState::new(ReliableConfig::default());
-        let msg = |seq: u64| Message {
-            src: 0,
-            tag: 7,
-            sent_us: 0,
-            seq,
-            clock: 0,
-            idx: 0,
-            epoch: 0,
-            visible_at: None,
-            data: Payload::from(vec![1.0]),
-        };
-        for seq in 0..4 {
-            rel.track(1, msg(seq), Duration::ZERO);
-        }
-        assert_eq!(rel.streams[&1].unacked.len(), 4);
-        // Cumulative ack below 2: seqs 0 and 1 pruned, 2 and 3 kept.
-        rel.ack(1, 2, Duration::ZERO);
-        assert_eq!(rel.streams[&1].unacked.keys().copied().collect::<Vec<_>>(), vec![2, 3]);
-        // A stale ack changes nothing.
-        rel.ack(1, 1, Duration::ZERO);
-        assert_eq!(rel.streams[&1].unacked.len(), 2);
-        // Full coverage drops the stream.
-        rel.ack(1, 4, Duration::ZERO);
-        assert!(!rel.streams.contains_key(&1));
-        // Acks for unknown streams are ignored.
-        rel.ack(3, 10, Duration::ZERO);
+    fn msg(src: usize, seq: u64, data: Payload) -> Message {
+        Message { src, tag: 7, sent_us: 0, seq, clock: 0, idx: 0, epoch: 0, visible_at: None, data }
+    }
+
+    fn ack(src: usize, cum: u64) -> Message {
+        msg(src, 0, ReliableState::ack_payload(cum, 3))
     }
 
     #[test]
-    fn backoff_deadline_grows_with_attempts() {
-        let cfg =
-            ReliableConfig { rto: Duration::from_millis(10), max_backoff_exp: 3, jitter_cap_us: 0 };
-        // The exponent saturates at max_backoff_exp.
-        for (attempts, expect_ms) in [(1u32, 20u64), (2, 40), (3, 80), (5, 80), (40, 80)] {
-            let exp = attempts.min(cfg.max_backoff_exp);
-            let rto = cfg.rto * 2u32.saturating_pow(exp);
-            assert_eq!(rto, Duration::from_millis(expect_ms), "attempt {attempts}");
+    fn reliable_state_tracks_and_acks_cumulatively() {
+        let mut rel = ReliableState::new(ReliableConfig::default(), 0, None);
+        for seq in 0..4 {
+            rel.track(1, msg(0, seq, Payload::from(vec![1.0])));
+        }
+        assert_eq!(rel.streams[&1].unacked.len(), 4);
+        // Cumulative ack below 2: seqs 0 and 1 pruned, 2 and 3 kept; the
+        // ack's epoch comes back.
+        assert_eq!(rel.on_ack(&ack(1, 2)), 3);
+        assert_eq!(rel.streams[&1].unacked.keys().copied().collect::<Vec<_>>(), vec![2, 3]);
+        // A stale ack changes nothing.
+        rel.on_ack(&ack(1, 1));
+        assert_eq!(rel.streams[&1].unacked.len(), 2);
+        // Full coverage drops the stream.
+        rel.on_ack(&ack(1, 4));
+        assert!(rel.idle());
+        // Acks for unknown streams are ignored.
+        rel.on_ack(&ack(3, 10));
+    }
+
+    /// The resends `due` returns at each expiry and how far it re-arms the
+    /// stream: `rto · 2^min(k, 6)` after attempt `k`, plus the plan's
+    /// jitter for the attempt when there is a plan.
+    #[test]
+    fn due_resends_the_unacked_suffix_with_capped_exponential_backoff() {
+        let rto = Duration::from_millis(10);
+        let plan = Arc::new(FaultPlan::new(9));
+        for plan in [None, Some(plan)] {
+            let mut rel = ReliableState::new(ReliableConfig { rto }, 0, plan.clone());
+            for seq in 0..3 {
+                rel.track(1, msg(0, seq, Payload::from(vec![seq as f64])));
+            }
+            rel.on_ack(&ack(1, 1));
+            let jitter = |k: u64| {
+                let us = plan.as_deref().map_or(0, |p| p.backoff_jitter_us(0, 1, k, 2000));
+                Duration::from_micros(us)
+            };
+            let mut at = rel.streams[&1].deadline;
+            assert!(rel.due(at - Duration::from_nanos(1), |_| false).is_empty(), "not yet due");
+            for k in 1..=9u32 {
+                let resent = rel.due(at, |_| false);
+                let seqs: Vec<(usize, u64)> = resent.iter().map(|(d, m)| (*d, m.seq)).collect();
+                assert_eq!(seqs, [(1, 1), (1, 2)], "attempt {k}");
+                let next = rel.streams[&1].deadline;
+                assert_eq!(next - at, rto * (1 << k.min(6)) + jitter(k as u64), "attempt {k}");
+                assert!(rel.due(next - Duration::from_nanos(1), |_| false).is_empty());
+                at = next;
+            }
+            // Ack progress resets the backoff to one rto.
+            rel.on_ack(&ack(1, 2));
+            assert_eq!(rel.streams[&1].attempts, 0);
+            // A finished receiver's stream is dropped, not re-sent.
+            assert!(rel.due(at + rto * 128, |dst| dst == 1).is_empty());
+            assert!(rel.idle());
         }
     }
 }

@@ -82,38 +82,10 @@ pub fn wait_any(ctx: &mut RankCtx, reqs: &mut [RecvRequest]) -> usize {
     })
 }
 
-/// Tag lanes reserved for [`tree_barrier`]'s two internal collectives.
-///
-/// The top byte of the tag space is a phase namespace (`pselinv-dist`
-/// claims values for its six phase lanes); the barrier owns these two
-/// values so its up/down messages can never cross-match a caller's tags —
-/// deriving the down-phase tag by flipping the top bit of the caller's tag
-/// (as this barrier originally did) collides with any namespace that uses
-/// the full top byte.
-pub const BARRIER_UP_LANE: u64 = 0xB0 << 56;
-/// Down-phase companion of [`BARRIER_UP_LANE`].
-pub const BARRIER_DOWN_LANE: u64 = 0xB1 << 56;
-
-/// A dissemination-style barrier over an arbitrary rank subset using a
-/// tree: reduce up, broadcast down. All listed ranks must call it with the
-/// same arguments. `tag` distinguishes concurrent barriers and must fit in
-/// the low 56 bits — the top byte belongs to the barrier's reserved lanes.
-pub fn tree_barrier(ctx: &mut RankCtx, tree: &pselinv_trees::CollectiveTree, tag: u64) {
-    assert!(tag < (1 << 56), "barrier tag {tag:#x} overflows into the reserved lane byte");
-    crate::collectives::tree_reduce(ctx, tree, BARRIER_UP_LANE | tag, vec![0.0]);
-    crate::collectives::tree_bcast(
-        ctx,
-        tree,
-        BARRIER_DOWN_LANE | tag,
-        (ctx.rank() == tree.root()).then(|| vec![0.0]),
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runtime::{run, try_run, RunOptions};
-    use pselinv_trees::{TreeBuilder, TreeScheme};
     use std::time::Duration;
 
     #[test]
@@ -205,22 +177,5 @@ mod tests {
             }
         });
         assert_eq!(results[0], 42.0);
-    }
-
-    #[test]
-    fn barrier_synchronizes_subset() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static PHASE: AtomicUsize = AtomicUsize::new(0);
-        PHASE.store(0, Ordering::SeqCst);
-        let members = [0usize, 2, 3];
-        let tree = TreeBuilder::new(TreeScheme::Binary, 0).build(0, &[2, 3], 0);
-        let (_, _) = run(4, |ctx| {
-            if members.contains(&ctx.rank()) {
-                PHASE.fetch_add(1, Ordering::SeqCst);
-                tree_barrier(ctx, &tree, 77);
-                // after the barrier, every member must have incremented
-                assert_eq!(PHASE.load(Ordering::SeqCst), 3);
-            }
-        });
     }
 }

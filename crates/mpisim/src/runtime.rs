@@ -10,15 +10,16 @@
 //!   a monitor thread builds the cross-rank wait-for graph and converts a
 //!   global stall or a deadlock cycle into a structured
 //!   [`StallDiagnostic`] ([`RunError::Stalled`]) instead of hanging.
-//! * **Fault injection.** A [`FaultPlan`] lets a run inject per-message
-//!   delay/jitter, duplication and reordering plus per-rank stall/crash
-//!   triggers, deterministically from a seed. Every data message carries a
-//!   sequence number on its `(src, dst)` channel and is judged once, as it
-//!   comes off the inbox: duplicates are dropped and early arrivals held
-//!   until their turn, so any crash-free schedule yields bit-identical
-//!   results.
+//! * **Fault injection.** A [`FaultPlan`] injects per-message delay, loss,
+//!   duplication and reordering plus per-rank stall/crash triggers through
+//!   the rank's fault interposer (`interpose`), deterministically from a
+//!   seed. Every data message carries a sequence number on its `(src, dst)`
+//!   channel and is judged once, as it comes off the inbox, so any
+//!   crash-free schedule yields bit-identical results.
 
+use crate::interpose::{Interposer, Trigger};
 use crate::payload::{IntoPayload, Payload};
+use crate::reliable::ReliableState;
 use crate::spin::{SpinPolicy, SPIN_BUDGET};
 use crate::telemetry::{sampler, Telemetry};
 use pselinv_chaos::FaultPlan;
@@ -289,14 +290,10 @@ pub struct RunOptions {
     /// updates (bar the always-on inbox depth) — the same single-branch
     /// guard as the trace layer.
     pub telemetry: Option<Telemetry>,
-    /// Reliable-transport configuration. When set, every data message is
-    /// tracked in its `(src, dst)` channel's retransmission buffer until the
-    /// receiver's cumulative ack covers it; unacked messages are re-sent
-    /// after a deadline with exponential backoff (deterministic jitter from
-    /// the fault plan's seed). This is what makes an injected
-    /// `drop_permille` loss fault maskable: with it, collective results are
-    /// bit-identical to the fault-free run. `None` (the default) keeps the
-    /// hot path free of any tracking.
+    /// Reliable-transport configuration ([`crate::reliable`]). When set,
+    /// every data message is kept until the receiver's cumulative ack covers
+    /// it and re-sent on deadline expiry, which masks an injected
+    /// `drop_permille` loss fault. `None` (the default) tracks nothing.
     pub reliable: Option<crate::reliable::ReliableConfig>,
 }
 
@@ -465,16 +462,11 @@ pub struct RankCtx {
     tracer: RankTracer,
     shared: Arc<Shared>,
     poll: Duration,
-    /// Fault schedule, if injecting.
-    plan: Option<Arc<FaultPlan>>,
-    /// Send/receive operations so far (chaos stall/crash triggers).
-    ops: u64,
+    /// The fault interposer, when the run injects faults.
+    interposer: Option<Interposer>,
     /// Next sequence number per destination channel ([`Message::seq`]),
     /// which is also the index of the message's chaos draws.
     tx_seq: Vec<u64>,
-    /// Per-destination hold-back slot for injected reordering; flushed by
-    /// the next send to the destination and at every blocking point.
-    held: Vec<Option<Message>>,
     /// Next sequence number expected per source channel.
     rx_next: Vec<u64>,
     /// Per source, messages that arrived ahead of their turn, by sequence
@@ -487,8 +479,8 @@ pub struct RankCtx {
     clock: u64,
     /// Monotonic send counter ([`Message::idx`] provenance).
     sends: u64,
-    /// Reliable-transport state (retransmission buffers), when enabled.
-    reliable: Option<crate::reliable::ReliableState>,
+    /// The reliable transport, when the run enables it.
+    reliable: Option<ReliableState>,
     /// This rank's recovery epoch: confirmed rank deaths incorporated so
     /// far. Stamped on every outgoing message; 0 outside recovery.
     epoch: u64,
@@ -730,13 +722,23 @@ impl RankCtx {
     }
 
     /// A message reaches this rank: it leaves the inbox count and goes to
-    /// the ack path or the arrival rule.
+    /// the reliable transport (an ack, never stashed, matched or accounted)
+    /// or the arrival rule (data, answered by the ack the rule asks for).
     fn land(&mut self, m: Message) {
         self.shared.states[self.rank].inbox_len.fetch_sub(1, Ordering::Relaxed);
+        let src = m.src;
         if m.tag == ACK_LANE {
-            self.ingest_ack(&m);
-        } else {
-            self.arrive(m);
+            let peer_epoch = self.reliable.as_mut().map_or(0, |rel| rel.on_ack(&m));
+            // An ack from a rank that already incorporated more deaths tells
+            // us to consult the crash board.
+            if peer_epoch > self.epoch && self.shared.recovery {
+                self.epoch = self.epoch.max(self.crashed_ranks().len() as u64);
+            }
+        } else if let (Some(cum), true) = (self.arrive(m), self.reliable.is_some()) {
+            let data = ReliableState::ack_payload(cum, self.epoch);
+            let ack = self.stamp(ACK_LANE, 0, u64::MAX, data);
+            self.volume.retransmitted += ack.bytes();
+            self.push_raw(src, ack);
         }
     }
 
@@ -744,9 +746,10 @@ impl RankCtx {
     /// off the inbox, against its `(src, me)` channel. The channel's next
     /// number enters the stash, followed by every successor held early; a
     /// message ahead of its turn is held; a number already seen is a
-    /// duplicate, dropped and re-acked. Nothing judged here was accounted,
-    /// so dropping needs no reversal. No receive form touches sequencing.
-    fn arrive(&mut self, m: Message) {
+    /// duplicate, dropped. Nothing judged here was accounted, so dropping
+    /// needs no reversal. No receive form touches sequencing. Returns the
+    /// channel's cumulative number to ack, after a release or a duplicate.
+    fn arrive(&mut self, m: Message) -> Option<u64> {
         let src = m.src;
         let next = self.rx_next[src];
         if m.seq == next {
@@ -757,34 +760,26 @@ impl RankCtx {
                 next += 1;
             }
             self.rx_next[src] = next;
-            self.send_ack(src, next);
-            return;
+            return Some(next);
         }
         let tag = m.tag;
         if m.seq < next || self.ahead[src].insert(m.seq, m).is_some() {
             self.tracer.fault(FaultKind::DuplicateSuppressed, src, tag);
-            self.send_ack(src, next);
+            return Some(next);
         }
+        None
     }
 
-    /// Counts one send/receive operation against the chaos stall/crash
-    /// triggers of this rank.
-    fn chaos_op(&mut self) {
-        // Copy the (small) spec out instead of cloning the whole plan Arc
-        // on every operation: this runs on the per-message hot path.
-        let spec = match self.plan.as_deref() {
-            Some(plan) => *plan.spec(self.rank),
-            None => return,
-        };
-        self.ops += 1;
-        if let Some(at) = spec.crash_after_ops {
-            if self.ops > at {
+    /// Counts one send/receive operation against this rank's injected
+    /// crash and stall triggers and carries out the one that fires.
+    fn count_op(&mut self) {
+        match self.interposer.as_mut().and_then(Interposer::count_op) {
+            None => {}
+            Some(Trigger::Crash(at)) => {
                 self.tracer.fault(FaultKind::Crashed, self.rank, 0);
                 panic!("chaos: injected crash of rank {} after {at} operations", self.rank);
             }
-        }
-        if let Some(at) = spec.stall_after_ops {
-            if self.ops > at {
+            Some(Trigger::Stall) => {
                 self.tracer.fault(FaultKind::Stalled, self.rank, 0);
                 loop {
                     std::thread::sleep(self.poll);
@@ -811,84 +806,25 @@ impl RankCtx {
         }
     }
 
-    /// Delivery with fault interposition: injected delay, loss,
-    /// duplication and reordering reach every data message, drawn from the
-    /// plan by the message's channel sequence number. The arrival rule
-    /// repairs duplication and reordering; loss needs the reliable
-    /// transport.
-    ///
-    /// An injected delay is *in-flight* time, matching the DES backend's
-    /// semantics: the message goes to the destination's inbox at once,
-    /// stamped with the instant it becomes visible
-    /// ([`Message::visible_at`]), and the receiver holds it until then —
-    /// so the sending rank keeps computing while the message flies, and
-    /// latency can be hidden by overlapping work. A message that overtakes
-    /// its predecessor under jitter waits for it in the arrival rule, which
-    /// keeps per-`(src, dst)` FIFO delivery.
-    fn deliver(&mut self, dst: usize, mut msg: Message) {
-        // Draw every fault decision up front from a borrowed plan — no
-        // per-message Arc clone on the delivery hot path.
-        let (delay, slow, dup, reord, drop) = match self.plan.as_deref() {
-            None => return self.push_raw(dst, msg),
-            Some(plan) => {
-                let cseq = msg.seq;
-                (
-                    plan.delay_us(self.rank, dst, cseq),
-                    plan.slowdown(self.rank).max(0.0),
-                    plan.duplicates(self.rank, dst, cseq),
-                    plan.reorders(self.rank, dst, cseq),
-                    plan.drops(self.rank, dst, cseq),
-                )
-            }
-        };
-        let fly = Duration::from_micros((delay as f64 * slow) as u64);
-        let visible_at = (!fly.is_zero()).then(|| Instant::now() + fly);
-        if delay > 0 {
-            self.tracer.fault(FaultKind::Delayed, dst, msg.tag);
-        }
-        if drop {
-            // Lost in flight. A held-back reorder victim is still released:
-            // it was delayed, not lost.
-            self.tracer.fault(FaultKind::Dropped, dst, msg.tag);
-            if let Some(prev) = self.held[dst].take() {
-                self.push_raw(dst, prev);
-            }
-            return;
-        }
-        if dup {
-            self.tracer.fault(FaultKind::Duplicated, dst, msg.tag);
-            // The clone shares the payload buffer: a duplicate costs a
-            // header, not a block copy.
-            msg.visible_at = visible_at;
-            self.push_raw(dst, msg.clone());
-            self.push_raw(dst, msg);
-            return;
-        }
-        if reord {
-            // The victim goes out unstamped when it is released: its delay
-            // is the wait for the message that overtakes it.
-            self.tracer.fault(FaultKind::Reordered, dst, msg.tag);
-            if let Some(prev) = self.held[dst].replace(msg) {
-                self.push_raw(dst, prev);
-            }
-            return;
-        }
-        msg.visible_at = visible_at;
-        self.push_raw(dst, msg);
-        if let Some(prev) = self.held[dst].take() {
-            // The held message is now overtaken: release it.
-            self.push_raw(dst, prev);
+    /// Releases every message the interposer holds back. Runs before any
+    /// blocking wait and at rank finish.
+    fn release_held(&mut self) {
+        while let Some((dst, m)) = self.interposer.as_mut().and_then(Interposer::release) {
+            self.push_raw(dst, m);
         }
     }
 
-    /// Releases every held-back message. Runs before any blocking wait and
-    /// at rank finish, so injected reordering can delay but never lose a
-    /// message.
-    fn flush_held(&mut self) {
-        for dst in 0..self.size {
-            if let Some(m) = self.held[dst].take() {
-                self.push_raw(dst, m);
-            }
+    /// Re-sends what the reliable transport has due now. Runs at sends, at
+    /// match attempts, at every timed-out park slice and in the finish-time
+    /// flush; a no-op without reliable transport or with nothing unacked.
+    fn resend_due(&mut self) {
+        let Some(rel) = self.reliable.as_mut().filter(|r| !r.idle()) else { return };
+        let states = &self.shared.states;
+        for (dst, m) in rel.due(Instant::now(), |dst| states[dst].done.load(Ordering::Acquire)) {
+            let bytes = m.bytes();
+            self.volume.retransmitted += bytes;
+            self.tracer.retransmit(dst, m.tag, bytes);
+            self.push_raw(dst, m);
         }
     }
 
@@ -938,7 +874,7 @@ impl RankCtx {
     pub fn send<P: IntoPayload>(&mut self, dst: usize, tag: u64, data: P) {
         let (data, copied) = data.into_payload();
         self.account_copy(copied);
-        self.chaos_op();
+        self.count_op();
         assert!(dst < self.size, "destination {dst} out of range");
         assert_ne!(dst, self.rank, "self-sends are not modeled (use local data)");
         let seq = self.tx_seq[dst];
@@ -947,17 +883,7 @@ impl RankCtx {
         self.clock += 1;
         let idx = self.sends;
         self.sends += 1;
-        let msg = Message {
-            src: self.rank,
-            tag,
-            sent_us: self.tracer.now_us(),
-            seq,
-            clock: self.clock,
-            idx,
-            epoch: self.epoch,
-            visible_at: None,
-            data,
-        };
+        let msg = self.stamp(tag, seq, idx, data);
         self.volume.sent += msg.bytes();
         self.volume.msgs_sent += 1;
         if let Some(v) = self.channel_for(tag) {
@@ -968,133 +894,47 @@ impl RankCtx {
         if self.shared.telemetry {
             self.shared.states[self.rank].sent_bytes.fetch_add(msg.bytes(), Ordering::Relaxed);
         }
-        if self.reliable.is_some() {
-            // Buffer a clone (shared payload — a header copy, not a block
-            // copy) until the receiver's cumulative ack covers it. Tracking
-            // happens before the fault interposer, so a dropped first copy
-            // is still retransmittable.
-            let jitter = self.backoff_jitter(dst, 0);
-            if let Some(rel) = self.reliable.as_mut() {
-                rel.track(dst, msg.clone(), jitter);
+        if let Some(rel) = &mut self.reliable {
+            // A clone shares the payload: a header copy, not a block copy.
+            rel.track(dst, msg.clone());
+        }
+        match &mut self.interposer {
+            None => self.push_raw(dst, msg),
+            Some(ip) => {
+                for m in ip.deliver(dst, msg, &mut self.tracer).into_iter().flatten() {
+                    self.push_raw(dst, m);
+                }
             }
         }
-        self.deliver(dst, msg);
         self.bump_progress();
-        self.reliable_tick();
+        self.resend_due();
     }
 
-    /// Deterministic backoff jitter for `(self.rank, dst)` at `attempt`,
-    /// drawn from the fault plan's seed (0 without a plan).
-    fn backoff_jitter(&self, dst: usize, attempt: u32) -> Duration {
-        let cap = self.reliable.as_ref().map_or(0, |r| r.cfg.jitter_cap_us);
-        let us = self
-            .plan
-            .as_deref()
-            .map_or(0, |p| p.backoff_jitter_us(self.rank, dst, attempt as u64, cap));
-        Duration::from_micros(us)
+    /// A message from this rank, stamped with its clock, epoch and the
+    /// trace clock's now.
+    fn stamp(&self, tag: u64, seq: u64, idx: u64, data: Payload) -> Message {
+        let (src, sent_us, clock, epoch) =
+            (self.rank, self.tracer.now_us(), self.clock, self.epoch);
+        Message { src, tag, sent_us, seq, clock, idx, epoch, visible_at: None, data }
     }
 
-    /// Consumes a cumulative ack. Called at every inbox read point, so
-    /// control traffic is never stashed, matched or accounted.
-    fn ingest_ack(&mut self, m: &Message) {
-        let cum = m.data.first().map_or(0, |v| v.to_bits());
-        let peer_epoch = m.data.get(1).map_or(0, |v| v.to_bits());
-        let jitter = self.backoff_jitter(m.src, 0);
-        if let Some(rel) = self.reliable.as_mut() {
-            rel.ack(m.src, cum, jitter);
-        }
-        // Epoch piggyback: an ack from a rank that already incorporated
-        // more deaths tells us to consult the crash board.
-        if peer_epoch > self.epoch && self.shared.recovery {
-            self.epoch = self.epoch.max(self.crashed_ranks().len() as u64);
-        }
-    }
-
-    /// Sends the cumulative ack for channel `src → me`: everything below
-    /// `cum` is received. Pure control traffic — bypasses the fault
-    /// interposer, the channel's sequence and the logical volume counters.
-    fn send_ack(&mut self, src: usize, cum: u64) {
-        if self.reliable.is_none() {
-            return;
-        }
-        let (data, _) = vec![f64::from_bits(cum), f64::from_bits(self.epoch)].into_payload();
-        let msg = Message {
-            src: self.rank,
-            tag: ACK_LANE,
-            sent_us: self.tracer.now_us(),
-            seq: 0,
-            clock: self.clock,
-            idx: u64::MAX,
-            epoch: self.epoch,
-            visible_at: None,
-            data,
-        };
-        self.volume.retransmitted += msg.bytes();
-        self.push_raw(src, msg);
-    }
-
-    /// Re-sends every unacked message whose stream deadline expired, with
-    /// exponential backoff. Runs at sends, at every blocking poll slice and
-    /// in the finish-time flush; a no-op without reliable transport.
-    fn reliable_tick(&mut self) {
-        if self.reliable.as_ref().is_none_or(|r| r.streams.is_empty()) {
-            return;
-        }
-        let Some(mut rel) = self.reliable.take() else { return };
-        let cfg = rel.cfg;
-        let now = Instant::now();
-        rel.streams.retain(|&dst, s| {
-            // A finished receiver consumed everything it wanted: further
-            // retransmission could never be acked. Drop the stream, like a
-            // wire flush to a closed endpoint.
-            if self.shared.states[dst].done.load(Ordering::Acquire) {
-                return false;
-            }
-            if s.unacked.is_empty() {
-                return false;
-            }
-            if now < s.deadline {
-                return true;
-            }
-            for m in s.unacked.values() {
-                let bytes = m.bytes();
-                self.volume.retransmitted += bytes;
-                self.tracer.retransmit(dst, m.tag, bytes);
-                self.push_raw(dst, m.clone());
-            }
-            s.attempts += 1;
-            let exp = s.attempts.min(cfg.max_backoff_exp);
-            let rto = cfg.rto * 2u32.saturating_pow(exp);
-            let us = self.plan.as_deref().map_or(0, |p| {
-                p.backoff_jitter_us(self.rank, dst, s.attempts as u64, cfg.jitter_cap_us)
-            });
-            s.deadline = now + rto + Duration::from_micros(us);
-            true
-        });
-        self.reliable = Some(rel);
-    }
-
-    /// Finish-time reliable flush: keeps retransmitting and draining acks
-    /// until every stream is acked or its receiver finished. Runs after the
-    /// rank's user function returns, so a loss on the last message of a
-    /// collective is still repaired instead of hanging the receiver.
-    fn reliable_flush(&mut self) {
-        if self.reliable.is_none() {
-            return;
-        }
-        loop {
-            // Acks are what this loop waits for; late data (e.g. a surplus
-            // duplicate) is stashed and dies with the rank.
+    /// Ends the rank after its user function returned: releases held-back
+    /// messages, then retransmits and drains acks until every reliable
+    /// stream is acked or its receiver finished, so a loss on a last message
+    /// is repaired. Late data (a surplus duplicate) dies with the rank.
+    fn finish(&mut self) {
+        self.release_held();
+        while self.reliable.is_some() {
             self.drain_inbox();
-            self.reliable_tick();
-            if self.reliable.as_ref().is_none_or(|r| r.streams.is_empty()) {
-                return;
-            }
-            if self.shared.abort.load(Ordering::Acquire) {
-                return;
+            self.resend_due();
+            if self.reliable.as_ref().is_none_or(ReliableState::idle)
+                || self.shared.abort.load(Ordering::Acquire)
+            {
+                break;
             }
             std::thread::sleep(self.poll.min(Duration::from_millis(2)));
         }
+        self.leave_stash();
     }
 
     /// The one blocking point of the message path: takes messages off the
@@ -1162,7 +1002,7 @@ impl RankCtx {
                 Ok(m) => self.accept(m),
                 Err(RecvTimeoutError::Timeout) => {
                     self.check_abort();
-                    self.reliable_tick();
+                    self.resend_due();
                 }
                 Err(RecvTimeoutError::Disconnected) => {
                     self.check_abort();
@@ -1189,8 +1029,8 @@ impl RankCtx {
     /// each park only the stash entries that park added are scanned: the
     /// older ones were scanned already.
     fn recv_until(&mut self, src: usize, tag: u64, until: Until) -> Result<Message, RecvTimeout> {
-        self.chaos_op();
-        self.flush_held();
+        self.count_op();
+        self.release_held();
         let wants = |m: &Message| m.src == src && m.tag == tag;
         if let Some(m) = self.take_match(0, wants) {
             return Ok(self.account_recv(m));
@@ -1264,11 +1104,11 @@ impl RankCtx {
     pub fn try_match(&mut self, src: usize, tag: u64) -> Option<Payload> {
         self.tracer.match_call();
         self.check_abort();
-        self.flush_held();
-        self.reliable_tick();
+        self.release_held();
+        self.resend_due();
         self.drain_inbox();
         let m = self.take_match(0, |m| m.src == src && m.tag == tag)?;
-        self.chaos_op();
+        self.count_op();
         Some(self.account_recv(m).data)
     }
 
@@ -1303,7 +1143,7 @@ impl RankCtx {
     pub fn take_wakes(&mut self, into: &mut Vec<(usize, u64)>) {
         into.clear();
         self.check_abort();
-        self.reliable_tick();
+        self.resend_due();
         self.drain_inbox();
         if let Some(log) = &mut self.wake_log {
             std::mem::swap(log, into);
@@ -1335,7 +1175,7 @@ impl RankCtx {
             if self.arrivals != seen {
                 continue;
             }
-            self.flush_held();
+            self.release_held();
             let posted_us = self.tracer.now_us();
             let from = self.stash.len();
             let arrived = self.park(on, None);
@@ -1441,8 +1281,8 @@ impl RankCtx {
     /// layer polls this for JOIN requests between receive slices.
     pub fn try_take_lane(&mut self, lane: u64) -> Option<Message> {
         self.check_abort();
-        self.flush_held();
-        self.reliable_tick();
+        self.release_held();
+        self.resend_due();
         self.drain_inbox();
         let m = self.take_match(0, |m| m.tag & LANE_MASK == lane)?;
         Some(self.account_recv(m))
@@ -1677,15 +1517,13 @@ where
                     tracer: mk(rank),
                     shared: shared.clone(),
                     poll,
-                    plan,
-                    ops: 0,
+                    interposer: plan.clone().map(|p| Interposer::new(p, rank, nranks)),
                     tx_seq: vec![0; nranks],
-                    held: (0..nranks).map(|_| None).collect(),
                     rx_next: vec![0; nranks],
                     ahead: (0..nranks).map(|_| BTreeMap::new()).collect(),
                     clock: 0,
                     sends: 0,
-                    reliable: reliable.map(crate::reliable::ReliableState::new),
+                    reliable: reliable.map(|cfg| ReliableState::new(cfg, rank, plan)),
                     epoch: 0,
                     min_epoch: HashMap::new(),
                     channels: None,
@@ -1697,9 +1535,7 @@ where
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut ctx)));
                 match result {
                     Ok(r) => {
-                        ctx.flush_held();
-                        ctx.reliable_flush();
-                        ctx.leave_stash();
+                        ctx.finish();
                         shared.rank_finished(rank);
                         Some((r, ctx.volume, ctx.tracer.finish()))
                     }
@@ -2316,24 +2152,25 @@ mod tests {
                 judged.wait();
                 return Default::default();
             }
+            let mut acks = 0;
             for &(seq, tag) in feed {
                 let data = Payload::from(vec![seq as f64]);
-                ctx.arrive(Message {
-                    src: 1,
-                    tag,
-                    sent_us: 0,
-                    seq,
-                    clock: 0,
-                    idx: 0,
-                    epoch: 0,
-                    visible_at: None,
-                    data,
-                });
+                acks += ctx
+                    .arrive(Message {
+                        src: 1,
+                        tag,
+                        sent_us: 0,
+                        seq,
+                        clock: 0,
+                        idx: 0,
+                        epoch: 0,
+                        visible_at: None,
+                        data,
+                    })
+                    .is_some() as u64;
             }
             let stash = ctx.stash.iter().map(|m| (m.seq, m.tag)).collect();
             let held = ctx.ahead[1].keys().copied().collect();
-            // An ack is two words: the cumulative number and the epoch.
-            let acks = ctx.volume().retransmitted / 16;
             judged.wait();
             (stash, held, ctx.rx_next[1], acks)
         })
@@ -2535,10 +2372,7 @@ mod tests {
             .expect("some seed drops and duplicates");
         let opts = RunOptions {
             faults: Some(plan),
-            reliable: Some(crate::reliable::ReliableConfig {
-                rto: Duration::from_millis(2),
-                ..Default::default()
-            }),
+            reliable: Some(crate::reliable::ReliableConfig { rto: Duration::from_millis(2) }),
             ..guard_opts()
         };
         let (results, volumes) = try_run(2, &opts, |ctx| {

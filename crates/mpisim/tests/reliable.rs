@@ -7,8 +7,8 @@
 //!   bit-identical to the fault-free run and the *logical* volume counters
 //!   are exactly the fault-free ones, with all recovery traffic isolated
 //!   in `RankVolume::retransmitted`;
-//! * stale-epoch traffic on a re-homed edge is discarded with its
-//!   accounting reversed;
+//! * stale-epoch traffic on a re-homed edge is discarded at match time,
+//!   before anything is counted;
 //! * with recovery on, rank deaths are absorbed: survivors re-home onto a
 //!   `rebuild_excluding` tree and still deliver, and only dead-root
 //!   collectives are reported stranded.
@@ -34,10 +34,7 @@ fn reliable_opts(plan: FaultPlan, rto_ms: u64) -> RunOptions {
         watchdog: Some(Duration::from_secs(30)),
         poll: Duration::from_millis(2),
         faults: Some(plan),
-        reliable: Some(ReliableConfig {
-            rto: Duration::from_millis(rto_ms),
-            ..ReliableConfig::default()
-        }),
+        reliable: Some(ReliableConfig { rto: Duration::from_millis(rto_ms) }),
         ..RunOptions::default()
     }
 }
@@ -112,10 +109,11 @@ proptest! {
     }
 }
 
-/// Stale-epoch traffic on an edge the receiver re-homed is discarded with
-/// its accounting reversed: the receiver's logical volume counts only the
-/// surviving bumped-epoch message, yet the edge's sequence slot advances
-/// so the re-issue is consumed normally.
+/// Stale-epoch traffic on an edge the receiver re-homed is discarded where
+/// the receive takes it, before anything is counted: the receiver's logical
+/// volume counts only the bumped-epoch message, and the re-issue behind it
+/// on the same channel is consumed normally. The name predates the
+/// match-time discard; nothing is counted, so nothing is reversed.
 #[test]
 fn stale_epoch_messages_are_discarded_with_accounting_reversed() {
     let (results, volumes) = try_run(2, &RunOptions::default(), |ctx| {
@@ -134,7 +132,7 @@ fn stale_epoch_messages_are_discarded_with_accounting_reversed() {
     .unwrap();
     assert_eq!(results[1], vec![2.0; 8]);
     // Exactly one message (the epoch-1 re-issue) is accounted: the stale
-    // epoch-0 delivery was consumed and reversed.
+    // epoch-0 delivery was discarded uncounted.
     assert_eq!(volumes[1].received, 64);
     assert_eq!(volumes[1].msgs_received, 1);
     // The sender legitimately sent both copies.
@@ -146,10 +144,7 @@ fn recovery_opts(plan: FaultPlan) -> RunOptions {
         watchdog: None,
         poll: Duration::from_millis(2),
         faults: Some(plan),
-        reliable: Some(ReliableConfig {
-            rto: Duration::from_millis(5),
-            ..ReliableConfig::default()
-        }),
+        reliable: Some(ReliableConfig { rto: Duration::from_millis(5) }),
         ..RunOptions::default()
     }
 }

@@ -102,10 +102,7 @@ proptest! {
             ..FaultSpec::default()
         });
         let opts = RunOptions {
-            reliable: Some(ReliableConfig {
-                rto: Duration::from_millis(4),
-                ..ReliableConfig::default()
-            }),
+            reliable: Some(ReliableConfig { rto: Duration::from_millis(4) }),
             ..chaos_opts(plan)
         };
         let (results, volumes) = try_run(2, &opts, move |ctx| {
@@ -204,7 +201,8 @@ fn rank_epilogue_flushes_the_reorder_holdback_slot() {
     // per-destination hold-back slot, displacing the previous one. After
     // the sender's last send one message is still held; if the runtime
     // did not flush it when the rank function returns, the receiver would
-    // wait forever. This pins the epilogue `flush_held`.
+    // wait forever. This pins the release of held messages in the rank
+    // epilogue (`RankCtx::finish`).
     let plan = FaultPlan::new(3)
         .with_default(FaultSpec { reorder_permille: 1000, ..FaultSpec::default() });
     let opts = RunOptions {

@@ -35,9 +35,11 @@ pub struct AnalyzeOptions {
     pub supernode: SupernodeOptions,
     /// Also compute [`SymbolicFactor::true_mask`], marking which stored rows
     /// belong to the *exact* factor structure (as opposed to explicit zeros
-    /// introduced by supernode relaxation). Needed by the numeric selected
-    /// inversion's entry accessor; structure-only consumers (communication
-    /// volume accounting, the discrete-event simulator) can skip it.
+    /// introduced by supernode relaxation). Off by default: no factorization
+    /// or inversion needs it. When present, `SelectedInverse::get` and
+    /// `selected_entries` (in `pselinv-selinv`) report only the rows it
+    /// marks; without it they report every stored row, all of which the
+    /// selected inversion computes.
     pub track_true_structure: bool,
 }
 
@@ -46,7 +48,7 @@ impl Default for AnalyzeOptions {
         Self {
             ordering: OrderingChoice::MinimumDegree,
             supernode: SupernodeOptions::default(),
-            track_true_structure: true,
+            track_true_structure: false,
         }
     }
 }
@@ -551,7 +553,8 @@ mod tests {
         for seed in 0..3 {
             let m = gen::random_spd(30, 0.12, seed);
             let pat = m.pattern();
-            let sf = analyze(&pat, &AnalyzeOptions::default());
+            let opts = AnalyzeOptions { track_true_structure: true, ..AnalyzeOptions::default() };
+            let sf = analyze(&pat, &opts);
             let l = dense_factor_pattern(&permuted(&pat, &sf.perm));
             for s in 0..sf.num_supernodes() {
                 let rows = sf.rows_of(s);

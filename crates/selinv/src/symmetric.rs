@@ -116,9 +116,10 @@ pub fn selinv_ldlt(f: &LdlFactor) -> SelectedInverse {
 
 impl SelectedInverse {
     /// Value of `A⁻¹(i, j)` in the *original* matrix ordering, or `None`
-    /// when the position is outside the exactly-computed selected set
-    /// (stored structure restricted to true factor structure; diagonal
-    /// blocks are always exact).
+    /// when the position is outside the selected set: the stored structure,
+    /// restricted to the true factor structure when the analysis tracked it
+    /// (`AnalyzeOptions::track_true_structure`); diagonal blocks are always
+    /// in it.
     pub fn get(&self, i: usize, j: usize) -> Option<f64> {
         let sf = &*self.symbolic;
         let mut pi = sf.perm.new_of(i);
