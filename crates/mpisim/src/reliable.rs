@@ -59,39 +59,39 @@ struct OutStream {
     deadline: Instant,
 }
 
-/// When a stream is re-sent: the base timeout, doubled per attempt up to
-/// the cap, plus a jitter drawn from the fault plan's seed.
-struct Backoff {
+/// When the stream from `rank` to `dst` is re-sent after `attempts`
+/// retransmissions armed at `now`: `rto · 2^min(attempts, 6)` plus the
+/// jitter `plan` draws for the attempt (none without a plan). Every
+/// deadline of the transport is armed here.
+fn deadline(
     rto: Duration,
     rank: usize,
-    /// Source of the deterministic jitter (none without a plan).
-    plan: Option<Arc<FaultPlan>>,
-}
-
-impl Backoff {
-    /// When the stream to `dst` is re-sent after `attempts` retransmissions
-    /// armed at `now`: `rto · 2^min(attempts, 6)` plus the plan's jitter
-    /// for the attempt. Every deadline of the transport is armed here.
-    fn deadline(&self, dst: usize, attempts: u32, now: Instant) -> Instant {
-        let jitter =
-            |p: &FaultPlan| p.backoff_jitter_us(self.rank, dst, attempts as u64, JITTER_CAP_US);
-        let jitter_us = self.plan.as_deref().map_or(0, jitter);
-        let backoff = self.rto * 2u32.saturating_pow(attempts.min(MAX_BACKOFF_EXP));
-        now + backoff + Duration::from_micros(jitter_us)
-    }
+    plan: Option<&FaultPlan>,
+    dst: usize,
+    attempts: u32,
+    now: Instant,
+) -> Instant {
+    let jitter = |p: &FaultPlan| p.backoff_jitter_us(rank, dst, attempts as u64, JITTER_CAP_US);
+    let jitter_us = plan.map_or(0, jitter);
+    let backoff = rto * 2u32.saturating_pow(attempts.min(MAX_BACKOFF_EXP));
+    now + backoff + Duration::from_micros(jitter_us)
 }
 
 /// One rank's reliable transport, held by its `RankCtx` when the run
 /// enables it: the out-streams, their deadlines and the ack wire format.
 pub(crate) struct ReliableState {
-    backoff: Backoff,
+    /// Base retransmission timeout.
+    rto: Duration,
+    rank: usize,
+    /// Source of the deterministic backoff jitter (none without a plan).
+    plan: Option<Arc<FaultPlan>>,
     /// Out-streams with unacked messages, by destination.
     streams: HashMap<usize, OutStream>,
 }
 
 impl ReliableState {
     pub(crate) fn new(cfg: ReliableConfig, rank: usize, plan: Option<Arc<FaultPlan>>) -> Self {
-        Self { backoff: Backoff { rto: cfg.rto, rank, plan }, streams: HashMap::new() }
+        Self { rto: cfg.rto, rank, plan, streams: HashMap::new() }
     }
 
     /// Whether every message sent so far is acked.
@@ -103,7 +103,7 @@ impl ReliableState {
     /// deadline if the stream was empty. Tracking happens before the fault
     /// interposer, so a dropped first copy is still retransmittable.
     pub(crate) fn track(&mut self, dst: usize, msg: Message) {
-        let deadline = self.backoff.deadline(dst, 0, Instant::now());
+        let deadline = deadline(self.rto, self.rank, self.plan.as_deref(), dst, 0, Instant::now());
         let fresh = || OutStream { unacked: BTreeMap::new(), attempts: 0, deadline };
         let s = self.streams.entry(dst).or_insert_with(fresh);
         if s.unacked.is_empty() {
@@ -123,7 +123,7 @@ impl ReliableState {
     /// re-arms the deadline. Returns the epoch the ack carried.
     pub(crate) fn on_ack(&mut self, m: &Message) -> u64 {
         let cum = m.data.first().map_or(0, |v| v.to_bits());
-        let armed = self.backoff.deadline(m.src, 0, Instant::now());
+        let armed = deadline(self.rto, self.rank, self.plan.as_deref(), m.src, 0, Instant::now());
         if let Some(s) = self.streams.get_mut(&m.src) {
             let before = s.unacked.len();
             s.unacked.retain(|&seq, _| seq >= cum);
@@ -146,15 +146,15 @@ impl ReliableState {
         finished: impl Fn(usize) -> bool,
     ) -> Vec<(usize, Message)> {
         let mut out = Vec::new();
-        let backoff = &self.backoff;
-        self.streams.retain(|&dst, s| {
+        let Self { rto, rank, plan, streams } = self;
+        streams.retain(|&dst, s| {
             if finished(dst) || s.unacked.is_empty() {
                 return false;
             }
             if now >= s.deadline {
                 out.extend(s.unacked.values().map(|m| (dst, m.clone())));
                 s.attempts += 1;
-                s.deadline = backoff.deadline(dst, s.attempts, now);
+                s.deadline = deadline(*rto, *rank, plan.as_deref(), dst, s.attempts, now);
             }
             true
         });

@@ -2137,11 +2137,14 @@ mod tests {
         assert_eq!(volumes[1].received, 5 * 8);
     }
 
-    /// What rank 0 holds after its arrival rule judged `feed` — `(seq,
-    /// tag)` messages from rank 1, handed over in that order under the
-    /// reliable transport: the stash as `(seq, tag)`, the held sequence
-    /// numbers, the channel's next number and the acks sent.
-    fn judge_arrivals(feed: &[(u64, u64)]) -> (Vec<(u64, u64)>, Vec<u64>, u64, u64) {
+    /// What rank 0 holds after it landed `feed` — `(seq, tag)` messages from
+    /// rank 1, handed over in that order under the reliable transport: the
+    /// stash as `(seq, tag)`, the held sequence numbers, the channel's next
+    /// number, the acks its volume accounts, and the cumulative numbers of
+    /// the acks rank 1 finds in its inbox, in push order.
+    type Judged = (Vec<(u64, u64)>, Vec<u64>, u64, u64, Vec<u64>);
+
+    fn judge_arrivals(feed: &[(u64, u64)]) -> Judged {
         let opts = RunOptions {
             reliable: Some(crate::reliable::ReliableConfig::default()),
             ..RunOptions::default()
@@ -2150,55 +2153,73 @@ mod tests {
         let (results, _) = try_run(2, &opts, |ctx| {
             if ctx.rank() == 1 {
                 judged.wait();
-                return Default::default();
+                let mut cums = Vec::new();
+                while let Ok(m) = ctx.inbox.try_recv() {
+                    ctx.shared.states[1].inbox_len.fetch_sub(1, Ordering::Relaxed);
+                    assert_eq!(m.tag, ACK_LANE, "rank 1 receives nothing but acks");
+                    cums.push(m.data[0].to_bits());
+                }
+                return (Vec::new(), Vec::new(), 0, 0, cums);
             }
-            let mut acks = 0;
             for &(seq, tag) in feed {
                 let data = Payload::from(vec![seq as f64]);
-                acks += ctx
-                    .arrive(Message {
-                        src: 1,
-                        tag,
-                        sent_us: 0,
-                        seq,
-                        clock: 0,
-                        idx: 0,
-                        epoch: 0,
-                        visible_at: None,
-                        data,
-                    })
-                    .is_some() as u64;
+                // `land` takes the message off the inbox count.
+                ctx.shared.states[0].inbox_len.fetch_add(1, Ordering::Relaxed);
+                ctx.land(Message {
+                    src: 1,
+                    tag,
+                    sent_us: 0,
+                    seq,
+                    clock: 0,
+                    idx: 0,
+                    epoch: 0,
+                    visible_at: None,
+                    data,
+                });
             }
             let stash = ctx.stash.iter().map(|m| (m.seq, m.tag)).collect();
             let held = ctx.ahead[1].keys().copied().collect();
+            // An ack is two words: the cumulative number and the epoch.
+            let acks = ctx.volume().retransmitted / 16;
             judged.wait();
-            (stash, held, ctx.rx_next[1], acks)
+            (stash, held, ctx.rx_next[1], acks, Vec::new())
         })
         .expect("a clean run");
-        results.into_iter().next().expect("rank 0")
+        let mut results = results.into_iter();
+        let (stash, held, next, acks, _) = results.next().expect("rank 0");
+        let (.., cums) = results.next().expect("rank 1");
+        (stash, held, next, acks, cums)
     }
 
     #[test]
     fn the_arrival_rule_judges_each_message_once_in_channel_order() {
-        type Row =
-            (&'static str, &'static [(u64, u64)], &'static [(u64, u64)], &'static [u64], u64, u64);
+        type Row = (
+            &'static str,
+            &'static [(u64, u64)],
+            &'static [(u64, u64)],
+            &'static [u64],
+            u64,
+            &'static [u64],
+        );
         #[rustfmt::skip]
         let table: [Row; 6] = [
-            // (case, fed (seq, tag), stash (seq, tag), held, next, acks)
-            ("in turn", &[(0, 7)], &[(0, 7)], &[], 1, 1),
-            ("early arrivals are held", &[(2, 7), (1, 7)], &[], &[1, 2], 0, 0),
+            // (case, fed (seq, tag), stash (seq, tag), held, next, acked cums)
+            ("in turn", &[(0, 7)], &[(0, 7)], &[], 1, &[1]),
+            ("early arrivals are held", &[(2, 7), (1, 7)], &[], &[1, 2], 0, &[]),
             ("an in-turn arrival releases its held successors",
-                &[(2, 7), (1, 7), (0, 7)], &[(0, 7), (1, 7), (2, 7)], &[], 3, 1),
+                &[(2, 7), (1, 7), (0, 7)], &[(0, 7), (1, 7), (2, 7)], &[], 3, &[3]),
             ("a duplicate of a held message is suppressed and re-acked",
-                &[(1, 7), (1, 7)], &[], &[1], 0, 1),
+                &[(1, 7), (1, 7)], &[], &[1], 0, &[0]),
             ("a duplicate of a taken message is suppressed and re-acked",
-                &[(0, 7), (1, 7), (0, 7)], &[(0, 7), (1, 7)], &[], 2, 3),
+                &[(0, 7), (1, 7), (0, 7)], &[(0, 7), (1, 7)], &[], 2, &[1, 2, 2]),
             ("tags interleaved on one channel stay FIFO per tag",
-                &[(1, 8), (0, 7), (3, 7), (2, 8)], &[(0, 7), (1, 8), (2, 8), (3, 7)], &[], 4, 2),
+                &[(1, 8), (0, 7), (3, 7), (2, 8)], &[(0, 7), (1, 8), (2, 8), (3, 7)], &[], 4,
+                &[2, 4]),
         ];
-        for (case, feed, stash, held, next, acks) in table {
+        for (case, feed, stash, held, next, cums) in table {
             let got = judge_arrivals(feed);
-            assert_eq!(got, (stash.to_vec(), held.to_vec(), next, acks), "{case}");
+            let acks = cums.len() as u64;
+            assert_eq!(got, (stash.to_vec(), held.to_vec(), next, acks, cums.to_vec()), "{case}");
         }
     }
 

@@ -215,7 +215,9 @@ mod tests {
         lu_invert(&d, &piv)
     }
 
-    fn check_selected_inverse(a: &SparseMatrix, opts: &AnalyzeOptions) {
+    /// Checks every entry `get` exposes against a dense inverse and returns
+    /// how many it exposes.
+    fn check_selected_inverse(a: &SparseMatrix, opts: &AnalyzeOptions) -> usize {
         let sf = Arc::new(analyze(&a.pattern(), opts));
         let f = pselinv_factor::factorize(a, sf.clone()).unwrap();
         let inv = selinv_ldlt(&f);
@@ -246,6 +248,7 @@ mod tests {
         for i in 0..n {
             assert_eq!(diag[i], inv.get(i, i).unwrap());
         }
+        exposed
     }
 
     #[test]
@@ -289,18 +292,26 @@ mod tests {
 
     #[test]
     fn heavy_relaxation_still_exact_on_selected_set() {
-        // Aggressive amalgamation introduces many relaxed rows; the mask
-        // must hide the wrong ones and everything exposed stays exact.
+        // Aggressive amalgamation introduces many explicit zeros. Without
+        // the true-structure mask every stored row is exposed and must be
+        // exact too. With it, `get` consults the mask; the mask marks a row
+        // true when some column of the supernode has it, and amalgamation
+        // only unions the merged columns' rows, so it hides no row here and
+        // both runs expose the same exact set.
         let w = gen::grid_laplacian_2d(9, 7);
-        let opts = AnalyzeOptions {
-            supernode: pselinv_order::supernodes::SupernodeOptions {
-                max_width: 16,
-                relax_small: 8,
-                relax_zero_fraction: 0.8,
-            },
-            ..Default::default()
-        };
-        check_selected_inverse(&w.matrix, &opts);
+        let exposed = [false, true].map(|track_true_structure| {
+            let opts = AnalyzeOptions {
+                supernode: pselinv_order::supernodes::SupernodeOptions {
+                    max_width: 16,
+                    relax_small: 8,
+                    relax_zero_fraction: 0.8,
+                },
+                track_true_structure,
+                ..Default::default()
+            };
+            check_selected_inverse(&w.matrix, &opts)
+        });
+        assert_eq!(exposed[0], exposed[1], "masked and unmasked selected sets differ");
     }
 
     #[test]
@@ -316,17 +327,28 @@ mod tests {
 
     #[test]
     fn selected_entries_match_get() {
+        // With and without the true-structure mask, the iterator and `get`
+        // expose the same entries.
         let w = gen::grid_laplacian_2d(7, 6);
-        let sf = Arc::new(analyze(&w.matrix.pattern(), &AnalyzeOptions::default()));
-        let f = pselinv_factor::factorize(&w.matrix, sf).unwrap();
-        let inv = selinv_ldlt(&f);
-        let mut count = 0;
-        for (i, j, v) in inv.selected_entries() {
-            assert_eq!(Some(v), inv.get(i, j), "({i},{j})");
-            assert_eq!(Some(v), inv.get(j, i), "symmetric access ({j},{i})");
-            count += 1;
+        for track_true_structure in [false, true] {
+            let opts = AnalyzeOptions { track_true_structure, ..Default::default() };
+            let sf = Arc::new(analyze(&w.matrix.pattern(), &opts));
+            assert_eq!(sf.true_rows_of(0).is_some(), track_true_structure);
+            let f = pselinv_factor::factorize(&w.matrix, sf).unwrap();
+            let inv = selinv_ldlt(&f);
+            let mut count = 0;
+            for (i, j, v) in inv.selected_entries() {
+                assert_eq!(Some(v), inv.get(i, j), "({i},{j})");
+                assert_eq!(Some(v), inv.get(j, i), "symmetric access ({j},{i})");
+                count += 1;
+            }
+            assert!(count >= w.matrix.nnz() / 2, "selected set too small: {count}");
+            let exposed = (0..w.matrix.nrows())
+                .flat_map(|i| (0..=i).map(move |j| (i, j)))
+                .filter(|&(i, j)| inv.get(i, j).is_some())
+                .count();
+            assert_eq!(count, exposed, "iterator and get disagree on the selected set");
         }
-        assert!(count >= w.matrix.nnz() / 2, "selected set too small: {count}");
     }
 
     #[test]
