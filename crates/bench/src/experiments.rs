@@ -800,7 +800,7 @@ pub fn faults(out: &OutDir) -> std::io::Result<String> {
 /// rebuild would have saved, this experiment performs the rescue online:
 /// orphaned survivors suspect their silent parent, consult the crash
 /// board, re-home onto the `rebuild_excluding` tree and pull the payload
-/// from their rebuilt parent under a bumped epoch. The experiment
+/// from their rebuilt parent on the repair lane. The experiment
 /// **asserts** the recovery contract — every survivor delivers every
 /// live-root broadcast (the only stranded tree is the one rooted at a
 /// casualty) and the [`pselinv_mpisim::RecoveryReport`] is populated —

@@ -140,7 +140,6 @@ mod tests {
             seq,
             clock: 0,
             idx: seq,
-            epoch: 0,
             visible_at: None,
             data: Payload::from(vec![seq as f64]),
         }

@@ -25,6 +25,7 @@ pub mod grid;
 mod interpose;
 pub mod nb;
 pub mod payload;
+pub mod recovery;
 pub mod reliable;
 pub mod requests;
 pub mod runtime;
@@ -34,11 +35,12 @@ pub mod telemetry;
 pub use grid::Grid2D;
 pub use nb::{TreeBcastNb, TreeReduceNb};
 pub use payload::{IntoPayload, Payload};
-pub use reliable::{Recovery, RecoveryConfig, ReliableConfig};
+pub use recovery::{RecoverOutcome, Recovery, RecoveryConfig, RecoveryReport};
+pub use reliable::ReliableConfig;
 pub use requests::{wait_any, RecvRequest};
 pub use runtime::{
     run, run_traced, try_run, try_run_recover, try_run_traced, BlockedOn, Message, Progress,
-    RankCtx, RankVolume, RecoverOutcome, RecoveryReport, RecvTimeout, RunError, RunOptions,
-    StallDiagnostic, ACK_LANE, JOIN_LANE, LANE_MASK, REPAIR_LANE,
+    RankCtx, RankVolume, RecvTimeout, RunError, RunOptions, StallDiagnostic, ACK_LANE, JOIN_LANE,
+    LANE_MASK, REPAIR_LANE,
 };
 pub use telemetry::{Telemetry, TelemetrySample};

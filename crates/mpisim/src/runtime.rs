@@ -19,12 +19,13 @@
 
 use crate::interpose::{Interposer, Trigger};
 use crate::payload::{IntoPayload, Payload};
+use crate::recovery::{CrashBoard, RecoverOutcome};
 use crate::reliable::ReliableState;
 use crate::spin::{SpinPolicy, SPIN_BUDGET};
 use crate::telemetry::{sampler, Telemetry};
 use pselinv_chaos::FaultPlan;
 use pselinv_trace::{FaultKind, RankTrace, RankTracer, Trace};
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex};
@@ -60,13 +61,6 @@ pub struct Message {
     /// uniquely for the whole run, which is the provenance causal tracing
     /// records on the matching receive.
     pub idx: u64,
-    /// Sender's recovery epoch at the send instant: the number of confirmed
-    /// rank deaths the sender had incorporated. A header like `seq`:
-    /// excluded from [`Message::bytes`]. Always 0 outside recovery. A
-    /// receiver that re-homed an edge after a rebuild raises the edge's
-    /// minimum epoch ([`RankCtx::expect_epoch`]); a match below that
-    /// minimum is then discarded unaccounted.
-    pub epoch: u64,
     /// The instant an injected in-flight delay ends: the receiver holds the
     /// message until then, and `None` makes it visible on arrival. Stamped
     /// by the fault interposer; a header like `seq`, excluded from
@@ -322,9 +316,6 @@ pub(crate) struct RankState {
     /// inbox; the monitor detects stalls as "no counter moved".
     pub(crate) progress: AtomicU64,
     done: AtomicBool,
-    /// Set (before `done`) when this rank died under recovery mode: the
-    /// confirmed-death board survivors consult to rebuild trees.
-    crashed: AtomicBool,
     pub(crate) blocked: Mutex<Option<BlockedOn>>,
     /// Messages sent to this rank that have not landed yet: queued in its
     /// inbox, or taken off it and held until their delivery instant. Always
@@ -371,23 +362,14 @@ pub(crate) struct Shared {
     /// Whether telemetry gauges are maintained. Checked with one branch on
     /// the hot paths, exactly like the disabled trace sink.
     telemetry: bool,
-    /// Whether rank panics are absorbed as crashes instead of aborting:
-    /// set by [`try_run_recover`] and by no other entry point.
-    recovery: bool,
-    /// Ranks whose user function has returned (recovery epilogue gate: a
-    /// finished survivor keeps serving repair requests until every
-    /// survivor is here).
-    user_done: AtomicUsize,
-    /// Aggregated recovery accounting, assembled into a [`RecoveryReport`]
-    /// by [`try_run_recover`].
-    rebuilt: Mutex<std::collections::BTreeSet<u64>>,
-    stranded: Mutex<std::collections::BTreeSet<u64>>,
-    reissued_bytes: AtomicU64,
-    joins: AtomicU64,
+    /// The crash board of a [`try_run_recover`] run, where rank panics are
+    /// absorbed as crashes instead of aborting; `None` under every other
+    /// entry point.
+    board: Option<Arc<CrashBoard>>,
 }
 
 impl Shared {
-    fn new(nranks: usize, watchdog: bool, telemetry: bool, recovery: bool) -> Self {
+    fn new(nranks: usize, watchdog: bool, telemetry: bool, board: Option<Arc<CrashBoard>>) -> Self {
         Self {
             states: (0..nranks).map(|_| RankState::default()).collect(),
             abort: AtomicBool::new(false),
@@ -399,12 +381,7 @@ impl Shared {
             cv: Condvar::new(),
             watchdog,
             telemetry,
-            recovery,
-            user_done: AtomicUsize::new(0),
-            rebuilt: Mutex::new(std::collections::BTreeSet::new()),
-            stranded: Mutex::new(std::collections::BTreeSet::new()),
-            reissued_bytes: AtomicU64::new(0),
-            joins: AtomicU64::new(0),
+            board,
         }
     }
 
@@ -481,13 +458,6 @@ pub struct RankCtx {
     sends: u64,
     /// The reliable transport, when the run enables it.
     reliable: Option<ReliableState>,
-    /// This rank's recovery epoch: confirmed rank deaths incorporated so
-    /// far. Stamped on every outgoing message; 0 outside recovery.
-    epoch: u64,
-    /// Receiver-side minimum acceptable epoch per `(src, tag)` edge
-    /// ([`RankCtx::expect_epoch`]; only recovery writes it): matches below
-    /// it are discarded unaccounted.
-    min_epoch: HashMap<(usize, u64), u64>,
     /// Per-channel logical-volume split, when the rank entry enabled it
     /// ([`RankCtx::enable_channel_accounting`]).
     channels: Option<ChannelAccounting>,
@@ -567,13 +537,6 @@ pub const JOIN_LANE: u64 = 0xCA << 56;
 /// (`REPAIR_LANE | tag`): a fresh edge, so the repair cannot collide with
 /// in-flight traffic of the original tree.
 pub const REPAIR_LANE: u64 = 0xDA << 56;
-
-/// Whether `m` is at or above its edge's epoch floor
-/// ([`RankCtx::expect_epoch`]): a message below it is discarded at match
-/// time and never logged as a wake.
-fn above_floor(min_epoch: &HashMap<(usize, u64), u64>, m: &Message) -> bool {
-    min_epoch.is_empty() || min_epoch.get(&(m.src, m.tag)).is_none_or(|&floor| m.epoch >= floor)
-}
 
 /// How long a matched receive may wait: when it began (what
 /// [`RecvTimeout::waited`] is measured from) and when it gives up.
@@ -661,9 +624,7 @@ impl RankCtx {
     /// the trace's depth gauge and the telemetry gauge equal to it.
     fn stash_push(&mut self, m: Message) {
         if let Some(log) = &mut self.wake_log {
-            if above_floor(&self.min_epoch, &m) {
-                log.push((m.src, m.tag));
-            }
+            log.push((m.src, m.tag));
         }
         self.stash.push_back(m);
         self.arrivals += 1;
@@ -728,14 +689,11 @@ impl RankCtx {
         self.shared.states[self.rank].inbox_len.fetch_sub(1, Ordering::Relaxed);
         let src = m.src;
         if m.tag == ACK_LANE {
-            let peer_epoch = self.reliable.as_mut().map_or(0, |rel| rel.on_ack(&m));
-            // An ack from a rank that already incorporated more deaths tells
-            // us to consult the crash board.
-            if peer_epoch > self.epoch && self.shared.recovery {
-                self.epoch = self.epoch.max(self.crashed_ranks().len() as u64);
+            if let Some(rel) = &mut self.reliable {
+                rel.on_ack(&m);
             }
         } else if let (Some(cum), true) = (self.arrive(m), self.reliable.is_some()) {
-            let data = ReliableState::ack_payload(cum, self.epoch);
+            let data = ReliableState::ack_payload(cum);
             let ack = self.stamp(ACK_LANE, 0, u64::MAX, data);
             self.volume.retransmitted += ack.bytes();
             self.push_raw(src, ack);
@@ -910,12 +868,11 @@ impl RankCtx {
         self.resend_due();
     }
 
-    /// A message from this rank, stamped with its clock, epoch and the
-    /// trace clock's now.
+    /// A message from this rank, stamped with its clock and the trace
+    /// clock's now.
     fn stamp(&self, tag: u64, seq: u64, idx: u64, data: Payload) -> Message {
-        let (src, sent_us, clock, epoch) =
-            (self.rank, self.tracer.now_us(), self.clock, self.epoch);
-        Message { src, tag, sent_us, seq, clock, idx, epoch, visible_at: None, data }
+        let (src, sent_us, clock) = (self.rank, self.tracer.now_us(), self.clock);
+        Message { src, tag, sent_us, seq, clock, idx, visible_at: None, data }
     }
 
     /// Ends the rank after its user function returned: releases held-back
@@ -1050,18 +1007,10 @@ impl RankCtx {
     }
 
     /// Takes the oldest stash entry at or after index `from` that `wants`
-    /// accepts. A match stamped below its edge's epoch floor
-    /// ([`RankCtx::expect_epoch`]) is discarded unaccounted and the scan
-    /// goes on.
-    fn take_match(&mut self, mut from: usize, wants: impl Fn(&Message) -> bool) -> Option<Message> {
-        loop {
-            from += self.stash.range(from..).position(&wants)?;
-            let m = self.stash_take(from);
-            if above_floor(&self.min_epoch, &m) {
-                return Some(m);
-            }
-            self.tracer.fault(FaultKind::Dropped, m.src, m.tag);
-        }
+    /// accepts.
+    fn take_match(&mut self, from: usize, wants: impl Fn(&Message) -> bool) -> Option<Message> {
+        let i = from + self.stash.range(from..).position(wants)?;
+        Some(self.stash_take(i))
     }
 
     /// Blocking receive of the next message on edge `(src, tag)`, buffering
@@ -1069,8 +1018,7 @@ impl RankCtx {
     ///
     /// Messages reach the stash already judged by the arrival rule, in
     /// channel order and without duplicates, so the receive takes the
-    /// oldest stashed match. A match below the edge's minimum epoch
-    /// ([`RankCtx::expect_epoch`]) is discarded.
+    /// oldest stashed match.
     ///
     /// A receive that actually blocks gets its blocked interval classified
     /// into late-sender wait vs transfer time against the matching
@@ -1116,15 +1064,12 @@ impl RankCtx {
     /// data message that enters the stash — in turn, released from the
     /// early buffer, or retransmitted — is recorded once, in stash order,
     /// for [`RankCtx::take_wakes`]; the messages already stashed are
-    /// recorded first, as if they had just arrived. Acks, suppressed
-    /// duplicates and messages below their edge's epoch floor
-    /// ([`RankCtx::expect_epoch`]) are never recorded. A progress loop that
-    /// polls a request only when its own message has arrived reads its
-    /// wake-ups here; the runtime never interprets the tags.
+    /// recorded first, as if they had just arrived. Acks and suppressed
+    /// duplicates are never recorded. A progress loop that polls a request
+    /// only when its own message has arrived reads its wake-ups here; the
+    /// runtime never interprets the tags.
     pub fn open_wake_log(&mut self) {
-        let floor = &self.min_epoch;
-        let log = self.stash.iter().filter(|m| above_floor(floor, m)).map(|m| (m.src, m.tag));
-        self.wake_log = Some(log.collect());
+        self.wake_log = Some(self.stash.iter().map(|m| (m.src, m.tag)).collect());
     }
 
     /// Detaches the wake-log reader and drops whatever it did not take:
@@ -1237,43 +1182,11 @@ impl RankCtx {
         c.volumes.get_mut(i)
     }
 
-    /// This rank's current recovery epoch (confirmed deaths incorporated).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Raises this rank's recovery epoch (never lowers it): subsequent
-    /// sends carry the new stamp.
-    pub fn set_epoch(&mut self, epoch: u64) {
-        self.epoch = self.epoch.max(epoch);
-    }
-
-    /// Raises the minimum acceptable epoch of edge `(src, tag)`: a match
-    /// stamped below it is discarded unaccounted instead of returned. The
-    /// recovery layer calls
-    /// this when it re-homes an edge after a rebuild, so in-flight
-    /// pre-crash traffic cannot race the re-issued payload.
-    pub fn expect_epoch(&mut self, src: usize, tag: u64, epoch: u64) {
-        let e = self.min_epoch.entry((src, tag)).or_insert(0);
-        *e = (*e).max(epoch);
-    }
-
-    /// Ranks confirmed dead on the shared crash board (recovery mode only;
-    /// always empty otherwise). This is the ground truth a suspicion
-    /// timeout is checked against: a slow rank is never on it.
-    pub fn crashed_ranks(&self) -> Vec<usize> {
-        self.shared
-            .states
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.crashed.load(Ordering::Acquire))
-            .map(|(r, _)| r)
-            .collect()
-    }
-
-    /// Whether `rank` is confirmed dead on the crash board.
-    pub fn is_crashed(&self, rank: usize) -> bool {
-        self.shared.states[rank].crashed.load(Ordering::Acquire)
+    /// The run's crash board, which only [`try_run_recover`] keeps: the
+    /// recovery collectives ([`crate::recovery`]) read and tally it.
+    pub(crate) fn crash_board(&self) -> Arc<CrashBoard> {
+        let board = self.shared.board.clone();
+        board.expect("recovery collectives run only under try_run_recover")
     }
 
     /// Takes the oldest available message whose tag lies in `lane`
@@ -1286,43 +1199,6 @@ impl RankCtx {
         self.drain_inbox();
         let m = self.take_match(0, |m| m.tag & LANE_MASK == lane)?;
         Some(self.account_recv(m))
-    }
-
-    /// Marks this rank's user function as logically complete (recovery
-    /// epilogue gate; see [`RankCtx::all_user_done`]). Idempotence is the
-    /// caller's duty: call it exactly once per rank.
-    pub(crate) fn mark_user_done(&self) {
-        self.shared.user_done.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Whether every survivor's user function is complete: the recovery
-    /// epilogue serves repair requests until this turns true.
-    pub(crate) fn all_user_done(&self) -> bool {
-        let crashed =
-            self.shared.states.iter().filter(|s| s.crashed.load(Ordering::Acquire)).count();
-        self.shared.user_done.load(Ordering::Acquire) + crashed >= self.size
-    }
-
-    /// Records that the recovery layer rebuilt the tree of collective
-    /// `tag` somewhere (aggregated into [`RecoveryReport::rebuilt_trees`]).
-    pub(crate) fn note_rebuild(&self, tag: u64) {
-        self.shared.rebuilt.lock().unwrap().insert(tag);
-    }
-
-    /// Records a stranded collective: its payload source died, so no
-    /// survivor can deliver it.
-    pub(crate) fn note_stranded(&self, tag: u64) {
-        self.shared.stranded.lock().unwrap().insert(tag);
-    }
-
-    /// Records `bytes` of re-issued payload answering a JOIN.
-    pub(crate) fn note_reissue(&self, bytes: u64) {
-        self.shared.reissued_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Records one JOIN request sent.
-    pub(crate) fn note_join(&self) {
-        self.shared.joins.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -1473,8 +1349,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 type RankOutput<R> = (R, RankVolume, Option<RankTrace>);
 
-/// Runs `f` on `nranks` rank threads over `shared`, whose `recovery` flag
-/// the entry point set.
+/// Runs `f` on `nranks` rank threads over `shared`, whose crash board the
+/// entry point set.
 fn run_impl<R, F, M>(
     nranks: usize,
     opts: &RunOptions,
@@ -1524,8 +1400,6 @@ where
                     clock: 0,
                     sends: 0,
                     reliable: reliable.map(|cfg| ReliableState::new(cfg, rank, plan)),
-                    epoch: 0,
-                    min_epoch: HashMap::new(),
                     channels: None,
                     arrivals: 0,
                     wake_log: None,
@@ -1541,19 +1415,17 @@ where
                     }
                     Err(payload) => {
                         ctx.leave_stash();
-                        let aborted = payload.downcast_ref::<Aborted>().is_some();
-                        if shared.recovery && !aborted {
-                            // Online recovery: absorb the death instead of
-                            // aborting the run. The crash flag must be
-                            // visible before `done`, so survivors reading
-                            // the board never see a finished-but-unlisted
-                            // casualty.
-                            shared.states[rank].crashed.store(true, Ordering::Release);
-                        } else if !aborted {
-                            shared.record_verdict(RunError::RankPanic {
-                                rank,
-                                message: panic_message(payload.as_ref()),
-                            });
+                        if payload.downcast_ref::<Aborted>().is_none() {
+                            match &shared.board {
+                                // Online recovery absorbs the death instead
+                                // of aborting the run; the board lists it
+                                // before the rank is marked done.
+                                Some(board) => board.mark_crashed(rank),
+                                None => shared.record_verdict(RunError::RankPanic {
+                                    rank,
+                                    message: panic_message(payload.as_ref()),
+                                }),
+                            }
                         }
                         shared.rank_finished(rank);
                         None
@@ -1603,7 +1475,7 @@ where
     F: Fn(&mut RankCtx) -> R + Sync,
 {
     let shared =
-        Arc::new(Shared::new(nranks, opts.watchdog.is_some(), opts.telemetry.is_some(), false));
+        Arc::new(Shared::new(nranks, opts.watchdog.is_some(), opts.telemetry.is_some(), None));
     let handles = run_impl(nranks, opts, &f, &|_| RankTracer::disabled(), &shared)?;
     let mut results = Vec::with_capacity(nranks);
     let mut volumes = Vec::with_capacity(nranks);
@@ -1629,7 +1501,7 @@ where
 {
     let epoch = Instant::now();
     let shared =
-        Arc::new(Shared::new(nranks, opts.watchdog.is_some(), opts.telemetry.is_some(), false));
+        Arc::new(Shared::new(nranks, opts.watchdog.is_some(), opts.telemetry.is_some(), None));
     let handles = run_impl(nranks, opts, &f, &move |rank| RankTracer::wall(rank, epoch), &shared)?;
     let mut results = Vec::with_capacity(nranks);
     let mut volumes = Vec::with_capacity(nranks);
@@ -1643,33 +1515,12 @@ where
     Ok((results, volumes, Trace::new(label, traces)))
 }
 
-/// What online crash recovery did during a [`try_run_recover`] run.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Ranks confirmed dead on the crash board, ascending.
-    pub dead_ranks: Vec<usize>,
-    /// Distinct collectives whose tree some survivor rebuilt around the
-    /// dead set.
-    pub rebuilt_trees: u64,
-    /// Payload bytes re-issued in answer to orphan JOIN requests.
-    pub reissued_bytes: u64,
-    /// JOIN requests orphans sent to their rebuilt-tree parents.
-    pub joins: u64,
-    /// Tags of collectives no survivor could deliver because the payload
-    /// source itself died (the irreducibly lost work), ascending.
-    pub stranded_supernodes: Vec<u64>,
-}
-
-/// What a recovery-mode run yields: per-rank results (`None` for
-/// casualties), per-rank volumes (zero for casualties) and the populated
-/// [`RecoveryReport`].
-pub type RecoverOutcome<R> = (Vec<Option<R>>, Vec<RankVolume>, RecoveryReport);
-
 /// Recovery-mode run: executes `f` on `nranks` rank threads, absorbing
 /// rank deaths instead of aborting. A panicking rank is marked crashed on
-/// a shared board, survivors keep running (the recovery collectives in
-/// [`crate::reliable`] consult the board to rebuild trees around the
-/// dead), and the survivors' results come back with a [`RecoveryReport`].
+/// the run's crash board, survivors keep running (the recovery collectives
+/// in [`crate::recovery`] consult the board to rebuild trees around the
+/// dead), and the survivors' results come back with the board's
+/// [`RecoveryReport`](crate::RecoveryReport).
 /// An `Err` only means an unrecoverable failure (a global stall the
 /// watchdog caught). Only this entry point absorbs panics: under
 /// [`try_run`] the first panic aborts the run.
@@ -1682,8 +1533,9 @@ where
     R: Send,
     F: Fn(&mut RankCtx) -> R + Sync,
 {
-    let shared =
-        Arc::new(Shared::new(nranks, opts.watchdog.is_some(), opts.telemetry.is_some(), true));
+    let board = Arc::new(CrashBoard::new(nranks));
+    let (watchdog, telemetry) = (opts.watchdog.is_some(), opts.telemetry.is_some());
+    let shared = Arc::new(Shared::new(nranks, watchdog, telemetry, Some(board.clone())));
     let handles = run_impl(nranks, opts, &f, &|_| RankTracer::disabled(), &shared)?;
     let mut results = Vec::with_capacity(nranks);
     let mut volumes = Vec::with_capacity(nranks);
@@ -1699,16 +1551,7 @@ where
             }
         }
     }
-    let report = RecoveryReport {
-        dead_ranks: (0..nranks)
-            .filter(|&r| shared.states[r].crashed.load(Ordering::Acquire))
-            .collect(),
-        rebuilt_trees: shared.rebuilt.lock().unwrap().len() as u64,
-        reissued_bytes: shared.reissued_bytes.load(Ordering::Relaxed),
-        joins: shared.joins.load(Ordering::Relaxed),
-        stranded_supernodes: shared.stranded.lock().unwrap().iter().copied().collect(),
-    };
-    Ok((results, volumes, report))
+    Ok((results, volumes, board.report()))
 }
 
 /// Runs `f` on `nranks` rank threads and returns each rank's result plus
@@ -2172,15 +2015,14 @@ mod tests {
                     seq,
                     clock: 0,
                     idx: 0,
-                    epoch: 0,
                     visible_at: None,
                     data,
                 });
             }
             let stash = ctx.stash.iter().map(|m| (m.seq, m.tag)).collect();
             let held = ctx.ahead[1].keys().copied().collect();
-            // An ack is two words: the cumulative number and the epoch.
-            let acks = ctx.volume().retransmitted / 16;
+            // An ack is one word: the cumulative number.
+            let acks = ctx.volume().retransmitted / 8;
             judged.wait();
             (stash, held, ctx.rx_next[1], acks, Vec::new())
         })
@@ -2221,28 +2063,6 @@ mod tests {
             let acks = cums.len() as u64;
             assert_eq!(got, (stash.to_vec(), held.to_vec(), next, acks, cums.to_vec()), "{case}");
         }
-    }
-
-    #[test]
-    fn the_epoch_floor_is_checked_at_match_time() {
-        // Both messages enter the stash: arrival knows nothing of epochs.
-        // The floor raised afterwards still discards the stale one when a
-        // receive matches, and the receive takes the re-issue.
-        let (results, volumes) = run(2, |ctx| {
-            if ctx.rank() == 0 {
-                ctx.send(1, 7, vec![1.0]);
-                ctx.set_epoch(1);
-                ctx.send(1, 7, vec![2.0]);
-                return 0.0;
-            }
-            while ctx.stash.len() < 2 {
-                ctx.drain_inbox();
-            }
-            ctx.expect_epoch(0, 7, 1);
-            ctx.try_match(0, 7).expect("the re-issue is stashed")[0]
-        });
-        assert_eq!(results[1], 2.0);
-        assert_eq!(volumes[1].msgs_received, 1, "the stale message is never accounted");
     }
 
     #[test]
@@ -2298,19 +2118,17 @@ mod tests {
                 }
                 for &(seq, tag) in &feed {
                     let data = Payload::from(vec![seq as f64]);
-                    let (clock, idx, epoch, visible_at) = (0, 0, 0, None);
-                    let m = Message {
+                    let (clock, idx, visible_at) = (0, 0, None);
+                    ctx.arrive(Message {
                         src: 1,
                         tag,
                         sent_us: 0,
                         seq,
                         clock,
                         idx,
-                        epoch,
                         visible_at,
                         data,
-                    };
-                    ctx.arrive(m);
+                    });
                 }
                 let mut wakes = vec![(9, 99)];
                 ctx.take_wakes(&mut wakes);
@@ -2331,30 +2149,18 @@ mod tests {
     }
 
     #[test]
-    fn opening_the_wake_log_records_the_stash_and_never_a_stale_epoch() {
-        // Three messages are stashed before the log opens, one of them
-        // below the epoch floor of its edge: opening records the other two.
-        // Of two later arrivals on that edge, the stale one is not logged.
+    fn opening_the_wake_log_records_the_stash_first() {
+        // Three messages are stashed before the log opens: opening records
+        // them, in stash order, ahead of the two that arrive after it.
         let (results, _) = try_run(2, &RunOptions::default(), |ctx| {
             if ctx.rank() == 1 {
                 return Vec::new();
             }
-            ctx.expect_epoch(1, 7, 1);
-            let mut feed = [(0, 5, 1), (1, 7, 0), (2, 6, 1), (3, 7, 0), (4, 7, 1)].into_iter();
-            let arrive = |ctx: &mut RankCtx, (seq, tag, epoch): (u64, u64, u64)| {
+            let mut feed = [(0, 5), (1, 7), (2, 6), (3, 8), (4, 7)].into_iter();
+            let arrive = |ctx: &mut RankCtx, (seq, tag): (u64, u64)| {
                 let data = Payload::from(vec![0.0]);
                 let (clock, idx, visible_at) = (0, 0, None);
-                ctx.arrive(Message {
-                    src: 1,
-                    tag,
-                    sent_us: 0,
-                    seq,
-                    clock,
-                    idx,
-                    epoch,
-                    visible_at,
-                    data,
-                });
+                ctx.arrive(Message { src: 1, tag, sent_us: 0, seq, clock, idx, visible_at, data });
             };
             for m in feed.by_ref().take(3) {
                 arrive(ctx, m);
@@ -2369,7 +2175,7 @@ mod tests {
             wakes
         })
         .expect("a clean run");
-        assert_eq!(results[0], vec![(1, 5), (1, 6), (1, 7)]);
+        assert_eq!(results[0], vec![(1, 5), (1, 7), (1, 6), (1, 8), (1, 7)]);
     }
 
     #[test]
@@ -2489,7 +2295,7 @@ mod tests {
     fn a_watchdog_over_a_finished_run_exits_without_waiting() {
         // Every rank finished before the monitor's first wait: it must read
         // that before waiting, not one `poll` later.
-        let shared = Shared::new(2, true, false, false);
+        let shared = Shared::new(2, true, false, None);
         shared.rank_finished(0);
         shared.rank_finished(1);
         let t0 = Instant::now();

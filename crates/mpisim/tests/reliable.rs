@@ -7,11 +7,11 @@
 //!   bit-identical to the fault-free run and the *logical* volume counters
 //!   are exactly the fault-free ones, with all recovery traffic isolated
 //!   in `RankVolume::retransmitted`;
-//! * stale-epoch traffic on a re-homed edge is discarded at match time,
-//!   before anything is counted;
 //! * with recovery on, rank deaths are absorbed: survivors re-home onto a
 //!   `rebuild_excluding` tree and still deliver, and only dead-root
-//!   collectives are reported stranded.
+//!   collectives are reported stranded — also when a second death comes
+//!   after the survivors adopted the first, so that an orphan re-homes
+//!   twice and a repair can answer a JOIN of an older dead set.
 
 use proptest::prelude::*;
 use pselinv_chaos::{FaultPlan, FaultSpec};
@@ -21,6 +21,7 @@ use pselinv_mpisim::{
     RunOptions,
 };
 use pselinv_trees::{TreeBuilder, TreeScheme};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
 /// The logical (application-visible) part of a volume: everything except
@@ -109,34 +110,18 @@ proptest! {
     }
 }
 
-/// Stale-epoch traffic on an edge the receiver re-homed is discarded where
-/// the receive takes it, before anything is counted: the receiver's logical
-/// volume counts only the bumped-epoch message, and the re-issue behind it
-/// on the same channel is consumed normally. The name predates the
-/// match-time discard; nothing is counted, so nothing is reversed.
-#[test]
-fn stale_epoch_messages_are_discarded_with_accounting_reversed() {
-    let (results, volumes) = try_run(2, &RunOptions::default(), |ctx| {
-        if ctx.rank() == 0 {
-            // Pre-crash traffic (epoch 0), then the post-rebuild re-issue
-            // under a bumped epoch on the same edge.
-            ctx.send(1, 7, vec![1.0; 8]);
-            ctx.set_epoch(1);
-            ctx.send(1, 7, vec![2.0; 8]);
-            Vec::new()
-        } else {
-            ctx.expect_epoch(0, 7, 1);
-            ctx.recv(0, 7).to_vec()
+/// Runs `f` on its own thread and panics unless it returns within `limit`.
+fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    let run = std::thread::spawn(move || tx.send(f()).ok());
+    match rx.recv_timeout(limit) {
+        Ok(t) => {
+            run.join().expect("the thread sent its result");
+            t
         }
-    })
-    .unwrap();
-    assert_eq!(results[1], vec![2.0; 8]);
-    // Exactly one message (the epoch-1 re-issue) is accounted: the stale
-    // epoch-0 delivery was discarded uncounted.
-    assert_eq!(volumes[1].received, 64);
-    assert_eq!(volumes[1].msgs_received, 1);
-    // The sender legitimately sent both copies.
-    assert_eq!(volumes[0].msgs_sent, 2);
+        Err(RecvTimeoutError::Timeout) => panic!("no result within {limit:?}"),
+        Err(RecvTimeoutError::Disconnected) => std::panic::resume_unwind(run.join().unwrap_err()),
+    }
 }
 
 fn recovery_opts(plan: FaultPlan) -> RunOptions {
@@ -253,4 +238,56 @@ fn mixed_trees_one_dead_root_only_that_tree_strands() {
         }
     }
     assert!(report.rebuilt_trees >= 1, "orphans must have rebuilt at least one tree");
+}
+
+/// Two deaths, adopted in two steps: rank 0 dies at its first operation
+/// (the first send of broadcast 0, which it roots), rank 9 after seven, by
+/// which time the survivors have re-homed around rank 0 and some of them
+/// may have JOINed rank 9. An orphan of the second death re-homes again,
+/// and a server may get JOINs of the same collective from several orphans.
+/// Every survivor must deliver every live-root broadcast, and exactly the
+/// two dead ranks' broadcasts strand. Rank 9 performs at least one
+/// operation per live-root broadcast, so it is dead before broadcast 9, the
+/// one it roots. A lost repair makes the orphan re-JOIN forever, which the
+/// run's watchdog counts as progress, so the run goes on a thread with a
+/// deadline.
+#[test]
+fn survivors_recover_when_a_second_rank_dies_after_the_first_is_adopted() {
+    const NRANKS: usize = 16;
+    const NBCASTS: u64 = 12;
+    const TAG: u64 = 50;
+    let (first, second) = (0usize, 9usize);
+    let plan = FaultPlan::new(5)
+        .with_rank(first, FaultSpec { crash_after_ops: Some(0), ..FaultSpec::default() })
+        .with_rank(second, FaultSpec { crash_after_ops: Some(6), ..FaultSpec::default() });
+    let (results, _, report) = within(Duration::from_secs(20), move || {
+        let builder = TreeBuilder::new(TreeScheme::Binary, 4);
+        try_run_recover(NRANKS, &recovery_opts(plan), |ctx| {
+            let mut rec = Recovery::new(recovery_cfg());
+            let mut delivered = 0u64;
+            for k in 0..NBCASTS {
+                let root = k as usize;
+                let receivers: Vec<usize> = (0..NRANKS).filter(|&r| r != root).collect();
+                let tree = builder.build(root, &receivers, k);
+                let data = (ctx.rank() == root).then(|| vec![k as f64 + 0.5; 3]);
+                if let Some(p) = rec.bcast(ctx, &builder, &tree, k, TAG + k, data) {
+                    assert_eq!(p.to_vec(), vec![k as f64 + 0.5; 3], "broadcast {k}");
+                    delivered += 1;
+                }
+            }
+            rec.finish(ctx);
+            delivered
+        })
+        .expect("no stall")
+    });
+    assert_eq!(report.dead_ranks, vec![first, second]);
+    assert_eq!(report.stranded_supernodes, vec![TAG + first as u64, TAG + second as u64]);
+    assert!(report.joins > 0 && report.rebuilt_trees > 0, "orphans must have re-homed");
+    for (rank, r) in results.iter().enumerate() {
+        if rank == first || rank == second {
+            assert!(r.is_none(), "casualty {rank} has no result");
+        } else {
+            assert_eq!(*r, Some(NBCASTS - 2), "survivor {rank} must deliver every live-root tree");
+        }
+    }
 }

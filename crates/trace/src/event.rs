@@ -101,9 +101,7 @@ pub enum FaultKind {
     Crashed,
     /// This rank stopped making progress (injected).
     Stalled,
-    /// A message was lost in flight (injected loss), or a stale-epoch
-    /// delivery was discarded by the recovery layer before it was
-    /// accounted.
+    /// A message was lost in flight (injected loss).
     Dropped,
     /// The reliable transport re-sent an unacknowledged message after its
     /// retransmission deadline expired.
